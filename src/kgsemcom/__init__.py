@@ -10,11 +10,11 @@ __version__ = "0.1.0"
 
 from .kg import (KnowledgeGraph, Entity, Community, Triple, NodeId,
                  KgFormatError, canonical_name, ingest, load)
-from .embedding import TrigramEmbedder, RemoteEmbedder, EmbeddingIndex, cosine
+from .embedding import TrigramEmbedder, EmbeddingIndex, cosine
 from .extraction import (ExtractionConfig, ExtractionTrace, Mention,
                          CandidateSet, SelectedEntities, StubSelector,
                          HttpSelector, recognize, expand, select,
-                         extract, extract_trace)
+                         extract_trace)
 from .semgraph import Mcsg, build_mcsg, payload_of, reconstruct
 from .importance import (ImportanceConfig, ImportanceTable, ThresholdPolicy,
                          DEFAULT_POLICY, degree_centrality,
@@ -27,11 +27,11 @@ from .phy import (ChannelConfig, SymbolStream, TransmissionFrame, ParsedHeader,
                   transmit, transmit_many, huffman_build, huffman_encode,
                   huffman_decode, ids_to_bits, bits_to_ids)
 from .generation import (Prompt, ReconstructedText, StubGenerator,
-                         HttpGenerator, build_prompt, generate,
-                         verbalize_relation, enrich_kg)
+                         HttpGenerator, build_prompt, verbalize_relation,
+                         enrich_kg)
 from .remote import RemoteConfig
 from .harness import (ExperimentRecord, SweepConfig, PipelineContext,
-                      SCHEMES, semantic_similarity, count_bits, run_pipeline,
+                      SCHEMES, semantic_similarity, run_pipeline,
                       run_sweep, baseline_records, render_report, write_report,
                       load_corpus, derive_seed)
 
@@ -41,11 +41,11 @@ __all__ = [
     "KnowledgeGraph", "Entity", "Community", "Triple", "NodeId",
     "KgFormatError", "canonical_name", "ingest", "load",
     # embeddings and retrieval
-    "TrigramEmbedder", "RemoteEmbedder", "EmbeddingIndex", "cosine",
+    "TrigramEmbedder", "EmbeddingIndex", "cosine",
     # extraction
     "ExtractionConfig", "ExtractionTrace", "Mention", "CandidateSet",
     "SelectedEntities", "StubSelector", "HttpSelector", "recognize", "expand",
-    "select", "extract", "extract_trace",
+    "select", "extract_trace",
     # semantic subgraph
     "Mcsg", "build_mcsg", "payload_of", "reconstruct",
     # importance and UEP
@@ -61,12 +61,12 @@ __all__ = [
     "ids_to_bits", "bits_to_ids",
     # generation
     "Prompt", "ReconstructedText", "StubGenerator", "HttpGenerator",
-    "build_prompt", "generate", "verbalize_relation", "enrich_kg",
+    "build_prompt", "verbalize_relation", "enrich_kg",
     # remote backends
     "RemoteConfig",
     # experiment harness
     "ExperimentRecord", "SweepConfig", "PipelineContext", "SCHEMES",
-    "semantic_similarity", "count_bits", "run_pipeline", "run_sweep",
+    "semantic_similarity", "run_pipeline", "run_sweep",
     "baseline_records", "render_report", "write_report", "load_corpus",
     "derive_seed",
 ]

@@ -21,9 +21,8 @@ from . import kg as kgmod
 from .embedding import EmbeddingIndex, TrigramEmbedder
 from .extraction import ExtractionConfig, HttpSelector, StubSelector, extract_trace
 from .generation import HttpGenerator, StubGenerator, build_prompt, enrich_kg
-from .harness import (PipelineContext, SweepConfig, baseline_records, derive_seed,
-                      load_corpus, run_pipeline, run_sweep, semantic_similarity,
-                      write_report)
+from .harness import (SweepConfig, baseline_records, load_corpus, run_sweep,
+                      semantic_similarity, write_report)
 from .importance import ImportanceConfig, importance_scores, partition_uep
 from .phy import ChannelConfig, TransmissionFrame, channel_bit_cost, transmit
 from .semgraph import build_mcsg, payload_of, reconstruct

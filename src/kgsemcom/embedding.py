@@ -3,11 +3,9 @@
 The offline embedder hashes character trigrams to deterministic pseudorandom
 unit vectors and sums them, so lexically overlapping texts land near each
 other. Identical text gives an identical vector on every platform and run.
-An optional remote client speaks an embeddings HTTP API instead.
 """
 
 import hashlib
-import math
 from typing import Sequence
 
 import numpy as np
@@ -77,38 +75,6 @@ class TrigramEmbedder:
 
     def embed(self, texts: Sequence[str]) -> list[Vector]:
         return [self.embed_one(t) for t in texts]
-
-
-class RemoteEmbedder:
-    """Client for an embeddings HTTP endpoint; preserves input order.
-
-    Configured via RemoteConfig (see kgsemcom.remote). Responses are
-    L2-normalized so downstream cosine math matches the offline embedder.
-    """
-
-    def __init__(self, config, batch_size: int = 64):
-        self.config = config
-        self.batch_size = batch_size
-
-    def embed(self, texts: Sequence[str]) -> list[Vector]:
-        from .remote import post_json
-        out: list[Vector] = []
-        for i in range(0, len(texts), self.batch_size):
-            batch = list(texts[i:i + self.batch_size])
-            payload = {"model": self.config.model, "input": batch}
-            data = post_json(self.config, self.config.embeddings_path, payload)
-            rows = data["data"]
-            if len(rows) != len(batch):
-                raise ValueError(f"embedding endpoint returned {len(rows)} vectors "
-                                 f"for {len(batch)} inputs")
-            for row in rows:
-                v = np.asarray(row["embedding"], dtype=float)
-                n = np.linalg.norm(v)
-                out.append(v / n if n > 0 else v)
-        return out
-
-    def embed_one(self, text: str) -> Vector:
-        return self.embed([text])[0]
 
 
 class EmbeddingIndex:

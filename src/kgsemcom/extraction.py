@@ -57,8 +57,6 @@ class ExtractionTrace:
 def recognize(sentence: str, kg: KnowledgeGraph) -> list[Mention]:
     """Gazetteer pass over KG names/aliases, then capitalized runs of two or
     more tokens among the uncovered positions."""
-    gazetteer = dict(kg.names_and_aliases())
-    max_words = max((len(k.split()) for k in gazetteer), default=1)
     tokens = list(_TOKEN_RE.finditer(sentence))
     mentions: list[Mention] = []
     covered = [False] * len(tokens)
@@ -66,9 +64,9 @@ def recognize(sentence: str, kg: KnowledgeGraph) -> list[Mention]:
     i = 0
     while i < len(tokens):
         hit = None
-        for j in range(min(i + max_words, len(tokens)) - 1, i - 1, -1):
+        for j in range(min(i + kg.max_name_words, len(tokens)) - 1, i - 1, -1):
             start, end = tokens[i].start(), tokens[j].end()
-            if canonical_name(sentence[start:end]) in gazetteer:
+            if kg.id_of(sentence[start:end]) is not None:
                 hit = (j, start, end)
                 break
         if hit is not None:
@@ -168,11 +166,6 @@ def select(sentence: str, candidates: CandidateSet, kg: KnowledgeGraph,
            similarity_threshold: float = 0.5) -> SelectedEntities:
     return backend.select(sentence, candidates, kg, max_selected=max_selected,
                           similarity_threshold=similarity_threshold)
-
-
-def extract(sentence: str, kg: KnowledgeGraph, index: EmbeddingIndex,
-            config: ExtractionConfig) -> SelectedEntities:
-    return extract_trace(sentence, kg, index, config).selected
 
 
 def extract_trace(sentence: str, kg: KnowledgeGraph, index: EmbeddingIndex,

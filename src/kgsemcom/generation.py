@@ -100,10 +100,6 @@ class HttpGenerator:
         return ReconstructedText(text=reply, backend_used="remote")
 
 
-def generate(prompt: Prompt, backend) -> ReconstructedText:
-    return backend.generate(prompt)
-
-
 ENRICH_ENTITY_PROMPT_FILE = "enrich_entity_v1.txt"
 ENRICH_COMMUNITY_PROMPT_FILE = "enrich_community_v1.txt"
 

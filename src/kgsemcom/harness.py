@@ -25,7 +25,7 @@ from .importance import ImportanceConfig, ImportanceTable, ThresholdPolicy, impo
 from .phy import (ChannelConfig, TransmissionFrame, awgn, channel_bit_cost,
                   huffman_build, huffman_decode, huffman_encode,
                   qam16_demodulate, qam16_modulate, transmit_many)
-from .semgraph import Mcsg, build_mcsg, payload_of, reconstruct
+from .semgraph import Mcsg, build_mcsg, reconstruct
 
 SCHEMES = ("kgrag", "huffman_baseline", "ascii")
 
@@ -120,22 +120,6 @@ def semantic_similarity(a: str, b: str, embedder) -> float:
     return max(-1.0, min(1.0, cosine(va, vb)))
 
 
-def count_bits(scheme: str, *, text: str | None = None, huffman_table=None,
-               n_ids: int | None = None, n_protected: int | None = None) -> tuple[int, int]:
-    """-> (payload_bits, channel_bits) for one sentence under a scheme."""
-    if scheme == "ascii":
-        bits = 8 * len(text)
-        return bits, bits
-    if scheme == "huffman_baseline":
-        bits = len(huffman_encode(text, huffman_table))
-        return bits, bits
-    if scheme == "kgrag":
-        payload = 32 + 32 * n_ids
-        channel = channel_bit_cost(n_protected, n_ids - n_protected)
-        return payload, channel
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 @dataclass
 class SentenceAnalysis:
     selected: SelectedEntities
@@ -218,7 +202,7 @@ def derive_seed(base_seed: int, sentence_id: int, snr_index: int, trial: int,
 
 
 def _kgrag_records(ctx: PipelineContext, sentence: str, sentence_id: int,
-                   snr_db: float, snr_index: int, seeds: list[tuple[int, int]]) -> list[ExperimentRecord]:
+                   snr_db: float, seeds: list[tuple[int, int]]) -> list[ExperimentRecord]:
     """One record per (trial, seed); the channel pass is batched over trials."""
     analysis = ctx.analyze(sentence)
     n_selected = len(analysis.selected.ids)
@@ -228,8 +212,9 @@ def _kgrag_records(ctx: PipelineContext, sentence: str, sentence_id: int,
                 for trial, seed in seeds]
     protected, unprotected = partition_uep(analysis.table, snr_db, ctx.importance_config)
     frame = TransmissionFrame(tuple(protected), tuple(unprotected))
-    payload_bits, channel_bits = count_bits("kgrag", n_ids=len(analysis.mcsg.nodes),
-                                            n_protected=len(protected))
+    n_ids = len(analysis.mcsg.nodes)
+    payload_bits = 32 + 32 * n_ids
+    channel_bits = channel_bit_cost(len(protected), len(unprotected))
     cfgs = [ChannelConfig(snr_db, seed) for _, seed in seeds]
     results = transmit_many(frame, cfgs)
     records = []
@@ -248,8 +233,7 @@ def _kgrag_records(ctx: PipelineContext, sentence: str, sentence_id: int,
             similarity = semantic_similarity(sentence, text, ctx.embedder)
         records.append(ExperimentRecord(
             sentence_id, snr_db, "kgrag", trial, seed, payload_bits, channel_bits,
-            similarity, n_selected, len(analysis.mcsg.nodes), n_valid,
-            flags=";".join(flags)))
+            similarity, n_selected, n_ids, n_valid, flags=";".join(flags)))
     return records
 
 
@@ -267,23 +251,32 @@ def _bits_to_ascii(bits: np.ndarray) -> str:
     return "".join(chr(int(c)) for c in codes)
 
 
-def _text_scheme_record(embedder, huffman_table, sentence: str, sentence_id: int,
-                        snr_db: float, scheme: str, trial: int, seed: int) -> ExperimentRecord:
-    if scheme == "huffman_baseline":
-        bits = huffman_encode(sentence, huffman_table)
-    else:
-        bits = _ascii_bits(sentence)
-    rx = qam16_demodulate(awgn(qam16_modulate(bits), ChannelConfig(snr_db, seed)))
-    if scheme == "huffman_baseline":
-        decoded = huffman_decode(rx, huffman_table)
-    else:
-        decoded = _bits_to_ascii(rx)
-    payload_bits, channel_bits = count_bits(scheme, text=sentence,
-                                            huffman_table=huffman_table)
-    similarity = semantic_similarity(sentence, decoded, embedder)
-    return ExperimentRecord(sentence_id, snr_db, scheme, trial, seed,
-                            payload_bits, channel_bits, similarity,
-                            0, 0, 0, flags="" if decoded else "empty_decode")
+def _text_records(embedder, huffman_table, scheme: str, sentence: str, sentence_id: int,
+                  snr_db: float, seeds: list[tuple[int, int]]) -> list[ExperimentRecord]:
+    """One record per (trial, seed) for an uncoded text scheme; the sentence
+    is encoded and modulated once, then each trial draws its own noise."""
+    huffman = scheme == "huffman_baseline"
+    bits = huffman_encode(sentence, huffman_table) if huffman else _ascii_bits(sentence)
+    symbols = qam16_modulate(bits)
+    records = []
+    for trial, seed in seeds:
+        rx = qam16_demodulate(awgn(symbols, ChannelConfig(snr_db, seed)))
+        decoded = huffman_decode(rx, huffman_table) if huffman else _bits_to_ascii(rx)
+        similarity = semantic_similarity(sentence, decoded, embedder)
+        records.append(ExperimentRecord(sentence_id, snr_db, scheme, trial, seed,
+                                        len(bits), len(bits), similarity, 0, 0, 0,
+                                        flags="" if decoded else "empty_decode"))
+    return records
+
+
+def _records(ctx: PipelineContext, scheme: str, sentence: str, sentence_id: int,
+             snr_db: float, seeds: list[tuple[int, int]]) -> list[ExperimentRecord]:
+    """encode -> channel -> decode -> score for one (sentence, SNR, scheme),
+    one record per (trial, seed)."""
+    if scheme == "kgrag":
+        return _kgrag_records(ctx, sentence, sentence_id, snr_db, seeds)
+    return _text_records(ctx.embedder, ctx.huffman_table, scheme, sentence,
+                         sentence_id, snr_db, seeds)
 
 
 def baseline_records(corpus: list[str], snr_grid: list[float] | None = None,
@@ -296,10 +289,9 @@ def baseline_records(corpus: list[str], snr_grid: list[float] | None = None,
     for sentence_id, sentence in enumerate(corpus):
         for snr_index, snr_db in enumerate(snr_grid):
             for scheme in ("huffman_baseline", "ascii"):
-                trial_seed = derive_seed(seed, sentence_id, snr_index, 0, scheme)
-                records.append(_text_scheme_record(embedder, table, sentence,
-                                                   sentence_id, snr_db, scheme,
-                                                   0, trial_seed))
+                seeds = [(0, derive_seed(seed, sentence_id, snr_index, 0, scheme))]
+                records += _text_records(embedder, table, scheme, sentence,
+                                         sentence_id, snr_db, seeds)
     return records
 
 
@@ -307,12 +299,7 @@ def run_pipeline(ctx: PipelineContext, sentence: str, sentence_id: int,
                  snr_db: float, seed: int, scheme: str = "kgrag",
                  trial: int = 0) -> ExperimentRecord:
     """Single (sentence, SNR, seed, scheme) run -> one record."""
-    if scheme == "kgrag":
-        snr_index = 0  # irrelevant for an explicit seed
-        return _kgrag_records(ctx, sentence, sentence_id, snr_db, snr_index,
-                              [(trial, seed)])[0]
-    return _text_scheme_record(ctx.embedder, ctx.huffman_table, sentence,
-                               sentence_id, snr_db, scheme, trial, seed)
+    return _records(ctx, scheme, sentence, sentence_id, snr_db, [(trial, seed)])[0]
 
 
 def _error_record(sentence_id: int, snr_db: float, scheme: str, trial: int,
@@ -324,41 +311,25 @@ def _error_record(sentence_id: int, snr_db: float, scheme: str, trial: int,
 
 def run_sweep(config: SweepConfig, ctx: PipelineContext | None = None) -> list[ExperimentRecord]:
     """All (sentence, snr, trial, scheme) records in deterministic order.
-    A stage failure is captured into the affected records as an error flag;
-    the sweep keeps going."""
+    A stage failure is captured into the records of the affected (sentence,
+    SNR, scheme) as an error flag; the sweep keeps going."""
     ctx = ctx or PipelineContext.from_config(config)
+    schemes = [s for s in SCHEMES if s in config.schemes]
     records: list[ExperimentRecord] = []
     for sentence_id, sentence in enumerate(ctx.corpus):
         for snr_index, snr_db in enumerate(config.snr_grid):
-            per_scheme: dict[str, list[ExperimentRecord]] = {}
-            if "kgrag" in config.schemes:
-                seeds = [(trial, derive_seed(config.seed, sentence_id, snr_index, trial, "kgrag"))
+            per_scheme = []
+            for scheme in schemes:
+                seeds = [(trial, derive_seed(config.seed, sentence_id, snr_index, trial, scheme))
                          for trial in range(config.trials_per_point)]
                 try:
-                    per_scheme["kgrag"] = _kgrag_records(ctx, sentence, sentence_id,
-                                                         snr_db, snr_index, seeds)
+                    rows = _records(ctx, scheme, sentence, sentence_id, snr_db, seeds)
                 except Exception as exc:
-                    per_scheme["kgrag"] = [_error_record(sentence_id, snr_db, "kgrag",
-                                                         trial, seed, exc)
-                                           for trial, seed in seeds]
-            for scheme in config.schemes:
-                if scheme == "kgrag":
-                    continue
-                rows = []
-                for trial in range(config.trials_per_point):
-                    seed = derive_seed(config.seed, sentence_id, snr_index, trial, scheme)
-                    try:
-                        rows.append(_text_scheme_record(ctx.embedder, ctx.huffman_table,
-                                                        sentence, sentence_id,
-                                                        snr_db, scheme, trial, seed))
-                    except Exception as exc:
-                        rows.append(_error_record(sentence_id, snr_db, scheme,
-                                                  trial, seed, exc))
-                per_scheme[scheme] = rows
-            for trial in range(config.trials_per_point):
-                for scheme in SCHEMES:
-                    if scheme in per_scheme:
-                        records.append(per_scheme[scheme][trial])
+                    rows = [_error_record(sentence_id, snr_db, scheme, trial, seed, exc)
+                            for trial, seed in seeds]
+                per_scheme.append(rows)
+            for trial_rows in zip(*per_scheme):
+                records.extend(trial_rows)
     return records
 
 

@@ -11,9 +11,9 @@ auto-assignment (first free id starting at 0, in file order). dump() inverts
 load(). Graphs are immutable after ingestion; all queries are read-only.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 NodeId = int
 MAX_NODE_ID = 2**32 - 1
@@ -68,6 +68,9 @@ class KnowledgeGraph:
                 key = canonical_name(alias)
                 if key not in self.name_index and key not in self._alias_index:
                     self._alias_index[key] = ent.node_id
+        # longest lookup key in words, so recognition bounds its span search
+        self.max_name_words = max((len(k.split()) for k in
+                                   (*self.name_index, *self._alias_index)), default=1)
         self._adjacency: dict[NodeId, set[tuple[str, NodeId]]] = {i: set() for i in entities}
         for t in triples:
             self._adjacency[t.subject].add((t.relation, t.object))
@@ -90,11 +93,6 @@ class KnowledgeGraph:
         if node_id not in self.entities:
             raise KeyError(f"unknown node id {node_id}")
         return set(self._adjacency[node_id])
-
-    def names_and_aliases(self) -> Iterator[tuple[str, NodeId]]:
-        """All canonical lookup keys (names first, then non-shadowed aliases)."""
-        yield from self.name_index.items()
-        yield from self._alias_index.items()
 
     def __len__(self) -> int:
         return len(self.entities)

@@ -13,7 +13,7 @@ import numpy as np
 from .bits import Bits, bits_to_ids
 from .convcode import TAIL, conv_encode, viterbi_decode_frames
 from .frame import HEADER_BITS, ID_BITS, TransmissionFrame, parse_coded_stream, serialize_frame
-from .qam import ChannelConfig, SymbolStream, awgn, qam16_demodulate, qam16_modulate
+from .qam import ChannelConfig, awgn, qam16_demodulate, qam16_modulate
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ never embed secrets:
 
     KGSEMCOM_API_BASE   e.g. https://host/v1
     KGSEMCOM_API_KEY    bearer token (optional)
-    KGSEMCOM_CHAT_MODEL / KGSEMCOM_EMBED_MODEL
+    KGSEMCOM_CHAT_MODEL
 
 Requests retry twice with exponential backoff on transport errors and 5xx.
 """
@@ -27,19 +27,17 @@ class RemoteConfig:
     api_key: str = ""
     model: str = ""
     chat_path: str = "/chat/completions"
-    embeddings_path: str = "/embeddings"
     timeout: float = DEFAULT_TIMEOUT
-    max_concurrency: int = 4  # shared cap honored by sweep callers
     extra_headers: dict = field(default_factory=dict)
 
     @classmethod
-    def from_env(cls, model_var: str = "KGSEMCOM_CHAT_MODEL") -> "RemoteConfig":
+    def from_env(cls) -> "RemoteConfig":
         base = os.environ.get("KGSEMCOM_API_BASE", "")
         if not base:
             raise RuntimeError("KGSEMCOM_API_BASE is not set; remote backends unavailable")
         return cls(base_url=base.rstrip("/"),
                    api_key=os.environ.get("KGSEMCOM_API_KEY", ""),
-                   model=os.environ.get(model_var, ""))
+                   model=os.environ.get("KGSEMCOM_CHAT_MODEL", ""))
 
 
 def post_json(config: RemoteConfig, path: str, payload: dict) -> dict:

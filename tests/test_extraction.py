@@ -13,7 +13,6 @@ from kgsemcom import (
     StubSelector,
     cosine,
     expand,
-    extract,
     extract_trace,
     ingest,
     recognize,
@@ -243,7 +242,7 @@ def test_http_selector_prompt_contains_sentence_and_descriptions(sample_kg, monk
 # -- composition ---------------------------------------------------------------
 
 def test_sentence_equal_to_entity_name(sample_kg, sample_index, stub_config):
-    got = extract("Alan Bean", sample_kg, sample_index, stub_config)
+    got = extract_trace("Alan Bean", sample_kg, sample_index, stub_config).selected
     assert got.ids == (sample_kg.id_of("Alan Bean"),)
 
 
@@ -261,7 +260,7 @@ def test_fixture_sentence_hand_trace(sample_kg, sample_index, sample_corpus, stu
     assert "Moonwalk Simulator" in sentence
     expected = tuple(sorted(sample_kg.id_of(n) for n in
                             ("Pete Conrad", "Surveyor Crater", "Moonwalk Simulator")))
-    got = extract(sentence, sample_kg, sample_index, stub_config)
+    got = extract_trace(sentence, sample_kg, sample_index, stub_config).selected
     assert got.ids == expected
 
 
@@ -275,8 +274,8 @@ def test_selected_subset_of_candidates_subset_of_kg(sample_kg, sample_index,
 
 def test_extract_deterministic(sample_kg, sample_index, sample_corpus, stub_config):
     for sentence in sample_corpus[:5]:
-        a = extract(sentence, sample_kg, sample_index, stub_config)
-        b = extract(sentence, sample_kg, sample_index, stub_config)
+        a = extract_trace(sentence, sample_kg, sample_index, stub_config).selected
+        b = extract_trace(sentence, sample_kg, sample_index, stub_config).selected
         assert a == b
 
 

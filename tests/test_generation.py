@@ -9,7 +9,6 @@ from kgsemcom.generation import (
     StubGenerator,
     build_prompt,
     enrich_kg,
-    generate,
     verbalize_relation,
 )
 from kgsemcom.kg import ingest
@@ -111,12 +110,6 @@ def test_stub_output_grounded_in_subgraph(sample_kg):
         if nid in mcsg.nodes or any(ent.name in name for name in inside):
             continue
         assert ent.name not in text
-
-
-def test_generate_dispatches_to_backend(sample_kg):
-    prompt = build_prompt(_mcsg(sample_kg, [2, 3]), sample_kg)
-    backend = StubGenerator()
-    assert generate(prompt, backend) == backend.generate(prompt)
 
 
 def test_http_generator_returns_trimmed_reply(monkeypatch, sample_kg):

@@ -6,7 +6,6 @@ import io
 import json
 import math
 
-import numpy as np
 import pytest
 
 import kgsemcom.harness as harness
@@ -16,7 +15,6 @@ from kgsemcom.harness import (
     PipelineContext,
     SweepConfig,
     baseline_records,
-    count_bits,
     derive_seed,
     load_corpus,
     render_report,
@@ -45,28 +43,31 @@ def small_config(tmp_path, sample_kg_path, sample_corpus):
 
 # -- bit accounting ----------------------------------------------------------------
 
-def test_count_bits_ascii():
-    assert count_bits("ascii", text="abc") == (24, 24)
-    assert count_bits("ascii", text="") == (0, 0)
+def test_count_bits_ascii(ctx, sample_corpus):
+    sentence = sample_corpus[0]
+    for snr_db in (0.0, math.inf):
+        record = run_pipeline(ctx, sentence, 0, snr_db, seed=1, scheme="ascii")
+        assert record.payload_bits == record.channel_bits == 8 * len(sentence)
 
 
-def test_count_bits_kgrag():
-    assert count_bits("kgrag", n_ids=5, n_protected=0) == (192, 236)
-    payload, channel = count_bits("kgrag", n_ids=5, n_protected=2)
-    assert payload == 192
-    assert channel == channel_bit_cost(2, 3) == 2 * (32 + 64 + 6) + 96
+def test_count_bits_kgrag(ctx, sample_corpus):
+    sentence = sample_corpus[0]
+    analysis = ctx.analyze(sentence)
+    for snr_db in (0.0, 12.0):
+        record = run_pipeline(ctx, sentence, 0, snr_db, seed=1)
+        protected, unprotected = partition_uep(analysis.table, snr_db,
+                                               ctx.importance_config)
+        assert record.payload_bits == 32 + 32 * (len(protected) + len(unprotected))
+        assert record.channel_bits == channel_bit_cost(len(protected), len(unprotected))
 
 
-def test_count_bits_huffman(sample_corpus):
+def test_count_bits_huffman(ctx, sample_corpus):
     table = huffman_build("\n".join(sample_corpus))
     sentence = sample_corpus[0]
     bits = len(huffman_encode(sentence, table))
-    assert count_bits("huffman_baseline", text=sentence, huffman_table=table) == (bits, bits)
-
-
-def test_count_bits_unknown_scheme():
-    with pytest.raises(ValueError, match="unknown scheme"):
-        count_bits("morse", text="x")
+    for snr_db in (0.0, math.inf):
+        record = run_pipeline(ctx, sentence, 0, snr_db, seed=1, scheme="huffman_baseline")
+        assert record.payload_bits == record.channel_bits == bits
 
 
 # -- similarity metric -------------------------------------------------------------
@@ -226,19 +227,25 @@ def test_run_sweep_kgrag_invariants(small_config):
         assert r.channel_bits >= r.payload_bits
 
 
-def test_run_sweep_captures_stage_errors(small_config, monkeypatch):
+@pytest.mark.parametrize("stage, failing", [("transmit_many", {"kgrag"}),
+                                            ("qam16_modulate", {"ascii"})],
+                         ids=["transmit_many", "qam16_modulate"])
+def test_run_sweep_captures_stage_errors(small_config, monkeypatch, stage, failing):
     ctx = PipelineContext.from_config(small_config)
 
-    def explode(frame, cfgs):
+    def explode(*args):
         raise TypeError("boom")
 
-    monkeypatch.setattr(harness, "transmit_many", explode)
+    monkeypatch.setattr(harness, stage, explode)
     records = run_sweep(small_config, ctx)
-    kgrag_rows = [r for r in records if r.scheme == "kgrag"]
-    assert kgrag_rows and all(r.flags == "error:TypeError" for r in kgrag_rows)
-    assert all(r.similarity == 0.0 for r in kgrag_rows)
-    ascii_rows = [r for r in records if r.scheme == "ascii"]
-    assert ascii_rows and all("error" not in r.flags for r in ascii_rows)
+    assert {r.scheme for r in records} == {"kgrag", "ascii"}
+    for r in records:
+        if r.scheme in failing:
+            assert r.flags == "error:TypeError"
+            assert r.similarity == 0.0
+            assert r.payload_bits == r.channel_bits == 0
+        else:
+            assert "error" not in r.flags
 
 
 def test_baseline_records_no_noise(sample_corpus):

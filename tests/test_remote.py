@@ -1,12 +1,10 @@
 """HTTP plumbing for the optional model backends, exercised entirely against
 a monkeypatched requests layer — no sockets."""
 
-import numpy as np
 import pytest
 import requests
 
 import kgsemcom.remote as remote
-from kgsemcom.embedding import RemoteEmbedder
 from kgsemcom.remote import RemoteConfig, chat_completion, post_json
 
 
@@ -46,12 +44,10 @@ def test_from_env_reads_fields(monkeypatch):
     monkeypatch.setenv("KGSEMCOM_API_BASE", "http://api.test/v1/")
     monkeypatch.setenv("KGSEMCOM_API_KEY", "sekrit")
     monkeypatch.setenv("KGSEMCOM_CHAT_MODEL", "chatty")
-    monkeypatch.setenv("KGSEMCOM_EMBED_MODEL", "embeddy")
     cfg = RemoteConfig.from_env()
     assert cfg.base_url == "http://api.test/v1"  # trailing slash stripped
     assert cfg.api_key == "sekrit"
     assert cfg.model == "chatty"
-    assert RemoteConfig.from_env("KGSEMCOM_EMBED_MODEL").model == "embeddy"
 
 
 # -- post_json retry policy --------------------------------------------------------
@@ -170,37 +166,3 @@ def test_chat_completion_malformed_response(monkeypatch):
         monkeypatch.setattr(remote, "post_json", lambda c, p, d, bad=bad: bad)
         with pytest.raises(ValueError, match="malformed"):
             chat_completion(_cfg(), "hi")
-
-
-# -- RemoteEmbedder ----------------------------------------------------------------
-
-def test_remote_embedder_batches_and_normalizes(monkeypatch):
-    batches = []
-
-    def fake_post_json(config, path, payload):
-        batches.append(list(payload["input"]))
-        assert path == "/embeddings"
-        return {"data": [{"embedding": [float(len(t)), 0.0, 0.0]} for t in payload["input"]]}
-
-    monkeypatch.setattr(remote, "post_json", fake_post_json)
-    texts = [f"t{'x' * i}" for i in range(5)]
-    vecs = RemoteEmbedder(_cfg(model="embeddy"), batch_size=2).embed(texts)
-    assert batches == [texts[0:2], texts[2:4], texts[4:5]]
-    assert len(vecs) == 5
-    for v in vecs:
-        assert np.linalg.norm(v) == pytest.approx(1.0)
-        assert v[0] == pytest.approx(1.0)  # direction preserved, scale removed
-
-
-def test_remote_embedder_rejects_count_mismatch(monkeypatch):
-    monkeypatch.setattr(remote, "post_json",
-                        lambda c, p, d: {"data": [{"embedding": [1.0, 0.0]}]})
-    with pytest.raises(ValueError, match="1 vectors"):
-        RemoteEmbedder(_cfg(), batch_size=8).embed(["a", "b"])
-
-
-def test_remote_embedder_zero_vector_passthrough(monkeypatch):
-    monkeypatch.setattr(remote, "post_json",
-                        lambda c, p, d: {"data": [{"embedding": [0.0, 0.0]}]})
-    v = RemoteEmbedder(_cfg()).embed_one("a")
-    assert np.array_equal(v, np.zeros(2))
