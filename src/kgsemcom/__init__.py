@@ -17,9 +17,8 @@ from .extraction import (ExtractionConfig, ExtractionTrace, Mention,
                          extract_trace)
 from .semgraph import Mcsg, build_mcsg, payload_of, reconstruct
 from .importance import (ImportanceConfig, ImportanceTable, ThresholdPolicy,
-                         DEFAULT_POLICY, degree_centrality,
-                         betweenness_centrality, importance_scores,
-                         partition_uep)
+                         degree_centrality, betweenness_centrality,
+                         importance_scores, partition_uep)
 from .phy import (ChannelConfig, SymbolStream, TransmissionFrame, ParsedHeader,
                   TransmitResult, HuffmanTable, conv_encode, viterbi_decode,
                   qam16_modulate, qam16_demodulate, awgn, noise_generator,
@@ -49,7 +48,7 @@ __all__ = [
     # semantic subgraph
     "Mcsg", "build_mcsg", "payload_of", "reconstruct",
     # importance and UEP
-    "ImportanceConfig", "ImportanceTable", "ThresholdPolicy", "DEFAULT_POLICY",
+    "ImportanceConfig", "ImportanceTable", "ThresholdPolicy",
     "degree_centrality", "betweenness_centrality", "importance_scores",
     "partition_uep",
     # physical layer

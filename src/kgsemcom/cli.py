@@ -21,8 +21,8 @@ from . import kg as kgmod
 from .embedding import EmbeddingIndex, TrigramEmbedder
 from .extraction import ExtractionConfig, HttpSelector, StubSelector, extract_trace
 from .generation import HttpGenerator, StubGenerator, build_prompt, enrich_kg
-from .harness import (SweepConfig, baseline_records, load_corpus, run_sweep,
-                      semantic_similarity, write_report)
+from .harness import (PipelineContext, SweepConfig, baseline_records, load_corpus,
+                      run_sweep, semantic_similarity, write_report)
 from .importance import ImportanceConfig, importance_scores, partition_uep
 from .phy import ChannelConfig, TransmissionFrame, channel_bit_cost, transmit
 from .semgraph import build_mcsg, payload_of, reconstruct
@@ -110,6 +110,10 @@ def _cmd_send(args) -> int:
     kg = _load_kg(args.kg)
     embedder, index, ext_config = _extraction_setup(kg, args.extract_backend)
     snr_db = _parse_snr(args.snr)
+    try:
+        imp_config = ImportanceConfig(alpha=args.alpha)
+    except ValueError as exc:
+        raise CliError("usage", str(exc)) from None
     trace = extract_trace(args.sentence, kg, index, ext_config)
     print(f"[1 extract] selected ids: {list(trace.selected.ids)}")
     if not trace.selected.ids:
@@ -119,7 +123,6 @@ def _cmd_send(args) -> int:
     payload = payload_of(mcsg)
     print(f"[2 subgraph] {len(mcsg.nodes)} nodes, {len(mcsg.edges)} edges; "
           f"payload ids: {payload}")
-    imp_config = ImportanceConfig(alpha=args.alpha)
     table = importance_scores(mcsg, imp_config)
     protected, unprotected = partition_uep(table, snr_db, imp_config)
     tau = imp_config.threshold_policy.threshold(snr_db)
@@ -160,7 +163,11 @@ def _cmd_sweep(args) -> int:
         raise CliError("io", f"config file not found: {args.config}") from None
     except (ValueError, TypeError) as exc:
         raise CliError("config", str(exc)) from None
-    records = run_sweep(config)
+    try:
+        ctx = PipelineContext.from_config(config)
+    except kgmod.KgFormatError as exc:
+        raise CliError("kg-format", str(exc)) from None
+    records = run_sweep(config, ctx)
     write_report(records, config.snr_grid, args.out)
     print(f"wrote {len(records)} trial records to {args.out}")
     return 0

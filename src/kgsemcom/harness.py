@@ -83,6 +83,10 @@ class SweepConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
+        self._importance_config()  # validates alpha and threshold_policy
+
+    def _importance_config(self) -> ImportanceConfig:
+        return ImportanceConfig(self.alpha, ThresholdPolicy(self.threshold_policy))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepConfig":
@@ -167,10 +171,8 @@ class PipelineContext:
             from .generation import HttpGenerator
             from .remote import RemoteConfig
             generator = HttpGenerator(RemoteConfig.from_env())
-        imp = ImportanceConfig(alpha=config.alpha,
-                               threshold_policy=ThresholdPolicy(config.threshold_policy))
         return cls(kg, corpus, selector=selector, generator=generator,
-                   importance_config=imp, top_k=config.top_k,
+                   importance_config=config._importance_config(), top_k=config.top_k,
                    max_selected=config.max_selected,
                    keep_all_components=config.keep_all_components,
                    embedding_dim=config.embedding_dim)
@@ -238,17 +240,12 @@ def _kgrag_records(ctx: PipelineContext, sentence: str, sentence_id: int,
 
 
 def _ascii_bits(text: str) -> np.ndarray:
-    codes = np.frompyfunc(ord, 1, 1)(np.array(list(text), dtype=object)).astype(np.int64)
-    codes[codes > 255] = 0x3F  # '?' stands in for non-Latin-1 characters
-    return ((codes[:, None] >> np.arange(7, -1, -1)) & 1).astype(np.uint8).ravel()
+    # '?' stands in for non-Latin-1 characters
+    return np.unpackbits(np.frombuffer(text.encode("latin-1", "replace"), dtype=np.uint8))
 
 
 def _bits_to_ascii(bits: np.ndarray) -> str:
-    usable = bits[:len(bits) - len(bits) % 8]
-    if usable.size == 0:
-        return ""
-    codes = usable.reshape(-1, 8) @ (1 << np.arange(7, -1, -1))
-    return "".join(chr(int(c)) for c in codes)
+    return np.packbits(bits[:len(bits) - len(bits) % 8]).tobytes().decode("latin-1")
 
 
 def _text_records(embedder, huffman_table, scheme: str, sentence: str, sentence_id: int,

@@ -93,9 +93,6 @@ class ThresholdPolicy:
         return float(np.interp(snr_db, snrs, taus))
 
 
-DEFAULT_POLICY = ThresholdPolicy()
-
-
 @dataclass
 class ImportanceConfig:
     alpha: float = 0.5

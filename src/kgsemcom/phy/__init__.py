@@ -1,6 +1,6 @@
 """Physical layer: framing, channel coding, modulation, noise, baselines."""
 
-from .bits import Bits, as_bits, bits_to_ids, bits_to_int, ids_to_bits, int_to_bits
+from .bits import Bits, as_bits, bits_to_ids, ids_to_bits
 from .convcode import conv_encode, conv_encode_frames, viterbi_decode, viterbi_decode_frames
 from .frame import (HEADER_BITS, ID_BITS, MAX_CLASS_IDS, ParsedHeader,
                     TransmissionFrame, parse_coded_stream, serialize_frame)
@@ -10,7 +10,7 @@ from .qam import (ChannelConfig, SymbolStream, awgn, noise_generator,
                   qam16_demodulate, qam16_modulate)
 
 __all__ = [
-    "Bits", "as_bits", "bits_to_ids", "bits_to_int", "ids_to_bits", "int_to_bits",
+    "Bits", "as_bits", "bits_to_ids", "ids_to_bits",
     "conv_encode", "conv_encode_frames", "viterbi_decode", "viterbi_decode_frames",
     "HEADER_BITS", "ID_BITS", "MAX_CLASS_IDS", "ParsedHeader",
     "TransmissionFrame", "parse_coded_stream", "serialize_frame",

@@ -1,4 +1,5 @@
-"""Bit-level helpers. Bitstreams are 1-D numpy uint8 arrays of 0/1 values."""
+"""Bit-level helpers. Bitstreams are 1-D numpy uint8 arrays of 0/1 values,
+most significant bit first."""
 
 import numpy as np
 
@@ -12,36 +13,14 @@ def as_bits(values) -> Bits:
     return arr
 
 
-def int_to_bits(value: int, width: int) -> Bits:
-    """Big-endian fixed-width encoding."""
-    if not 0 <= value < (1 << width):
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return np.array([(value >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
-def bits_to_int(bits: Bits) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
-
-
 def ids_to_bits(ids) -> Bits:
     """Concatenated 32-bit big-endian words."""
     ids = np.asarray(ids, dtype=np.uint64)
-    if ids.size == 0:
-        return np.zeros(0, dtype=np.uint8)
     if np.any(ids > 0xFFFFFFFF):
         raise ValueError("node ids must fit in 32 bits")
-    shifts = np.arange(31, -1, -1, dtype=np.uint64)
-    return ((ids[:, None] >> shifts) & np.uint64(1)).astype(np.uint8).reshape(-1)
+    return np.unpackbits(ids.astype(">u4").view(np.uint8))
 
 
 def bits_to_ids(bits: Bits) -> list[int]:
     """Parse as many whole 32-bit big-endian words as available."""
-    n = (len(bits) // 32) * 32
-    if n == 0:
-        return []
-    words = bits[:n].astype(np.uint64).reshape(-1, 32)
-    shifts = np.arange(31, -1, -1, dtype=np.uint64)
-    return [int(v) for v in (words << shifts).sum(axis=1, dtype=np.uint64)]
+    return np.packbits(bits[:len(bits) - len(bits) % 32]).view(">u4").tolist()

@@ -1,17 +1,15 @@
 """Wire format for one id payload.
 
 The coded stream carries a header (two 16-bit big-endian counts: protected,
-unprotected) followed by the protected ids as 32-bit big-endian words; it is
-convolutionally encoded. The unprotected ids travel as a second, uncoded
-stream of 32-bit words. A corrupted header degrades to parsing as many whole
-32-bit ids as the stream actually holds.
+unprotected; together one 32-bit word) followed by the protected ids as
+32-bit big-endian words; it is convolutionally encoded. The unprotected ids
+travel as a second, uncoded stream of 32-bit words. A corrupted header
+degrades to parsing as many whole 32-bit ids as the stream actually holds.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bits import Bits, bits_to_ids, bits_to_int, ids_to_bits, int_to_bits
+from .bits import Bits, bits_to_ids, ids_to_bits
 
 HEADER_BITS = 32
 ID_BITS = 32
@@ -36,9 +34,8 @@ class TransmissionFrame:
 
 def serialize_frame(frame: TransmissionFrame) -> tuple[Bits, Bits]:
     """-> (header_and_protected, unprotected) bitstreams."""
-    header = np.concatenate([int_to_bits(len(frame.protected_ids), 16),
-                             int_to_bits(len(frame.unprotected_ids), 16)])
-    coded = np.concatenate([header, ids_to_bits(frame.protected_ids)])
+    header = (len(frame.protected_ids) << 16) | len(frame.unprotected_ids)
+    coded = ids_to_bits((header, *frame.protected_ids))
     return coded, ids_to_bits(frame.unprotected_ids)
 
 
@@ -56,10 +53,6 @@ def parse_coded_stream(bits: Bits) -> ParsedHeader:
     parsing of whole 32-bit words."""
     if len(bits) < HEADER_BITS:
         return ParsedHeader(0, 0, (), False)
-    n_p = bits_to_int(bits[:16])
-    n_u = bits_to_int(bits[16:32])
-    body = bits[HEADER_BITS:]
-    available = len(body) // ID_BITS
-    consistent = n_p == available
-    ids = tuple(bits_to_ids(body))
-    return ParsedHeader(n_p, n_u, ids, consistent)
+    header, *ids = bits_to_ids(bits)
+    n_p, n_u = header >> 16, header & 0xFFFF
+    return ParsedHeader(n_p, n_u, tuple(ids), n_p == len(ids))

@@ -3,38 +3,36 @@
 The table is deterministic: tree ties break on insertion order of symbols
 sorted lexicographically, and codeword assignment is canonical (sorted by
 code length, then symbol). A degenerate single-symbol corpus still gets a
-1-bit code. Optionally the alphabet reserves an escape symbol; unknown
-characters then encode as the escape codeword plus an 8-bit literal.
+1-bit code. Characters outside the corpus cannot be encoded.
 """
 
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bits import Bits
 
-_ESC = None  # sentinel symbol; sorts after all real characters
-
 
 @dataclass(frozen=True)
 class HuffmanTable:
-    codes: dict  # symbol (str of length 1, or None for escape) -> (length, value)
-
-    @property
-    def has_escape(self) -> bool:
-        return _ESC in self.codes
+    codes: dict  # symbol (str of length 1) -> (length, value)
 
     def lengths(self) -> dict:
         return {sym: lv[0] for sym, lv in self.codes.items()}
+
+    @cached_property
+    def _codewords(self) -> dict:
+        """symbol -> its codeword as a '0'/'1' string, MSB first."""
+        return {sym: f"{value:0{length}b}" for sym, (length, value) in self.codes.items()}
 
 
 def _code_lengths(freqs: dict) -> dict:
     if len(freqs) == 1:
         return {next(iter(freqs)): 1}
-    order = sorted(freqs, key=lambda s: (s is _ESC, s))
-    heap = [(freqs[s], i, s) for i, s in enumerate(order)]
+    heap = [(freqs[s], i, s) for i, s in enumerate(sorted(freqs))]
     heapq.heapify(heap)
     tick = len(heap)
     while len(heap) > 1:
@@ -55,14 +53,11 @@ def _code_lengths(freqs: dict) -> dict:
     return lengths
 
 
-def huffman_build(corpus: str, with_escape: bool = False) -> HuffmanTable:
+def huffman_build(corpus: str) -> HuffmanTable:
     if not corpus:
         raise ValueError("cannot build a code from an empty corpus")
-    freqs: dict = dict(Counter(corpus))
-    if with_escape:
-        freqs[_ESC] = 1
-    lengths = _code_lengths(freqs)
-    ordered = sorted(lengths, key=lambda s: (lengths[s], s is _ESC, s if s is not _ESC else ""))
+    lengths = _code_lengths(dict(Counter(corpus)))
+    ordered = sorted(lengths, key=lambda s: (lengths[s], s))
     codes: dict = {}
     code = 0
     prev_len = lengths[ordered[0]]
@@ -74,58 +69,29 @@ def huffman_build(corpus: str, with_escape: bool = False) -> HuffmanTable:
     return HuffmanTable(codes=codes)
 
 
-def _emit(length: int, value: int, out: list) -> None:
-    for i in range(length - 1, -1, -1):
-        out.append((value >> i) & 1)
-
-
 def huffman_encode(text: str, table: HuffmanTable) -> Bits:
-    out: list[int] = []
-    for ch in text:
-        entry = table.codes.get(ch)
-        if entry is not None:
-            _emit(entry[0], entry[1], out)
-        elif table.has_escape:
-            if ord(ch) > 0xFF:
-                raise ValueError(f"character {ch!r} does not fit the 8-bit escape literal")
-            esc_len, esc_val = table.codes[_ESC]
-            _emit(esc_len, esc_val, out)
-            _emit(8, ord(ch), out)
-        else:
-            raise ValueError(f"character {ch!r} not in code table")
-    return np.array(out, dtype=np.uint8)
+    try:
+        word = "".join(table._codewords[ch] for ch in text)
+    except KeyError as exc:
+        raise ValueError(f"character {exc.args[0]!r} not in code table") from None
+    return np.frombuffer(word.encode("ascii"), dtype=np.uint8) - ord("0")
 
 
 def huffman_decode(bits: Bits, table: HuffmanTable) -> str:
-    """Greedy prefix decode. A stream that ends mid-codeword (or mid-literal)
-    is truncated at the last fully decodable symbol; corruption garbles text
-    but never raises."""
+    """Greedy prefix decode. A stream that ends mid-codeword is truncated at
+    the last fully decodable symbol; corruption garbles text but never
+    raises."""
     decode_map = {lv: sym for sym, lv in table.codes.items()}
     max_len = max(lv[0] for lv in table.codes.values())
-    missing = object()  # the escape symbol is None, so None can't mark a miss
     out: list[str] = []
-    length = 0
-    value = 0
-    i = 0
-    n = len(bits)
-    while i < n:
-        value = (value << 1) | int(bits[i])
+    length = value = 0
+    for bit in bits.tolist():
+        value = (value << 1) | bit
         length += 1
-        i += 1
-        sym = decode_map.get((length, value), missing)
-        if sym is not missing:
-            if sym is _ESC:
-                if n - i < 8:
-                    break
-                literal = 0
-                for _ in range(8):
-                    literal = (literal << 1) | int(bits[i])
-                    i += 1
-                out.append(chr(literal))
-            else:
-                out.append(sym)
-            length = 0
-            value = 0
+        sym = decode_map.get((length, value))
+        if sym is not None:
+            out.append(sym)
+            length = value = 0
         elif length > max_len:
             break  # unreachable leaf: corrupted beyond resync, stop cleanly
     return "".join(out)

@@ -2,8 +2,10 @@
 error contract (single stderr line, exit code 2)."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +107,14 @@ def test_send_rejects_bad_snr(capsys, sample_kg_path):
     assert "NaN" in payload["message"]
 
 
+def test_send_rejects_bad_alpha(capsys, sample_kg_path, sample_corpus):
+    payload = _error(capsys, ["send", "--kg", str(sample_kg_path),
+                              "--sentence", sample_corpus[0], "--snr", "6",
+                              "--seed", "0", "--alpha", "2"])
+    assert payload["error"] == "usage"
+    assert "alpha" in payload["message"]
+
+
 # -- sweep -------------------------------------------------------------------------
 
 @pytest.fixture()
@@ -142,6 +152,29 @@ def test_sweep_missing_and_invalid_config(capsys, tmp_path):
                               "--out", str(tmp_path / "o.csv")])
     assert payload["error"] == "config"
     assert "mystery" in payload["message"]
+
+
+def _sweep_error(capsys, tmp_path, sweep_config_path, **override):
+    raw = json.loads(sweep_config_path.read_text(encoding="utf-8"))
+    cfg = tmp_path / "late.json"
+    cfg.write_text(json.dumps({**raw, **override}), encoding="utf-8")
+    return _error(capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+
+
+@pytest.mark.parametrize("override", [
+    {"alpha": 2.0},
+    {"threshold_policy": [[0.0, 0.8], [12.0, 0.2]]},
+])
+def test_sweep_rejects_bad_importance_config(capsys, tmp_path, sweep_config_path, override):
+    payload = _sweep_error(capsys, tmp_path, sweep_config_path, **override)
+    assert payload["error"] == "config"
+
+
+def test_sweep_rejects_malformed_kg(capsys, tmp_path, sweep_config_path):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("E\t0\tName\tnowhere\t\t\n", encoding="utf-8")
+    payload = _sweep_error(capsys, tmp_path, sweep_config_path, kg_path=str(bad))
+    assert payload["error"] == "kg-format"
 
 
 # -- baseline ----------------------------------------------------------------------
@@ -182,9 +215,13 @@ def test_unknown_subcommand(capsys):
 
 
 def test_module_entrypoint_runs_as_process(sample_kg_path, sample_corpus):
+    # the child imports the same kgsemcom as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "kgsemcom.cli", "extract", "--kg",
          str(sample_kg_path), "--sentence", sample_corpus[0]],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "selected (" in proc.stdout

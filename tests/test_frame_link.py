@@ -15,7 +15,7 @@ from kgsemcom.phy import (
     transmit,
     transmit_many,
 )
-from kgsemcom.phy.bits import bits_to_ids, bits_to_int, ids_to_bits, int_to_bits
+from kgsemcom.phy.bits import bits_to_ids, ids_to_bits
 
 
 # -- frame ---------------------------------------------------------------------
@@ -35,9 +35,8 @@ def test_serialize_empty_frame():
 
 def test_header_counts_big_endian():
     coded, _ = serialize_frame(TransmissionFrame((5,), (1, 2, 3)))
-    assert bits_to_int(coded[:16]) == 1
-    assert bits_to_int(coded[16:32]) == 3
-    assert bits_to_int(coded[32:64]) == 5
+    assert bits_to_ids(coded) == [(1 << 16) | 3, 5]
+    assert list(coded[:32]) == [0] * 15 + [1] + [0] * 14 + [1, 1]
 
 
 def test_frame_validation():
@@ -95,11 +94,12 @@ def test_corrupted_count_degrades_to_length_derived_parse():
 
 
 def test_bits_helpers_roundtrip():
-    assert bits_to_int(int_to_bits(0xBEEF, 16)) == 0xBEEF
-    with pytest.raises(ValueError, match="fit"):
-        int_to_bits(2**16, 16)
+    assert list(ids_to_bits([0xBEEF])) == [0] * 16 + [int(b) for b in f"{0xBEEF:016b}"]
     ids = [0, 1, 2**32 - 1]
     assert bits_to_ids(ids_to_bits(ids)) == ids
+    assert bits_to_ids(ids_to_bits(ids)[:-1]) == ids[:2]  # partial word dropped
+    assert bits_to_ids(np.zeros(0, dtype=np.uint8)) == []
+    assert len(ids_to_bits([])) == 0
     with pytest.raises(ValueError, match="32 bits"):
         ids_to_bits([2**32])
 

@@ -70,6 +70,15 @@ def test_count_bits_huffman(ctx, sample_corpus):
         assert record.payload_bits == record.channel_bits == bits
 
 
+def test_ascii_codec_replaces_non_latin1_and_drops_partial_byte():
+    text = "naïve €5"
+    bits = harness._ascii_bits(text)
+    assert len(bits) == 8 * len(text)
+    assert harness._bits_to_ascii(bits) == "naïve ?5"
+    assert harness._bits_to_ascii(bits[:-3]) == "naïve ?"
+    assert harness._bits_to_ascii(bits[:0]) == ""
+
+
 # -- similarity metric -------------------------------------------------------------
 
 def test_similarity_identity_and_empty(embedder):
@@ -178,6 +187,10 @@ def test_sweep_config_validation(sample_kg_path, sample_corpus_path):
         SweepConfig(trials_per_point=0, **paths)
     with pytest.raises(ValueError, match="unknown scheme"):
         SweepConfig(schemes=("kgrag", "morse"), **paths)
+    with pytest.raises(ValueError, match="alpha"):
+        SweepConfig(alpha=2.0, **paths)
+    with pytest.raises(ValueError, match="non-decreasing"):
+        SweepConfig(threshold_policy=((0.0, 0.8), (12.0, 0.2)), **paths)
 
 
 def test_sweep_config_from_json(tmp_path, sample_kg_path, sample_corpus_path):

@@ -1,5 +1,5 @@
-"""Canonical Huffman coder: optimality, canonical structure, escape handling,
-and decode robustness."""
+"""Canonical Huffman coder: optimality, canonical structure, unknown
+characters, and decode robustness."""
 
 import math
 from collections import Counter
@@ -17,8 +17,7 @@ def _oracle_lengths(freqs: dict) -> dict:
     creation order."""
     if len(freqs) == 1:
         return {next(iter(freqs)): 1}
-    order = sorted(freqs, key=lambda s: (s is None, s))
-    nodes = [(freqs[s], i, s) for i, s in enumerate(order)]
+    nodes = [(freqs[s], i, s) for i, s in enumerate(sorted(freqs))]
     tick = len(nodes)
     while len(nodes) > 1:
         nodes.sort(key=lambda entry: entry[:2])
@@ -39,6 +38,31 @@ def _oracle_lengths(freqs: dict) -> dict:
 
 def _bit_string(length: int, value: int) -> str:
     return format(value, "b").zfill(length)
+
+
+def _reference_decode(bits, table) -> str:
+    """Second implementation of the greedy decode: read one bit at a time
+    through numpy indexing, emit a symbol as soon as (length, value) names a
+    codeword, and stop once the pending codeword outgrows the longest one."""
+    decode_map = {lv: sym for sym, lv in table.codes.items()}
+    max_len = max(lv[0] for lv in table.codes.values())
+    out: list[str] = []
+    length = 0
+    value = 0
+    i = 0
+    n = len(bits)
+    while i < n:
+        value = (value << 1) | int(bits[i])
+        length += 1
+        i += 1
+        sym = decode_map.get((length, value))
+        if sym is not None:
+            out.append(sym)
+            length = 0
+            value = 0
+        elif length > max_len:
+            break
+    return "".join(out)
 
 
 def test_two_symbol_corpus_gets_one_bit_codes():
@@ -139,31 +163,27 @@ def test_corrupted_stream_never_raises(sample_corpus):
 
 def test_unknown_character_rejected_without_escape():
     table = huffman_build("abc")
-    assert not table.has_escape
     with pytest.raises(ValueError, match="not in code table"):
         huffman_encode("abz", table)
 
 
-def test_escape_roundtrips_unknown_characters():
-    table = huffman_build("abc", with_escape=True)
-    assert table.has_escape
-    assert huffman_decode(huffman_encode("abz!", table), table) == "abz!"
-    esc_len = table.codes[None][0]
-    a_len = table.codes["a"][0]
-    assert len(huffman_encode("az", table)) == a_len + esc_len + 8
-
-
-def test_escape_literal_is_eight_bit_only():
-    table = huffman_build("abc", with_escape=True)
-    with pytest.raises(ValueError, match="8-bit"):
-        huffman_encode("€", table)
-
-
-def test_truncation_inside_escape_literal_stops_cleanly():
-    table = huffman_build("abc", with_escape=True)
-    bits = huffman_encode("az", table)
-    truncated = bits[: len(bits) - 3]  # cut into the 8-bit literal
-    assert huffman_decode(truncated, table) == "a"
+def test_decode_matches_reference_on_corrupted_streams(sample_corpus):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(73)))
+    cases = [("\n".join(sample_corpus), sample_corpus[0]),
+             ("aaaa", "aaaaa"),  # single-symbol table
+             ("aaaaaaaabbbbccd", "abacabad")]
+    for corpus, text in cases:
+        table = huffman_build(corpus)
+        bits = huffman_encode(text, table)
+        streams = [bits, rng.integers(0, 2, size=3000, dtype=np.uint8)]
+        streams += [bits[:cut] for cut in range(len(bits) + 1)]
+        for _ in range(100):
+            noisy = bits.copy()
+            noisy[rng.integers(0, len(bits), size=rng.integers(1, 20))] ^= 1
+            streams.append(noisy)
+        for stream in streams:
+            assert huffman_decode(stream, table) == _reference_decode(stream, table)
+        assert huffman_decode(bits, table) == text
 
 
 def test_table_is_deterministic(sample_corpus):
