@@ -167,6 +167,8 @@ def _cmd_sweep(args) -> int:
         ctx = PipelineContext.from_config(config)
     except kgmod.KgFormatError as exc:
         raise CliError("kg-format", str(exc)) from None
+    except ValueError as exc:  # e.g. a corpus without sentences
+        raise CliError("config", str(exc)) from None
     records = run_sweep(config, ctx)
     write_report(records, config.snr_grid, args.out)
     print(f"wrote {len(records)} trial records to {args.out}")

@@ -96,8 +96,11 @@ class EmbeddingIndex:
         index.community_ids = sorted(kg.communities)
         summaries = [kg.communities[c].summary for c in index.community_ids]
         index._community_matrix = np.stack(embedder.embed(summaries)) if summaries else None
+        members: dict[str, list[NodeId]] = {cid: [] for cid in index.community_ids}
+        for e in kg.entities.values():
+            members[e.community].append(e.node_id)
         for cid in index.community_ids:
-            ids = sorted(e.node_id for e in kg.entities.values() if e.community == cid)
+            ids = sorted(members[cid])
             texts = [f"{kg.entities[i].name}: {kg.entities[i].description}" for i in ids]
             matrix = np.stack(embedder.embed(texts)) if ids else np.zeros((0, index.dim))
             index._entities[cid] = (ids, matrix)

@@ -83,6 +83,12 @@ class SweepConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
+        for name in ("top_k", "max_selected", "embedding_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("extract_backend", "generate_backend"):
+            if getattr(self, name) not in ("stub", "http"):
+                raise ValueError(f"{name} must be 'stub' or 'http', got {getattr(self, name)!r}")
         self._importance_config()  # validates alpha and threshold_policy
 
     def _importance_config(self) -> ImportanceConfig:

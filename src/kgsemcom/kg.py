@@ -71,10 +71,13 @@ class KnowledgeGraph:
         # longest lookup key in words, so recognition bounds its span search
         self.max_name_words = max((len(k.split()) for k in
                                    (*self.name_index, *self._alias_index)), default=1)
-        self._adjacency: dict[NodeId, set[tuple[str, NodeId]]] = {i: set() for i in entities}
+        # per-node incidence lists: each triple under its subject and its object,
+        # a self-loop once, so subgraph queries never scan the whole graph
+        self._incident: dict[NodeId, list[Triple]] = {i: [] for i in entities}
         for t in triples:
-            self._adjacency[t.subject].add((t.relation, t.object))
-            self._adjacency[t.object].add((t.relation, t.subject))
+            self._incident[t.subject].append(t)
+            if t.object != t.subject:
+                self._incident[t.object].append(t)
 
     # -- queries ------------------------------------------------------------
 
@@ -92,7 +95,16 @@ class KnowledgeGraph:
         """Edges touching node_id in either direction, as (relation, other) pairs."""
         if node_id not in self.entities:
             raise KeyError(f"unknown node id {node_id}")
-        return set(self._adjacency[node_id])
+        return {(t.relation, t.object if t.subject == node_id else t.subject)
+                for t in self._incident[node_id]}
+
+    def induced_edges(self, nodes: frozenset[NodeId]) -> tuple[Triple, ...]:
+        """Triples with both ends in nodes, sorted by (subject, relation, object).
+        Walks only the incidence lists of nodes; unknown ids touch no triple."""
+        edges = [t for n in nodes for t in self._incident.get(n, ())
+                 if t.subject == n and t.object in nodes]
+        edges.sort(key=lambda t: (t.subject, t.relation, t.object))
+        return tuple(edges)
 
     def __len__(self) -> int:
         return len(self.entities)

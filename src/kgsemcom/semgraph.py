@@ -19,12 +19,6 @@ class Mcsg:
     edges: tuple[Triple, ...]  # sorted by (subject, relation, object)
 
 
-def _induced_edges(kg: KnowledgeGraph, nodes: frozenset[NodeId]) -> tuple[Triple, ...]:
-    edges = [t for t in kg.triples if t.subject in nodes and t.object in nodes]
-    edges.sort(key=lambda t: (t.subject, t.relation, t.object))
-    return tuple(edges)
-
-
 def build_mcsg(selected: SelectedEntities, kg: KnowledgeGraph) -> Mcsg:
     """Seeds plus all one-hop neighbors (either edge direction), with every KG
     edge among those nodes. May be disconnected; may be empty for no seeds."""
@@ -36,7 +30,7 @@ def build_mcsg(selected: SelectedEntities, kg: KnowledgeGraph) -> Mcsg:
     for nid in seeds:
         nodes.update(other for _, other in kg.neighbors(nid))
     nodes_f = frozenset(nodes)
-    return Mcsg(nodes=nodes_f, seed_nodes=seeds, edges=_induced_edges(kg, nodes_f))
+    return Mcsg(nodes=nodes_f, seed_nodes=seeds, edges=kg.induced_edges(nodes_f))
 
 
 def payload_of(mcsg: Mcsg) -> list[NodeId]:
@@ -73,12 +67,13 @@ def reconstruct(received: list[NodeId], kg: KnowledgeGraph,
     dropped; surviving nodes are induced against the KG; ties between equal
     largest components go to the one containing the smallest id."""
     valid = frozenset(i for i in received if i in kg.entities)
-    edges = _induced_edges(kg, valid)
+    edges = kg.induced_edges(valid)
     if not keep_all_components and valid:
         comps = _components(valid, edges)
         comps.sort(key=lambda c: (-len(c), min(c)))
         chosen = frozenset(comps[0])
-        edges = _induced_edges(kg, chosen)
+        # a component is closed under its edges, so an edge is in it iff its subject is
+        edges = tuple(t for t in edges if t.subject in chosen)
     else:
         chosen = valid
     return Mcsg(nodes=chosen, seed_nodes=chosen, edges=edges)

@@ -164,10 +164,19 @@ def _sweep_error(capsys, tmp_path, sweep_config_path, **override):
 @pytest.mark.parametrize("override", [
     {"alpha": 2.0},
     {"threshold_policy": [[0.0, 0.8], [12.0, 0.2]]},
+    {"top_k": 0},
 ])
 def test_sweep_rejects_bad_importance_config(capsys, tmp_path, sweep_config_path, override):
     payload = _sweep_error(capsys, tmp_path, sweep_config_path, **override)
     assert payload["error"] == "config"
+
+
+def test_sweep_rejects_empty_corpus(capsys, tmp_path, sweep_config_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing\n\n", encoding="utf-8")
+    payload = _sweep_error(capsys, tmp_path, sweep_config_path, corpus_path=str(empty))
+    assert payload["error"] == "config"
+    assert "no sentences" in payload["message"]
 
 
 def test_sweep_rejects_malformed_kg(capsys, tmp_path, sweep_config_path):

@@ -232,6 +232,19 @@ def test_top_k_rejects_bad_k(sample_index, embedder):
             sample_index.community_ids[0], embedder.embed_one("x"), k=0)
 
 
+def test_index_groups_interleaved_communities(embedder):
+    # ids interleave three communities and are declared out of order
+    order = [7, 2, 9, 0, 4, 11, 1, 6, 3, 10, 5, 8]
+    kg = ingest([f"C\tc{c}\tL{c}\tS{c}" for c in (2, 0, 1)]
+                + [f"E\t{i}\tn{i}\tc{i % 3}\td{i}\t" for i in order])
+    index = EmbeddingIndex.build(kg, embedder)
+    for c in range(3):
+        ids, matrix = index._entities[f"c{c}"]
+        assert ids == [i for i in range(12) if i % 3 == c]
+        assert matrix.shape == (4, index.dim)
+        assert np.array_equal(matrix[0], embedder.embed_one(f"n{c}: d{c}"))
+
+
 def test_empty_index_rejected(embedder):
     index = EmbeddingIndex.build(ingest([]), embedder)
     with pytest.raises(ValueError, match="no communities"):

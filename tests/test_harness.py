@@ -191,6 +191,13 @@ def test_sweep_config_validation(sample_kg_path, sample_corpus_path):
         SweepConfig(alpha=2.0, **paths)
     with pytest.raises(ValueError, match="non-decreasing"):
         SweepConfig(threshold_policy=((0.0, 0.8), (12.0, 0.2)), **paths)
+    for name in ("top_k", "max_selected", "embedding_dim"):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=name):
+                SweepConfig(**{name: bad}, **paths)
+    for name in ("extract_backend", "generate_backend"):
+        with pytest.raises(ValueError, match=name):
+            SweepConfig(**{name: "htttp"}, **paths)
 
 
 def test_sweep_config_from_json(tmp_path, sample_kg_path, sample_corpus_path):

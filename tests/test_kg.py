@@ -102,6 +102,17 @@ def test_neighbors_both_directions():
     assert kg.neighbors(b) == {("r", a)}
 
 
+def test_neighbors_and_induced_edges_on_self_loop():
+    kg = tiny_kg(triples=("A r A", "A r B", "A s B"))
+    a, b = kg.id_of("A"), kg.id_of("B")
+    assert kg.neighbors(a) == {("r", a), ("r", b), ("s", b)}
+    assert kg.neighbors(b) == {("r", a), ("s", a)}
+    assert [(t.subject, t.relation, t.object) for t in kg.induced_edges(frozenset({a}))] \
+        == [(a, "r", a)]
+    assert len(kg.induced_edges(frozenset({a, b}))) == 3
+    assert kg.induced_edges(frozenset({b, 12345})) == ()
+
+
 def test_neighbors_isolated_and_unknown():
     kg = tiny_kg(triples=("A r B",), extra_entities=("Lone",))
     assert kg.neighbors(kg.id_of("Lone")) == set()

@@ -13,6 +13,9 @@ from kgsemcom import (
     reconstruct,
 )
 
+from kgsemcom import kg as kgmod
+from kgsemcom.harness import PipelineContext, run_pipeline
+
 from conftest import tiny_kg
 
 
@@ -201,3 +204,56 @@ def test_valid_but_wrong_id_adjacent_to_component_is_kept():
     a, b, c = kg.id_of("A"), kg.id_of("B"), kg.id_of("C")
     recon = reconstruct([a, b, c], kg)  # c was never transmitted, say
     assert c in recon.nodes
+
+
+def _oracle_largest_component(kg: KnowledgeGraph, nodes: set[int]) -> set[int]:
+    """Brute force: grow each node's component to a fixpoint over the raw
+    triples; largest wins, ties go to the component with the smallest id."""
+    edges = _oracle_edges(kg, nodes)
+    comps = []
+    for start in nodes:
+        comp = {start}
+        grown = True
+        while grown:
+            grown = False
+            for t in edges:
+                if (t.subject in comp) != (t.object in comp):
+                    comp |= {t.subject, t.object}
+                    grown = True
+        comps.append(comp)
+    return min(comps, key=lambda c: (-len(c), min(c)))
+
+
+@pytest.mark.parametrize("keep_all", [False, True])
+def test_reconstruct_matches_brute_force_oracle(keep_all):
+    # random graphs carry self-loops and parallel relations between one pair
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(24)))
+    for _ in range(100):
+        kg = _random_kg(rng)
+        pool = sorted(kg.entities)
+        k = int(rng.integers(0, len(pool) + 1))
+        received = [int(i) for i in rng.choice(pool, size=k, replace=False)]
+        recon = reconstruct(received + [2**32 - 1], kg, keep_all_components=keep_all)
+        valid = set(received)
+        nodes = valid if keep_all or not valid else _oracle_largest_component(kg, valid)
+        assert recon.nodes == nodes
+        assert recon.seed_nodes == nodes
+        assert list(recon.edges) == _oracle_edges(kg, nodes)
+
+
+class _NoScan(list):
+    def __iter__(self):
+        raise AssertionError("whole-graph scan of kg.triples")
+
+
+def test_record_path_never_scans_the_whole_graph(sample_kg_path, sample_corpus, embedder):
+    kg = kgmod.load(sample_kg_path)
+    kg.triples = _NoScan(kg.triples)
+    ctx = PipelineContext(kg, sample_corpus, embedder=embedder)
+    record = run_pipeline(ctx, sample_corpus[0], 0, 6.0, seed=5)
+    assert record.n_selected > 0
+    assert "error" not in record.flags
+    mcsg = build_mcsg(ctx.analyze(sample_corpus[0]).selected, kg)
+    assert mcsg.edges
+    for keep_all in (False, True):
+        assert reconstruct(payload_of(mcsg), kg, keep_all).nodes == mcsg.nodes
