@@ -5,24 +5,17 @@ The sentence is matched against the bundled knowledge graph, compressed to
 the node ids of its one-hop subgraph, split into protected and unprotected
 ids by importance, sent through the coded/uncoded 16QAM link at a chosen
 SNR, reconstructed on the receiver's copy of the graph, and re-verbalized.
-Every stage prints what it produced, so you can watch where noise starts to
-bite as you lower --snr.
+This is `kgsemcom send` on the bundled graph: every stage prints what it
+produced, so you can watch where noise starts to bite as you lower --snr.
 
     python3 demos/run_single_transmission.py --snr 6 --seed 3
 """
 
 import argparse
-import math
+import sys
 from importlib import resources
 
-from kgsemcom import kg as kgmod
-from kgsemcom.embedding import EmbeddingIndex, TrigramEmbedder
-from kgsemcom.extraction import ExtractionConfig, StubSelector, extract_trace
-from kgsemcom.generation import StubGenerator, build_prompt
-from kgsemcom.harness import semantic_similarity
-from kgsemcom.importance import ImportanceConfig, importance_scores, partition_uep
-from kgsemcom.phy import ChannelConfig, TransmissionFrame, channel_bit_cost, transmit
-from kgsemcom.semgraph import build_mcsg, payload_of, reconstruct
+from kgsemcom import cli
 
 DATA = resources.files("kgsemcom") / "data"
 DEFAULT_SENTENCE = ("After the Intrepid lander settled onto the Ocean of Storms, "
@@ -30,71 +23,16 @@ DEFAULT_SENTENCE = ("After the Intrepid lander settled onto the Ocean of Storms,
                     "crewmate kept watch overhead.")
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sentence", default=DEFAULT_SENTENCE)
-    parser.add_argument("--snr", type=float, default=6.0,
+    parser.add_argument("--snr", default="6",
                         help="symbol SNR in dB (try inf, 12, 6, 0)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", default="0")
     args = parser.parse_args()
-
-    kg = kgmod.load(str(DATA / "sample_kg.tsv"))
-    embedder = TrigramEmbedder()
-    index = EmbeddingIndex.build(kg, embedder)
-    config = ExtractionConfig(embedder=embedder, selector=StubSelector())
-
-    print(f"input     : {args.sentence}")
-    print(f"channel   : {args.snr:g} dB, seed {args.seed}\n")
-
-    trace = extract_trace(args.sentence, kg, index, config)
-    names = [kg.entity_by_id(i).name for i in trace.selected.ids]
-    print(f"1 extract : mentions {[m.surface for m in trace.mentions]}")
-    print(f"            selected {list(trace.selected.ids)} = {names}")
-    if not trace.selected.ids:
-        print("nothing recognized; stopping")
-        return
-
-    mcsg = build_mcsg(trace.selected, kg)
-    payload = payload_of(mcsg)
-    print(f"2 compress: one-hop subgraph has {len(mcsg.nodes)} nodes / "
-          f"{len(mcsg.edges)} edges; payload = {payload}")
-    print(f"            {32 * (len(payload) + 1)} payload bits vs "
-          f"{8 * len(args.sentence)} bits for plain ASCII text")
-
-    imp = ImportanceConfig()
-    table = importance_scores(mcsg, imp)
-    protected, unprotected = partition_uep(table, args.snr, imp)
-    tau = imp.threshold_policy.threshold(args.snr)
-    print(f"3 protect : importance threshold {tau:.3f} at {args.snr:g} dB -> "
-          f"{len(protected)} coded / {len(unprotected)} uncoded ids")
-    for nid in payload:
-        degree, betweenness, score = table.rows[nid]
-        mark = "P" if nid in protected else "-"
-        print(f"            {mark} {nid:>3} {kg.entity_by_id(nid).name:<28}"
-              f" score {score:.3f}")
-
-    frame = TransmissionFrame(tuple(protected), tuple(unprotected))
-    result = transmit(frame, ChannelConfig(args.snr, args.seed))
-    print(f"4 channel : {channel_bit_cost(len(protected), len(unprotected))} channel "
-          f"bits; errors after decoding {result.coded_bit_errors}/"
-          f"{32 + 32 * len(protected)} protected info bits, "
-          f"{result.uncoded_bit_errors}/{result.uncoded_channel_bits} uncoded bits")
-    print(f"5 receive : ids {list(result.received_ids)} "
-          f"(header consistent: {result.header_consistent})")
-
-    recon = reconstruct(list(result.received_ids), kg)
-    lost = sorted(mcsg.nodes - recon.nodes)
-    print(f"6 rebuild : kept {len(recon.nodes)} nodes / {len(recon.edges)} edges"
-          + (f"; lost {lost}" if lost else "; nothing lost"))
-    if not recon.nodes:
-        print("empty reconstruction; similarity 0.0")
-        return
-
-    text = StubGenerator().generate(build_prompt(recon, kg)).text
-    score = semantic_similarity(args.sentence, text, embedder)
-    print(f"7 generate: {text}")
-    print(f"8 score   : semantic similarity {score:.4f}")
+    return cli.main(["send", "--kg", str(DATA / "sample_kg.tsv"), "--sentence", args.sentence,
+                     "--snr", args.snr, "--seed", args.seed])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -18,14 +18,14 @@ import math
 import sys
 
 from . import kg as kgmod
-from .embedding import EmbeddingIndex, TrigramEmbedder
-from .extraction import ExtractionConfig, HttpSelector, StubSelector, extract_trace
-from .generation import HttpGenerator, StubGenerator, build_prompt, enrich_kg
+from .extraction import extract_trace
+from .generation import enrich_kg
 from .harness import (PipelineContext, SweepConfig, baseline_records, load_corpus,
-                      run_sweep, semantic_similarity, write_report)
-from .importance import ImportanceConfig, importance_scores, partition_uep
-from .phy import ChannelConfig, TransmissionFrame, channel_bit_cost, transmit
-from .semgraph import build_mcsg, payload_of, reconstruct
+                      run_sweep, select_backends, write_report)
+from .importance import ImportanceConfig, partition_uep
+from .phy import ChannelConfig, TransmissionFrame, channel_bit_cost, payload_bits, transmit
+from .remote import RemoteConfig
+from .semgraph import payload_of
 
 
 class CliError(Exception):
@@ -51,6 +51,17 @@ def _parse_snr(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def _load_kg(path: str) -> kgmod.KnowledgeGraph:
     try:
         return kgmod.load(path)
@@ -60,11 +71,10 @@ def _load_kg(path: str) -> kgmod.KnowledgeGraph:
         raise CliError("kg-format", str(exc)) from None
 
 
-def _remote_config():
-    from .remote import RemoteConfig
+def _remote_config() -> RemoteConfig:
     try:
         return RemoteConfig.from_env()
-    except (KeyError, ValueError) as exc:
+    except RuntimeError as exc:  # no endpoint in the environment
         raise CliError("config", str(exc)) from None
 
 
@@ -78,17 +88,19 @@ def _cmd_build_kg(args) -> int:
     return 0
 
 
-def _extraction_setup(kg, backend: str):
-    embedder = TrigramEmbedder()
-    index = EmbeddingIndex.build(kg, embedder)
-    selector = HttpSelector(_remote_config()) if backend == "http" else StubSelector()
-    return embedder, index, ExtractionConfig(embedder=embedder, selector=selector)
+def _context(kg, extract_backend: str, generate_backend: str = "stub",
+             **kwargs) -> PipelineContext:
+    try:
+        selector, generator = select_backends(extract_backend, generate_backend)
+    except RuntimeError as exc:  # an http backend without an endpoint
+        raise CliError("config", str(exc)) from None
+    return PipelineContext(kg, selector=selector, generator=generator, **kwargs)
 
 
 def _cmd_extract(args) -> int:
     kg = _load_kg(args.kg)
-    _, index, config = _extraction_setup(kg, args.extract_backend)
-    trace = extract_trace(args.sentence, kg, index, config)
+    ctx = _context(kg, args.extract_backend)
+    trace = extract_trace(args.sentence, kg, ctx.index, ctx.extraction)
     print(f"sentence: {args.sentence}")
     print(f"mentions ({len(trace.mentions)}):")
     for m in trace.mentions:
@@ -107,23 +119,22 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_send(args) -> int:
-    kg = _load_kg(args.kg)
-    embedder, index, ext_config = _extraction_setup(kg, args.extract_backend)
     snr_db = _parse_snr(args.snr)
     try:
         imp_config = ImportanceConfig(alpha=args.alpha)
     except ValueError as exc:
         raise CliError("usage", str(exc)) from None
-    trace = extract_trace(args.sentence, kg, index, ext_config)
-    print(f"[1 extract] selected ids: {list(trace.selected.ids)}")
-    if not trace.selected.ids:
+    kg = _load_kg(args.kg)
+    ctx = _context(kg, args.extract_backend, args.gen_backend, importance_config=imp_config)
+    analysis = ctx.analyze(args.sentence)
+    print(f"[1 extract] selected ids: {list(analysis.selected.ids)}")
+    if not analysis.selected.ids:
         print("nothing recognized; no transmission")
         return 0
-    mcsg = build_mcsg(trace.selected, kg)
+    mcsg, table = analysis.mcsg, analysis.table
     payload = payload_of(mcsg)
     print(f"[2 subgraph] {len(mcsg.nodes)} nodes, {len(mcsg.edges)} edges; "
           f"payload ids: {payload}")
-    table = importance_scores(mcsg, imp_config)
     protected, unprotected = partition_uep(table, snr_db, imp_config)
     tau = imp_config.threshold_policy.threshold(snr_db)
     print(f"[3 importance] threshold {tau:.3f} at {snr_db:g} dB")
@@ -135,24 +146,20 @@ def _cmd_send(args) -> int:
     frame = TransmissionFrame(tuple(protected), tuple(unprotected))
     n_p, n_u = len(protected), len(unprotected)
     print(f"[4 frame] {n_p} protected / {n_u} unprotected; "
-          f"payload {32 + 32 * (n_p + n_u)} bits, channel {channel_bit_cost(n_p, n_u)} bits")
+          f"payload {payload_bits(n_p + n_u)} bits, channel {channel_bit_cost(n_p, n_u)} bits")
     result = transmit(frame, ChannelConfig(snr_db, args.seed))
-    print(f"[5 channel] decoded info-bit errors {result.coded_bit_errors}/{32 + 32 * n_p}, "
+    print(f"[5 channel] decoded info-bit errors {result.coded_bit_errors}/{payload_bits(n_p)}, "
           f"uncoded bit errors {result.uncoded_bit_errors}/{result.uncoded_channel_bits}, "
           f"header consistent: {result.header_consistent}")
     received = list(result.received_ids)
     print(f"[6 receive] ids: {received}")
-    recon = reconstruct(received, kg)
+    recon, text, similarity, _ = ctx.receive(args.sentence, received)
     print(f"[7 reconstruct] kept {len(recon.nodes)} nodes, {len(recon.edges)} edges")
     if not recon.nodes:
         print("empty reconstruction; similarity 0.0")
         return 0
-    generator = HttpGenerator(_remote_config()) if args.gen_backend == "http" \
-        else StubGenerator()
-    text = generator.generate(build_prompt(recon, kg)).text
     print(f"[8 generate] {text}")
-    score = semantic_similarity(args.sentence, text, embedder)
-    print(f"[9 similarity] {score:.4f}")
+    print(f"[9 similarity] {similarity:.4f}")
     return 0
 
 
@@ -167,7 +174,8 @@ def _cmd_sweep(args) -> int:
         ctx = PipelineContext.from_config(config)
     except kgmod.KgFormatError as exc:
         raise CliError("kg-format", str(exc)) from None
-    except ValueError as exc:  # e.g. a corpus without sentences
+    except (ValueError, RuntimeError) as exc:
+        # a corpus without sentences, or an http backend without an endpoint
         raise CliError("config", str(exc)) from None
     records = run_sweep(config, ctx)
     write_report(records, config.snr_grid, args.out)
@@ -211,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kg", required=True)
     p.add_argument("--sentence", required=True)
     p.add_argument("--snr", required=True, help="channel SNR in dB (inf for noiseless)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--extract-backend", choices=["stub", "http"], default="stub")
     p.add_argument("--gen-backend", choices=["stub", "http"], default="stub")
@@ -226,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--snr", nargs="*", help="SNR grid in dB (default: noiseless)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_baseline)
     return parser
 

@@ -12,19 +12,23 @@ import csv
 import io
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields as dc_fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import kg as kgmod
 from .embedding import EmbeddingIndex, TrigramEmbedder, cosine
-from .extraction import ExtractionConfig, SelectedEntities, StubSelector, extract_trace
-from .generation import StubGenerator, build_prompt
+from .extraction import (ExtractionConfig, HttpSelector, SelectedEntities, StubSelector,
+                         extract_trace)
+from .generation import HttpGenerator, StubGenerator, build_prompt
 from .importance import ImportanceConfig, ImportanceTable, ThresholdPolicy, importance_scores, partition_uep
 from .phy import (ChannelConfig, TransmissionFrame, awgn, channel_bit_cost,
-                  huffman_build, huffman_decode, huffman_encode,
+                  HuffmanTable, huffman_build, huffman_decode, huffman_encode, payload_bits,
                   qam16_demodulate, qam16_modulate, transmit_many)
+from .remote import RemoteConfig
 from .semgraph import Mcsg, build_mcsg, reconstruct
 
 SCHEMES = ("kgrag", "huffman_baseline", "ascii")
@@ -76,16 +80,26 @@ class SweepConfig:
     generate_backend: str = "stub"  # "stub" | "http"
 
     def __post_init__(self):
+        for name in ("kg_path", "corpus_path"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
         if not self.snr_grid:
             raise ValueError("snr_grid must be non-empty")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
+        if any(not isinstance(v, (int, float)) or isinstance(v, bool) or math.isnan(v)
+               for v in self.snr_grid):
+            raise ValueError("snr_grid values must be numbers, not NaN")
+        for name, low in (("seed", 0), ("trials_per_point", 1), ("top_k", 1),
+                          ("max_selected", 1), ("embedding_dim", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not self.schemes:
+            raise ValueError("schemes must be non-empty")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
-        for name in ("top_k", "max_selected", "embedding_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.keep_all_components, bool):
+            raise ValueError("keep_all_components must be true or false")
         for name in ("extract_backend", "generate_backend"):
             if getattr(self, name) not in ("stub", "http"):
                 raise ValueError(f"{name} must be 'stub' or 'http', got {getattr(self, name)!r}")
@@ -137,15 +151,26 @@ class SentenceAnalysis:
     table: ImportanceTable
 
 
+def select_backends(extract_backend: str, generate_backend: str) -> tuple[object, object]:
+    """-> (selector, generator) for the backend names "stub" and "http". An
+    http backend reads its endpoint from the environment (RemoteConfig.from_env
+    raises RuntimeError when none is set)."""
+    remote = RemoteConfig.from_env() if "http" in (extract_backend, generate_backend) else None
+    selector = HttpSelector(remote) if extract_backend == "http" else StubSelector()
+    generator = HttpGenerator(remote) if generate_backend == "http" else StubGenerator()
+    return selector, generator
+
+
 class PipelineContext:
     """Shared state for runs: KG, embedder, index, backends, caches.
 
     Extraction, importance, generation, and similarity are deterministic
     functions of their inputs, so per-sentence and per-reconstruction caches
-    change nothing observable besides speed.
+    change nothing observable besides speed. The corpus only feeds the sweep's
+    sentence list and the Huffman table, which is built on first use.
     """
 
-    def __init__(self, kg: kgmod.KnowledgeGraph, corpus: list[str],
+    def __init__(self, kg: kgmod.KnowledgeGraph, corpus: Sequence[str] = (),
                  embedder=None, selector=None, generator=None,
                  importance_config: ImportanceConfig | None = None,
                  top_k: int = 3, max_selected: int = 8,
@@ -160,7 +185,6 @@ class PipelineContext:
         self.generator = generator or StubGenerator()
         self.importance_config = importance_config or ImportanceConfig()
         self.keep_all_components = keep_all_components
-        self.huffman_table = huffman_build("\n".join(corpus))
         self._analysis_cache: dict[str, SentenceAnalysis] = {}
         self._generation_cache: dict[tuple, tuple[str, bool]] = {}
 
@@ -168,20 +192,16 @@ class PipelineContext:
     def from_config(cls, config: SweepConfig) -> "PipelineContext":
         kg = kgmod.load(config.kg_path)
         corpus = load_corpus(config.corpus_path)
-        selector = generator = None
-        if config.extract_backend == "http":
-            from .extraction import HttpSelector
-            from .remote import RemoteConfig
-            selector = HttpSelector(RemoteConfig.from_env())
-        if config.generate_backend == "http":
-            from .generation import HttpGenerator
-            from .remote import RemoteConfig
-            generator = HttpGenerator(RemoteConfig.from_env())
+        selector, generator = select_backends(config.extract_backend, config.generate_backend)
         return cls(kg, corpus, selector=selector, generator=generator,
                    importance_config=config._importance_config(), top_k=config.top_k,
                    max_selected=config.max_selected,
                    keep_all_components=config.keep_all_components,
                    embedding_dim=config.embedding_dim)
+
+    @cached_property
+    def huffman_table(self) -> HuffmanTable:
+        return huffman_build("\n".join(self.corpus))
 
     def analyze(self, sentence: str) -> SentenceAnalysis:
         hit = self._analysis_cache.get(sentence)
@@ -202,6 +222,18 @@ class PipelineContext:
             self._generation_cache[key] = hit
         return hit
 
+    def receive(self, sentence: str, received_ids: list[int]) -> tuple[Mcsg, str, float, str]:
+        """Receiver half of one transmission: reconstruct the subgraph from
+        the received ids, generate text and score it against ``sentence``.
+        -> (reconstruction, text, similarity, ";"-joined flags); an empty
+        reconstruction yields no text and similarity 0.0."""
+        recon = reconstruct(received_ids, self.kg, keep_all_components=self.keep_all_components)
+        if not recon.nodes:
+            return recon, "", 0.0, "empty_reconstruction"
+        text, degraded = self.generate_text(recon)
+        similarity = semantic_similarity(sentence, text, self.embedder)
+        return recon, text, similarity, "generation_fallback" if degraded else ""
+
 
 def derive_seed(base_seed: int, sentence_id: int, snr_index: int, trial: int,
                 scheme: str) -> int:
@@ -221,27 +253,17 @@ def _kgrag_records(ctx: PipelineContext, sentence: str, sentence_id: int,
     protected, unprotected = partition_uep(analysis.table, snr_db, ctx.importance_config)
     frame = TransmissionFrame(tuple(protected), tuple(unprotected))
     n_ids = len(analysis.mcsg.nodes)
-    payload_bits = 32 + 32 * n_ids
+    payload = payload_bits(n_ids)
     channel_bits = channel_bit_cost(len(protected), len(unprotected))
-    cfgs = [ChannelConfig(snr_db, seed) for _, seed in seeds]
-    results = transmit_many(frame, cfgs)
+    results = transmit_many(frame, [ChannelConfig(snr_db, seed) for _, seed in seeds])
     records = []
     for (trial, seed), result in zip(seeds, results):
         received = list(result.received_ids)
         n_valid = len({i for i in received if i in ctx.kg.entities})
-        recon = reconstruct(received, ctx.kg, keep_all_components=ctx.keep_all_components)
-        flags = []
-        if not recon.nodes:
-            similarity = 0.0
-            flags.append("empty_reconstruction")
-        else:
-            text, degraded = ctx.generate_text(recon)
-            if degraded:
-                flags.append("generation_fallback")
-            similarity = semantic_similarity(sentence, text, ctx.embedder)
+        _, _, similarity, flags = ctx.receive(sentence, received)
         records.append(ExperimentRecord(
-            sentence_id, snr_db, "kgrag", trial, seed, payload_bits, channel_bits,
-            similarity, n_selected, n_ids, n_valid, flags=";".join(flags)))
+            sentence_id, snr_db, "kgrag", trial, seed, payload, channel_bits,
+            similarity, n_selected, n_ids, n_valid, flags=flags))
     return records
 
 

@@ -5,6 +5,7 @@ unprotected; together one 32-bit word) followed by the protected ids as
 32-bit big-endian words; it is convolutionally encoded. The unprotected ids
 travel as a second, uncoded stream of 32-bit words. A corrupted header
 degrades to parsing as many whole 32-bit ids as the stream actually holds.
+``payload_bits`` is the one place the id payload size is computed.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,11 @@ from .bits import Bits, bits_to_ids, ids_to_bits
 HEADER_BITS = 32
 ID_BITS = 32
 MAX_CLASS_IDS = 0xFFFF
+
+
+def payload_bits(n_ids: int) -> int:
+    """Bits of an id payload before channel coding: the header plus the ids."""
+    return HEADER_BITS + ID_BITS * n_ids
 
 
 @dataclass(frozen=True)

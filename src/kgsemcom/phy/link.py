@@ -1,9 +1,10 @@
 """End-to-end transmission of one frame: UEP channel coding, 16QAM, AWGN.
 
 The header+protected stream is convolutionally encoded before modulation; the
-unprotected stream is modulated as-is. Total channel bits therefore come to
-2*(32 + 32*n_protected + 6) + 32*n_unprotected. The two streams see
-independent noise derived from the same 64-bit seed.
+unprotected stream is modulated as-is. ``channel_bit_cost`` gives the total
+channel bits from the frame sizes in ``frame.py`` (``payload_bits``) and the
+code's tail; nothing else restates them. The two streams see independent
+noise derived from the same 64-bit seed.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ import numpy as np
 
 from .bits import Bits, bits_to_ids
 from .convcode import TAIL, conv_encode, viterbi_decode_frames
-from .frame import HEADER_BITS, ID_BITS, TransmissionFrame, parse_coded_stream, serialize_frame
+from .frame import ID_BITS, TransmissionFrame, parse_coded_stream, payload_bits, serialize_frame
 from .qam import ChannelConfig, awgn, qam16_demodulate, qam16_modulate
 
 
@@ -37,7 +38,8 @@ class TransmitResult:
 
 
 def channel_bit_cost(n_protected: int, n_unprotected: int) -> int:
-    return 2 * (HEADER_BITS + ID_BITS * n_protected + TAIL) + ID_BITS * n_unprotected
+    """Rate-1/2 coded header, protected ids and tail, plus the raw unprotected ids."""
+    return 2 * (payload_bits(n_protected) + TAIL) + ID_BITS * n_unprotected
 
 
 def transmit(frame: TransmissionFrame, cfg: ChannelConfig) -> TransmitResult:

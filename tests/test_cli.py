@@ -11,6 +11,7 @@ import pytest
 
 from kgsemcom import cli
 from kgsemcom import kg as kgmod
+from kgsemcom.harness import PipelineContext, run_pipeline
 
 
 def _run(capsys, argv):
@@ -89,12 +90,34 @@ def test_send_noiseless_full_trace(capsys, sample_kg_path, sample_corpus):
     assert payload_ids == received_ids
 
 
-def test_send_nothing_recognized(capsys, sample_kg_path):
+@pytest.mark.parametrize("sentence", ["no graph words here", ""], ids=["no-match", "empty"])
+def test_send_nothing_recognized(capsys, sample_kg_path, sentence):
     code, stdout, _ = _run(capsys, ["send", "--kg", str(sample_kg_path),
-                                    "--sentence", "no graph words here",
+                                    "--sentence", sentence,
                                     "--snr", "6", "--seed", "1"])
     assert code == 0
     assert "nothing recognized; no transmission" in stdout
+
+
+def test_send_matches_sweep_record(capsys, sample_kg, sample_kg_path, sample_corpus):
+    # send and the sweep share one pipeline: same seed, same bits and score
+    ctx = PipelineContext(sample_kg)
+    for sentence_id in (0, 3, 7):
+        sentence = sample_corpus[sentence_id]
+        for snr in (0, 6, 12):
+            code, stdout, _ = _run(capsys, ["send", "--kg", str(sample_kg_path),
+                                            "--sentence", sentence,
+                                            "--snr", str(snr), "--seed", "5"])
+            assert code == 0
+            record = run_pipeline(ctx, sentence, sentence_id, float(snr), seed=5)
+            channel = int(stdout.split(" bits, channel ")[1].split(" bits")[0])
+            assert channel == record.channel_bits
+            if "[9 similarity] " in stdout:
+                printed = stdout.split("[9 similarity] ")[1].splitlines()[0]
+            else:
+                assert "empty reconstruction; similarity 0.0" in stdout
+                printed = "0.0000"
+            assert printed == f"{record.similarity:.4f}"
 
 
 def test_send_rejects_bad_snr(capsys, sample_kg_path):
@@ -113,6 +136,20 @@ def test_send_rejects_bad_alpha(capsys, sample_kg_path, sample_corpus):
                               "--seed", "0", "--alpha", "2"])
     assert payload["error"] == "usage"
     assert "alpha" in payload["message"]
+
+
+def test_negative_seed_is_usage_error(capsys, tmp_path, sample_kg_path, sample_corpus):
+    # rejected while parsing, before any stage prints
+    for argv in (["send", "--kg", str(sample_kg_path), "--sentence", sample_corpus[0],
+                  "--snr", "6", "--seed", "-1"],
+                 ["baseline", "--corpus", str(tmp_path / "any.txt"),
+                  "--out", str(tmp_path / "o.csv"), "--seed", "-1"]):
+        code, stdout, err = _run(capsys, argv)
+        assert code == 2
+        assert stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "usage"
+        assert "seed" in payload["message"]
 
 
 # -- sweep -------------------------------------------------------------------------
@@ -165,6 +202,7 @@ def _sweep_error(capsys, tmp_path, sweep_config_path, **override):
     {"alpha": 2.0},
     {"threshold_policy": [[0.0, 0.8], [12.0, 0.2]]},
     {"top_k": 0},
+    {"keep_all_components": "no"},
 ])
 def test_sweep_rejects_bad_importance_config(capsys, tmp_path, sweep_config_path, override):
     payload = _sweep_error(capsys, tmp_path, sweep_config_path, **override)
@@ -184,6 +222,31 @@ def test_sweep_rejects_malformed_kg(capsys, tmp_path, sweep_config_path):
     bad.write_text("E\t0\tName\tnowhere\t\t\n", encoding="utf-8")
     payload = _sweep_error(capsys, tmp_path, sweep_config_path, kg_path=str(bad))
     assert payload["error"] == "kg-format"
+
+
+# -- remote backends without an endpoint -------------------------------------------
+
+def test_http_backend_without_endpoint_is_config_error(capsys, monkeypatch, tmp_path,
+                                                        sample_kg_path, sample_corpus,
+                                                        sweep_config_path):
+    monkeypatch.delenv("KGSEMCOM_API_BASE", raising=False)
+    raw = json.loads(sweep_config_path.read_text(encoding="utf-8"))
+    http_sweep = tmp_path / "http.json"
+    http_sweep.write_text(json.dumps({**raw, "generate_backend": "http"}), encoding="utf-8")
+    kg = str(sample_kg_path)
+    for argv in (["extract", "--kg", kg, "--sentence", sample_corpus[0],
+                  "--extract-backend", "http"],
+                 ["build-kg", "--input", kg, "--out", str(tmp_path / "k.tsv"),
+                  "--enrich", "http"],
+                 ["send", "--kg", kg, "--sentence", sample_corpus[0], "--snr", "inf",
+                  "--seed", "0", "--gen-backend", "http"],
+                 ["sweep", "--config", str(http_sweep), "--out", str(tmp_path / "o.csv")]):
+        code, stdout, err = _run(capsys, argv)
+        assert code == 2, argv
+        assert stdout == ""
+        payload = json.loads(err)
+        assert payload["error"] == "config"
+        assert "KGSEMCOM_API_BASE" in payload["message"]
 
 
 # -- baseline ----------------------------------------------------------------------

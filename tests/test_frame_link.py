@@ -11,6 +11,7 @@ from kgsemcom.phy import (
     TransmissionFrame,
     channel_bit_cost,
     parse_coded_stream,
+    payload_bits,
     serialize_frame,
     transmit,
     transmit_many,
@@ -109,6 +110,7 @@ def test_bits_helpers_roundtrip():
 def test_channel_bit_cost_formula():
     for n_p, n_u in ((0, 0), (1, 2), (5, 0), (0, 5), (3, 7)):
         assert channel_bit_cost(n_p, n_u) == 2 * (32 + 32 * n_p + 6) + 32 * n_u
+        assert payload_bits(n_p) == 32 + 32 * n_p
 
 
 def test_transmit_diagnostics_match_formula():

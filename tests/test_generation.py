@@ -14,7 +14,7 @@ from kgsemcom.generation import (
 from kgsemcom.kg import ingest
 from kgsemcom.semgraph import reconstruct
 
-from conftest import tiny_kg
+from kgtools import tiny_kg
 
 
 def _mcsg(kg, ids, keep_all=True):

@@ -198,6 +198,11 @@ def test_sweep_config_validation(sample_kg_path, sample_corpus_path):
     for name in ("extract_backend", "generate_backend"):
         with pytest.raises(ValueError, match=name):
             SweepConfig(**{name: "htttp"}, **paths)
+    for name, bad in (("seed", -1), ("seed", "x"), ("trials_per_point", 1.5),
+                      ("kg_path", 5), ("snr_grid", [math.nan]), ("schemes", ()),
+                      ("keep_all_components", "no")):
+        with pytest.raises(ValueError, match=name):
+            SweepConfig(**{**paths, name: bad})
 
 
 def test_sweep_config_from_json(tmp_path, sample_kg_path, sample_corpus_path):

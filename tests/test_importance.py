@@ -17,7 +17,7 @@ from kgsemcom import (
 )
 from kgsemcom.importance import _minmax
 
-from conftest import tiny_kg
+from kgtools import tiny_kg
 
 
 def _path_mcsg():

@@ -6,7 +6,7 @@ import pytest
 from kgsemcom import KgFormatError, canonical_name, ingest
 from kgsemcom import kg as kgmod
 
-from conftest import tiny_kg
+from kgtools import tiny_kg
 
 
 def test_two_entities_one_edge_dense_ids():

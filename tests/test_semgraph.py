@@ -16,7 +16,7 @@ from kgsemcom import (
 from kgsemcom import kg as kgmod
 from kgsemcom.harness import PipelineContext, run_pipeline
 
-from conftest import tiny_kg
+from kgtools import tiny_kg
 
 
 def _oracle_nodes(kg: KnowledgeGraph, seeds: set[int]) -> set[int]:
