@@ -23,7 +23,7 @@ from .generation import enrich_kg
 from .harness import (PipelineContext, SweepConfig, baseline_records, load_corpus,
                       run_sweep, select_backends, write_report)
 from .importance import ImportanceConfig, partition_uep
-from .phy import ChannelConfig, TransmissionFrame, channel_bit_cost, payload_bits, transmit
+from .phy import ChannelConfig, channel_bit_cost, payload_bits, transmit
 from .remote import RemoteConfig
 from .semgraph import payload_of
 
@@ -143,15 +143,15 @@ def _cmd_send(args) -> int:
         mark = "P" if node_id in protected else "-"
         print(f"  {mark} {node_id}  {kg.entity_by_id(node_id).name}  "
               f"degree {deg:.0f}  betweenness {btw:.2f}  score {score:.4f}")
-    frame = TransmissionFrame(tuple(protected), tuple(unprotected))
-    n_p, n_u = len(protected), len(unprotected)
-    print(f"[4 frame] {n_p} protected / {n_u} unprotected; "
-          f"payload {payload_bits(n_p + n_u)} bits, channel {channel_bit_cost(n_p, n_u)} bits")
+    frame = ctx.frame(protected, unprotected)
+    n_p, n_u, w = len(protected), len(unprotected), frame.width
+    print(f"[4 frame] {n_p} protected / {n_u} unprotected, {w}-bit ranks; payload "
+          f"{payload_bits(n_p + n_u, w)} bits, channel {channel_bit_cost(n_p, n_u, w)} bits")
     result = transmit(frame, ChannelConfig(snr_db, args.seed))
-    print(f"[5 channel] decoded info-bit errors {result.coded_bit_errors}/{payload_bits(n_p)}, "
+    print(f"[5 channel] decoded info-bit errors {result.coded_bit_errors}/{payload_bits(n_p, w)}, "
           f"uncoded bit errors {result.uncoded_bit_errors}/{result.uncoded_channel_bits}, "
           f"header consistent: {result.header_consistent}")
-    received = list(result.received_ids)
+    received = ctx.received_ids(result)  # -1 where a rank names no entity
     print(f"[6 receive] ids: {received}")
     recon, text, similarity, _ = ctx.receive(args.sentence, received)
     print(f"[7 reconstruct] kept {len(recon.nodes)} nodes, {len(recon.edges)} edges")
@@ -245,11 +245,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except CliError as exc:
-        print(json.dumps({"error": exc.kind, "message": str(exc)}), file=sys.stderr)
-        return 2
+        kind, message = exc.kind, str(exc)
     except OSError as exc:
-        print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
-        return 2
+        kind, message = "io", str(exc)
+    except RuntimeError as exc:
+        if not isinstance(exc.__cause__, OSError):  # not an endpoint that failed every retry
+            raise
+        kind, message = "io", f"{exc}: {exc.__cause__}"
+    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .extraction import (ExtractionConfig, HttpSelector, SelectedEntities, StubS
                          extract_trace)
 from .generation import HttpGenerator, StubGenerator, build_prompt
 from .importance import ImportanceConfig, ImportanceTable, ThresholdPolicy, importance_scores, partition_uep
-from .phy import (ChannelConfig, TransmissionFrame, awgn, channel_bit_cost,
+from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, awgn, channel_bit_cost,
                   HuffmanTable, huffman_build, huffman_decode, huffman_encode, payload_bits,
                   qam16_demodulate, qam16_modulate, transmit_many)
 from .remote import RemoteConfig
@@ -83,18 +83,13 @@ class SweepConfig:
         for name in ("kg_path", "corpus_path"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
-        if not self.snr_grid:
-            raise ValueError("snr_grid must be non-empty")
-        if any(not isinstance(v, (int, float)) or isinstance(v, bool) or math.isnan(v)
-               for v in self.snr_grid):
-            raise ValueError("snr_grid values must be numbers, not NaN")
+        self.snr_grid = [_number("snr_grid", v) for v in _list("snr_grid", self.snr_grid)]
         for name, low in (("seed", 0), ("trials_per_point", 1), ("top_k", 1),
                           ("max_selected", 1), ("embedding_dim", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not self.schemes:
-            raise ValueError("schemes must be non-empty")
+        self.schemes = tuple(_list("schemes", self.schemes))
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
@@ -103,7 +98,13 @@ class SweepConfig:
         for name in ("extract_backend", "generate_backend"):
             if getattr(self, name) not in ("stub", "http"):
                 raise ValueError(f"{name} must be 'stub' or 'http', got {getattr(self, name)!r}")
-        self._importance_config()  # validates alpha and threshold_policy
+        self.alpha = _number("alpha", self.alpha)
+        policy = _list("threshold_policy", self.threshold_policy)
+        if any(not isinstance(p, (list, tuple)) or len(p) != 2 for p in policy):
+            raise ValueError(f"threshold_policy must be [snr_db, threshold] pairs, got {policy!r}")
+        self.threshold_policy = tuple(tuple(_number("threshold_policy", v) for v in p)
+                                      for p in policy)
+        self._importance_config()  # validates the alpha range and the policy's order
 
     def _importance_config(self) -> ImportanceConfig:
         return ImportanceConfig(self.alpha, ThresholdPolicy(self.threshold_policy))
@@ -115,13 +116,19 @@ class SweepConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "snr_grid" in raw:
-            raw["snr_grid"] = [float(v) for v in raw["snr_grid"]]
-        if "threshold_policy" in raw:
-            raw["threshold_policy"] = tuple((float(a), float(b)) for a, b in raw["threshold_policy"])
-        if "schemes" in raw:
-            raw["schemes"] = tuple(raw["schemes"])
         return cls(**raw)
+
+
+def _list(name: str, value):
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"{name} must be a non-empty list, got {value!r}")
+    return value
+
+
+def _number(name: str, value) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool) or math.isnan(value):
+        raise ValueError(f"{name}: expected a number, not NaN, got {value!r}")
+    return float(value)
 
 
 def load_corpus(path: str | Path) -> list[str]:
@@ -185,6 +192,11 @@ class PipelineContext:
         self.generator = generator or StubGenerator()
         self.importance_config = importance_config or ImportanceConfig()
         self.keep_all_components = keep_all_components
+        # an id travels as its rank among the sorted entity ids, in W bits;
+        # ranks >= N name no entity and map to -1, which reconstruction drops
+        self.id_width = len(kg.entities).bit_length()
+        self._id_of_rank = np.full(1 << self.id_width, -1, dtype=np.int64)
+        self._id_of_rank[:len(kg.entities)] = sorted(kg.entities)
         self._analysis_cache: dict[str, SentenceAnalysis] = {}
         self._generation_cache: dict[tuple, tuple[str, bool]] = {}
 
@@ -212,6 +224,18 @@ class PipelineContext:
             hit = SentenceAnalysis(trace.selected, mcsg, table)
             self._analysis_cache[sentence] = hit
         return hit
+
+    def frame(self, protected: list[int], unprotected: list[int]) -> TransmissionFrame:
+        """The wire frame for two ascending id classes: each id as its rank."""
+        ranks = self._id_of_rank[:len(self.kg.entities)]
+        return TransmissionFrame(tuple(np.searchsorted(ranks, protected).tolist()),
+                                 tuple(np.searchsorted(ranks, unprotected).tolist()),
+                                 self.id_width)
+
+    def received_ids(self, result: TransmitResult) -> list[int]:
+        """KG ids for the received words, protected first; -1 for a word no
+        entity holds."""
+        return self._id_of_rank[list(result.received_ids)].tolist()
 
     def generate_text(self, recon: Mcsg) -> tuple[str, bool]:
         key = tuple(sorted(recon.nodes))
@@ -251,14 +275,14 @@ def _kgrag_records(ctx: PipelineContext, sentence: str, sentence_id: int,
                                  0, 0, 0, flags="empty_selection")
                 for trial, seed in seeds]
     protected, unprotected = partition_uep(analysis.table, snr_db, ctx.importance_config)
-    frame = TransmissionFrame(tuple(protected), tuple(unprotected))
+    frame = ctx.frame(protected, unprotected)
     n_ids = len(analysis.mcsg.nodes)
-    payload = payload_bits(n_ids)
-    channel_bits = channel_bit_cost(len(protected), len(unprotected))
+    payload = payload_bits(n_ids, frame.width)
+    channel_bits = channel_bit_cost(len(protected), len(unprotected), frame.width)
     results = transmit_many(frame, [ChannelConfig(snr_db, seed) for _, seed in seeds])
     records = []
     for (trial, seed), result in zip(seeds, results):
-        received = list(result.received_ids)
+        received = ctx.received_ids(result)
         n_valid = len({i for i in received if i in ctx.kg.entities})
         _, _, similarity, flags = ctx.receive(sentence, received)
         records.append(ExperimentRecord(

@@ -13,14 +13,17 @@ def as_bits(values) -> Bits:
     return arr
 
 
-def ids_to_bits(ids) -> Bits:
-    """Concatenated 32-bit big-endian words."""
+def ids_to_bits(ids, width: int) -> Bits:
+    """Concatenated ``width``-bit big-endian words (1 <= width <= 64)."""
     ids = np.asarray(ids, dtype=np.uint64)
-    if np.any(ids > 0xFFFFFFFF):
-        raise ValueError("node ids must fit in 32 bits")
-    return np.unpackbits(ids.astype(">u4").view(np.uint8))
+    if len(ids) and int(ids.max()) >> width:
+        raise ValueError(f"ids must fit in {width} bits")
+    return np.unpackbits(ids.astype(">u8").view(np.uint8)).reshape(-1, 64)[:, 64 - width:].ravel()
 
 
-def bits_to_ids(bits: Bits) -> list[int]:
-    """Parse as many whole 32-bit big-endian words as available."""
-    return np.packbits(bits[:len(bits) - len(bits) % 32]).view(">u4").tolist()
+def bits_to_ids(bits: Bits, width: int) -> list[int]:
+    """Parse as many whole ``width``-bit big-endian words as available."""
+    n = len(bits) // width
+    words = np.zeros((n, 64), dtype=np.uint8)
+    words[:, 64 - width:] = bits[:n * width].reshape(n, width)
+    return np.packbits(words, axis=1).view(">u8").ravel().tolist()

@@ -1,31 +1,29 @@
-"""Wire format for one id payload.
+"""Wire format for one id payload, in big-endian words of W bits.
 
-The coded stream carries a header (two 16-bit big-endian counts: protected,
-unprotected; together one 32-bit word) followed by the protected ids as
-32-bit big-endian words; it is convolutionally encoded. The unprotected ids
-travel as a second, uncoded stream of 32-bit words. A corrupted header
-degrades to parsing as many whole 32-bit ids as the stream actually holds.
-``payload_bits`` is the one place the id payload size is computed.
+Both ends share a KG of N entities and send each id as its rank among the
+sorted entity ids, so W = N.bit_length(). The coded stream carries a header
+(two W-bit counts, protected and unprotected, each at most N < 2^W) followed
+by the protected ids; it is convolutionally encoded. The unprotected ids
+travel as a second, uncoded stream of W-bit words. A corrupted header
+degrades to parsing as many whole words as the stream actually holds. This
+module is the one place the layout and its size (``payload_bits``) live.
 """
 
 from dataclasses import dataclass
 
 from .bits import Bits, bits_to_ids, ids_to_bits
 
-HEADER_BITS = 32
-ID_BITS = 32
-MAX_CLASS_IDS = 0xFFFF
 
-
-def payload_bits(n_ids: int) -> int:
-    """Bits of an id payload before channel coding: the header plus the ids."""
-    return HEADER_BITS + ID_BITS * n_ids
+def payload_bits(n_ids: int, width: int) -> int:
+    """Bits of an id payload before channel coding: the two header counts plus the ids."""
+    return width * (n_ids + 2)
 
 
 @dataclass(frozen=True)
 class TransmissionFrame:
     protected_ids: tuple[int, ...]
     unprotected_ids: tuple[int, ...]
+    width: int  # bits per id and per header count
 
     def __post_init__(self):
         for ids in (self.protected_ids, self.unprotected_ids):
@@ -33,16 +31,13 @@ class TransmissionFrame:
                 raise ValueError("id classes must be sorted and duplicate-free")
         if set(self.protected_ids) & set(self.unprotected_ids):
             raise ValueError("protected and unprotected ids must be disjoint")
-        if (len(self.protected_ids) > MAX_CLASS_IDS
-                or len(self.unprotected_ids) > MAX_CLASS_IDS):
-            raise ValueError("more than 65535 ids in one class")
 
 
 def serialize_frame(frame: TransmissionFrame) -> tuple[Bits, Bits]:
     """-> (header_and_protected, unprotected) bitstreams."""
-    header = (len(frame.protected_ids) << 16) | len(frame.unprotected_ids)
-    coded = ids_to_bits((header, *frame.protected_ids))
-    return coded, ids_to_bits(frame.unprotected_ids)
+    header = (len(frame.protected_ids), len(frame.unprotected_ids))
+    coded = ids_to_bits((*header, *frame.protected_ids), frame.width)
+    return coded, ids_to_bits(frame.unprotected_ids, frame.width)
 
 
 @dataclass(frozen=True)
@@ -53,12 +48,16 @@ class ParsedHeader:
     header_consistent: bool
 
 
-def parse_coded_stream(bits: Bits) -> ParsedHeader:
+def parse_coded_stream(bits: Bits, width: int) -> ParsedHeader:
     """Recover counts and protected ids from a decoded coded stream. Never
     raises on corruption: inconsistent counts fall back to length-derived
-    parsing of whole 32-bit words."""
-    if len(bits) < HEADER_BITS:
+    parsing of whole words."""
+    if len(bits) < 2 * width:
         return ParsedHeader(0, 0, (), False)
-    header, *ids = bits_to_ids(bits)
-    n_p, n_u = header >> 16, header & 0xFFFF
+    n_p, n_u, *ids = bits_to_ids(bits, width)
     return ParsedHeader(n_p, n_u, tuple(ids), n_p == len(ids))
+
+
+def parse_uncoded_stream(bits: Bits, width: int) -> tuple[int, ...]:
+    """The unprotected ids: every whole word of the received uncoded stream."""
+    return tuple(bits_to_ids(bits, width))

@@ -1,19 +1,20 @@
 """End-to-end transmission of one frame: UEP channel coding, 16QAM, AWGN.
 
 The header+protected stream is convolutionally encoded before modulation; the
-unprotected stream is modulated as-is. ``channel_bit_cost`` gives the total
-channel bits from the frame sizes in ``frame.py`` (``payload_bits``) and the
-code's tail; nothing else restates them. The two streams see independent
-noise derived from the same 64-bit seed.
+unprotected stream is modulated as-is. ``frame.py`` serializes and parses
+both streams, and ``channel_bit_cost`` gives the total channel bits from its
+``payload_bits`` and the code's tail; nothing else restates them. The two
+streams see independent noise derived from the same 64-bit seed.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import Bits, bits_to_ids
+from .bits import Bits
 from .convcode import TAIL, conv_encode, viterbi_decode_frames
-from .frame import ID_BITS, TransmissionFrame, parse_coded_stream, payload_bits, serialize_frame
+from .frame import (TransmissionFrame, parse_coded_stream, parse_uncoded_stream,
+                    payload_bits, serialize_frame)
 from .qam import ChannelConfig, awgn, qam16_demodulate, qam16_modulate
 
 
@@ -37,9 +38,11 @@ class TransmitResult:
         return self.coded_channel_bits + self.uncoded_channel_bits
 
 
-def channel_bit_cost(n_protected: int, n_unprotected: int) -> int:
-    """Rate-1/2 coded header, protected ids and tail, plus the raw unprotected ids."""
-    return 2 * (payload_bits(n_protected) + TAIL) + ID_BITS * n_unprotected
+def channel_bit_cost(n_protected: int, n_unprotected: int, width: int) -> int:
+    """Rate-1/2 coded header, protected ids and tail, plus the raw unprotected
+    ids: the payload once, its coded part again as parity, the tail twice."""
+    return (payload_bits(n_protected + n_unprotected, width)
+            + payload_bits(n_protected, width) + 2 * TAIL)
 
 
 def transmit(frame: TransmissionFrame, cfg: ChannelConfig) -> TransmitResult:
@@ -70,8 +73,8 @@ def transmit_many(frame: TransmissionFrame, cfgs: list[ChannelConfig]) -> list[T
     decoded = viterbi_decode_frames(rx_coded_bits)
     results = []
     for row in range(len(cfgs)):
-        parsed = parse_coded_stream(decoded[row])
-        uncoded_ids = tuple(bits_to_ids(rx_uncoded_bits[row]))
+        parsed = parse_coded_stream(decoded[row], frame.width)
+        uncoded_ids = parse_uncoded_stream(rx_uncoded_bits[row], frame.width)
         results.append(TransmitResult(
             received_protected=parsed.ids,
             received_unprotected=uncoded_ids,

@@ -1,9 +1,9 @@
 """Minimum connected subgraph construction and receiver-side reconstruction.
 
 The transmitter expands selected entities by one hop in the shared KG and
-sends only the sorted node ids. The receiver discards ids that do not exist
-in its KG copy, re-induces the edges, and keeps the largest connected
-component (undirected) unless the ablation switch keeps them all.
+sends only the sorted node ids, as their ranks in the KG. The receiver
+discards ids that do not exist in its KG copy, re-induces the edges, and
+keeps the largest connected component unless the ablation switch keeps all.
 """
 
 from dataclasses import dataclass

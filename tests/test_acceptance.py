@@ -16,10 +16,10 @@ from kgsemcom.harness import (PipelineContext, SweepConfig, derive_seed,
 from kgsemcom.importance import (betweenness_centrality, degree_centrality,
                                  partition_uep)
 from kgsemcom.kg import Triple, ingest
-from kgsemcom.phy import (ChannelConfig, TransmissionFrame, awgn,
-                          conv_encode_frames, huffman_decode, huffman_encode,
-                          qam16_demodulate, qam16_modulate, transmit,
-                          transmit_many, viterbi_decode_frames)
+from kgsemcom.phy import (ChannelConfig, awgn, conv_encode_frames, huffman_decode,
+                          huffman_encode, payload_bits, qam16_demodulate,
+                          qam16_modulate, transmit, transmit_many,
+                          viterbi_decode_frames)
 from kgsemcom.semgraph import Mcsg, build_mcsg, payload_of, reconstruct
 
 
@@ -255,7 +255,7 @@ def test_criterion_5_payload_efficiency(capsys, sample_kg, sample_corpus):
     kg_bits, huff_bits, ascii_bits = [], [], []
     for sentence in sample_corpus:
         analysis = ctx.analyze(sentence)
-        kg_bits.append(32 * (len(analysis.mcsg.nodes) + 1))
+        kg_bits.append(payload_bits(len(analysis.mcsg.nodes), ctx.id_width))
         huff_bits.append(len(huffman_encode(sentence, ctx.huffman_table)))
         ascii_bits.append(8 * len(sentence))
     long_idx = [i for i, s in enumerate(sample_corpus) if len(s) > 120]
@@ -289,10 +289,9 @@ def test_criterion_6_similarity_trend_and_noiseless_recovery(capsys, sample_kg,
         if not analysis.selected.ids:
             continue
         result = transmit(
-            TransmissionFrame(*(tuple(part) for part in partition_uep(
-                analysis.table, math.inf, ctx.importance_config))),
+            ctx.frame(*partition_uep(analysis.table, math.inf, ctx.importance_config)),
             ChannelConfig(math.inf, 0))
-        recon = reconstruct(list(result.received_ids), ctx.kg)
+        recon = reconstruct(ctx.received_ids(result), ctx.kg)
         if recon.nodes == analysis.mcsg.nodes and recon.edges == analysis.mcsg.edges:
             exact_recoveries += 1
     recovery_ok = exact_recoveries == len(sample_corpus)
@@ -305,12 +304,12 @@ def test_criterion_6_similarity_trend_and_noiseless_recovery(capsys, sample_kg,
             analysis = ctx.analyze(sentence)
             protected, unprotected = partition_uep(analysis.table, snr_db,
                                                    ctx.importance_config)
-            frame = TransmissionFrame(tuple(protected), tuple(unprotected))
+            frame = ctx.frame(protected, unprotected)
             cfgs = [ChannelConfig(snr_db, derive_seed(6006, sentence_id, snr_index,
                                                       trial, "kgrag"))
                     for trial in range(n_seeds)]
             for result in transmit_many(frame, cfgs):
-                recon = reconstruct(list(result.received_ids), ctx.kg)
+                recon = reconstruct(ctx.received_ids(result), ctx.kg)
                 if not recon.nodes:
                     sims.append(0.0)
                     continue
@@ -361,3 +360,41 @@ def test_criterion_8_sweep_byte_determinism(capsys, sample_kg_path,
     n_rows = sum(1 for line in report_a.splitlines() if line.startswith("trial,"))
     _verdict(capsys, 8, ok, f"two fresh sweep runs ({n_rows} trial rows each): "
              f"byte-identical: {ok}")
+
+
+# -- criterion 9: kgrag beats both text baselines at low SNR, in fewer bits ----------
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="kgrag's mean similarity stays below Huffman's at 0 dB. Measured "
+           "kgrag / huffman with 7-bit entity ranks and hard-decision Viterbi: "
+           "0.041 / 0.050 at 0 dB, 0.073 / 0.053 at 2 dB, 0.108 / 0.063 at "
+           "4 dB, at 82 vs 676 mean channel bits (with 32-bit ids it was "
+           "0.005 / 0.050, 0.016 / 0.053, 0.066 / 0.063 at 269 vs 676 bits). "
+           "The change that earns green removes this marker.")
+def test_criterion_9_low_snr_fidelity_and_overhead(capsys, sample_kg_path,
+                                                    sample_corpus_path):
+    config = SweepConfig(kg_path=str(sample_kg_path), corpus_path=str(sample_corpus_path),
+                         snr_grid=[0.0, 2.0, 4.0], trials_per_point=10, seed=9009)
+    records = run_sweep(config)
+
+    def mean(values):
+        return sum(values) / len(values)
+
+    parts, ok = [], True
+    for snr_db in config.snr_grid:
+        sims = {scheme: mean([r.similarity for r in records
+                              if r.scheme == scheme and r.snr_db == snr_db])
+                for scheme in ("kgrag", "huffman_baseline", "ascii")}
+        wins = sims["kgrag"] > sims["huffman_baseline"] and sims["kgrag"] > sims["ascii"]
+        ok &= wins
+        parts.append(f"{snr_db:g}dB kgrag {sims['kgrag']:.3f} vs huffman "
+                     f"{sims['huffman_baseline']:.3f} / ascii {sims['ascii']:.3f} "
+                     f"({'wins' if wins else 'LOSES'})")
+    bits = {scheme: mean([r.channel_bits for r in records if r.scheme == scheme])
+            for scheme in ("kgrag", "huffman_baseline")}
+    fewer_bits = bits["kgrag"] < bits["huffman_baseline"]
+    ok &= fewer_bits
+    _verdict(capsys, 9, ok,
+             "; ".join(parts) + f"; mean channel bits kgrag {bits['kgrag']:.1f} "
+             f"{'<' if fewer_bits else '>='} huffman {bits['huffman_baseline']:.1f}")

@@ -8,8 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
+import requests
 
-from kgsemcom import cli
+from kgsemcom import cli, remote
 from kgsemcom import kg as kgmod
 from kgsemcom.harness import PipelineContext, run_pipeline
 
@@ -209,6 +210,14 @@ def test_sweep_rejects_bad_importance_config(capsys, tmp_path, sweep_config_path
     assert payload["error"] == "config"
 
 
+@pytest.mark.parametrize("name, bad", [("snr_grid", ["x"]), ("snr_grid", 5),
+                                       ("threshold_policy", [[1]]), ("schemes", "kgrag")])
+def test_sweep_config_error_names_the_field(capsys, tmp_path, sweep_config_path, name, bad):
+    payload = _sweep_error(capsys, tmp_path, sweep_config_path, **{name: bad})
+    assert payload["error"] == "config"
+    assert name in payload["message"]
+
+
 def test_sweep_rejects_empty_corpus(capsys, tmp_path, sweep_config_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n\n", encoding="utf-8")
@@ -247,6 +256,31 @@ def test_http_backend_without_endpoint_is_config_error(capsys, monkeypatch, tmp_
         payload = json.loads(err)
         assert payload["error"] == "config"
         assert "KGSEMCOM_API_BASE" in payload["message"]
+
+
+@pytest.mark.parametrize("command", ["extract", "send", "build-kg"])
+def test_unreachable_endpoint_is_io_error(capsys, monkeypatch, tmp_path, sample_kg_path,
+                                          sample_corpus, command):
+    # every attempt fails at the transport; the backoff is skipped, not slept
+    def refuse(url, **kwargs):
+        raise requests.ConnectionError(f"refused: {url}")
+
+    monkeypatch.setenv("KGSEMCOM_API_BASE", "http://endpoint.invalid/v1")
+    monkeypatch.setattr(remote.requests, "post", refuse)
+    monkeypatch.setattr(remote.time, "sleep", lambda seconds: None)
+    kg = str(sample_kg_path)
+    bare = tmp_path / "bare.tsv"  # an entity without a description to fill
+    bare.write_text("C\tc0\tlabel\tsummary\nE\t0\tName\tc0\t\t\n", encoding="utf-8")
+    argv = {"extract": ["extract", "--kg", kg, "--sentence", sample_corpus[0],
+                        "--extract-backend", "http"],
+            "send": ["send", "--kg", kg, "--sentence", sample_corpus[0], "--snr", "inf",
+                     "--seed", "0", "--gen-backend", "http"],
+            "build-kg": ["build-kg", "--input", str(bare), "--out", str(tmp_path / "k.tsv"),
+                         "--enrich", "http"]}[command]
+    payload = _error(capsys, argv)
+    assert payload["error"] == "io"
+    assert "after 3 attempts" in payload["message"]
+    assert "refused" in payload["message"]
 
 
 # -- baseline ----------------------------------------------------------------------

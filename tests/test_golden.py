@@ -7,7 +7,7 @@ import hashlib
 
 from kgsemcom.harness import SweepConfig, render_report, run_sweep
 
-FIXTURE_SWEEP_SHA256 = "966e9116bcb844aca8f76db993c94759d4bae9de4beca2e9cc6abfaac98a9a7f"
+FIXTURE_SWEEP_SHA256 = "842e16b4b48c3ffaa28e41df3292aed656417d8420274c0fcd1d6e0cef3819d2"
 
 
 def test_fixture_sweep_matches_golden_sha256(sample_kg_path, sample_corpus_path):

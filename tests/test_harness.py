@@ -24,7 +24,11 @@ from kgsemcom.harness import (
     write_report,
 )
 from kgsemcom.importance import partition_uep
-from kgsemcom.phy import channel_bit_cost, huffman_build, huffman_encode
+from kgsemcom.kg import ingest
+from kgsemcom.phy import (ChannelConfig, TransmitResult, channel_bit_cost, huffman_build,
+                          huffman_encode, transmit)
+
+from kgtools import tiny_kg
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +61,9 @@ def test_count_bits_kgrag(ctx, sample_corpus):
         record = run_pipeline(ctx, sentence, 0, snr_db, seed=1)
         protected, unprotected = partition_uep(analysis.table, snr_db,
                                                ctx.importance_config)
-        assert record.payload_bits == 32 + 32 * (len(protected) + len(unprotected))
-        assert record.channel_bits == channel_bit_cost(len(protected), len(unprotected))
+        # 104 entities: ids travel as 7-bit ranks, behind two 7-bit counts
+        assert record.payload_bits == 7 * (len(protected) + len(unprotected) + 2)
+        assert record.channel_bits == channel_bit_cost(len(protected), len(unprotected), 7)
 
 
 def test_count_bits_huffman(ctx, sample_corpus):
@@ -127,8 +132,54 @@ def test_run_pipeline_no_noise_full_recovery(ctx, sample_corpus):
     assert record.n_received_valid == record.n_mcsg_nodes > 0
     assert record.flags == ""
     assert 0.0 < record.similarity <= 1.0
-    assert record.payload_bits == 32 * (record.n_mcsg_nodes + 1)
+    assert record.payload_bits == 7 * (record.n_mcsg_nodes + 2)
     assert record.channel_bits > record.payload_bits
+
+
+# -- ids on the wire ---------------------------------------------------------------
+
+@pytest.mark.parametrize("n, width", [(127, 7), (128, 8)])
+def test_id_width_follows_the_entity_count(embedder, n, width):
+    kg = ingest(["C\tc0\tlabel\tsummary"] + [f"E\t\tNode {k}\tc0\t\t" for k in range(n)])
+    ctx = PipelineContext(kg, embedder=embedder)
+    assert ctx.id_width == width
+    # a class may hold every entity: its count N still fits in W bits
+    frame = ctx.frame(sorted(kg.entities), [])
+    assert frame.width == width
+    result = transmit(frame, ChannelConfig(math.inf, 0))
+    assert result.header_consistent
+    assert ctx.received_ids(result) == sorted(kg.entities)
+
+
+def test_sparse_ids_near_the_top_of_the_range_roundtrip(embedder):
+    ids = [0, 7, 2**31, 2**32 - 2, 2**32 - 1]
+    names = ["Amber", "Basalt", "Cobalt", "Dolomite", "Emerald"]
+    records = ["C\tc0\tlabel\tsummary"]
+    records += [f"E\t{i}\t{name}\tc0\t\t" for i, name in zip(ids, names)]
+    records += [f"T\t{a}\tnext\t{b}" for a, b in zip(ids, ids[1:])]
+    ctx = PipelineContext(ingest(records), embedder=embedder)
+    assert ctx.id_width == 3
+    frame = ctx.frame(ids[:2], ids[2:])
+    assert frame.protected_ids + frame.unprotected_ids == (0, 1, 2, 3, 4)
+    assert ctx.received_ids(transmit(frame, ChannelConfig(math.inf, 0))) == ids
+    record = run_pipeline(ctx, "Cobalt lies between Basalt and Dolomite.", 0, math.inf, seed=0)
+    assert record.n_received_valid == record.n_mcsg_nodes > 0
+    assert record.payload_bits == 3 * (record.n_mcsg_nodes + 2)
+
+
+def test_rank_no_entity_holds_is_dropped(monkeypatch, embedder):
+    kg = tiny_kg(triples=("Amber r Basalt", "Basalt s Cobalt", "Cobalt t Dolomite",
+                          "Dolomite u Emerald"))
+    ctx = PipelineContext(kg, embedder=embedder)
+    assert ctx.id_width == 3  # words 5, 6 and 7 name no entity
+
+    words = TransmitResult((0, 5), (1, 6, 7), 0, 0, 0, 0, False)
+    assert ctx.received_ids(words) == [0, -1, 1, -1, -1]
+    monkeypatch.setattr(harness, "transmit_many", lambda frame, cfgs: [words] * len(cfgs))
+    record = run_pipeline(ctx, "Amber met Basalt.", 0, 0.0, seed=0)
+    assert record.n_received_valid == 2
+    recon, _, _, _ = ctx.receive("Amber met Basalt.", [0, -1, 1, -1, -1])
+    assert recon.nodes == {0, 1}
 
 
 def test_run_pipeline_repeat_determinism(ctx, sample_corpus):
@@ -200,7 +251,9 @@ def test_sweep_config_validation(sample_kg_path, sample_corpus_path):
             SweepConfig(**{name: "htttp"}, **paths)
     for name, bad in (("seed", -1), ("seed", "x"), ("trials_per_point", 1.5),
                       ("kg_path", 5), ("snr_grid", [math.nan]), ("schemes", ()),
-                      ("keep_all_components", "no")):
+                      ("keep_all_components", "no"), ("snr_grid", ["x"]),
+                      ("snr_grid", 5), ("threshold_policy", [[1]]), ("schemes", "kgrag"),
+                      ("alpha", "x")):
         with pytest.raises(ValueError, match=name):
             SweepConfig(**{**paths, name: bad})
 
@@ -244,11 +297,11 @@ def test_run_sweep_kgrag_invariants(small_config):
         if r.scheme != "kgrag":
             continue
         assert 0 <= r.n_received_valid <= r.n_mcsg_nodes
-        assert r.payload_bits == 32 * (r.n_mcsg_nodes + 1)
+        assert r.payload_bits == 7 * (r.n_mcsg_nodes + 2)
         analysis = ctx.analyze(ctx.corpus[r.sentence_id])
         protected, unprotected = partition_uep(analysis.table, r.snr_db,
                                                ctx.importance_config)
-        assert r.channel_bits == channel_bit_cost(len(protected), len(unprotected))
+        assert r.channel_bits == channel_bit_cost(len(protected), len(unprotected), 7)
         assert r.channel_bits >= r.payload_bits
 
 
