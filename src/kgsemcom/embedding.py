@@ -1,11 +1,11 @@
 """Text embeddings and hierarchical (community-first) similarity search.
 
-The offline embedder hashes character trigrams to deterministic pseudorandom
-unit vectors and sums them, so lexically overlapping texts land near each
-other. Identical text gives an identical vector on every platform and run.
+The offline embedder is signed feature hashing (Weinberger et al. 2009): each
+character trigram adds +1 or -1 to one hashed coordinate, so lexically
+overlapping texts land near each other. Integer counts sum exactly, so a text
+has one bitwise vector on every platform, run and batch, and needs no cache.
 """
 
-import hashlib
 from typing import Sequence
 
 import numpy as np
@@ -29,52 +29,52 @@ def cosine(a: Vector, b: Vector) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-def _trigrams(text: str) -> list[str]:
-    # \x02/\x03 mark the ends so one- and two-char texts still yield a token
+def _trigram_keys(text: str) -> np.ndarray:
+    """One uint64 ``c0<<42 | c1<<21 | c2`` per 3-character window of the
+    casefolded, whitespace-collapsed text framed by \x02 and \x03."""
     s = "\x02" + " ".join(text.split()).casefold() + "\x03"
-    if len(s) < 3:
-        return [s]
-    return [s[i:i + 3] for i in range(len(s) - 2)]
+    if len(s) < 3:  # the empty text: one key tagged by the top bit no trigram sets
+        return np.array([1 << 63 | 0x02 << 21 | 0x03], dtype=np.uint64)
+    c = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.uint64)
+    return c[:-2] << 42 | c[1:-1] << 21 | c[2:]
+
+
+def _signed_coords(keys: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """splitmix64 finalizer h of each key -> (h % dim, +-1 by h's top bit)."""
+    h = (keys ^ keys >> 30) * np.uint64(0xBF58476D1CE4E5B9)
+    h = (h ^ h >> 27) * np.uint64(0x94D049BB133111EB)
+    h ^= h >> 31
+    return (h % dim).astype(np.intp), np.copysign(1.0, h.view(np.int64))
 
 
 class TrigramEmbedder:
-    """Deterministic offline embedder: hashed-trigram random projections."""
+    """Deterministic offline embedder: signed feature hashing of trigrams."""
 
     def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
-        self._tri_cache: dict[str, Vector] = {}
-        self._text_cache: dict[str, Vector] = {}
-
-    def _trigram_vector(self, tri: str) -> Vector:
-        v = self._tri_cache.get(tri)
-        if v is None:
-            digest = hashlib.blake2b(tri.encode("utf-8"), digest_size=8).digest()
-            seed = int.from_bytes(digest, "big")
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-            v = rng.standard_normal(self.dim)
-            v /= np.linalg.norm(v)
-            self._tri_cache[tri] = v
-        return v
 
     def embed_one(self, text: str) -> Vector:
-        v = self._text_cache.get(text)
-        if v is not None:
-            return v
-        acc = np.zeros(self.dim)
-        for tri in _trigrams(text):
-            acc += self._trigram_vector(tri)
-        norm = np.linalg.norm(acc)
-        if norm < 1e-12:
-            # vanishingly unlikely cancellation; keep the output a unit vector
-            acc = self._trigram_vector(_trigrams(text)[0]).copy()
-            norm = np.linalg.norm(acc)
-        acc /= norm
-        acc.setflags(write=False)
-        self._text_cache[text] = acc
-        return acc
+        coords, signs = _signed_coords(_trigram_keys(text), self.dim)
+        v = np.bincount(coords, weights=signs, minlength=self.dim)
+        norm = np.sqrt(v @ v)
+        if norm == 0.0:  # the signed counts cancelled: one-hot of the first trigram
+            v[coords[0]], norm = signs[0], 1.0
+        return v / norm
 
-    def embed(self, texts: Sequence[str]) -> list[Vector]:
-        return [self.embed_one(t) for t in texts]
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
+        """``embed_one`` of each text, bitwise, from one hashing pass and one bincount."""
+        if not texts:
+            return np.zeros((0, self.dim))
+        keys = [_trigram_keys(t) for t in texts]
+        coords, signs = _signed_coords(np.concatenate(keys), self.dim)
+        rows = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
+        m = np.bincount(rows * self.dim + coords, weights=signs,
+                        minlength=len(keys) * self.dim).reshape(len(keys), self.dim)
+        norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+        for i in np.flatnonzero(norms == 0.0):
+            m[i], norms[i] = self.embed_one(texts[i]), 1.0
+        m /= norms[:, None]
+        return m
 
 
 class EmbeddingIndex:
@@ -91,19 +91,17 @@ class EmbeddingIndex:
 
     @classmethod
     def build(cls, kg: KnowledgeGraph, embedder) -> "EmbeddingIndex":
-        probe = embedder.embed_one("probe")
-        index = cls(dim=len(probe))
+        index = cls(dim=embedder.dim)
         index.community_ids = sorted(kg.communities)
         summaries = [kg.communities[c].summary for c in index.community_ids]
-        index._community_matrix = np.stack(embedder.embed(summaries)) if summaries else None
+        index._community_matrix = embedder.embed(summaries)
         members: dict[str, list[NodeId]] = {cid: [] for cid in index.community_ids}
         for e in kg.entities.values():
             members[e.community].append(e.node_id)
         for cid in index.community_ids:
             ids = sorted(members[cid])
             texts = [f"{kg.entities[i].name}: {kg.entities[i].description}" for i in ids]
-            matrix = np.stack(embedder.embed(texts)) if ids else np.zeros((0, index.dim))
-            index._entities[cid] = (ids, matrix)
+            index._entities[cid] = (ids, embedder.embed(texts))
         return index
 
     def reset_counts(self) -> None:

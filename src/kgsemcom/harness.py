@@ -147,8 +147,7 @@ def semantic_similarity(a: str, b: str, embedder) -> float:
     """Cosine of the sentence embeddings; empty text scores 0.0 by convention."""
     if not a.strip() or not b.strip():
         return 0.0
-    va, vb = embedder.embed([a, b])
-    return max(-1.0, min(1.0, cosine(va, vb)))
+    return max(-1.0, min(1.0, cosine(embedder.embed_one(a), embedder.embed_one(b))))
 
 
 @dataclass

@@ -100,6 +100,16 @@ def test_send_nothing_recognized(capsys, sample_kg_path, sentence):
     assert "nothing recognized; no transmission" in stdout
 
 
+def test_send_undecodable_argv_byte(capsys, sample_kg_path):
+    # Python decodes argv with surrogateescape: a stray 0xff byte arrives as a
+    # lone surrogate, which must embed like any other character
+    code, stdout, _ = _run(capsys, ["send", "--kg", str(sample_kg_path),
+                                    "--sentence", "Alan Bean \udcff walked",
+                                    "--snr", "6", "--seed", "0"])
+    assert code == 0
+    assert "[9 similarity] " in stdout
+
+
 def test_send_matches_sweep_record(capsys, sample_kg, sample_kg_path, sample_corpus):
     # send and the sweep share one pipeline: same seed, same bits and score
     ctx = PipelineContext(sample_kg)

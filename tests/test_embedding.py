@@ -2,6 +2,9 @@
 trigram embedder, and community-first search against full-scan oracles."""
 
 import math
+import random
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -79,16 +82,121 @@ def test_configured_dimension_and_never_zero():
         assert np.linalg.norm(v) > 0
 
 
-def test_embed_batch_matches_embed_one(embedder):
-    texts = ["alpha", "beta", "gamma"]
-    batch = embedder.embed(texts)
-    for text, vec in zip(texts, batch):
-        assert np.array_equal(vec, embedder.embed_one(text))
-
-
 def test_casefold_and_whitespace_collapse_share_vectors(embedder):
     assert np.array_equal(embedder.embed_one("Alan  Bean"),
                           embedder.embed_one("alan bean"))
+
+
+def _splitmix64_finalizer(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
+    return z ^ (z >> 31)
+
+
+def _reference_hashes(text: str, dim: int) -> list[tuple[int, int]]:
+    """(coordinate, sign) per trigram, in plain integers."""
+    points = [ord(ch) for ch in "\x02" + " ".join(text.split()).casefold() + "\x03"]
+    if len(points) < 3:
+        keys = [1 << 63 | points[0] << 21 | points[1]]
+    else:
+        keys = [a << 42 | b << 21 | c for a, b, c in zip(points, points[1:], points[2:])]
+    hashes = [_splitmix64_finalizer(key) for key in keys]
+    return [(h % dim, -1 if h >> 63 else 1) for h in hashes]
+
+
+def _reference_embedding(text: str, dim: int) -> np.ndarray:
+    """Signed feature hashing: one Counter over coordinates, then normalise."""
+    hashes = _reference_hashes(text, dim)
+    counts: Counter = Counter()
+    for coord, sign in hashes:
+        counts[coord] += sign
+    v = np.zeros(dim)
+    norm = math.sqrt(sum(c * c for c in counts.values()))
+    if norm == 0.0:
+        coord, sign = hashes[0]
+        v[coord] = sign
+        return v
+    for coord, count in counts.items():
+        v[coord] = count
+    return v / norm
+
+
+def _random_texts(seed: int, n: int, max_len: int = 40) -> list[str]:
+    # ASCII, whitespace, NUL, Latin-1, BMP, lone surrogates and astral planes
+    rnd = random.Random(seed)
+    ranges = [(0x20, 0x7E), (0x00, 0x00), (0x09, 0x0D), (0xA0, 0xFF),
+              (0x100, 0xD7FF), (0xD800, 0xDFFF), (0x10000, 0x10FFFF)]
+    texts = []
+    for _ in range(n):
+        chars = []
+        for _ in range(rnd.randrange(max_len + 1)):
+            lo, hi = ranges[rnd.randrange(len(ranges))]
+            chars.append(chr(rnd.randint(lo, hi)))
+        texts.append("".join(chars))
+    return texts
+
+
+ORACLE_TEXTS = (["", " ", "a", "ab", "\x00", "\x00\x00\x00", "\U0001F600",
+                 "x\U0010FFFF", "\udcff", "Alan Bean \udcff walked", "Straße"]
+                + _random_texts(5, 300))
+
+
+@pytest.mark.parametrize("dim", [384, 7, 1])
+def test_embed_one_equals_integer_reference_bitwise(dim):
+    # dim 1 and 7 make signed counts cancel, which exercises the one-hot fallback
+    emb = TrigramEmbedder(dim=dim)
+    for text in ORACLE_TEXTS:
+        got = emb.embed_one(text)
+        assert got.shape == (dim,)
+        assert np.array_equal(got, _reference_embedding(text, dim)), repr(text)
+    if dim == 1:
+        assert any(sum(sign for _, sign in _reference_hashes(t, 1)) == 0
+                   for t in ORACLE_TEXTS)
+
+
+def test_embed_batch_matches_embed_one(embedder):
+    # bitwise, in any batch order; at dim 1 the signed counts of some texts cancel
+    for emb in (embedder, TrigramEmbedder(dim=1)):
+        texts = list(ORACLE_TEXTS)
+        singles = {t: emb.embed_one(t) for t in texts}
+        for seed in range(3):
+            random.Random(seed).shuffle(texts)
+            batch = emb.embed(texts)
+            assert batch.shape == (len(texts), emb.dim)
+            for text, row in zip(texts, batch):
+                assert np.array_equal(row, singles[text]), repr(text)
+        assert emb.embed([]).shape == (0, emb.dim)
+
+
+def test_embedder_memory_stays_bounded():
+    # no cache: 50,000 distinct texts leave nothing behind (one cached
+    # 384-float vector per text would keep 150 MB)
+    texts = _random_texts(6, 50_000)
+    emb = TrigramEmbedder()
+    emb.embed_one("warm up")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for text in texts[:10_000]:
+            emb.embed_one(text)
+        for start in range(0, len(texts), 10_000):
+            emb.embed(texts[start:start + 10_000])
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1_000_000
+
+
+def test_no_embedding_path_draws_a_random_generator(monkeypatch, sample_kg):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("embedding must not build a random generator")
+    monkeypatch.setattr(np.random, "Philox", forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    emb = TrigramEmbedder()
+    emb.embed_one("Alan Bean walked on the Moon")
+    emb.embed(["Pete Conrad", "Surveyor Crater", ""])
+    index = EmbeddingIndex.build(sample_kg, emb)
+    assert sum(index.community_size(c) for c in index.community_ids) == len(sample_kg)
 
 
 # -- index construction -------------------------------------------------------

@@ -7,7 +7,7 @@ import hashlib
 
 from kgsemcom.harness import SweepConfig, render_report, run_sweep
 
-FIXTURE_SWEEP_SHA256 = "842e16b4b48c3ffaa28e41df3292aed656417d8420274c0fcd1d6e0cef3819d2"
+FIXTURE_SWEEP_SHA256 = "8ec28c1cd9fd31e45317b6886d3ab2897ea45ef32ab1f1d6582ba62af240f7be"
 
 
 def test_fixture_sweep_matches_golden_sha256(sample_kg_path, sample_corpus_path):
