@@ -16,20 +16,18 @@ import math
 
 import numpy as np
 
-from kgsemcom.phy import (ChannelConfig, awgn, conv_encode_frames,
-                          qam16_demodulate, qam16_modulate,
+from kgsemcom.phy import (ChannelConfig, conv_encode_frames, transmit_bits,
                           viterbi_decode_frames)
 
 
 def uncoded_ber(bits: np.ndarray, snr_db: float, seed: int) -> float:
-    rx = qam16_demodulate(awgn(qam16_modulate(bits), ChannelConfig(snr_db, seed)))
+    rx = transmit_bits(bits, [ChannelConfig(snr_db, seed)])[0]
     return float(np.mean(rx != bits))
 
 
 def coded_ber(frames: np.ndarray, snr_db: float, seed: int) -> float:
     coded = conv_encode_frames(frames)
-    rx = qam16_demodulate(awgn(qam16_modulate(coded.ravel()),
-                               ChannelConfig(snr_db, seed)))
+    rx = transmit_bits(coded.ravel(), [ChannelConfig(snr_db, seed)])[0]
     decoded = viterbi_decode_frames(rx.reshape(coded.shape))
     return float(np.mean(decoded != frames))
 

@@ -22,9 +22,9 @@ from .importance import (ImportanceConfig, ImportanceTable, ThresholdPolicy,
 from .phy import (ChannelConfig, SymbolStream, TransmissionFrame, ParsedHeader,
                   TransmitResult, HuffmanTable, conv_encode, viterbi_decode,
                   qam16_modulate, qam16_demodulate, awgn, noise_generator,
-                  serialize_frame, parse_coded_stream, channel_bit_cost,
-                  transmit, transmit_many, huffman_build, huffman_encode,
-                  huffman_decode, ids_to_bits, bits_to_ids)
+                  transmit_bits, serialize_frame, parse_coded_stream,
+                  channel_bit_cost, transmit, transmit_many, huffman_build,
+                  huffman_encode, huffman_decode, ids_to_bits, bits_to_ids)
 from .generation import (Prompt, ReconstructedText, StubGenerator,
                          HttpGenerator, build_prompt, verbalize_relation,
                          enrich_kg)
@@ -55,9 +55,9 @@ __all__ = [
     "ChannelConfig", "SymbolStream", "TransmissionFrame", "ParsedHeader",
     "TransmitResult", "HuffmanTable", "conv_encode", "viterbi_decode",
     "qam16_modulate", "qam16_demodulate", "awgn", "noise_generator",
-    "serialize_frame", "parse_coded_stream", "channel_bit_cost", "transmit",
-    "transmit_many", "huffman_build", "huffman_encode", "huffman_decode",
-    "ids_to_bits", "bits_to_ids",
+    "transmit_bits", "serialize_frame", "parse_coded_stream", "channel_bit_cost",
+    "transmit", "transmit_many", "huffman_build", "huffman_encode",
+    "huffman_decode", "ids_to_bits", "bits_to_ids",
     # generation
     "Prompt", "ReconstructedText", "StubGenerator", "HttpGenerator",
     "build_prompt", "verbalize_relation", "enrich_kg",

@@ -4,6 +4,7 @@ Subcommands:
   build-kg  validate a KG file, optionally fill missing descriptions and
             community summaries through the chat backend, and rewrite it
   extract   run entity extraction on one sentence and show the stages
+            (their timings on stderr)
   send      one full transmission at a chosen SNR, stage-by-stage trace
   sweep     run a configured SNR sweep and write the CSV report
   baseline  text-only schemes over a corpus (no KG), CSV report
@@ -114,7 +115,7 @@ def _cmd_extract(args) -> int:
     for node_id in trace.selected.ids:
         print(f"  {node_id}  {kg.entity_by_id(node_id).name}")
     for stage, seconds in trace.stage_seconds.items():
-        print(f"time[{stage}]: {seconds * 1e3:.2f} ms")
+        print(f"time[{stage}]: {seconds * 1e3:.2f} ms", file=sys.stderr)
     return 0
 
 

@@ -112,8 +112,9 @@ class EmbeddingIndex:
             raise ValueError("index has no communities")
         sims = self._community_matrix @ query
         self.eval_counts["community"] += len(self.community_ids)
-        # ids are sorted, argmax returns the first maximum: smallest id wins ties
-        return self.community_ids[int(np.argmax(sims))]
+        # ids are sorted and argmax takes the first maximum of the rounded
+        # scores, so the smallest id wins real-valued ties
+        return self.community_ids[int(np.argmax(np.round(sims, 12)))]
 
     def top_k_in_community(self, community: str, query: Vector,
                            k: int = 3) -> list[tuple[NodeId, float]]:
@@ -124,7 +125,8 @@ class EmbeddingIndex:
             return []
         sims = matrix @ query
         self.eval_counts["entity"] += len(ids)
-        order = sorted(range(len(ids)), key=lambda i: (-sims[i], ids[i]))
+        ranked = np.round(sims, 12)  # real-valued ties go to the smaller id
+        order = sorted(range(len(ids)), key=lambda i: (-ranked[i], ids[i]))
         return [(ids[i], float(sims[i])) for i in order[:k]]
 
     def community_size(self, community: str) -> int:

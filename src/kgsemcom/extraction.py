@@ -15,6 +15,8 @@ from .embedding import EmbeddingIndex
 from .kg import KnowledgeGraph, NodeId, canonical_name
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9'\-]*")
+# StubSelector keeps a candidate whose provenance similarity reaches this
+SIMILARITY_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class ExtractionConfig:
     selector: object
     top_k: int = 3
     max_selected: int = 8
-    similarity_threshold: float = 0.5
 
 
 @dataclass
@@ -116,16 +117,16 @@ def expand(mentions: list[Mention], index: EmbeddingIndex, embedder,
 class StubSelector:
     """Deterministic offline stage 3: keep a candidate iff its canonical name
     occurs in the canonicalized sentence or its provenance similarity clears
-    the threshold; cap the result by descending similarity."""
+    SIMILARITY_THRESHOLD; cap the result by descending similarity."""
 
     def select(self, sentence: str, candidates: CandidateSet, kg: KnowledgeGraph,
-               max_selected: int = 8, similarity_threshold: float = 0.5) -> SelectedEntities:
+               max_selected: int = 8) -> SelectedEntities:
         canon_sentence = canonical_name(sentence)
         keep: list[tuple[float, NodeId]] = []
         for nid in candidates.candidates:
             sim = candidates.provenance[nid][1]
             name = kg.entities[nid].name
-            if canonical_name(name) in canon_sentence or sim >= similarity_threshold:
+            if canonical_name(name) in canon_sentence or sim >= SIMILARITY_THRESHOLD:
                 keep.append((sim, nid))
         keep.sort(key=lambda t: (-t[0], t[1]))
         chosen = sorted(nid for _, nid in keep[:max_selected])
@@ -143,7 +144,7 @@ class HttpSelector:
         self.template = prompt_template or load_prompt("selector_v1.txt")
 
     def select(self, sentence: str, candidates: CandidateSet, kg: KnowledgeGraph,
-               max_selected: int = 8, similarity_threshold: float = 0.5) -> SelectedEntities:
+               max_selected: int = 8) -> SelectedEntities:
         from .remote import chat_completion
         listing = "\n".join(
             f"- {kg.entities[nid].name}: {kg.entities[nid].description}"
@@ -162,10 +163,8 @@ class HttpSelector:
 
 
 def select(sentence: str, candidates: CandidateSet, kg: KnowledgeGraph,
-           backend, max_selected: int = 8,
-           similarity_threshold: float = 0.5) -> SelectedEntities:
-    return backend.select(sentence, candidates, kg, max_selected=max_selected,
-                          similarity_threshold=similarity_threshold)
+           backend, max_selected: int = 8) -> SelectedEntities:
+    return backend.select(sentence, candidates, kg, max_selected=max_selected)
 
 
 def extract_trace(sentence: str, kg: KnowledgeGraph, index: EmbeddingIndex,
@@ -176,8 +175,7 @@ def extract_trace(sentence: str, kg: KnowledgeGraph, index: EmbeddingIndex,
     candidates = expand(mentions, index, config.embedder, k=config.top_k)
     t2 = time.perf_counter()
     selected = select(sentence, candidates, kg, config.selector,
-                      max_selected=config.max_selected,
-                      similarity_threshold=config.similarity_threshold)
+                      max_selected=config.max_selected)
     t3 = time.perf_counter()
     timings = {"recognize": t1 - t0, "expand": t2 - t1, "select": t3 - t2}
     return ExtractionTrace(mentions, candidates, selected, timings)

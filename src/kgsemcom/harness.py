@@ -20,14 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import kg as kgmod
-from .embedding import EmbeddingIndex, TrigramEmbedder, cosine
+from .embedding import EmbeddingIndex, TrigramEmbedder
 from .extraction import (ExtractionConfig, HttpSelector, SelectedEntities, StubSelector,
                          extract_trace)
 from .generation import HttpGenerator, StubGenerator, build_prompt
 from .importance import ImportanceConfig, ImportanceTable, ThresholdPolicy, importance_scores, partition_uep
-from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, awgn, channel_bit_cost,
+from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, channel_bit_cost,
                   HuffmanTable, huffman_build, huffman_decode, huffman_encode, payload_bits,
-                  qam16_demodulate, qam16_modulate, transmit_many)
+                  transmit_bits, transmit_many)
 from .remote import RemoteConfig
 from .semgraph import Mcsg, build_mcsg, reconstruct
 
@@ -144,10 +144,10 @@ def load_corpus(path: str | Path) -> list[str]:
 
 
 def semantic_similarity(a: str, b: str, embedder) -> float:
-    """Cosine of the sentence embeddings; empty text scores 0.0 by convention."""
+    """Cosine of the unit sentence embeddings (their dot product); empty text scores 0.0."""
     if not a.strip() or not b.strip():
         return 0.0
-    return max(-1.0, min(1.0, cosine(embedder.embed_one(a), embedder.embed_one(b))))
+    return max(-1.0, min(1.0, float(embedder.embed_one(a) @ embedder.embed_one(b))))
 
 
 @dataclass
@@ -177,13 +177,13 @@ class PipelineContext:
     """
 
     def __init__(self, kg: kgmod.KnowledgeGraph, corpus: Sequence[str] = (),
-                 embedder=None, selector=None, generator=None,
+                 selector=None, generator=None,
                  importance_config: ImportanceConfig | None = None,
                  top_k: int = 3, max_selected: int = 8,
                  keep_all_components: bool = False, embedding_dim: int = 384):
         self.kg = kg
         self.corpus = corpus
-        self.embedder = embedder or TrigramEmbedder(dim=embedding_dim)
+        self.embedder = TrigramEmbedder(dim=embedding_dim)
         self.index = EmbeddingIndex.build(kg, self.embedder)
         self.extraction = ExtractionConfig(embedder=self.embedder,
                                            selector=selector or StubSelector(),
@@ -302,13 +302,12 @@ def _bits_to_ascii(bits: np.ndarray) -> str:
 def _text_records(embedder, huffman_table, scheme: str, sentence: str, sentence_id: int,
                   snr_db: float, seeds: list[tuple[int, int]]) -> list[ExperimentRecord]:
     """One record per (trial, seed) for an uncoded text scheme; the sentence
-    is encoded and modulated once, then each trial draws its own noise."""
+    is encoded once and crosses the channel once per trial."""
     huffman = scheme == "huffman_baseline"
     bits = huffman_encode(sentence, huffman_table) if huffman else _ascii_bits(sentence)
-    symbols = qam16_modulate(bits)
+    received = transmit_bits(bits, [ChannelConfig(snr_db, seed) for _, seed in seeds])
     records = []
-    for trial, seed in seeds:
-        rx = qam16_demodulate(awgn(symbols, ChannelConfig(snr_db, seed)))
+    for (trial, seed), rx in zip(seeds, received):
         decoded = huffman_decode(rx, huffman_table) if huffman else _bits_to_ascii(rx)
         similarity = semantic_similarity(sentence, decoded, embedder)
         records.append(ExperimentRecord(sentence_id, snr_db, scheme, trial, seed,
@@ -328,10 +327,10 @@ def _records(ctx: PipelineContext, scheme: str, sentence: str, sentence_id: int,
 
 
 def baseline_records(corpus: list[str], snr_grid: list[float] | None = None,
-                     seed: int = 0, embedder=None) -> list[ExperimentRecord]:
+                     seed: int = 0) -> list[ExperimentRecord]:
     """Text-only schemes (huffman_baseline, ascii) over a corpus; no KG needed."""
     snr_grid = snr_grid if snr_grid is not None else [math.inf]
-    embedder = embedder or TrigramEmbedder()
+    embedder = TrigramEmbedder()
     table = huffman_build("\n".join(corpus))
     records = []
     for sentence_id, sentence in enumerate(corpus):

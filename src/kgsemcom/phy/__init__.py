@@ -6,7 +6,7 @@ from .frame import ParsedHeader, TransmissionFrame, parse_coded_stream, payload_
 from .huffman import HuffmanTable, huffman_build, huffman_decode, huffman_encode
 from .link import TransmitResult, channel_bit_cost, transmit, transmit_many
 from .qam import (ChannelConfig, SymbolStream, awgn, noise_generator,
-                  qam16_demodulate, qam16_modulate)
+                  qam16_demodulate, qam16_modulate, transmit_bits)
 
 __all__ = [
     "Bits", "as_bits", "bits_to_ids", "ids_to_bits",
@@ -16,5 +16,5 @@ __all__ = [
     "HuffmanTable", "huffman_build", "huffman_decode", "huffman_encode",
     "TransmitResult", "channel_bit_cost", "transmit", "transmit_many",
     "ChannelConfig", "SymbolStream", "awgn", "noise_generator",
-    "qam16_demodulate", "qam16_modulate",
+    "qam16_demodulate", "qam16_modulate", "transmit_bits",
 ]

@@ -17,14 +17,10 @@ G2 = 0o133
 NSTATES = 64
 TAIL = K - 1
 
-# generator taps as polynomial coefficients of D^0..D^6 (current..oldest input)
-_G1_TAPS = (0, 1, 2, 3, 6)
-_G2_TAPS = (0, 2, 3, 5, 6)
-
 
 def _build_trellis():
-    """Tables keyed by next-state: its two predecessors and the coded pair
-    emitted on each transition. State = last six inputs, newest in the MSB."""
+    """Tables keyed by next-state: its two predecessors and their branch
+    metrics per received pair. State = last six inputs, newest in the MSB."""
     pred = np.zeros((NSTATES, 2), dtype=np.int64)
     branch_out = np.zeros((NSTATES, 2), dtype=np.int64)
     for ns in range(NSTATES):
@@ -41,10 +37,10 @@ def _build_trellis():
     bm = np.zeros((4, NSTATES, 2), dtype=np.int32)
     for rx in range(4):
         bm[rx] = pop2[branch_out ^ rx]
-    return pred, branch_out, bm
+    return pred, bm
 
 
-_PRED, _BRANCH_OUT, _BM = _build_trellis()
+_PRED, _BM = _build_trellis()
 
 
 def conv_encode_frames(info: np.ndarray) -> np.ndarray:
@@ -56,15 +52,11 @@ def conv_encode_frames(info: np.ndarray) -> np.ndarray:
     x[:, :L] = info
     xp = np.pad(x, ((0, 0), (K - 1, 0)))
     T = L + TAIL
-    y1 = np.zeros((B, T), dtype=np.uint8)
-    y2 = np.zeros((B, T), dtype=np.uint8)
-    for tap in _G1_TAPS:
-        y1 ^= xp[:, K - 1 - tap: K - 1 - tap + T]
-    for tap in _G2_TAPS:
-        y2 ^= xp[:, K - 1 - tap: K - 1 - tap + T]
-    out = np.empty((B, 2 * T), dtype=np.uint8)
-    out[:, 0::2] = y1
-    out[:, 1::2] = y2
+    out = np.zeros((B, 2 * T), dtype=np.uint8)
+    for col, g in ((0, G1), (1, G2)):
+        for s in range(K):  # bit s of g taps the input K-1-s steps back
+            if g >> s & 1:
+                out[:, col::2] ^= xp[:, s: s + T]
     return out
 
 

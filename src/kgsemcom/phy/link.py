@@ -1,8 +1,9 @@
 """End-to-end transmission of one frame: UEP channel coding, 16QAM, AWGN.
 
-The header+protected stream is convolutionally encoded before modulation; the
-unprotected stream is modulated as-is. ``frame.py`` serializes and parses
-both streams, and ``channel_bit_cost`` gives the total channel bits from its
+The header+protected stream is convolutionally encoded before it enters the
+channel; the unprotected stream enters as-is. Both cross ``qam.transmit_bits``
+(16QAM, AWGN, hard slicing). ``frame.py`` serializes and parses both streams,
+and ``channel_bit_cost`` gives the total channel bits from its
 ``payload_bits`` and the code's tail; nothing else restates them. The two
 streams see independent noise derived from the same 64-bit seed.
 """
@@ -11,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import Bits
 from .convcode import TAIL, conv_encode, viterbi_decode_frames
 from .frame import (TransmissionFrame, parse_coded_stream, parse_uncoded_stream,
                     payload_bits, serialize_frame)
-from .qam import ChannelConfig, awgn, qam16_demodulate, qam16_modulate
+from .qam import ChannelConfig, transmit_bits
 
 
 @dataclass(frozen=True)
@@ -55,20 +55,11 @@ def transmit_many(frame: TransmissionFrame, cfgs: list[ChannelConfig]) -> list[T
     the Viterbi pass is batched across realizations."""
     coded_info, uncoded = serialize_frame(frame)
     coded = conv_encode(coded_info)
-    tx_coded = qam16_modulate(coded)
-    tx_uncoded = qam16_modulate(uncoded) if len(uncoded) else None
-
-    rx_coded_bits = np.empty((len(cfgs), len(coded)), dtype=np.uint8)
-    rx_uncoded_bits: list[Bits] = []
-    for row, cfg in enumerate(cfgs):
-        # separate substreams per class so class sizes never shift the noise
-        c_cfg = ChannelConfig(cfg.snr_db, _substream_seed(cfg.seed, 0))
-        rx_coded_bits[row] = qam16_demodulate(awgn(tx_coded, c_cfg))
-        if tx_uncoded is not None:
-            u_cfg = ChannelConfig(cfg.snr_db, _substream_seed(cfg.seed, 1))
-            rx_uncoded_bits.append(qam16_demodulate(awgn(tx_uncoded, u_cfg)))
-        else:
-            rx_uncoded_bits.append(np.zeros(0, dtype=np.uint8))
+    # separate substreams per class so class sizes never shift the noise
+    rx_coded_bits = transmit_bits(coded, [ChannelConfig(c.snr_db, _substream_seed(c.seed, 0))
+                                          for c in cfgs])
+    rx_uncoded_bits = transmit_bits(uncoded, [ChannelConfig(c.snr_db, _substream_seed(c.seed, 1))
+                                              for c in cfgs])
 
     decoded = viterbi_decode_frames(rx_coded_bits)
     results = []

@@ -1,10 +1,10 @@
-"""Gray-coded 16QAM over AWGN.
+"""Gray-coded 16QAM over AWGN: the one channel every scheme's bits cross.
 
 Each 4-bit group b3 b2 b1 b0 maps to one symbol: (b3, b2) pick the I level and
 (b1, b0) the Q level, per-axis Gray mapping 00 -> -3, 01 -> -1, 11 -> +1,
 10 -> +3, scaled by 1/sqrt(10) for unit average symbol energy. Demodulation
-is per-axis minimum-distance slicing; a sample landing exactly on a decision
-boundary goes to the smaller-amplitude level.
+is per-axis minimum-distance slicing straight to bits; a sample landing
+exactly on a decision boundary goes to the smaller-amplitude level.
 """
 
 import math
@@ -46,22 +46,15 @@ def qam16_modulate(bits: Bits) -> SymbolStream:
     return SymbolStream(symbols=(i_levels + 1j * q_levels) * _SCALE, pad_bits=pad)
 
 
-def _slice_axis(x: np.ndarray) -> np.ndarray:
-    # boundaries at -2/0/+2 (unscaled); ties go to the smaller amplitude
-    return np.where(x < -2.0, -3.0,
-                    np.where(x <= 0.0, -1.0,
-                             np.where(x <= 2.0, 1.0, 3.0)))
-
-
 def qam16_demodulate(stream: SymbolStream) -> Bits:
-    """Hard decisions back to bits, with the modulator's padding stripped."""
+    """Hard decisions back to bits, with the modulator's padding stripped.
+    Per axis (unscaled, boundaries -2/0/+2, ties to the smaller amplitude):
+    b_hi = x > 0 and b_lo = -2 <= x <= 2, written so a NaN slices like +inf."""
     x = stream.symbols / _SCALE
-    n = len(stream.symbols)
-    out = np.empty((n, 4), dtype=np.uint8)
+    out = np.empty((len(x), 4), dtype=np.uint8)
     for col, axis in ((0, x.real), (2, x.imag)):
-        levels = _slice_axis(np.asarray(axis))
-        out[:, col] = levels > 0
-        out[:, col + 1] = np.abs(levels) == 1.0
+        out[:, col] = ~(axis <= 0.0)
+        out[:, col + 1] = ~(axis < -2.0) & (axis <= 2.0)
     bits = out.reshape(-1)
     return bits[: len(bits) - stream.pad_bits] if stream.pad_bits else bits
 
@@ -82,3 +75,15 @@ def awgn(stream: SymbolStream, cfg: ChannelConfig) -> SymbolStream:
     noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return SymbolStream(symbols=stream.symbols + noise * math.sqrt(n0 / 2.0),
                         pad_bits=stream.pad_bits)
+
+
+def transmit_bits(bits: Bits, cfgs: list[ChannelConfig]) -> np.ndarray:
+    """Modulate ``bits`` once, then per config add its AWGN and slice. Row i of
+    the (len(cfgs), len(bits)) uint8 result is ``qam16_demodulate(awgn(
+    qam16_modulate(bits), cfgs[i]))``; an empty stream draws no noise."""
+    out = np.empty((len(cfgs), len(bits)), dtype=np.uint8)
+    if len(bits):
+        tx = qam16_modulate(bits)
+        for row, cfg in enumerate(cfgs):
+            out[row] = qam16_demodulate(awgn(tx, cfg))
+    return out

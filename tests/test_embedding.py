@@ -309,6 +309,21 @@ def test_top_k_tie_breaks_to_smaller_node_id(embedder):
     assert [nid for nid, _ in ranked[:2]] == [4, 9]
 
 
+def test_real_valued_ties_go_to_the_smallest_id():
+    # both rows sum to 0.6 as real numbers, but 0.1 + 0.2 + 0.3 rounds one bit
+    # above 0.3 + 0.2 + 0.1 in floating point
+    first, second = np.array([0.3, 0.2, 0.1]), np.array([0.1, 0.2, 0.3])
+    query = np.ones(3)
+    assert first @ query < second @ query
+    index = EmbeddingIndex(dim=3)
+    index.community_ids = ["aa", "bb"]
+    index._community_matrix = np.stack([first, second])
+    index._entities["aa"] = ([2, 5], np.stack([first, second]))
+    assert index.best_community(query) == "aa"
+    ranked = index.top_k_in_community("aa", query, k=2)
+    assert ranked == [(2, float(first @ query)), (5, float(second @ query))]
+
+
 def test_queries_invariant_under_positive_rescaling(sample_index, embedder):
     query = embedder.embed_one("Alan Bean")
     for lam in (1e-6, 0.5, 1.0, 3.0, 1e6):

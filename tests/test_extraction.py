@@ -287,13 +287,11 @@ def test_stage_timings_recorded(sample_kg, sample_index, sample_corpus, stub_con
 
 def test_select_dispatches_to_backend(sample_kg):
     class Recorder:
-        def select(self, sentence, candidates, kg, max_selected=8,
-                   similarity_threshold=0.5):
-            self.seen = (sentence, max_selected, similarity_threshold)
+        def select(self, sentence, candidates, kg, max_selected=8):
+            self.seen = (sentence, max_selected)
             from kgsemcom import SelectedEntities
             return SelectedEntities(ids=())
 
     backend = Recorder()
-    select("s", _cset([]), sample_kg, backend, max_selected=5,
-           similarity_threshold=0.7)
-    assert backend.seen == ("s", 5, 0.7)
+    select("s", _cset([]), sample_kg, backend, max_selected=5)
+    assert backend.seen == ("s", 5)

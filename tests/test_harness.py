@@ -5,10 +5,13 @@ import csv
 import io
 import json
 import math
+import random
 
+import numpy as np
 import pytest
 
 import kgsemcom.harness as harness
+from kgsemcom.embedding import TrigramEmbedder, _signed_coords, _trigram_keys, cosine
 from kgsemcom.harness import (
     SCHEMES,
     ExperimentRecord,
@@ -100,6 +103,29 @@ def test_similarity_orders_related_above_unrelated(embedder):
     assert semantic_similarity(ref, close, embedder) > semantic_similarity(ref, far, embedder)
 
 
+def _signed_counts_cancel(text: str, dim: int) -> bool:
+    coords, signs = _signed_coords(_trigram_keys(text), dim)
+    return not np.bincount(coords, weights=signs, minlength=dim).any()
+
+
+@pytest.mark.parametrize("dim", [384, 7, 1])
+def test_similarity_equals_cosine_of_the_embeddings(dim):
+    # dim 1 and 7 make signed counts cancel, which exercises the one-hot fallback
+    emb = TrigramEmbedder(dim=dim)
+    rnd = random.Random(dim)
+    alphabet = "ab Ac\u00e9\u4e2d\U0001F600\U0010FFFF"
+    texts = ["Alan Bean", "x\U0010FFFF", "\U0001F600 on the Moon", "a"]
+    texts += ["".join(rnd.choice(alphabet) for _ in range(rnd.randint(1, 30)))
+              for _ in range(60)]
+    texts = [t for t in texts if t.strip()]
+    if dim == 1:
+        assert any(_signed_counts_cancel(t, dim) for t in texts)
+    for _ in range(200):
+        a, b = rnd.choice(texts), rnd.choice(texts)
+        want = max(-1.0, min(1.0, cosine(emb.embed_one(a), emb.embed_one(b))))
+        assert semantic_similarity(a, b, emb) == pytest.approx(want, abs=1e-12)
+
+
 # -- record validation -------------------------------------------------------------
 
 def test_record_validation():
@@ -139,9 +165,9 @@ def test_run_pipeline_no_noise_full_recovery(ctx, sample_corpus):
 # -- ids on the wire ---------------------------------------------------------------
 
 @pytest.mark.parametrize("n, width", [(127, 7), (128, 8)])
-def test_id_width_follows_the_entity_count(embedder, n, width):
+def test_id_width_follows_the_entity_count(n, width):
     kg = ingest(["C\tc0\tlabel\tsummary"] + [f"E\t\tNode {k}\tc0\t\t" for k in range(n)])
-    ctx = PipelineContext(kg, embedder=embedder)
+    ctx = PipelineContext(kg)
     assert ctx.id_width == width
     # a class may hold every entity: its count N still fits in W bits
     frame = ctx.frame(sorted(kg.entities), [])
@@ -151,13 +177,13 @@ def test_id_width_follows_the_entity_count(embedder, n, width):
     assert ctx.received_ids(result) == sorted(kg.entities)
 
 
-def test_sparse_ids_near_the_top_of_the_range_roundtrip(embedder):
+def test_sparse_ids_near_the_top_of_the_range_roundtrip():
     ids = [0, 7, 2**31, 2**32 - 2, 2**32 - 1]
     names = ["Amber", "Basalt", "Cobalt", "Dolomite", "Emerald"]
     records = ["C\tc0\tlabel\tsummary"]
     records += [f"E\t{i}\t{name}\tc0\t\t" for i, name in zip(ids, names)]
     records += [f"T\t{a}\tnext\t{b}" for a, b in zip(ids, ids[1:])]
-    ctx = PipelineContext(ingest(records), embedder=embedder)
+    ctx = PipelineContext(ingest(records))
     assert ctx.id_width == 3
     frame = ctx.frame(ids[:2], ids[2:])
     assert frame.protected_ids + frame.unprotected_ids == (0, 1, 2, 3, 4)
@@ -167,10 +193,10 @@ def test_sparse_ids_near_the_top_of_the_range_roundtrip(embedder):
     assert record.payload_bits == 3 * (record.n_mcsg_nodes + 2)
 
 
-def test_rank_no_entity_holds_is_dropped(monkeypatch, embedder):
+def test_rank_no_entity_holds_is_dropped(monkeypatch):
     kg = tiny_kg(triples=("Amber r Basalt", "Basalt s Cobalt", "Cobalt t Dolomite",
                           "Dolomite u Emerald"))
-    ctx = PipelineContext(kg, embedder=embedder)
+    ctx = PipelineContext(kg)
     assert ctx.id_width == 3  # words 5, 6 and 7 name no entity
 
     words = TransmitResult((0, 5), (1, 6, 7), 0, 0, 0, 0, False)
@@ -306,8 +332,8 @@ def test_run_sweep_kgrag_invariants(small_config):
 
 
 @pytest.mark.parametrize("stage, failing", [("transmit_many", {"kgrag"}),
-                                            ("qam16_modulate", {"ascii"})],
-                         ids=["transmit_many", "qam16_modulate"])
+                                            ("transmit_bits", {"ascii"})],
+                         ids=["transmit_many", "transmit_bits"])
 def test_run_sweep_captures_stage_errors(small_config, monkeypatch, stage, failing):
     ctx = PipelineContext.from_config(small_config)
 

@@ -1,5 +1,5 @@
-"""Gray-coded 16QAM mapping, hard-decision slicing, and the seeded AWGN
-channel."""
+"""Gray-coded 16QAM mapping, hard-decision slicing, the seeded AWGN channel,
+and ``transmit_bits``, the one path through all three."""
 
 import math
 
@@ -12,6 +12,8 @@ from kgsemcom.phy import (
     awgn,
     qam16_demodulate,
     qam16_modulate,
+    qam,
+    transmit_bits,
 )
 
 SCALE = 1.0 / math.sqrt(10.0)
@@ -130,3 +132,63 @@ def test_empty_bitstream_roundtrip():
 def test_modulate_rejects_non_binary():
     with pytest.raises(ValueError, match="0/1"):
         qam16_modulate(np.array([0, 1, 2], dtype=np.uint8))
+
+
+def _level_slicer(stream: SymbolStream) -> np.ndarray:
+    """Oracle: slice each axis to its nearest level, then map the level to its
+    Gray pair (ties at -2/0/+2 go to the smaller amplitude)."""
+    x = stream.symbols / SCALE
+    out = np.empty((len(x), 4), dtype=np.uint8)
+    for col, axis in ((0, x.real), (2, x.imag)):
+        levels = np.where(axis < -2.0, -3.0,
+                          np.where(axis <= 0.0, -1.0, np.where(axis <= 2.0, 1.0, 3.0)))
+        out[:, col] = levels > 0
+        out[:, col + 1] = np.abs(levels) == 1.0
+    bits = out.reshape(-1)
+    return bits[: len(bits) - stream.pad_bits] if stream.pad_bits else bits
+
+
+def test_slicer_matches_the_level_slicer_oracle():
+    special = np.array([-np.inf, -3.0, np.nextafter(-2.0, -3.0), -2.0, np.nextafter(-2.0, 0.0),
+                        -0.0, 0.0, np.nextafter(0.0, 1.0), 2.0, np.nextafter(2.0, 3.0), 3.0,
+                        np.inf, np.nan])
+    re, im = np.meshgrid(special, special)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(53)))
+    symbols = np.empty(re.size + 20_000, dtype=complex)
+    symbols.real = np.concatenate([re.ravel(), rng.normal(0.0, 3.0, 20_000)]) * SCALE
+    symbols.imag = np.concatenate([im.ravel(), rng.normal(0.0, 3.0, 20_000)]) * SCALE
+    # what the slicer sees: the boundaries survive the unscaling, and an
+    # infinite axis turns the other one NaN, as at SNR -inf
+    with np.errstate(invalid="ignore"):
+        x = symbols / SCALE
+    for value in (-2.0, 0.0, 2.0, np.inf, -np.inf):
+        assert np.any(x.real == value) and np.any(x.imag == value)
+    assert np.isnan(x.real).any() and np.isnan(x.imag).any()
+    with np.errstate(invalid="ignore"):
+        for pad in (0, 1, 3):
+            stream = SymbolStream(symbols=symbols, pad_bits=pad)
+            assert np.array_equal(qam16_demodulate(stream), _level_slicer(stream))
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 6, 401, 4002])
+def test_transmit_bits_rows_equal_one_channel_pass_each(n):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(54 + n)))
+    bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+    cfgs = [ChannelConfig(math.inf, 0), ChannelConfig(6.0, 1), ChannelConfig(0.0, 2),
+            ChannelConfig(-math.inf, 3), ChannelConfig(6.0, 1)]
+    out = transmit_bits(bits, cfgs)
+    assert out.shape == (len(cfgs), n) and out.dtype == np.uint8
+    for row, cfg in zip(out, cfgs):
+        assert np.array_equal(row, qam16_demodulate(awgn(qam16_modulate(bits), cfg)))
+    assert np.array_equal(out[0], bits)
+    assert np.array_equal(out[1], out[4])
+
+
+def test_transmit_bits_empty_stream_draws_no_noise(monkeypatch):
+    def no_noise(seed):
+        raise AssertionError("noise drawn for an empty stream")
+
+    monkeypatch.setattr(qam, "noise_generator", no_noise)
+    out = transmit_bits(np.zeros(0, dtype=np.uint8), [ChannelConfig(0.0, s) for s in range(3)])
+    assert out.shape == (3, 0) and out.dtype == np.uint8
+    assert transmit_bits(np.zeros(0, dtype=np.uint8), []).shape == (0, 0)

@@ -246,10 +246,10 @@ class _NoScan(list):
         raise AssertionError("whole-graph scan of kg.triples")
 
 
-def test_record_path_never_scans_the_whole_graph(sample_kg_path, sample_corpus, embedder):
+def test_record_path_never_scans_the_whole_graph(sample_kg_path, sample_corpus):
     kg = kgmod.load(sample_kg_path)
     kg.triples = _NoScan(kg.triples)
-    ctx = PipelineContext(kg, sample_corpus, embedder=embedder)
+    ctx = PipelineContext(kg, sample_corpus)
     record = run_pipeline(ctx, sample_corpus[0], 0, 6.0, seed=5)
     assert record.n_selected > 0
     assert "error" not in record.flags
