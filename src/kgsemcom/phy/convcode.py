@@ -3,8 +3,18 @@ with hard-decision maximum-likelihood Viterbi decoding.
 
 Frames are zero-terminated: the encoder appends six zero tail bits, so a
 length-L input produces 2*(L+6) coded bits and the decoder traces back from
-the all-zero state. The decoder core is batched over frames; the Hamming
-path metric makes it exact ML for hard decisions.
+the all-zero state. The Hamming path metric makes the decoder exact ML for
+hard decisions.
+
+The decoder is batched over frames and runs as a radix-2 butterfly. State
+``b<<5 | m`` (newest input in the MSB) has the predecessors ``m<<1 | j``, so
+the 64 path metrics viewed as (32, 2) hold each state's predecessor pair, for
+both values of ``b``. One trellis step is an add-compare-select of two ufunc
+calls: ``np.add`` of those metrics and the step's branch metrics, then
+``np.minimum`` over ``j``. Branch metrics are gathered from the received
+pairs once per block of steps, and the block's decisions come from one
+comparison after it; a tie keeps predecessor bit 0. Each frame is then traced
+back from state 0 in a byte-wise loop.
 """
 
 import numpy as np
@@ -16,31 +26,24 @@ G1 = 0o171
 G2 = 0o133
 NSTATES = 64
 TAIL = K - 1
+_BLOCK = 1024  # frames x trellis steps per block: 0.5 MB of int32 candidates
 
 
-def _build_trellis():
-    """Tables keyed by next-state: its two predecessors and their branch
-    metrics per received pair. State = last six inputs, newest in the MSB."""
-    pred = np.zeros((NSTATES, 2), dtype=np.int64)
-    branch_out = np.zeros((NSTATES, 2), dtype=np.int64)
-    for ns in range(NSTATES):
-        b = ns >> 5
-        for j in (0, 1):
-            p = ((ns & 31) << 1) | j
-            full = (b << 6) | p
-            o1 = bin(full & G1).count("1") & 1
-            o2 = bin(full & G2).count("1") & 1
-            pred[ns, j] = p
-            branch_out[ns, j] = (o1 << 1) | o2
-    pop2 = np.array([0, 1, 1, 2], dtype=np.int32)
-    # bm[rx_pair, ns, j] = Hamming distance of the branch output to rx_pair
-    bm = np.zeros((4, NSTATES, 2), dtype=np.int32)
-    for rx in range(4):
-        bm[rx] = pop2[branch_out ^ rx]
-    return pred, bm
+def _branch_metrics() -> np.ndarray:
+    """bm[rx_pair, b, m, j]: Hamming distance from rx_pair to the output of
+    the branch from state m<<1 | j on input b."""
+    bm = np.zeros((4, 2, 32, 2), dtype=np.int8)
+    for b in (0, 1):
+        for m in range(32):
+            for j in (0, 1):
+                full = b << 6 | m << 1 | j
+                out = (bin(full & G1).count("1") & 1) << 1 | bin(full & G2).count("1") & 1
+                for rx in range(4):
+                    bm[rx, b, m, j] = bin(out ^ rx).count("1")
+    return bm
 
 
-_PRED, _BM = _build_trellis()
+_BM = _branch_metrics()
 
 
 def conv_encode_frames(info: np.ndarray) -> np.ndarray:
@@ -74,23 +77,40 @@ def viterbi_decode_frames(coded: np.ndarray) -> np.ndarray:
     T = n // 2
     if T < TAIL:
         raise ValueError("frame shorter than the termination tail")
-    rx = (coded[:, 0::2].astype(np.int64) << 1) | coded[:, 1::2]
-    inf = np.int32(1 << 30)
-    pm = np.full((B, NSTATES), inf, dtype=np.int32)
+    if not np.all((coded == 0) | (coded == 1)):
+        raise ValueError("coded frames must hold only 0/1 values")
+    coded = coded.astype(np.uint8, copy=False)
+    rx = coded[:, 0::2] << 1 | coded[:, 1::2]
+    pm = np.full((B, NSTATES), 1 << 30, dtype=np.int32)
     pm[:, 0] = 0
+    pm_in = pm.reshape(B, 1, 32, 2)   # pm_in[:, 0, m, j] = pm[:, m<<1 | j]
+    pm_out = pm.reshape(B, 2, 32)     # pm_out[:, b, m] = pm[:, b<<5 | m]
+    steps = min(T, max(1, _BLOCK // max(B, 1)))
+    cand = np.empty((steps, B, 2, 32, 2), dtype=np.int32)
+    cand0, cand1 = cand[..., 0], cand[..., 1]
     choice = np.empty((B, T, NSTATES), dtype=np.uint8)
-    for t in range(T):
-        cand = pm[:, _PRED] + _BM[rx[:, t]]
-        choice[:, t] = np.argmin(cand, axis=2)  # ties: lower predecessor bit
-        pm = np.min(cand, axis=2)
-    state = np.zeros(B, dtype=np.int64)  # terminated frames end in state 0
-    bits = np.empty((B, T), dtype=np.uint8)
-    rows = np.arange(B)
-    for t in range(T - 1, -1, -1):
-        bits[:, t] = state >> 5
-        j = choice[rows, t, state]
-        state = ((state & 31) << 1) | j
-    return bits[:, : T - TAIL]
+    for t0 in range(0, T, steps):
+        k = min(steps, T - t0)
+        bm = _BM[rx[:, t0:t0 + k].T]
+        for bm_t, cand_t, c0, c1 in zip(bm, cand, cand0, cand1):  # stops after bm's k
+            np.add(pm_in, bm_t, out=cand_t)
+            np.minimum(c0, c1, out=pm_out)
+        decided = cand1[:k] < cand0[:k]  # a tie keeps predecessor bit 0
+        choice[:, t0:t0 + k] = decided.reshape(k, B, NSTATES).swapaxes(0, 1)
+    return _traceback(choice)[:, : T - TAIL]
+
+
+def _traceback(choice: np.ndarray) -> np.ndarray:
+    """Follow each frame's (T, 64) decisions back from state 0 at step T."""
+    B, T, _ = choice.shape
+    flat = choice.reshape(-1).data
+    bits = bytearray(B * T)
+    for end in range(T, B * T + 1, T):
+        state = 0
+        for i in range(end - 1, end - T - 1, -1):
+            bits[i] = state >> 5
+            state = (state & 31) << 1 | flat[i * NSTATES + state]
+    return np.frombuffer(bits, dtype=np.uint8).reshape(B, T)
 
 
 def viterbi_decode(received: Bits) -> Bits:

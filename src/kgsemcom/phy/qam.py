@@ -49,8 +49,10 @@ def qam16_modulate(bits: Bits) -> SymbolStream:
 def qam16_demodulate(stream: SymbolStream) -> Bits:
     """Hard decisions back to bits, with the modulator's padding stripped.
     Per axis (unscaled, boundaries -2/0/+2, ties to the smaller amplitude):
-    b_hi = x > 0 and b_lo = -2 <= x <= 2, written so a NaN slices like +inf."""
-    x = stream.symbols / _SCALE
+    b_hi = x > 0 and b_lo = -2 <= x <= 2, written so a NaN slices like +inf.
+    An infinite sample (SNR -inf) unscales to a NaN axis without a warning."""
+    with np.errstate(invalid="ignore"):
+        x = stream.symbols / _SCALE
     out = np.empty((len(x), 4), dtype=np.uint8)
     for col, axis in ((0, x.real), (2, x.imag)):
         out[:, col] = ~(axis <= 0.0)

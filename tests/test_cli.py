@@ -132,6 +132,25 @@ def test_send_matches_sweep_record(capsys, sample_kg, sample_kg_path, sample_cor
             assert printed == f"{record.similarity:.4f}"
 
 
+def test_send_at_minus_inf_snr_warns_nothing(sample_kg_path, sample_corpus):
+    # every symbol part is infinite at -inf dB; slicing it must stay silent
+    # and keep its bits (NaN axes slice like +inf)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kgsemcom.cli", "send", "--kg", str(sample_kg_path),
+         "--sentence", sample_corpus[0], "--snr=-inf", "--seed", "0"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0
+    assert "RuntimeWarning" not in proc.stderr
+    for line in ("[5 channel] decoded info-bit errors 27/42, uncoded bit errors 0/0, "
+                 "header consistent: False",
+                 "[6 receive] ids: [401, -1, -1, 8]",
+                 "[9 similarity] 0.0177"):
+        assert line in proc.stdout.splitlines()
+
+
 def test_send_rejects_bad_snr(capsys, sample_kg_path):
     payload = _error(capsys, ["send", "--kg", str(sample_kg_path),
                               "--sentence", "x", "--snr", "loud", "--seed", "0"])

@@ -1,11 +1,13 @@
 """Rate-1/2 constraint-length-7 convolutional codec, checked against an
 independent scalar shift-register oracle, plus Viterbi decoding properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kgsemcom.phy import conv_encode, viterbi_decode
-from kgsemcom.phy.convcode import conv_encode_frames, viterbi_decode_frames
+from kgsemcom.phy.convcode import TAIL, _BLOCK, conv_encode_frames, viterbi_decode_frames
 from kgsemcom.phy.qam import ChannelConfig, awgn, qam16_demodulate, qam16_modulate
 
 
@@ -109,6 +111,116 @@ def test_malformed_lengths_rejected():
         viterbi_decode(np.zeros(13, dtype=np.uint8))  # odd
     with pytest.raises(ValueError):
         viterbi_decode(np.zeros(10, dtype=np.uint8))  # shorter than the tail
+
+
+def test_non_binary_values_rejected():
+    coded = np.zeros((3, 2 * (10 + 6)), dtype=np.uint8)
+    coded[1, 5] = 2
+    with pytest.raises(ValueError):
+        viterbi_decode_frames(coded)
+    with pytest.raises(ValueError):
+        viterbi_decode_frames(-np.ones((1, 20), dtype=np.int8))
+
+
+# -- the butterfly decoder against the gather/argmin kernel it replaced ----------------
+
+def _reference_tables():
+    """Keyed by next state: its two predecessors and their branch metrics per
+    received pair. State = last six inputs, newest in the MSB."""
+    pred = np.zeros((64, 2), dtype=np.int64)
+    branch_out = np.zeros((64, 2), dtype=np.int64)
+    for ns in range(64):
+        b = ns >> 5
+        for j in (0, 1):
+            p = ((ns & 31) << 1) | j
+            full = (b << 6) | p
+            pred[ns, j] = p
+            branch_out[ns, j] = ((bin(full & 0o171).count("1") & 1) << 1
+                                 | bin(full & 0o133).count("1") & 1)
+    pop2 = np.array([0, 1, 1, 2], dtype=np.int32)
+    return pred, pop2[branch_out[None] ^ np.arange(4)[:, None, None]]
+
+
+_REF_PRED, _REF_BM = _reference_tables()
+
+
+def _reference_viterbi(coded: np.ndarray) -> np.ndarray:
+    """Oracle: one gather of predecessor metrics and one argmin per step, then
+    a batched traceback with one fancy index per step."""
+    B, n = coded.shape
+    T = n // 2
+    rx = (coded[:, 0::2].astype(np.int64) << 1) | coded[:, 1::2]
+    pm = np.full((B, 64), np.int32(1 << 30), dtype=np.int32)
+    pm[:, 0] = 0
+    choice = np.empty((B, T, 64), dtype=np.uint8)
+    for t in range(T):
+        cand = pm[:, _REF_PRED] + _REF_BM[rx[:, t]]
+        choice[:, t] = np.argmin(cand, axis=2)  # ties: lower predecessor bit
+        pm = np.min(cand, axis=2)
+    state = np.zeros(B, dtype=np.int64)
+    bits = np.empty((B, T), dtype=np.uint8)
+    rows = np.arange(B)
+    for t in range(T - 1, -1, -1):
+        bits[:, t] = state >> 5
+        state = ((state & 31) << 1) | choice[rows, t, state]
+    return bits[:, : T - TAIL]
+
+
+def _noisy_codewords(rng, B, L, flip_rate):
+    coded = conv_encode_frames(rng.integers(0, 2, size=(B, L), dtype=np.uint8))
+    return coded ^ (rng.random(coded.shape) < flip_rate).astype(np.uint8)
+
+
+@pytest.mark.parametrize("flip_rate", [0.0, 0.05, 0.2, 0.5])
+@pytest.mark.parametrize("L", [0, 1, 30, 180, 430])
+@pytest.mark.parametrize("B", [1, 5, 200])
+def test_matches_reference_on_random_frames(B, L, flip_rate):
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([49, B, L])))
+    coded = _noisy_codewords(rng, B, L, flip_rate)
+    assert np.array_equal(viterbi_decode_frames(coded), _reference_viterbi(coded))
+
+
+@pytest.mark.parametrize("B", [1, 5, 2 * _BLOCK])
+def test_matches_reference_around_block_boundaries(B):
+    steps = max(1, _BLOCK // B)  # trellis steps per block at this batch size
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([50, B])))
+    for T in sorted({max(t, TAIL + 3) for t in (steps - 1, steps, steps + 1, 2 * steps + 1)}):
+        coded = _noisy_codewords(rng, B, T - TAIL, 0.1)
+        assert np.array_equal(viterbi_decode_frames(coded), _reference_viterbi(coded))
+
+
+@pytest.mark.parametrize("L", [1, 30, 430])
+def test_matches_reference_on_constant_frames(L):
+    # constant frames are where the two predecessor metrics tie most often
+    for value in (0, 1):
+        coded = np.full((3, 2 * (L + TAIL)), value, dtype=np.uint8)
+        assert np.array_equal(viterbi_decode_frames(coded), _reference_viterbi(coded))
+
+
+def test_decoded_word_is_maximum_likelihood():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(51)))
+    for L in range(1, 11):
+        words = (np.arange(1 << L)[:, None] >> np.arange(L - 1, -1, -1)) & 1
+        codebook = conv_encode_frames(words.astype(np.uint8))
+        received = np.concatenate([
+            _noisy_codewords(rng, 20, L, 0.15),
+            rng.integers(0, 2, size=(20, 2 * (L + TAIL)), dtype=np.uint8)])
+        decoded = viterbi_decode_frames(received)
+        for rx, word in zip(received, decoded):
+            distance = int(np.count_nonzero(conv_encode(word) != rx))
+            assert distance == int((codebook != rx).sum(axis=1).min())
+
+
+def test_decoding_a_hundred_thousand_bit_frame_stays_under_nine_mb():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(52)))
+    coded = conv_encode_frames(rng.integers(0, 2, size=(1, 100_000), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        viterbi_decode_frames(coded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9_000_000, f"peak {peak / 1e6:.2f} MB"
 
 
 @pytest.mark.xfail(
