@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .kg import (KnowledgeGraph, Entity, Community, Triple, NodeId,
                  KgFormatError, canonical_name, ingest, load)
-from .embedding import TrigramEmbedder, EmbeddingIndex, cosine
+from .embedding import TrigramEmbedder, EmbeddingIndex
 from .extraction import (ExtractionConfig, ExtractionTrace, Mention,
                          CandidateSet, SelectedEntities, StubSelector,
                          HttpSelector, recognize, expand, select,
@@ -40,7 +40,7 @@ __all__ = [
     "KnowledgeGraph", "Entity", "Community", "Triple", "NodeId",
     "KgFormatError", "canonical_name", "ingest", "load",
     # embeddings and retrieval
-    "TrigramEmbedder", "EmbeddingIndex", "cosine",
+    "TrigramEmbedder", "EmbeddingIndex",
     # extraction
     "ExtractionConfig", "ExtractionTrace", "Mention", "CandidateSet",
     "SelectedEntities", "StubSelector", "HttpSelector", "recognize", "expand",

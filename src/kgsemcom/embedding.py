@@ -17,26 +17,27 @@ DEFAULT_DIM = 384
 Vector = np.ndarray
 
 
-def cosine(a: Vector, b: Vector) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("zero-norm vector has no direction")
-    return float(np.dot(a, b) / (na * nb))
+_EMPTY_KEY = 1 << 63 | 0x02 << 21 | 0x03  # the top bit no trigram sets
+
+
+def _framed(text: str) -> str:
+    """The casefolded, whitespace-collapsed text framed by \x02 and \x03."""
+    return "\x02" + " ".join(text.split()).casefold() + "\x03"
+
+
+def _window_keys(s: str) -> np.ndarray:
+    """One uint64 ``c0<<42 | c1<<21 | c2`` per 3-character window of s."""
+    c = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.uint64)
+    return c[:-2] << 42 | c[1:-1] << 21 | c[2:]
 
 
 def _trigram_keys(text: str) -> np.ndarray:
-    """One uint64 ``c0<<42 | c1<<21 | c2`` per 3-character window of the
-    casefolded, whitespace-collapsed text framed by \x02 and \x03."""
-    s = "\x02" + " ".join(text.split()).casefold() + "\x03"
-    if len(s) < 3:  # the empty text: one key tagged by the top bit no trigram sets
-        return np.array([1 << 63 | 0x02 << 21 | 0x03], dtype=np.uint64)
-    c = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).astype(np.uint64)
-    return c[:-2] << 42 | c[1:-1] << 21 | c[2:]
+    """The keys of each trigram of the framed text; the empty text, which has
+    none, gets one key of its own."""
+    s = _framed(text)
+    if len(s) < 3:
+        return np.array([_EMPTY_KEY], dtype=np.uint64)
+    return _window_keys(s)
 
 
 def _signed_coords(keys: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -62,14 +63,26 @@ class TrigramEmbedder:
         return v / norm
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """``embed_one`` of each text, bitwise, from one hashing pass and one bincount."""
+        """``embed_one`` of each text, bitwise, from one encode of all framed
+        texts, one hashing pass and one bincount."""
         if not texts:
             return np.zeros((0, self.dim))
-        keys = [_trigram_keys(t) for t in texts]
-        coords, signs = _signed_coords(np.concatenate(keys), self.dim)
-        rows = np.repeat(np.arange(len(keys)), [len(k) for k in keys])
+        framed = [_framed(t) for t in texts]
+        lengths = np.array([len(f) for f in framed])
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        # two padding characters give every position one window; the last two
+        # windows of each text cross into the next and are dropped, except
+        # that an empty text keeps its first one, re-keyed
+        keys = _window_keys("".join(framed) + "\x00\x00")
+        keep = np.ones(len(keys), dtype=bool)
+        keep[ends - 1] = keep[ends - 2] = False
+        empty = starts[lengths == 2]
+        keys[empty], keep[empty] = _EMPTY_KEY, True
+        coords, signs = _signed_coords(keys[keep], self.dim)
+        rows = np.repeat(np.arange(len(texts)), lengths)[keep]
         m = np.bincount(rows * self.dim + coords, weights=signs,
-                        minlength=len(keys) * self.dim).reshape(len(keys), self.dim)
+                        minlength=len(texts) * self.dim).reshape(len(texts), self.dim)
         norms = np.sqrt(np.einsum("ij,ij->i", m, m))
         for i in np.flatnonzero(norms == 0.0):
             m[i], norms[i] = self.embed_one(texts[i]), 1.0

@@ -13,7 +13,7 @@ load(). Graphs are immutable after ingestion; all queries are read-only.
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple, NoReturn
 
 NodeId = int
 MAX_NODE_ID = 2**32 - 1
@@ -28,8 +28,9 @@ def canonical_name(name: str) -> str:
     return " ".join(name.split()).casefold()
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
+    """A directed labeled edge; compares, hashes and sorts as the tuple
+    (subject, relation, object)."""
     subject: NodeId
     relation: str
     object: NodeId
@@ -103,7 +104,7 @@ class KnowledgeGraph:
         Walks only the incidence lists of nodes; unknown ids touch no triple."""
         edges = [t for n in nodes for t in self._incident.get(n, ())
                  if t.subject == n and t.object in nodes]
-        edges.sort(key=lambda t: (t.subject, t.relation, t.object))
+        edges.sort()
         return tuple(edges)
 
     def __len__(self) -> int:
@@ -145,21 +146,24 @@ def _parse_node_id(text: str, lineno: int) -> NodeId:
 
 
 def ingest(records: Iterable[str]) -> KnowledgeGraph:
-    """Build a KnowledgeGraph from record lines. Two passes, so T lines may
-    reference entities declared later in the stream."""
+    """Build a KnowledgeGraph from record lines. T lines are checked after
+    all entities are known, so they may reference entities declared later in
+    the stream; a repeated triple is kept once, at its first line."""
     entities: dict[NodeId, Entity] = {}
     communities: dict[str, Community] = {}
     names_seen: dict[str, int] = {}
-    edge_lines: list[tuple[int, list[str]]] = []
+    edge_lines: list[tuple[int, str, str, str]] = []
     next_auto = 0
 
-    lines = list(records)
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(records, start=1):
         line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
         fields = line.split("\t")
         kind = fields[0]
+        if kind == "T" and len(fields) == 4:
+            edge_lines.append((lineno, fields[1], fields[2], fields[3]))
+            continue
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
         if kind == "C":
             if len(fields) != 4:
                 raise KgFormatError(f"line {lineno}: C record needs 4 fields, got {len(fields)}")
@@ -192,9 +196,7 @@ def ingest(records: Iterable[str]) -> KnowledgeGraph:
             names_seen[key] = lineno
             entities[nid] = Entity(nid, name, cid, description, aliases)
         elif kind == "T":
-            if len(fields) != 4:
-                raise KgFormatError(f"line {lineno}: T record needs 4 fields, got {len(fields)}")
-            edge_lines.append((lineno, fields))
+            raise KgFormatError(f"line {lineno}: T record needs 4 fields, got {len(fields)}")
         else:
             raise KgFormatError(f"line {lineno}: unknown record kind {kind!r}")
 
@@ -204,24 +206,32 @@ def ingest(records: Iterable[str]) -> KnowledgeGraph:
                 f"entity {ent.node_id} ({ent.name!r}) references unknown community "
                 f"{ent.community!r}")
 
-    triples: list[Triple] = []
-    seen: set[Triple] = set()
-    for lineno, fields in edge_lines:
-        _, s_text, relation, o_text = fields
-        if not relation:
-            raise KgFormatError(f"line {lineno}: empty relation label")
-        s = _parse_node_id(s_text, lineno)
-        o = _parse_node_id(o_text, lineno)
-        for nid in (s, o):
-            if nid not in entities:
-                raise KgFormatError(
-                    f"line {lineno}: edge ({s}, {relation!r}, {o}) references unknown node {nid}")
-        t = Triple(s, relation, o)
-        if t not in seen:
-            seen.add(t)
-            triples.append(t)
+    # insertion-ordered dict: dedup keeps each triple's first line
+    triples: dict[Triple, None] = {}
+    for lineno, s_text, relation, o_text in edge_lines:
+        try:  # the common case: a relation and two declared integer ids
+            s, o = int(s_text), int(o_text)
+            ok = relation and s in entities and o in entities
+        except ValueError:
+            ok = False
+        if not ok:
+            _edge_error(entities, lineno, s_text, relation, o_text)
+        triples[Triple(s, relation, o)] = None
 
-    return KnowledgeGraph(entities, communities, triples)
+    return KnowledgeGraph(entities, communities, list(triples))
+
+
+def _edge_error(entities: dict, lineno: int, s_text: str, relation: str,
+                o_text: str) -> NoReturn:
+    """Raise the KgFormatError of the first check this T record fails."""
+    if not relation:
+        raise KgFormatError(f"line {lineno}: empty relation label")
+    s = _parse_node_id(s_text, lineno)
+    o = _parse_node_id(o_text, lineno)
+    for nid in (s, o):
+        if nid not in entities:
+            raise KgFormatError(
+                f"line {lineno}: edge ({s}, {relation!r}, {o}) references unknown node {nid}")
 
 
 def load(path: str | Path) -> KnowledgeGraph:

@@ -7,10 +7,12 @@ Bits = np.ndarray
 
 
 def as_bits(values) -> Bits:
-    arr = np.asarray(values, dtype=np.uint8)
-    if arr.ndim != 1 or not np.all(arr <= 1):
+    """values as a uint8 bitstream. Values are checked before the cast, so an
+    out-of-range or fractional value raises instead of wrapping into a bit."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bitstream must be a flat array of 0/1 values")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def ids_to_bits(ids, width: int) -> Bits:

@@ -15,6 +15,10 @@ import numpy as np
 
 from .bits import Bits
 
+# the decode table has 2**min(longest code, _LOOKUP_BITS) entries; a longer
+# codeword is read bit by bit
+_LOOKUP_BITS = 16
+
 
 @dataclass(frozen=True)
 class HuffmanTable:
@@ -27,6 +31,19 @@ class HuffmanTable:
     def _codewords(self) -> dict:
         """symbol -> its codeword as a '0'/'1' string, MSB first."""
         return {sym: f"{value:0{length}b}" for sym, (length, value) in self.codes.items()}
+
+    @cached_property
+    def _lookup(self) -> tuple[int, list]:
+        """(width, lut): width = min(longest code, _LOOKUP_BITS), and lut[w] is
+        the (symbol, length) of the codeword that prefixes the width-bit window
+        w, or None where no codeword of at most width bits does."""
+        width = min(max(length for length, _ in self.codes.values()), _LOOKUP_BITS)
+        lut: list = [None] * (1 << width)
+        for sym, (length, value) in self.codes.items():
+            if length <= width:
+                shift = width - length
+                lut[value << shift:(value + 1) << shift] = [(sym, length)] * (1 << shift)
+        return width, lut
 
 
 def _code_lengths(freqs: dict) -> dict:
@@ -78,20 +95,35 @@ def huffman_encode(text: str, table: HuffmanTable) -> Bits:
 
 
 def huffman_decode(bits: Bits, table: HuffmanTable) -> str:
-    """Greedy prefix decode. A stream that ends mid-codeword is truncated at
-    the last fully decodable symbol; corruption garbles text but never
-    raises."""
-    decode_map = {lv: sym for sym, lv in table.codes.items()}
-    max_len = max(lv[0] for lv in table.codes.values())
+    """Greedy prefix decode, one table lookup per codeword. A stream that ends
+    mid-codeword is truncated at the last fully decodable symbol; corruption
+    garbles text but never raises."""
+    width, lut = table._lookup
+    n = len(bits)
+    # windows[i]: the width bits from position i, zero-padded past the end
+    padded = np.concatenate([bits, np.zeros(width, dtype=np.uint8)]).astype(np.int64)
+    windows = np.correlate(padded, 1 << np.arange(width - 1, -1, -1), "valid").tolist()
     out: list[str] = []
-    length = value = 0
-    for bit in bits.tolist():
-        value = (value << 1) | bit
-        length += 1
+    i = 0
+    while i < n:
+        entry = lut[windows[i]] or _long_codeword(bits, i, table)
+        if entry is None or i + entry[1] > n:
+            break  # truncated, or an unreachable leaf: stop cleanly
+        out.append(entry[0])
+        i += entry[1]
+    return "".join(out)
+
+
+def _long_codeword(bits: Bits, start: int, table: HuffmanTable) -> tuple[str, int] | None:
+    """The (symbol, length) of the codeword at bits[start:] that the lookup
+    table does not hold, read bit by bit; None if the stream ends first or no
+    codeword matches."""
+    decode_map = {lv: sym for sym, lv in table.codes.items()}
+    max_len = max(length for length, _ in table.codes.values())
+    value = 0
+    for length, bit in enumerate(bits[start:start + max_len].tolist(), start=1):
+        value = value << 1 | bit
         sym = decode_map.get((length, value))
         if sym is not None:
-            out.append(sym)
-            length = value = 0
-        elif length > max_len:
-            break  # unreachable leaf: corrupted beyond resync, stop cleanly
-    return "".join(out)
+            return sym, length
+    return None

@@ -120,6 +120,12 @@ def test_non_binary_values_rejected():
         viterbi_decode_frames(coded)
     with pytest.raises(ValueError):
         viterbi_decode_frames(-np.ones((1, 20), dtype=np.int8))
+    # the single-stream decoder rejects the same values the batch decoder
+    # does, instead of wrapping 256 into a 0
+    received = np.zeros(2 * (10 + 6), dtype=np.int64)
+    received[5] = 256
+    with pytest.raises(ValueError):
+        viterbi_decode(received)
 
 
 # -- the butterfly decoder against the gather/argmin kernel it replaced ----------------

@@ -1,4 +1,4 @@
-"""Embeddings and hierarchical retrieval: cosine math, the deterministic
+"""Embeddings and hierarchical retrieval: the cosine oracle, the deterministic
 trigram embedder, and community-first search against full-scan oracles."""
 
 import math
@@ -9,7 +9,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kgsemcom import EmbeddingIndex, TrigramEmbedder, cosine, ingest
+from kgsemcom import EmbeddingIndex, TrigramEmbedder, ingest
+
+from kgtools import cosine
 
 
 # -- cosine ------------------------------------------------------------------
@@ -166,6 +168,43 @@ def test_embed_batch_matches_embed_one(embedder):
             for text, row in zip(texts, batch):
                 assert np.array_equal(row, singles[text]), repr(text)
         assert emb.embed([]).shape == (0, emb.dim)
+
+
+# texts that meet the frame characters, each other's edges and the padding of
+# one batch encode: the frame characters themselves, adjacent empty texts,
+# one-character texts and lone surrogates at text edges
+BOUNDARY_TEXTS = ["", "", "\x02", "\x03", "\x03\x02", "\x02\x03", "", "a", "b",
+                  "\x02a", "a\x03", "\ud83d", "\ude00", "x\ud800", "\udfffy", "\udcff",
+                  "", "c", " ", "\U0010FFFF", ""]
+
+
+@pytest.mark.parametrize("dim", [384, 7, 1])
+def test_embed_rows_equal_embed_one_across_text_boundaries(dim):
+    emb = TrigramEmbedder(dim=dim)
+    for text in BOUNDARY_TEXTS:
+        assert np.array_equal(emb.embed_one(text), _reference_embedding(text, dim)), repr(text)
+    rnd = random.Random(dim)
+    batches = [BOUNDARY_TEXTS, BOUNDARY_TEXTS[::-1], [""], ["", ""], ["a"], ["a", ""],
+               ["", "a"], ["\x03", "\x02"], ["\ud83d", "\ude00"]]
+    batches += [rnd.choices(BOUNDARY_TEXTS, k=rnd.randrange(1, 12)) for _ in range(50)]
+    for batch in batches:
+        rows = emb.embed(batch)
+        assert rows.shape == (len(batch), dim)
+        for text, row in zip(batch, rows):
+            assert np.array_equal(row, emb.embed_one(text)), (repr(text), batch)
+
+
+def test_index_matrices_equal_embed_one_rows(sample_kg, sample_index, embedder):
+    summaries = sample_index._community_matrix
+    assert summaries.shape == (len(sample_kg.communities), embedder.dim)
+    for cid, row in zip(sample_index.community_ids, summaries):
+        assert np.array_equal(row, embedder.embed_one(sample_kg.communities[cid].summary))
+    for cid in sample_index.community_ids:
+        ids, matrix = sample_index._entities[cid]
+        assert matrix.shape == (len(ids), embedder.dim)
+        for nid, row in zip(ids, matrix):
+            ent = sample_kg.entities[nid]
+            assert np.array_equal(row, embedder.embed_one(f"{ent.name}: {ent.description}"))
 
 
 def test_embedder_memory_stays_bounded():

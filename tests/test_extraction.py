@@ -11,13 +11,14 @@ from kgsemcom import (
     HttpSelector,
     Mention,
     StubSelector,
-    cosine,
     expand,
     extract_trace,
     ingest,
     recognize,
     select,
 )
+
+from kgtools import cosine
 
 
 @pytest.fixture(scope="module")

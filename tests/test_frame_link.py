@@ -16,7 +16,7 @@ from kgsemcom.phy import (
     transmit,
     transmit_many,
 )
-from kgsemcom.phy.bits import bits_to_ids, ids_to_bits
+from kgsemcom.phy.bits import as_bits, bits_to_ids, ids_to_bits
 from kgsemcom.phy.frame import parse_uncoded_stream
 
 
@@ -100,6 +100,22 @@ def test_corrupted_count_degrades_to_length_derived_parse():
     parsed = parse_coded_stream(corrupted, 7)
     assert not parsed.header_consistent
     assert parsed.ids == (10, 20)  # whole 7-bit words actually present
+
+
+@pytest.mark.parametrize("values", [[256, 257, -255, 0], [0.5, 1.9], [0, 1, 2],
+                                    [0.0, float("nan")], [[0, 1]]], ids=repr)
+def test_as_bits_rejects_what_is_not_a_flat_bit_array(values):
+    # checked before the uint8 cast: 256 and -255 used to wrap into 0 and 1,
+    # and 0.5 and 1.9 to truncate into 0 and 1
+    with pytest.raises(ValueError, match="0/1 values"):
+        as_bits(np.array(values))
+
+
+def test_as_bits_accepts_bits_of_any_dtype():
+    for values in ([0, 1, 1], [0.0, 1.0, 1.0], [False, True, True]):
+        bits = as_bits(np.array(values))
+        assert bits.dtype == np.uint8 and bits.tolist() == [0, 1, 1]
+    assert as_bits([]).dtype == np.uint8 and len(as_bits([])) == 0
 
 
 def test_bits_helpers_roundtrip():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kgsemcom.harness as harness
-from kgsemcom.embedding import TrigramEmbedder, _signed_coords, _trigram_keys, cosine
+from kgsemcom.embedding import TrigramEmbedder, _signed_coords, _trigram_keys
 from kgsemcom.harness import (
     SCHEMES,
     ExperimentRecord,
@@ -31,7 +31,7 @@ from kgsemcom.kg import ingest
 from kgsemcom.phy import (ChannelConfig, TransmitResult, channel_bit_cost, huffman_build,
                           huffman_encode, transmit)
 
-from kgtools import tiny_kg
+from kgtools import cosine, tiny_kg
 
 
 @pytest.fixture(scope="module")

@@ -169,11 +169,19 @@ def test_unknown_character_rejected_without_escape():
 
 def test_decode_matches_reference_on_corrupted_streams(sample_corpus):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(73)))
+    # Fibonacci frequencies give codewords of up to 21 bits, longer than the
+    # decode table is wide, so those are read bit by bit
+    fib = [1, 1]
+    while len(fib) < 22:
+        fib.append(fib[-1] + fib[-2])
     cases = [("\n".join(sample_corpus), sample_corpus[0]),
              ("aaaa", "aaaaa"),  # single-symbol table
-             ("aaaaaaaabbbbccd", "abacabad")]
+             ("aaaaaaaabbbbccd", "abacabad"),
+             ("".join(chr(ord("a") + i) * f for i, f in enumerate(fib)),
+              "abcdefghijklmnopqrstuv" * 3 + "vvvba")]
     for corpus, text in cases:
         table = huffman_build(corpus)
+        assert len(table._lookup[1]) <= 1 << 16
         bits = huffman_encode(text, table)
         streams = [bits, rng.integers(0, 2, size=3000, dtype=np.uint8)]
         streams += [bits[:cut] for cut in range(len(bits) + 1)]

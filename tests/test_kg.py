@@ -1,5 +1,7 @@
 """Knowledge-graph store: ingestion, lookups, persistence, error reporting."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,204 @@ def test_duplicate_triples_collapse():
         "T\t0\tr\t1", "T\t0\tr\t1",
     ])
     assert len(kg.triples) == 1
+
+
+# -- the bulk ingest against the per-line ingest it replaced -------------------
+
+def _reference_parse_node_id(text: str, lineno: int) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise KgFormatError(f"line {lineno}: node id {text!r} is not an integer") from None
+    if not 0 <= value <= kgmod.MAX_NODE_ID:
+        raise KgFormatError(f"line {lineno}: node id {value} outside unsigned 32-bit range")
+    return value
+
+
+def _reference_ingest(records) -> kgmod.KnowledgeGraph:
+    """Second implementation of ingest: every line split and kept as its
+    field list, edges checked in a second pass and deduplicated through a set."""
+    entities: dict = {}
+    communities: dict = {}
+    names_seen: dict = {}
+    edge_lines: list = []
+    next_auto = 0
+
+    lines = list(records)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        kind = fields[0]
+        if kind == "C":
+            if len(fields) != 4:
+                raise KgFormatError(f"line {lineno}: C record needs 4 fields, got {len(fields)}")
+            _, cid, label, summary = fields
+            if cid in communities:
+                raise KgFormatError(f"line {lineno}: duplicate community id {cid!r}")
+            communities[cid] = kgmod.Community(cid, label, summary)
+        elif kind == "E":
+            if len(fields) not in (5, 6):
+                raise KgFormatError(f"line {lineno}: E record needs 5 or 6 fields, got {len(fields)}")
+            id_text, name, cid = fields[1], fields[2], fields[3]
+            description = fields[4]
+            aliases = tuple(a for a in (fields[5].split("|") if len(fields) == 6 else []) if a)
+            if not name.strip():
+                raise KgFormatError(f"line {lineno}: entity name is empty")
+            if id_text.strip() == "":
+                while next_auto in entities:
+                    next_auto += 1
+                nid = next_auto
+                next_auto += 1
+            else:
+                nid = _reference_parse_node_id(id_text, lineno)
+            if nid in entities:
+                raise KgFormatError(f"line {lineno}: duplicate node id {nid}")
+            key = canonical_name(name)
+            if key in names_seen:
+                raise KgFormatError(
+                    f"line {lineno}: duplicate canonical name {key!r} "
+                    f"(first defined on line {names_seen[key]})")
+            names_seen[key] = lineno
+            entities[nid] = kgmod.Entity(nid, name, cid, description, aliases)
+        elif kind == "T":
+            if len(fields) != 4:
+                raise KgFormatError(f"line {lineno}: T record needs 4 fields, got {len(fields)}")
+            edge_lines.append((lineno, fields))
+        else:
+            raise KgFormatError(f"line {lineno}: unknown record kind {kind!r}")
+
+    for ent in entities.values():
+        if ent.community not in communities:
+            raise KgFormatError(
+                f"entity {ent.node_id} ({ent.name!r}) references unknown community "
+                f"{ent.community!r}")
+
+    triples: list = []
+    seen: set = set()
+    for lineno, fields in edge_lines:
+        _, s_text, relation, o_text = fields
+        if not relation:
+            raise KgFormatError(f"line {lineno}: empty relation label")
+        s = _reference_parse_node_id(s_text, lineno)
+        o = _reference_parse_node_id(o_text, lineno)
+        for nid in (s, o):
+            if nid not in entities:
+                raise KgFormatError(
+                    f"line {lineno}: edge ({s}, {relation!r}, {o}) references unknown node {nid}")
+        t = kgmod.Triple(s, relation, o)
+        if t not in seen:
+            seen.add(t)
+            triples.append(t)
+
+    return kgmod.KnowledgeGraph(entities, communities, triples)
+
+
+def _outcome(ingest_fn, records):
+    """("graph", graph, its triples) or ("error", the KgFormatError message)."""
+    try:
+        kg = ingest_fn(records)
+    except KgFormatError as exc:
+        return ("error", str(exc))
+    return ("graph", kg, kg.triples)
+
+
+def _random_records(rnd) -> list[str]:
+    """A shuffled stream: communities, entities with explicit and auto ids
+    and aliases, triples that repeat and point forward, comments, blanks."""
+    cids = [f"c{i}" for i in range(rnd.randint(1, 4))]
+    records = [f"C\t{cid}\tlabel {cid}\tsummary of {cid}" for cid in cids]
+    explicit = rnd.sample(range(100, 200), rnd.randint(0, 15))
+    n_auto = rnd.randint(0, 15)
+    ids = explicit + list(range(n_auto))
+    for k, nid in enumerate(explicit + [None] * n_auto):
+        aliases = "|".join(rnd.choice(["", f"alias {k}", f"aka {k}"])
+                           for _ in range(rnd.randint(0, 3)))
+        fields = ["E", "" if nid is None else str(nid), f"Name {k}", rnd.choice(cids),
+                  rnd.choice(["", f"described {k}"])]
+        if aliases or rnd.random() < 0.5:
+            fields.append(aliases)
+        records.append("\t".join(fields))
+    if ids:  # a small pool of edges, so that triples repeat
+        pool = [(rnd.choice(ids), rnd.choice(["r", "s", "near"]), rnd.choice(ids))
+                for _ in range(rnd.randint(1, 10))]
+        records += [f"T\t{s}\t{r}\t{o}" for s, r, o in rnd.choices(pool, k=rnd.randint(0, 30))]
+    rnd.shuffle(records)
+    for _ in range(rnd.randint(0, 4)):
+        records.insert(rnd.randint(0, len(records)),
+                       rnd.choice(["", "   ", "\t", "# comment", "  # indented comment"]))
+    return [r + "\n" if rnd.random() < 0.2 else r for r in records]
+
+
+def _corrupt(rnd, records: list[str]) -> list[str]:
+    """records with one line replaced or added by a malformed one."""
+    bad = rnd.choice([
+        "T\t0\tr", "T\t0\tr\t1\t2", "T\tx\tr\t0", "T\t0\tr\ty", "T\t0\t\t0",
+        "T\t9999\tr\t0", "T\t0\tr\t9999", f"T\t{2**32}\tr\t0", "E\t\tName 0\tc0\t\t",
+        "E\t100\tFresh\tc0\t\t", "E\t-1\tNegative\tc0\t\t", "E\t\t \tc0\t\t",
+        "E\t7\tShort\tc0", "E\t\tLost\tnowhere\t\t", "C\tc0\tagain\tS", "C\tc9\tshort",
+        "X\tunknown", " C\tc8\tL\tS",
+    ])
+    out = list(records)
+    if out and rnd.random() < 0.5:
+        out[rnd.randrange(len(out))] = bad
+    else:
+        out.insert(rnd.randint(0, len(out)), bad)
+    return out
+
+
+def test_ingest_matches_reference_on_random_streams():
+    rnd = random.Random(2024)
+    graphs = errors = 0
+    for _ in range(400):
+        records = _random_records(rnd)
+        got, want = _outcome(ingest, records), _outcome(_reference_ingest, records)
+        assert got == want, records
+        graphs += got[0] == "graph"
+        for _ in range(2):
+            records = _corrupt(rnd, records)
+            got, want = _outcome(ingest, records), _outcome(_reference_ingest, records)
+            assert got == want, records
+            errors += got[0] == "error"
+    # both kinds of outcome are well represented
+    assert graphs > 200 and errors > 400
+
+
+MALFORMED_STREAMS = [
+    # the malformed cases above
+    ["C\tc0\tL\tS", "E\t\tAlpha\tc0\t\t", "E\t\tALPHA\tc0\t\t"],
+    ["C\tc0\tL\tS", "E\t3\tA\tc0\t\t", "E\t3\tB\tc0\t\t"],
+    ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\t0\tr\t9"],
+    ["C\tc0\tL\tS", "E\tonly three\tfields"],
+    ["X\twhat\tis\tthis"],
+    ["C\tc0\tL\tS", f"E\t{2**32}\tBig\tc0\t\t"],
+    ["E\t0\tA\tnowhere\t\t"],
+    ["C\tc0\tL\tS", "C\tc0\tL2\tS2"],
+    # two different errors: the one ingest meets first is reported
+    ["C\tc0\tL\tS", "T\t0\tr\t1\t2", "E\t0\tA\tc0\t\t", "E\t0\tB\tc0\t\t"],
+    ["C\tc0\tL\tS", "T\t0\tr\t9", "E\t0\tA\tc0\t\t", "E\tbad\tB\tc0\t\t"],
+    ["C\tc0\tL\tS", "T\t0\tr\t9", "E\t0\tA\tnowhere\t\t"],
+    ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\t0\tr\t9", "T\t0\t\t0"],
+    ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\tx\t\ty"],
+    ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\t8\tr\t9"],
+    ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", f"T\t0\tr\t{2**32}", "T\t0\tr\tz"],
+    ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\t0\tr"],
+]
+
+
+@pytest.mark.parametrize("records", MALFORMED_STREAMS, ids=range(len(MALFORMED_STREAMS)))
+def test_ingest_raises_the_reference_message(records):
+    with pytest.raises(KgFormatError) as want:
+        _reference_ingest(records)
+    with pytest.raises(KgFormatError) as got:
+        ingest(records)
+    assert str(got.value) == str(want.value)
+
+
+def test_induced_edges_sort_as_tuples():
+    kg = ingest(["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "E\t1\tB\tc0\t\t", "E\t2\tC\tc0\t\t",
+                 "T\t1\tb\t0", "T\t0\tz\t1", "T\t0\ta\t2", "T\t0\ta\t1", "T\t2\ta\t0"])
+    edges = kg.induced_edges(frozenset({0, 1, 2}))
+    assert edges == ((0, "a", 1), (0, "a", 2), (0, "z", 1), (1, "b", 0), (2, "a", 0))
+    assert all(isinstance(t, kgmod.Triple) for t in edges)
