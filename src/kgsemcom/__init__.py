@@ -21,8 +21,8 @@ from .importance import (ImportanceConfig, ImportanceTable, ThresholdPolicy,
                          importance_scores, partition_uep)
 from .phy import (ChannelConfig, SymbolStream, TransmissionFrame, ParsedHeader,
                   TransmitResult, HuffmanTable, conv_encode, viterbi_decode,
-                  qam16_modulate, qam16_demodulate, awgn, noise_generator,
-                  transmit_bits, serialize_frame, parse_coded_stream,
+                  qam16_modulate, qam16_demodulate, awgn, seed_state,
+                  transmit_bits, transmit_rows, serialize_frame, parse_coded_stream,
                   channel_bit_cost, transmit, transmit_many, huffman_build,
                   huffman_encode, huffman_decode, ids_to_bits, bits_to_ids)
 from .generation import (Prompt, ReconstructedText, StubGenerator,
@@ -54,8 +54,9 @@ __all__ = [
     # physical layer
     "ChannelConfig", "SymbolStream", "TransmissionFrame", "ParsedHeader",
     "TransmitResult", "HuffmanTable", "conv_encode", "viterbi_decode",
-    "qam16_modulate", "qam16_demodulate", "awgn", "noise_generator",
-    "transmit_bits", "serialize_frame", "parse_coded_stream", "channel_bit_cost",
+    "qam16_modulate", "qam16_demodulate", "awgn", "seed_state",
+    "transmit_bits", "transmit_rows", "serialize_frame", "parse_coded_stream",
+    "channel_bit_cost",
     "transmit", "transmit_many", "huffman_build", "huffman_encode",
     "huffman_decode", "ids_to_bits", "bits_to_ids",
     # generation

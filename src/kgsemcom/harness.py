@@ -4,7 +4,8 @@ reports. Three schemes share the channel: "kgrag" (id payload with UEP),
 (8 bits per character, uncoded).
 
 Determinism: every trial's channel seed derives from (sweep seed, sentence,
-SNR index, trial, scheme) through a SeedSequence, so identical configs yield
+SNR index, trial, scheme) as ``SeedSequence`` would derive it (one
+``phy.seed_state`` pass per sentence), so identical configs yield
 byte-identical reports and any single row can be replayed in isolation.
 """
 
@@ -27,7 +28,7 @@ from .generation import HttpGenerator, StubGenerator, build_prompt
 from .importance import ImportanceConfig, ImportanceTable, ThresholdPolicy, importance_scores, partition_uep
 from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, channel_bit_cost,
                   HuffmanTable, huffman_build, huffman_decode, huffman_encode, payload_bits,
-                  transmit_bits, transmit_many)
+                  seed_state, transmit_bits, transmit_many)
 from .remote import RemoteConfig
 from .semgraph import Mcsg, build_mcsg, reconstruct
 
@@ -245,45 +246,113 @@ class PipelineContext:
             self._generation_cache[key] = hit
         return hit
 
-    def receive(self, sentence: str, received_ids: list[int]) -> tuple[Mcsg, str, float, str]:
+    def receive(self, sentence: str, received_ids: list[int],
+                embedder=None) -> tuple[Mcsg, str, float, str]:
         """Receiver half of one transmission: reconstruct the subgraph from
-        the received ids, generate text and score it against ``sentence``.
-        -> (reconstruction, text, similarity, ";"-joined flags); an empty
-        reconstruction yields no text and similarity 0.0."""
+        the received ids, generate text and score it against ``sentence``
+        with ``embedder`` (default: the context's). -> (reconstruction, text,
+        similarity, ";"-joined flags); an empty reconstruction yields no text
+        and similarity 0.0."""
         recon = reconstruct(received_ids, self.kg, keep_all_components=self.keep_all_components)
         if not recon.nodes:
             return recon, "", 0.0, "empty_reconstruction"
         text, degraded = self.generate_text(recon)
-        similarity = semantic_similarity(sentence, text, self.embedder)
+        similarity = semantic_similarity(sentence, text, embedder or self.embedder)
         return recon, text, similarity, "generation_fallback" if degraded else ""
 
 
-def derive_seed(base_seed: int, sentence_id: int, snr_index: int, trial: int,
-                scheme: str) -> int:
-    entropy = (base_seed, sentence_id, snr_index, trial, SCHEMES.index(scheme))
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+class SentenceVectors:
+    """Sentence embeddings by text, for the records of one sentence: each of
+    them scores against the same reference, and noisy channels repeat
+    decoded texts. Made per sentence and dropped with it; ``embed_one``
+    returns exactly what the wrapped embedder's does."""
+
+    def __init__(self, embedder):
+        self.embedder = embedder
+        self._vectors: dict[str, np.ndarray] = {}
+
+    def embed_one(self, text: str) -> np.ndarray:
+        vector = self._vectors.get(text)
+        if vector is None:
+            vector = self._vectors[text] = self.embedder.embed_one(text)
+        return vector
 
 
-def _kgrag_records(ctx: PipelineContext, sentence: str, sentence_id: int,
-                   snr_db: float, seeds: list[tuple[int, int]]) -> list[ExperimentRecord]:
-    """One record per (trial, seed); the channel pass is batched over trials."""
+def derive_seed(base_seed: int, sentence_id: int, snr_index, trial, scheme):
+    """The channel seed of one trial: ``SeedSequence((base_seed, sentence_id,
+    snr_index, trial, SCHEMES.index(scheme)))``'s first uint64 word, as an
+    int. Given equal-length arrays of ``snr_index`` and ``trial`` and a
+    sequence of scheme names, it returns a uint64 array with one seed per
+    element, from one ``seed_state`` pass."""
+    if isinstance(scheme, str):
+        scheme_index = SCHEMES.index(scheme)
+    else:
+        scheme_index = np.array([SCHEMES.index(s) for s in scheme], dtype=np.int64)
+    entropy = (base_seed, sentence_id, snr_index, trial, scheme_index)
+    seeds = seed_state(entropy, 1)[:, 0]
+    if all(np.ndim(e) == 0 for e in entropy):
+        return int(seeds[0])
+    return seeds
+
+
+# One (SNR, trials) point of a (sentence, scheme): the SNR and its
+# (trial, seed) pairs. A scheme's point function returns, per point, that
+# point's records or the exception a per-point stage raised there.
+Point = tuple[float, list[tuple[int, int]]]
+PointRows = list[ExperimentRecord] | Exception
+
+
+def _attempt(stage, *args):
+    """``stage(*args)``, or the exception it raised."""
+    try:
+        return stage(*args)
+    except Exception as exc:
+        return exc
+
+
+def _kgrag_points(ctx: PipelineContext, embedder, sentence: str, sentence_id: int,
+                  points: list[Point]) -> list[PointRows]:
+    """Analysis once, one frame per SNR, one channel call for every point."""
     analysis = ctx.analyze(sentence)
-    n_selected = len(analysis.selected.ids)
-    if n_selected == 0:
-        return [ExperimentRecord(sentence_id, snr_db, "kgrag", trial, seed, 0, 0, 0.0,
-                                 0, 0, 0, flags="empty_selection")
-                for trial, seed in seeds]
-    protected, unprotected = partition_uep(analysis.table, snr_db, ctx.importance_config)
-    frame = ctx.frame(protected, unprotected)
-    n_ids = len(analysis.mcsg.nodes)
+    if not analysis.selected.ids:
+        return [[ExperimentRecord(sentence_id, snr_db, "kgrag", trial, seed, 0, 0, 0.0,
+                                  0, 0, 0, flags="empty_selection") for trial, seed in seeds]
+                for snr_db, seeds in points]
+
+    def frame_at(snr_db: float) -> TransmissionFrame:
+        protected, unprotected = partition_uep(analysis.table, snr_db, ctx.importance_config)
+        return ctx.frame(protected, unprotected)
+
+    frames = [_attempt(frame_at, snr_db) for snr_db, _ in points]
+    sent = [(frame, ChannelConfig(snr_db, seed))
+            for (snr_db, seeds), frame in zip(points, frames)
+            if not isinstance(frame, Exception) for _, seed in seeds]
+    results = iter(transmit_many([f for f, _ in sent], [c for _, c in sent]))
+    out = []
+    for (snr_db, seeds), frame in zip(points, frames):
+        if isinstance(frame, Exception):
+            out.append(frame)
+            continue
+        point_results = [next(results) for _ in seeds]
+        out.append(_attempt(_kgrag_point, ctx, embedder, analysis, sentence, sentence_id,
+                            snr_db, frame, seeds, point_results))
+    return out
+
+
+def _kgrag_point(ctx: PipelineContext, embedder, analysis: SentenceAnalysis, sentence: str,
+                 sentence_id: int, snr_db: float, frame: TransmissionFrame,
+                 seeds: list[tuple[int, int]],
+                 results: list[TransmitResult]) -> list[ExperimentRecord]:
+    """Receive and score one point's transmissions."""
+    n_selected, n_ids = len(analysis.selected.ids), len(analysis.mcsg.nodes)
     payload = payload_bits(n_ids, frame.width)
-    channel_bits = channel_bit_cost(len(protected), len(unprotected), frame.width)
-    results = transmit_many(frame, [ChannelConfig(snr_db, seed) for _, seed in seeds])
+    channel_bits = channel_bit_cost(len(frame.protected_ids), len(frame.unprotected_ids),
+                                    frame.width)
     records = []
     for (trial, seed), result in zip(seeds, results):
         received = ctx.received_ids(result)
-        n_valid = len({i for i in received if i in ctx.kg.entities})
-        _, _, similarity, flags = ctx.receive(sentence, received)
+        n_valid = len({node for node in received if node in ctx.kg.entities})
+        _, _, similarity, flags = ctx.receive(sentence, received, embedder)
         records.append(ExperimentRecord(
             sentence_id, snr_db, "kgrag", trial, seed, payload, channel_bits,
             similarity, n_selected, n_ids, n_valid, flags=flags))
@@ -299,31 +368,43 @@ def _bits_to_ascii(bits: np.ndarray) -> str:
     return np.packbits(bits[:len(bits) - len(bits) % 8]).tobytes().decode("latin-1")
 
 
-def _text_records(embedder, huffman_table, scheme: str, sentence: str, sentence_id: int,
-                  snr_db: float, seeds: list[tuple[int, int]]) -> list[ExperimentRecord]:
-    """One record per (trial, seed) for an uncoded text scheme; the sentence
-    is encoded once and crosses the channel once per trial."""
+def _text_points(embedder, huffman_table, scheme: str, sentence: str, sentence_id: int,
+                 points: list[Point]) -> list[PointRows]:
+    """An uncoded text scheme: the sentence is encoded once and crosses the
+    channel in one call for every trial of every point."""
     huffman = scheme == "huffman_baseline"
     bits = huffman_encode(sentence, huffman_table) if huffman else _ascii_bits(sentence)
-    received = transmit_bits(bits, [ChannelConfig(snr_db, seed) for _, seed in seeds])
-    records = []
-    for (trial, seed), rx in zip(seeds, received):
-        decoded = huffman_decode(rx, huffman_table) if huffman else _bits_to_ascii(rx)
-        similarity = semantic_similarity(sentence, decoded, embedder)
-        records.append(ExperimentRecord(sentence_id, snr_db, scheme, trial, seed,
-                                        len(bits), len(bits), similarity, 0, 0, 0,
-                                        flags="" if decoded else "empty_decode"))
-    return records
+    received = iter(transmit_bits(bits, [ChannelConfig(snr_db, seed)
+                                         for snr_db, seeds in points for _, seed in seeds]))
+
+    def point(snr_db: float, seeds, rx_rows) -> list[ExperimentRecord]:
+        records = []
+        for (trial, seed), rx in zip(seeds, rx_rows):
+            decoded = huffman_decode(rx, huffman_table) if huffman else _bits_to_ascii(rx)
+            similarity = semantic_similarity(sentence, decoded, embedder)
+            records.append(ExperimentRecord(sentence_id, snr_db, scheme, trial, seed,
+                                            len(bits), len(bits), similarity, 0, 0, 0,
+                                            flags="" if decoded else "empty_decode"))
+        return records
+
+    return [_attempt(point, snr_db, seeds, [next(received) for _ in seeds])
+            for snr_db, seeds in points]
 
 
-def _records(ctx: PipelineContext, scheme: str, sentence: str, sentence_id: int,
-             snr_db: float, seeds: list[tuple[int, int]]) -> list[ExperimentRecord]:
-    """encode -> channel -> decode -> score for one (sentence, SNR, scheme),
-    one record per (trial, seed)."""
+def _points(ctx: PipelineContext, embedder, scheme: str, sentence: str,
+            sentence_id: int, points: list[Point]) -> list[PointRows]:
+    """encode -> channel -> decode -> score for one (sentence, scheme) at
+    every point."""
     if scheme == "kgrag":
-        return _kgrag_records(ctx, sentence, sentence_id, snr_db, seeds)
-    return _text_records(ctx.embedder, ctx.huffman_table, scheme, sentence,
-                         sentence_id, snr_db, seeds)
+        return _kgrag_points(ctx, embedder, sentence, sentence_id, points)
+    return _text_points(embedder, ctx.huffman_table, scheme, sentence, sentence_id, points)
+
+
+def _error_records(sentence_id: int, snr_db: float, scheme: str,
+                   seeds: list[tuple[int, int]], exc: Exception) -> list[ExperimentRecord]:
+    reason = f"error:{type(exc).__name__}"
+    return [ExperimentRecord(sentence_id, snr_db, scheme, trial, seed, 0, 0, 0.0, 0, 0, 0,
+                             flags=reason) for trial, seed in seeds]
 
 
 def baseline_records(corpus: list[str], snr_grid: list[float] | None = None,
@@ -332,51 +413,73 @@ def baseline_records(corpus: list[str], snr_grid: list[float] | None = None,
     snr_grid = snr_grid if snr_grid is not None else [math.inf]
     embedder = TrigramEmbedder()
     table = huffman_build("\n".join(corpus))
+    schemes = ("huffman_baseline", "ascii")
     records = []
     for sentence_id, sentence in enumerate(corpus):
-        for snr_index, snr_db in enumerate(snr_grid):
-            for scheme in ("huffman_baseline", "ascii"):
-                seeds = [(0, derive_seed(seed, sentence_id, snr_index, 0, scheme))]
-                records += _text_records(embedder, table, scheme, sentence,
-                                         sentence_id, snr_db, seeds)
+        vectors = SentenceVectors(embedder)
+        per_scheme = []
+        for scheme in schemes:
+            seeds = derive_seed(seed, sentence_id, np.arange(len(snr_grid)), 0,
+                                [scheme] * len(snr_grid)).tolist()
+            points = [(snr_db, [(0, s)]) for snr_db, s in zip(snr_grid, seeds)]
+            rows = _text_points(vectors, table, scheme, sentence, sentence_id, points)
+            per_scheme.append([_raised(r) for r in rows])
+        for point_rows in zip(*per_scheme):
+            records += [r for rows in point_rows for r in rows]
     return records
+
+
+def _raised(rows: PointRows) -> list[ExperimentRecord]:
+    if isinstance(rows, Exception):
+        raise rows
+    return rows
 
 
 def run_pipeline(ctx: PipelineContext, sentence: str, sentence_id: int,
                  snr_db: float, seed: int, scheme: str = "kgrag",
                  trial: int = 0) -> ExperimentRecord:
-    """Single (sentence, SNR, seed, scheme) run -> one record."""
-    return _records(ctx, scheme, sentence, sentence_id, snr_db, [(trial, seed)])[0]
-
-
-def _error_record(sentence_id: int, snr_db: float, scheme: str, trial: int,
-                  seed: int, exc: Exception) -> ExperimentRecord:
-    reason = f"error:{type(exc).__name__}"
-    return ExperimentRecord(sentence_id, snr_db, scheme, trial, seed,
-                            0, 0, 0.0, 0, 0, 0, flags=reason)
+    """Single (sentence, SNR, seed, scheme) run -> one record; a stage
+    failure raises."""
+    (rows,) = _points(ctx, ctx.embedder, scheme, sentence, sentence_id,
+                      [(snr_db, [(trial, seed)])])
+    return _raised(rows)[0]
 
 
 def run_sweep(config: SweepConfig, ctx: PipelineContext | None = None) -> list[ExperimentRecord]:
     """All (sentence, snr, trial, scheme) records in deterministic order.
-    A stage failure is captured into the records of the affected (sentence,
-    SNR, scheme) as an error flag; the sweep keeps going."""
+
+    The sweep works one sentence at a time: one ``derive_seed`` pass gives
+    every seed of the sentence, and each scheme sends all its SNR points and
+    trials through one channel call. A failure is captured as an
+    ``error:<type>`` flag and the sweep keeps going. A per-point stage (UEP
+    split, frame, decode, generation, scoring) flags only the records of its
+    (sentence, SNR, scheme); a shared step (analysis, encoding, the channel
+    call) flags the records of every point it covered."""
     ctx = ctx or PipelineContext.from_config(config)
     schemes = [s for s in SCHEMES if s in config.schemes]
+    grid, trials = config.snr_grid, config.trials_per_point
+    shape = (len(grid), trials, len(schemes))
+    snr_index, trial_index, scheme_index = np.indices(shape).reshape(3, -1)
+    scheme_names = [schemes[k] for k in scheme_index]
     records: list[ExperimentRecord] = []
     for sentence_id, sentence in enumerate(ctx.corpus):
-        for snr_index, snr_db in enumerate(config.snr_grid):
-            per_scheme = []
-            for scheme in schemes:
-                seeds = [(trial, derive_seed(config.seed, sentence_id, snr_index, trial, scheme))
-                         for trial in range(config.trials_per_point)]
-                try:
-                    rows = _records(ctx, scheme, sentence, sentence_id, snr_db, seeds)
-                except Exception as exc:
-                    rows = [_error_record(sentence_id, snr_db, scheme, trial, seed, exc)
-                            for trial, seed in seeds]
-                per_scheme.append(rows)
-            for trial_rows in zip(*per_scheme):
-                records.extend(trial_rows)
+        sentence_seeds = derive_seed(config.seed, sentence_id, snr_index, trial_index,
+                                     scheme_names).reshape(shape).tolist()
+        vectors = SentenceVectors(ctx.embedder)
+        per_scheme = []
+        for k, scheme in enumerate(schemes):
+            points = [(snr_db, [(t, sentence_seeds[i][t][k]) for t in range(trials)])
+                      for i, snr_db in enumerate(grid)]
+            try:
+                rows = _points(ctx, vectors, scheme, sentence, sentence_id, points)
+            except Exception as exc:  # a shared step: every point fails with it
+                rows = [exc] * len(points)
+            per_scheme.append([_error_records(sentence_id, snr_db, scheme, seeds, r)
+                               if isinstance(r, Exception) else r
+                               for (snr_db, seeds), r in zip(points, rows)])
+        for i in range(len(grid)):
+            for t in range(trials):
+                records += [rows[i][t] for rows in per_scheme]
     return records
 
 

@@ -1,12 +1,13 @@
-"""Physical layer: framing, channel coding, modulation, noise, baselines."""
+"""Physical layer: framing, channel coding, modulation, noise, seeding, baselines."""
 
 from .bits import Bits, as_bits, bits_to_ids, ids_to_bits
 from .convcode import conv_encode, conv_encode_frames, viterbi_decode, viterbi_decode_frames
 from .frame import ParsedHeader, TransmissionFrame, parse_coded_stream, payload_bits, serialize_frame
 from .huffman import HuffmanTable, huffman_build, huffman_decode, huffman_encode
 from .link import TransmitResult, channel_bit_cost, transmit, transmit_many
-from .qam import (ChannelConfig, SymbolStream, awgn, noise_generator,
-                  qam16_demodulate, qam16_modulate, transmit_bits)
+from .qam import (ChannelConfig, SymbolStream, awgn, qam16_demodulate, qam16_modulate,
+                  standard_normals, transmit_bits, transmit_rows)
+from .seeding import seed_state
 
 __all__ = [
     "Bits", "as_bits", "bits_to_ids", "ids_to_bits",
@@ -15,6 +16,7 @@ __all__ = [
     "serialize_frame",
     "HuffmanTable", "huffman_build", "huffman_decode", "huffman_encode",
     "TransmitResult", "channel_bit_cost", "transmit", "transmit_many",
-    "ChannelConfig", "SymbolStream", "awgn", "noise_generator",
-    "qam16_demodulate", "qam16_modulate", "transmit_bits",
+    "ChannelConfig", "SymbolStream", "awgn", "qam16_demodulate", "qam16_modulate",
+    "standard_normals", "transmit_bits", "transmit_rows",
+    "seed_state",
 ]

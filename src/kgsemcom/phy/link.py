@@ -1,13 +1,14 @@
-"""End-to-end transmission of one frame: UEP channel coding, 16QAM, AWGN.
+"""End-to-end transmission of id frames: UEP channel coding, 16QAM, AWGN.
 
 The header+protected stream is convolutionally encoded before it enters the
-channel; the unprotected stream enters as-is. Both cross ``qam.transmit_bits``
+channel; the unprotected stream enters as-is. Both cross ``qam.transmit_rows``
 (16QAM, AWGN, hard slicing). ``frame.py`` serializes and parses both streams,
 and ``channel_bit_cost`` gives the total channel bits from its
 ``payload_bits`` and the code's tail; nothing else restates them. The two
 streams see independent noise derived from the same 64-bit seed.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,8 @@ import numpy as np
 from .convcode import TAIL, conv_encode, viterbi_decode_frames
 from .frame import (TransmissionFrame, parse_coded_stream, parse_uncoded_stream,
                     payload_bits, serialize_frame)
-from .qam import ChannelConfig, transmit_bits
+from .qam import ChannelConfig, transmit_rows
+from .seeding import seed_state
 
 
 @dataclass(frozen=True)
@@ -46,38 +48,54 @@ def channel_bit_cost(n_protected: int, n_unprotected: int, width: int) -> int:
 
 
 def transmit(frame: TransmissionFrame, cfg: ChannelConfig) -> TransmitResult:
-    return transmit_many(frame, [cfg])[0]
+    return transmit_many([frame], [cfg])[0]
 
 
-def transmit_many(frame: TransmissionFrame, cfgs: list[ChannelConfig]) -> list[TransmitResult]:
-    """Send the same frame over independently seeded channel realizations.
-    Noise is drawn per config (bit-identical to one-at-a-time transmit calls);
-    the Viterbi pass is batched across realizations."""
-    coded_info, uncoded = serialize_frame(frame)
-    coded = conv_encode(coded_info)
+def transmit_many(frames: Sequence[TransmissionFrame],
+                  cfgs: Sequence[ChannelConfig]) -> list[TransmitResult]:
+    """Send ``frames[i]`` over the channel of ``cfgs[i]``; result i equals
+    ``transmit(frames[i], cfgs[i])``. Each distinct frame is serialized and
+    encoded once, all coded and uncoded streams cross the channel in one
+    call, and Viterbi runs once per distinct coded length."""
+    if len(frames) != len(cfgs):
+        raise ValueError("one channel config per frame")
+    if not frames:
+        return []
+    streams = {}
+    for frame in frames:
+        if frame not in streams:
+            coded_info, uncoded = serialize_frame(frame)
+            streams[frame] = (coded_info, conv_encode(coded_info), uncoded)
+    sent = [streams[frame] for frame in frames]
     # separate substreams per class so class sizes never shift the noise
-    rx_coded_bits = transmit_bits(coded, [ChannelConfig(c.snr_db, _substream_seed(c.seed, 0))
-                                          for c in cfgs])
-    rx_uncoded_bits = transmit_bits(uncoded, [ChannelConfig(c.snr_db, _substream_seed(c.seed, 1))
-                                              for c in cfgs])
+    n = len(cfgs)
+    seeds = [c.seed for c in cfgs]
+    substream = seed_state((seeds + seeds, [0] * n + [1] * n), 1)[:, 0].tolist()
+    channels = [ChannelConfig(c.snr_db, s) for c, s in zip(list(cfgs) * 2, substream)]
+    received = transmit_rows([coded for _, coded, _ in sent] + [uncoded for *_, uncoded in sent],
+                             channels)
+    rx_coded, rx_uncoded = received[:n], received[n:]
 
-    decoded = viterbi_decode_frames(rx_coded_bits)
+    decoded: list = [None] * n
+    by_length: dict[int, list[int]] = {}
+    for row, bits in enumerate(rx_coded):
+        by_length.setdefault(len(bits), []).append(row)
+    for rows in by_length.values():
+        for row, bits in zip(rows, viterbi_decode_frames(np.stack([rx_coded[r] for r in rows]))):
+            decoded[row] = bits
+
     results = []
-    for row in range(len(cfgs)):
-        parsed = parse_coded_stream(decoded[row], frame.width)
-        uncoded_ids = parse_uncoded_stream(rx_uncoded_bits[row], frame.width)
+    for frame, (coded_info, coded, uncoded), rx_info, rx_plain in zip(
+            frames, sent, decoded, rx_uncoded):
+        parsed = parse_coded_stream(rx_info, frame.width)
+        uncoded_ids = parse_uncoded_stream(rx_plain, frame.width)
         results.append(TransmitResult(
             received_protected=parsed.ids,
             received_unprotected=uncoded_ids,
             coded_channel_bits=len(coded),
             uncoded_channel_bits=len(uncoded),
-            coded_bit_errors=int(np.count_nonzero(decoded[row] != coded_info)),
-            uncoded_bit_errors=int(np.count_nonzero(rx_uncoded_bits[row] != uncoded)),
+            coded_bit_errors=int(np.count_nonzero(rx_info != coded_info)),
+            uncoded_bit_errors=int(np.count_nonzero(rx_plain != uncoded)),
             header_consistent=parsed.header_consistent and parsed.n_unprotected == len(uncoded_ids),
         ))
     return results
-
-
-def _substream_seed(seed: int, stream: int) -> int:
-    state = np.random.SeedSequence((seed, stream)).generate_state(1, np.uint64)
-    return int(state[0])

@@ -308,7 +308,7 @@ def test_criterion_6_similarity_trend_and_noiseless_recovery(capsys, sample_kg,
             cfgs = [ChannelConfig(snr_db, derive_seed(6006, sentence_id, snr_index,
                                                       trial, "kgrag"))
                     for trial in range(n_seeds)]
-            for result in transmit_many(frame, cfgs):
+            for result in transmit_many([frame] * len(cfgs), cfgs):
                 recon = reconstruct(ctx.received_ids(result), ctx.kg)
                 if not recon.nodes:
                     sims.append(0.0)

@@ -1,6 +1,8 @@
 """Wire format for id payloads and the end-to-end link: UEP coding, QAM,
 AWGN, parsing, diagnostics."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -166,11 +168,43 @@ def test_transmit_no_noise_identity_thousand_random_frames():
 
 
 def test_transmit_many_bit_identical_to_single_calls():
-    frame = TransmissionFrame((1, 5), (9, 12, 77), 7)
-    cfgs = [ChannelConfig(4.0, seed) for seed in (11, 22, 33)]
-    batched = transmit_many(frame, cfgs)
-    singles = [transmit(frame, cfg) for cfg in cfgs]
+    # frames of two coded lengths, an empty unprotected class, and a repeated
+    # frame and seed: one channel call and two Viterbi batches, row by row
+    short = TransmissionFrame((1, 5), (9, 12, 77), 7)
+    long = TransmissionFrame((1, 5, 8, 40), (), 7)
+    frames = [short, long, short, long, short]
+    cfgs = [ChannelConfig(snr_db, seed)
+            for snr_db, seed in ((4.0, 11), (4.0, 22), (0.0, 33), (math.inf, 44), (4.0, 11))]
+    batched = transmit_many(frames, cfgs)
+    singles = [transmit(frame, cfg) for frame, cfg in zip(frames, cfgs)]
     assert batched == singles
+    assert batched[0] == batched[4]
+    assert transmit_many([], []) == []
+    with pytest.raises(ValueError, match="one channel config per frame"):
+        transmit_many(frames, cfgs[:2])
+
+
+# sha256 over the repr of every TransmitResult field, for the frames below at
+# each SNR and seed, pinned before the channel became one call per batch
+TRANSMIT_MANY_SHA256 = "5df65e10776e680bf02965ec85fadbbc4459dff719c9c8d1790b98cefcc0b3fa"
+
+
+def test_transmit_many_matches_pinned_sha256():
+    frames, cfgs = [], []
+    for width in (7, 11, 15):
+        top = (1 << width) - 1
+        for frame in (TransmissionFrame((), (), width),
+                      TransmissionFrame((), (0, 5, top), width),
+                      TransmissionFrame((1, top), (), width),
+                      TransmissionFrame(tuple(range(3, 40, 3)), (2, 50, top - 1), width)):
+            for snr_db in (-math.inf, 0.0, 6.0, math.inf):
+                for seed in (0, 2**32, 2**64 - 1, 2**70):
+                    frames.append(frame)
+                    cfgs.append(ChannelConfig(snr_db, seed))
+    digest = hashlib.sha256()
+    for result in transmit_many(frames, cfgs):
+        digest.update(repr(dataclasses.astuple(result)).encode())
+    assert digest.hexdigest() == TRANSMIT_MANY_SHA256
 
 
 def test_same_seed_reproducible_distinct_seeds_differ():
@@ -195,7 +229,7 @@ def _recoveries(width: int, snr_db: float) -> dict[int, int]:
     # path-graph split: middle node protected, endpoints uncoded; how often
     # each id arrives over 1,000 seeded passes
     frame = TransmissionFrame((1,), (0, 2), width)
-    results = transmit_many(frame, [ChannelConfig(snr_db, seed) for seed in range(1000)])
+    results = transmit_many([frame] * 1000, [ChannelConfig(snr_db, seed) for seed in range(1000)])
     return {nid: sum(nid in r.received_ids for r in results) for nid in (0, 1, 2)}
 
 

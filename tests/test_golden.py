@@ -4,10 +4,14 @@ A change that alters sweep output on purpose (a new decoder, a new embedder)
 re-pins this hash in the same change and says so."""
 
 import hashlib
+import math
 
 from kgsemcom.harness import SweepConfig, render_report, run_sweep
 
 FIXTURE_SWEEP_SHA256 = "8ec28c1cd9fd31e45317b6886d3ab2897ea45ef32ab1f1d6582ba62af240f7be"
+# sweep seed 2**40 + 3 (two 32-bit words, so six-word seed entropy), both
+# infinite SNRs, every scheme
+WIDE_SEED_SWEEP_SHA256 = "92eb38d924388c10d1f7935a39d439682faf38f4a405f65b199fed3b656e2a90"
 
 
 def test_fixture_sweep_matches_golden_sha256(sample_kg_path, sample_corpus_path):
@@ -17,3 +21,13 @@ def test_fixture_sweep_matches_golden_sha256(sample_kg_path, sample_corpus_path)
     assert len(records) == 60 * 7 * 5 * 3
     report = render_report(records, config.snr_grid)
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == FIXTURE_SWEEP_SHA256
+
+
+def test_wide_seed_sweep_matches_pinned_sha256(sample_kg_path, sample_corpus_path):
+    config = SweepConfig(kg_path=sample_kg_path, corpus_path=sample_corpus_path,
+                         snr_grid=[-math.inf, 0.0, 3.0, 12.0, math.inf],
+                         trials_per_point=3, seed=2**40 + 3)
+    records = run_sweep(config)
+    assert len(records) == 60 * 5 * 3 * 3
+    report = render_report(records, config.snr_grid)
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == WIDE_SEED_SWEEP_SHA256

@@ -149,6 +149,20 @@ def test_derive_seed_deterministic_and_sensitive():
     assert all(0 <= v < 2**64 for v in variants | {base})
 
 
+def test_derive_seed_arrays_equal_scalar_calls():
+    snr_index, trial, scheme = np.indices((3, 2, 3)).reshape(3, -1)
+    names = [SCHEMES[k] for k in scheme]
+    for base in (0, 2**40 + 3, 2**70):
+        seeds = derive_seed(base, 4, snr_index, trial, names)
+        assert seeds.dtype == np.uint64 and seeds.shape == (18,)
+        assert seeds.tolist() == [
+            int(np.random.SeedSequence((base, 4, i, t, k)).generate_state(1, np.uint64)[0])
+            for i, t, k in zip(snr_index.tolist(), trial.tolist(), scheme.tolist())]
+        assert seeds.tolist() == [derive_seed(base, 4, i, t, n)
+                                  for i, t, n in zip(snr_index.tolist(), trial.tolist(), names)]
+    assert isinstance(derive_seed(0, 0, 0, 0, "ascii"), int)
+
+
 # -- single runs -------------------------------------------------------------------
 
 def test_run_pipeline_no_noise_full_recovery(ctx, sample_corpus):
@@ -350,6 +364,72 @@ def test_run_sweep_captures_stage_errors(small_config, monkeypatch, stage, faili
             assert r.payload_bits == r.channel_bits == 0
         else:
             assert "error" not in r.flags
+
+
+def test_run_sweep_failure_at_one_snr_flags_only_that_point(tmp_path, sample_kg_path,
+                                                              sample_corpus, monkeypatch):
+    corpus_path = tmp_path / "three.txt"
+    corpus_path.write_text("\n".join(sample_corpus[:3]) + "\n", encoding="utf-8")
+    config = SweepConfig(kg_path=str(sample_kg_path), corpus_path=str(corpus_path),
+                         snr_grid=[0.0, 6.0, 12.0], trials_per_point=2)
+    ctx = PipelineContext.from_config(config)
+    clean = run_sweep(config, ctx)
+    real_partition = harness.partition_uep
+
+    def partition_failing_at_six_db(table, snr_db, importance_config):
+        if snr_db == 6.0:
+            raise KeyError("boom")
+        return real_partition(table, snr_db, importance_config)
+
+    monkeypatch.setattr(harness, "partition_uep", partition_failing_at_six_db)
+    records = run_sweep(config, ctx)
+    assert len(records) == len(clean) == 3 * 3 * 2 * 3
+    for got, want in zip(records, clean):
+        if got.scheme == "kgrag" and got.snr_db == 6.0 and want.n_selected:
+            assert got.flags == "error:KeyError"
+            assert (got.sentence_id, got.trial, got.seed) == (
+                want.sentence_id, want.trial, want.seed)
+        else:
+            assert got == want
+    assert any(r.flags == "error:KeyError" for r in records)
+
+
+def test_run_sweep_scoring_failure_on_one_text_flags_only_its_point(small_config, monkeypatch):
+    config = SweepConfig(kg_path=small_config.kg_path, corpus_path=small_config.corpus_path,
+                         snr_grid=[math.inf, 0.0], trials_per_point=2, schemes=("ascii",))
+    ctx = PipelineContext.from_config(config)
+    clean = run_sweep(config, ctx)
+    real_similarity = harness.semantic_similarity
+
+    def similarity_failing_on_noise(a, b, embedder):
+        if a != b:  # only a noisy decode differs from its sentence
+            raise ZeroDivisionError
+        return real_similarity(a, b, embedder)
+
+    monkeypatch.setattr(harness, "semantic_similarity", similarity_failing_on_noise)
+    for got, want in zip(run_sweep(config, ctx), clean):
+        assert got == want if got.snr_db == math.inf else got.flags == "error:ZeroDivisionError"
+
+
+def test_run_sweep_embeds_each_distinct_text_once_per_sentence(small_config, monkeypatch):
+    config = SweepConfig(kg_path=small_config.kg_path, corpus_path=small_config.corpus_path,
+                         snr_grid=[math.inf, 4.0, 12.0], trials_per_point=3)
+    ctx = PipelineContext.from_config(config)
+    clean = run_sweep(config, ctx)
+    calls: list[str] = []
+    real_embed_one = ctx.embedder.embed_one
+    monkeypatch.setattr(ctx.embedder, "embed_one",
+                        lambda text: calls.append(text) or real_embed_one(text))
+    memos: list[harness.SentenceVectors] = []
+    real_memo = harness.SentenceVectors
+    monkeypatch.setattr(harness, "SentenceVectors",
+                        lambda embedder: memos.append(real_memo(embedder)) or memos[-1])
+    assert run_sweep(config, ctx) == clean
+    assert len(memos) == len(ctx.corpus)  # one memo per sentence, none shared
+    assert len(calls) == sum(len(m._vectors) for m in memos)
+    for sentence, memo in zip(ctx.corpus, memos):
+        assert sentence in memo._vectors
+    assert calls.count(ctx.corpus[0]) == 1
 
 
 def test_baseline_records_no_noise(sample_corpus):

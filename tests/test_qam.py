@@ -1,5 +1,5 @@
 """Gray-coded 16QAM mapping, hard-decision slicing, the seeded AWGN channel,
-and ``transmit_bits``, the one path through all three."""
+and ``transmit_rows``, the one path through all three."""
 
 import math
 
@@ -13,7 +13,9 @@ from kgsemcom.phy import (
     qam16_demodulate,
     qam16_modulate,
     qam,
+    standard_normals,
     transmit_bits,
+    transmit_rows,
 )
 
 SCALE = 1.0 / math.sqrt(10.0)
@@ -123,6 +125,74 @@ def test_channel_config_rejects_nan_accepts_inf():
     ChannelConfig(-3.5, 0)
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, True, False, np.uint64(3), "3", None])
+def test_channel_config_rejects_a_seed_that_is_not_a_non_negative_int(seed):
+    with pytest.raises(ValueError, match="seed"):
+        ChannelConfig(3.0, seed)
+
+
+def test_channel_config_keeps_huge_seeds():
+    assert ChannelConfig(3.0, 2**70).seed == 2**70
+
+
+def _reference_awgn(stream: SymbolStream, cfg: ChannelConfig) -> SymbolStream:
+    # one SeedSequence -> Philox generator per call, real then imaginary draws
+    if cfg.snr_db == math.inf:
+        return SymbolStream(symbols=stream.symbols.copy(), pad_bits=stream.pad_bits)
+    n0 = 10.0 ** (-cfg.snr_db / 10.0)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
+    n = len(stream.symbols)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return SymbolStream(symbols=stream.symbols + noise * math.sqrt(n0 / 2.0),
+                        pad_bits=stream.pad_bits)
+
+
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**70)
+SNRS = (-math.inf, -3.0, 0.0, 6.0, 12.5, math.inf)
+
+
+def test_awgn_equals_one_seeded_philox_generator_per_call():
+    stream = qam16_modulate(np.arange(402, dtype=np.uint8) % 3 % 2)
+    for seed in SEEDS:
+        for snr_db in SNRS:
+            cfg = ChannelConfig(snr_db, seed)
+            with np.errstate(invalid="ignore"):
+                expected = _reference_awgn(stream, cfg).symbols
+            assert np.array_equal(awgn(stream, cfg).symbols, expected, equal_nan=True)
+
+
+def test_transmit_rows_equal_one_reference_channel_pass_each():
+    # rows of every padding, empty rows, repeated and huge seeds, all SNRs
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(57)))
+    lengths = [0, 1, 2, 3, 4, 5, 37, 0, 400]
+    streams, cfgs = [], []
+    for i, (seed, snr_db) in enumerate((s, r) for s in SEEDS for r in SNRS):
+        streams.append(rng.integers(0, 2, size=lengths[i % len(lengths)], dtype=np.uint8))
+        cfgs.append(ChannelConfig(snr_db, seed))
+    rows = transmit_rows(streams, cfgs)
+    assert len(rows) == len(streams)
+    for bits, cfg, row in zip(streams, cfgs, rows):
+        with np.errstate(invalid="ignore"):
+            expected = qam16_demodulate(_reference_awgn(qam16_modulate(bits), cfg))
+        assert row.dtype == np.uint8
+        assert np.array_equal(row, expected)
+    assert transmit_rows([], []) == []
+    with pytest.raises(ValueError, match="one channel config per stream"):
+        transmit_rows(streams, cfgs[:1])
+    with pytest.raises(ValueError, match="0/1"):
+        transmit_rows([np.array([0, 2])], [ChannelConfig(0.0, 0)])
+
+
+def test_standard_normals_continue_one_stream_per_seed():
+    counts = [3, 0, 5, 3]
+    seeds = [9, 2**70, 11, 9]
+    out = standard_normals(seeds, counts)
+    starts = np.cumsum(counts) - counts
+    for seed, n, start in zip(seeds, counts, starts):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        assert np.array_equal(out[start:start + n], rng.standard_normal(n))
+
+
 def test_empty_bitstream_roundtrip():
     stream = qam16_modulate(np.zeros(0, dtype=np.uint8))
     assert len(stream.symbols) == 0
@@ -185,10 +255,15 @@ def test_transmit_bits_rows_equal_one_channel_pass_each(n):
 
 
 def test_transmit_bits_empty_stream_draws_no_noise(monkeypatch):
-    def no_noise(seed):
-        raise AssertionError("noise drawn for an empty stream")
+    def no_noise(*args):
+        raise AssertionError("keys derived or noise drawn for an empty stream")
 
-    monkeypatch.setattr(qam, "noise_generator", no_noise)
+    # the two steps from a seed to noise: key derivation, then the draws
+    monkeypatch.setattr(qam, "seed_state", no_noise)
+    monkeypatch.setattr(qam, "standard_normals", no_noise)
     out = transmit_bits(np.zeros(0, dtype=np.uint8), [ChannelConfig(0.0, s) for s in range(3)])
     assert out.shape == (3, 0) and out.dtype == np.uint8
     assert transmit_bits(np.zeros(0, dtype=np.uint8), []).shape == (0, 0)
+    # the patches sit on the path a non-empty stream takes
+    with pytest.raises(AssertionError, match="empty stream"):
+        transmit_bits(np.ones(1, dtype=np.uint8), [ChannelConfig(0.0, 0)])
