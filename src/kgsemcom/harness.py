@@ -169,11 +169,13 @@ def select_backends(extract_backend: str, generate_backend: str) -> tuple[object
 
 
 class PipelineContext:
-    """Shared state for runs: KG, embedder, index, backends, caches.
+    """Shared state for runs: KG, embedder, index, backends and the
+    generation memo.
 
-    Extraction, importance, generation, and similarity are deterministic
-    functions of their inputs, so per-sentence and per-reconstruction caches
-    change nothing observable besides speed. The corpus only feeds the sweep's
+    ``analyze`` is a plain function of the sentence; the sweep calls it once
+    per sentence. Generation is a deterministic function of the reconstructed
+    node set, so texts are memoized by that set for the context's life, which
+    changes nothing observable besides speed. The corpus only feeds the sweep's
     sentence list and the Huffman table, which is built on first use.
     """
 
@@ -197,8 +199,7 @@ class PipelineContext:
         self.id_width = len(kg.entities).bit_length()
         self._id_of_rank = np.full(1 << self.id_width, -1, dtype=np.int64)
         self._id_of_rank[:len(kg.entities)] = sorted(kg.entities)
-        self._analysis_cache: dict[str, SentenceAnalysis] = {}
-        self._generation_cache: dict[tuple, tuple[str, bool]] = {}
+        self._generation_cache: dict[frozenset[int], tuple[str, bool]] = {}
 
     @classmethod
     def from_config(cls, config: SweepConfig) -> "PipelineContext":
@@ -216,14 +217,10 @@ class PipelineContext:
         return huffman_build("\n".join(self.corpus))
 
     def analyze(self, sentence: str) -> SentenceAnalysis:
-        hit = self._analysis_cache.get(sentence)
-        if hit is None:
-            trace = extract_trace(sentence, self.kg, self.index, self.extraction)
-            mcsg = build_mcsg(trace.selected, self.kg)
-            table = importance_scores(mcsg, self.importance_config)
-            hit = SentenceAnalysis(trace.selected, mcsg, table)
-            self._analysis_cache[sentence] = hit
-        return hit
+        trace = extract_trace(sentence, self.kg, self.index, self.extraction)
+        mcsg = build_mcsg(trace.selected, self.kg)
+        return SentenceAnalysis(trace.selected, mcsg,
+                                importance_scores(mcsg, self.importance_config))
 
     def frame(self, protected: list[int], unprotected: list[int]) -> TransmissionFrame:
         """The wire frame for two ascending id classes: each id as its rank."""
@@ -238,12 +235,10 @@ class PipelineContext:
         return self._id_of_rank[list(result.received_ids)].tolist()
 
     def generate_text(self, recon: Mcsg) -> tuple[str, bool]:
-        key = tuple(sorted(recon.nodes))
-        hit = self._generation_cache.get(key)
+        hit = self._generation_cache.get(recon.nodes)
         if hit is None:
             result = self.generator.generate(build_prompt(recon, self.kg))
-            hit = (result.text, result.degraded)
-            self._generation_cache[key] = hit
+            hit = self._generation_cache[recon.nodes] = (result.text, result.degraded)
         return hit
 
     def receive(self, sentence: str, received_ids: list[int],
@@ -368,19 +363,19 @@ def _bits_to_ascii(bits: np.ndarray) -> str:
     return np.packbits(bits[:len(bits) - len(bits) % 8]).tobytes().decode("latin-1")
 
 
-def _text_points(embedder, huffman_table, scheme: str, sentence: str, sentence_id: int,
-                 points: list[Point]) -> list[PointRows]:
+def _text_points(ctx: PipelineContext, embedder, scheme: str, sentence: str,
+                 sentence_id: int, points: list[Point]) -> list[PointRows]:
     """An uncoded text scheme: the sentence is encoded once and crosses the
     channel in one call for every trial of every point."""
     huffman = scheme == "huffman_baseline"
-    bits = huffman_encode(sentence, huffman_table) if huffman else _ascii_bits(sentence)
+    bits = huffman_encode(sentence, ctx.huffman_table) if huffman else _ascii_bits(sentence)
     received = iter(transmit_bits(bits, [ChannelConfig(snr_db, seed)
                                          for snr_db, seeds in points for _, seed in seeds]))
 
     def point(snr_db: float, seeds, rx_rows) -> list[ExperimentRecord]:
         records = []
         for (trial, seed), rx in zip(seeds, rx_rows):
-            decoded = huffman_decode(rx, huffman_table) if huffman else _bits_to_ascii(rx)
+            decoded = huffman_decode(rx, ctx.huffman_table) if huffman else _bits_to_ascii(rx)
             similarity = semantic_similarity(sentence, decoded, embedder)
             records.append(ExperimentRecord(sentence_id, snr_db, scheme, trial, seed,
                                             len(bits), len(bits), similarity, 0, 0, 0,
@@ -397,7 +392,7 @@ def _points(ctx: PipelineContext, embedder, scheme: str, sentence: str,
     every point."""
     if scheme == "kgrag":
         return _kgrag_points(ctx, embedder, sentence, sentence_id, points)
-    return _text_points(embedder, ctx.huffman_table, scheme, sentence, sentence_id, points)
+    return _text_points(ctx, embedder, scheme, sentence, sentence_id, points)
 
 
 def _error_records(sentence_id: int, snr_db: float, scheme: str,
@@ -409,30 +404,14 @@ def _error_records(sentence_id: int, snr_db: float, scheme: str,
 
 def baseline_records(corpus: list[str], snr_grid: list[float] | None = None,
                      seed: int = 0) -> list[ExperimentRecord]:
-    """Text-only schemes (huffman_baseline, ascii) over a corpus; no KG needed."""
+    """Text-only schemes (huffman_baseline, ascii) over a corpus, one trial
+    per SNR point (default: a noiseless channel), through the sweep's engine:
+    the records equal those ``run_sweep`` gives for these schemes, and a
+    failure is flagged the same way. No KG needed: the text schemes never
+    read the graph, so the context holds an empty one."""
     snr_grid = snr_grid if snr_grid is not None else [math.inf]
-    embedder = TrigramEmbedder()
-    table = huffman_build("\n".join(corpus))
-    schemes = ("huffman_baseline", "ascii")
-    records = []
-    for sentence_id, sentence in enumerate(corpus):
-        vectors = SentenceVectors(embedder)
-        per_scheme = []
-        for scheme in schemes:
-            seeds = derive_seed(seed, sentence_id, np.arange(len(snr_grid)), 0,
-                                [scheme] * len(snr_grid)).tolist()
-            points = [(snr_db, [(0, s)]) for snr_db, s in zip(snr_grid, seeds)]
-            rows = _text_points(vectors, table, scheme, sentence, sentence_id, points)
-            per_scheme.append([_raised(r) for r in rows])
-        for point_rows in zip(*per_scheme):
-            records += [r for rows in point_rows for r in rows]
-    return records
-
-
-def _raised(rows: PointRows) -> list[ExperimentRecord]:
-    if isinstance(rows, Exception):
-        raise rows
-    return rows
+    return _sweep(PipelineContext(kgmod.ingest([]), corpus), snr_grid, 1, seed,
+                  ("huffman_baseline", "ascii"))
 
 
 def run_pipeline(ctx: PipelineContext, sentence: str, sentence_id: int,
@@ -442,11 +421,14 @@ def run_pipeline(ctx: PipelineContext, sentence: str, sentence_id: int,
     failure raises."""
     (rows,) = _points(ctx, ctx.embedder, scheme, sentence, sentence_id,
                       [(snr_db, [(trial, seed)])])
-    return _raised(rows)[0]
+    if isinstance(rows, Exception):
+        raise rows
+    return rows[0]
 
 
 def run_sweep(config: SweepConfig, ctx: PipelineContext | None = None) -> list[ExperimentRecord]:
-    """All (sentence, snr, trial, scheme) records in deterministic order.
+    """All (sentence, snr, trial, scheme) records of ``config`` in
+    deterministic order, on ``ctx`` (default: one built from ``config``).
 
     The sweep works one sentence at a time: one ``derive_seed`` pass gives
     every seed of the sentence, and each scheme sends all its SNR points and
@@ -455,15 +437,20 @@ def run_sweep(config: SweepConfig, ctx: PipelineContext | None = None) -> list[E
     split, frame, decode, generation, scoring) flags only the records of its
     (sentence, SNR, scheme); a shared step (analysis, encoding, the channel
     call) flags the records of every point it covered."""
-    ctx = ctx or PipelineContext.from_config(config)
-    schemes = [s for s in SCHEMES if s in config.schemes]
-    grid, trials = config.snr_grid, config.trials_per_point
+    return _sweep(ctx or PipelineContext.from_config(config), config.snr_grid,
+                  config.trials_per_point, config.seed, config.schemes)
+
+
+def _sweep(ctx: PipelineContext, grid: list[float], trials: int, seed: int,
+           schemes: Sequence[str]) -> list[ExperimentRecord]:
+    """The one sweep loop behind ``run_sweep`` and ``baseline_records``."""
+    schemes = [s for s in SCHEMES if s in schemes]
     shape = (len(grid), trials, len(schemes))
     snr_index, trial_index, scheme_index = np.indices(shape).reshape(3, -1)
     scheme_names = [schemes[k] for k in scheme_index]
     records: list[ExperimentRecord] = []
     for sentence_id, sentence in enumerate(ctx.corpus):
-        sentence_seeds = derive_seed(config.seed, sentence_id, snr_index, trial_index,
+        sentence_seeds = derive_seed(seed, sentence_id, snr_index, trial_index,
                                      scheme_names).reshape(shape).tolist()
         vectors = SentenceVectors(ctx.embedder)
         per_scheme = []

@@ -6,12 +6,21 @@ re-pins this hash in the same change and says so."""
 import hashlib
 import math
 
-from kgsemcom.harness import SweepConfig, render_report, run_sweep
+import pytest
+
+from kgsemcom.harness import SweepConfig, baseline_records, render_report, run_sweep
 
 FIXTURE_SWEEP_SHA256 = "8ec28c1cd9fd31e45317b6886d3ab2897ea45ef32ab1f1d6582ba62af240f7be"
 # sweep seed 2**40 + 3 (two 32-bit words, so six-word seed entropy), both
 # infinite SNRs, every scheme
 WIDE_SEED_SWEEP_SHA256 = "92eb38d924388c10d1f7935a39d439682faf38f4a405f65b199fed3b656e2a90"
+# `kgsemcom baseline` reports on the fixture corpus: (SNR grid, seed, sha256)
+BASELINE_SHA256 = [
+    ([math.inf], 0, "b3f1adb8af841ed2657a8a5fbb22d71c3f81636f0d0718d078fb584ebae581c1"),
+    ([0.0, 3.0, 12.0, math.inf, -math.inf], 7,
+     "a16fa922b61ee54347b8fe2ee804204043e0049fca8853b90783d238ae649e71"),
+    ([2.0], 2**70, "ad5501afd2b2f3610e975bae9d8dbfd3a6ce5dbc5f7a919f758924caf84ca7fa"),
+]
 
 
 def test_fixture_sweep_matches_golden_sha256(sample_kg_path, sample_corpus_path):
@@ -31,3 +40,12 @@ def test_wide_seed_sweep_matches_pinned_sha256(sample_kg_path, sample_corpus_pat
     assert len(records) == 60 * 5 * 3 * 3
     report = render_report(records, config.snr_grid)
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == WIDE_SEED_SWEEP_SHA256
+
+
+@pytest.mark.parametrize("grid, seed, sha256", BASELINE_SHA256,
+                         ids=["inf", "wide-grid", "seed-2**70"])
+def test_baseline_report_matches_pinned_sha256(sample_corpus, grid, seed, sha256):
+    records = baseline_records(sample_corpus, grid, seed)
+    assert len(records) == 60 * len(grid) * 2
+    report = render_report(records, grid)
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == sha256

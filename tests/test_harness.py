@@ -2,6 +2,7 @@
 sweeps, and the CSV report contract."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -415,6 +416,9 @@ def test_run_sweep_embeds_each_distinct_text_once_per_sentence(small_config, mon
     config = SweepConfig(kg_path=small_config.kg_path, corpus_path=small_config.corpus_path,
                          snr_grid=[math.inf, 4.0, 12.0], trials_per_point=3)
     ctx = PipelineContext.from_config(config)
+    # extraction embeds mentions through its own embedder, so only scoring is counted
+    ctx.extraction = dataclasses.replace(ctx.extraction,
+                                         embedder=TrigramEmbedder(dim=ctx.embedder.dim))
     clean = run_sweep(config, ctx)
     calls: list[str] = []
     real_embed_one = ctx.embedder.embed_one
@@ -440,6 +444,39 @@ def test_baseline_records_no_noise(sample_corpus):
         assert math.isinf(r.snr_db)
         assert r.similarity == pytest.approx(1.0, abs=1e-6)
         assert r.payload_bits == r.channel_bits > 0
+
+
+def test_baseline_records_equal_the_sweeps_text_records(tmp_path, sample_kg_path,
+                                                        sample_corpus):
+    corpus_path = tmp_path / "three.txt"
+    corpus_path.write_text("\n".join(sample_corpus[:3]) + "\n", encoding="utf-8")
+    grid = [-math.inf, 0.0, 6.0, math.inf]
+    config = SweepConfig(kg_path=str(sample_kg_path), corpus_path=str(corpus_path),
+                         snr_grid=grid, trials_per_point=1, seed=11)
+    text_records = [r for r in run_sweep(config) if r.scheme != "kgrag"]
+    assert baseline_records(sample_corpus[:3], grid, seed=11) == text_records
+
+
+def test_baseline_records_flag_a_failing_stage_and_keep_going(sample_corpus, monkeypatch):
+    corpus, grid = sample_corpus[:3], [0.0, math.inf]
+    clean = baseline_records(corpus, grid, seed=5)
+    real_decode = harness.huffman_decode
+
+    def decode_failing_on_sentence_one(bits, table):
+        text = real_decode(bits, table)
+        if text == corpus[1]:
+            raise ValueError("boom")
+        return text
+
+    monkeypatch.setattr(harness, "huffman_decode", decode_failing_on_sentence_one)
+    records = baseline_records(corpus, grid, seed=5)
+    assert len(records) == len(clean) == 3 * 2 * 2
+    for got, want in zip(records, clean):
+        if (got.sentence_id, got.snr_db, got.scheme) == (1, math.inf, "huffman_baseline"):
+            assert got.flags == "error:ValueError"
+            assert (got.trial, got.seed, got.similarity) == (want.trial, want.seed, 0.0)
+        else:
+            assert got == want
 
 
 # -- CSV reports -------------------------------------------------------------------
@@ -488,7 +525,8 @@ def test_report_formats_infinite_snr(sample_corpus):
 def test_pipeline_caches_do_not_change_results(sample_kg, sample_corpus):
     fresh = PipelineContext(sample_kg, sample_corpus)
     warm = PipelineContext(sample_kg, sample_corpus)
-    warm.analyze(sample_corpus[0])  # prime
+    run_pipeline(warm, sample_corpus[0], 0, 4.0, seed=9)  # fills the generation memo
+    assert warm._generation_cache
     a = run_pipeline(fresh, sample_corpus[0], 0, 4.0, seed=9)
     b = run_pipeline(warm, sample_corpus[0], 0, 4.0, seed=9)
     assert a == b
