@@ -34,6 +34,10 @@ from .semgraph import Mcsg, build_mcsg, reconstruct
 
 SCHEMES = ("kgrag", "huffman_baseline", "ascii")
 
+# most generated texts a context keeps; past it the oldest entry goes first.
+# A benchmark sweep fills at most 1,068 (large_kg), so none of its hits is lost.
+GENERATION_CACHE_SIZE = 2048
+
 CSV_COLUMNS = ("record_type", "sentence_id", "snr_db", "scheme", "trial", "seed",
                "payload_bits", "channel_bits", "similarity", "n_selected",
                "n_mcsg_nodes", "n_received_valid", "flags")
@@ -174,9 +178,10 @@ class PipelineContext:
 
     ``analyze`` is a plain function of the sentence; the sweep calls it once
     per sentence. Generation is a deterministic function of the reconstructed
-    node set, so texts are memoized by that set for the context's life, which
-    changes nothing observable besides speed. The corpus only feeds the sweep's
-    sentence list and the Huffman table, which is built on first use.
+    node set, so texts are memoized by that set, up to GENERATION_CACHE_SIZE
+    entries and oldest out first, which changes nothing observable besides
+    speed. The corpus only feeds the sweep's sentence list and the Huffman
+    table, which is built on first use.
     """
 
     def __init__(self, kg: kgmod.KnowledgeGraph, corpus: Sequence[str] = (),
@@ -235,36 +240,54 @@ class PipelineContext:
         return self._id_of_rank[list(result.received_ids)].tolist()
 
     def generate_text(self, recon: Mcsg) -> tuple[str, bool]:
-        hit = self._generation_cache.get(recon.nodes)
+        cache = self._generation_cache
+        hit = cache.get(recon.nodes)
         if hit is None:
             result = self.generator.generate(build_prompt(recon, self.kg))
-            hit = self._generation_cache[recon.nodes] = (result.text, result.degraded)
+            if len(cache) >= GENERATION_CACHE_SIZE:
+                del cache[next(iter(cache))]  # dicts keep insertion order
+            hit = cache[recon.nodes] = (result.text, result.degraded)
         return hit
 
-    def receive(self, sentence: str, received_ids: list[int],
-                embedder=None) -> tuple[Mcsg, str, float, str]:
-        """Receiver half of one transmission: reconstruct the subgraph from
-        the received ids, generate text and score it against ``sentence``
-        with ``embedder`` (default: the context's). -> (reconstruction, text,
-        similarity, ";"-joined flags); an empty reconstruction yields no text
-        and similarity 0.0."""
-        recon = reconstruct(received_ids, self.kg, keep_all_components=self.keep_all_components)
+    def rebuild(self, received_ids: list[int]) -> Mcsg:
+        """The receiver's subgraph for the received ids."""
+        return reconstruct(received_ids, self.kg, keep_all_components=self.keep_all_components)
+
+    def regenerate(self, recon: Mcsg) -> tuple[str, str]:
+        """-> (text, flags) for a reconstruction; an empty one yields no text."""
         if not recon.nodes:
-            return recon, "", 0.0, "empty_reconstruction"
+            return "", "empty_reconstruction"
         text, degraded = self.generate_text(recon)
-        similarity = semantic_similarity(sentence, text, embedder or self.embedder)
-        return recon, text, similarity, "generation_fallback" if degraded else ""
+        return text, "generation_fallback" if degraded else ""
+
+    def receive(self, sentence: str, received_ids: list[int]) -> tuple[Mcsg, str, float, str]:
+        """Receiver half of one transmission: reconstruct the subgraph from
+        the received ids, generate text and score it against ``sentence``.
+        -> (reconstruction, text, similarity, ";"-joined flags); an empty
+        reconstruction yields no text and similarity 0.0."""
+        recon = self.rebuild(received_ids)
+        text, flags = self.regenerate(recon)
+        similarity = semantic_similarity(sentence, text, self.embedder) if recon.nodes else 0.0
+        return recon, text, similarity, flags
 
 
 class SentenceVectors:
     """Sentence embeddings by text, for the records of one sentence: each of
     them scores against the same reference, and noisy channels repeat
-    decoded texts. Made per sentence and dropped with it; ``embed_one``
-    returns exactly what the wrapped embedder's does."""
+    decoded texts. Made per sentence and dropped with it; ``add`` embeds a
+    batch of texts at once, and ``embed_one`` returns exactly what the
+    wrapped embedder's does."""
 
     def __init__(self, embedder):
         self.embedder = embedder
         self._vectors: dict[str, np.ndarray] = {}
+
+    def add(self, texts: Sequence[str]) -> None:
+        """Embed, in one batch, each text the memo lacks that scoring would
+        embed (a blank one scores 0.0 unembedded)."""
+        missing = list(dict.fromkeys(t for t in texts if t.strip() and t not in self._vectors))
+        if missing:
+            self._vectors.update(zip(missing, self.embedder.embed(missing)))
 
     def embed_one(self, text: str) -> np.ndarray:
         vector = self._vectors.get(text)
@@ -305,9 +328,11 @@ def _attempt(stage, *args):
         return exc
 
 
-def _kgrag_points(ctx: PipelineContext, embedder, sentence: str, sentence_id: int,
-                  points: list[Point]) -> list[PointRows]:
-    """Analysis once, one frame per SNR, one channel call for every point."""
+def _kgrag_points(ctx: PipelineContext, vectors: SentenceVectors, sentence: str,
+                  sentence_id: int, points: list[Point]) -> list[PointRows]:
+    """Analysis once, one frame per SNR, one channel call for every point,
+    then per point the receptions' texts, one embedding batch for them all,
+    and per point the scores."""
     analysis = ctx.analyze(sentence)
     if not analysis.selected.ids:
         return [[ExperimentRecord(sentence_id, snr_db, "kgrag", trial, seed, 0, 0, 0.0,
@@ -323,35 +348,40 @@ def _kgrag_points(ctx: PipelineContext, embedder, sentence: str, sentence_id: in
             for (snr_db, seeds), frame in zip(points, frames)
             if not isinstance(frame, Exception) for _, seed in seeds]
     results = iter(transmit_many([f for f, _ in sent], [c for _, c in sent]))
-    out = []
-    for (snr_db, seeds), frame in zip(points, frames):
-        if isinstance(frame, Exception):
-            out.append(frame)
-            continue
-        point_results = [next(results) for _ in seeds]
-        out.append(_attempt(_kgrag_point, ctx, embedder, analysis, sentence, sentence_id,
-                            snr_db, frame, seeds, point_results))
-    return out
+    # this sentence's receptions often repeat: received ids -> (valid ids, subgraph)
+    rebuilt: dict[tuple[int, ...], tuple[int, Mcsg]] = {}
 
+    def receive(point_results: list[TransmitResult]) -> list[tuple[int, Mcsg, str, str]]:
+        """(valid ids, reconstruction, text, flags) per transmission."""
+        out = []
+        for result in point_results:
+            received = ctx.received_ids(result)
+            key = tuple(received)
+            hit = rebuilt.get(key)
+            if hit is None:
+                n_valid = len({node for node in received if node in ctx.kg.entities})
+                hit = rebuilt[key] = (n_valid, ctx.rebuild(received))
+            out.append((*hit, *ctx.regenerate(hit[1])))
+        return out
 
-def _kgrag_point(ctx: PipelineContext, embedder, analysis: SentenceAnalysis, sentence: str,
-                 sentence_id: int, snr_db: float, frame: TransmissionFrame,
-                 seeds: list[tuple[int, int]],
-                 results: list[TransmitResult]) -> list[ExperimentRecord]:
-    """Receive and score one point's transmissions."""
-    n_selected, n_ids = len(analysis.selected.ids), len(analysis.mcsg.nodes)
-    payload = payload_bits(n_ids, frame.width)
-    channel_bits = channel_bit_cost(len(frame.protected_ids), len(frame.unprotected_ids),
-                                    frame.width)
-    records = []
-    for (trial, seed), result in zip(seeds, results):
-        received = ctx.received_ids(result)
-        n_valid = len({node for node in received if node in ctx.kg.entities})
-        _, _, similarity, flags = ctx.receive(sentence, received, embedder)
-        records.append(ExperimentRecord(
-            sentence_id, snr_db, "kgrag", trial, seed, payload, channel_bits,
-            similarity, n_selected, n_ids, n_valid, flags=flags))
-    return records
+    def score(snr_db: float, frame: TransmissionFrame, seeds: list[tuple[int, int]],
+              received: list[tuple[int, Mcsg, str, str]]) -> list[ExperimentRecord]:
+        n_selected, n_ids = len(analysis.selected.ids), len(analysis.mcsg.nodes)
+        payload = payload_bits(n_ids, frame.width)
+        channel_bits = channel_bit_cost(len(frame.protected_ids), len(frame.unprotected_ids),
+                                        frame.width)
+        return [ExperimentRecord(sentence_id, snr_db, "kgrag", trial, seed, payload, channel_bits,
+                                 semantic_similarity(sentence, text, vectors) if recon.nodes
+                                 else 0.0, n_selected, n_ids, n_valid, flags=flags)
+                for (trial, seed), (n_valid, recon, text, flags) in zip(seeds, received)]
+
+    received = [frame if isinstance(frame, Exception)
+                else _attempt(receive, [next(results) for _ in seeds])
+                for (_, seeds), frame in zip(points, frames)]
+    vectors.add([sentence, *(text for rows in received if not isinstance(rows, Exception)
+                             for _, _, text, _ in rows)])
+    return [rows if isinstance(rows, Exception) else _attempt(score, snr_db, frame, seeds, rows)
+            for (snr_db, seeds), frame, rows in zip(points, frames, received)]
 
 
 def _ascii_bits(text: str) -> np.ndarray:
@@ -363,36 +393,42 @@ def _bits_to_ascii(bits: np.ndarray) -> str:
     return np.packbits(bits[:len(bits) - len(bits) % 8]).tobytes().decode("latin-1")
 
 
-def _text_points(ctx: PipelineContext, embedder, scheme: str, sentence: str,
+def _text_points(ctx: PipelineContext, vectors: SentenceVectors, scheme: str, sentence: str,
                  sentence_id: int, points: list[Point]) -> list[PointRows]:
     """An uncoded text scheme: the sentence is encoded once and crosses the
-    channel in one call for every trial of every point."""
+    channel in one call for every trial of every point; then per point the
+    decoded texts, one embedding batch for them all, and per point the
+    scores."""
     huffman = scheme == "huffman_baseline"
     bits = huffman_encode(sentence, ctx.huffman_table) if huffman else _ascii_bits(sentence)
     received = iter(transmit_bits(bits, [ChannelConfig(snr_db, seed)
                                          for snr_db, seeds in points for _, seed in seeds]))
 
-    def point(snr_db: float, seeds, rx_rows) -> list[ExperimentRecord]:
-        records = []
-        for (trial, seed), rx in zip(seeds, rx_rows):
-            decoded = huffman_decode(rx, ctx.huffman_table) if huffman else _bits_to_ascii(rx)
-            similarity = semantic_similarity(sentence, decoded, embedder)
-            records.append(ExperimentRecord(sentence_id, snr_db, scheme, trial, seed,
-                                            len(bits), len(bits), similarity, 0, 0, 0,
-                                            flags="" if decoded else "empty_decode"))
-        return records
+    def decode(rx_rows) -> list[str]:
+        return [huffman_decode(rx, ctx.huffman_table) if huffman else _bits_to_ascii(rx)
+                for rx in rx_rows]
 
-    return [_attempt(point, snr_db, seeds, [next(received) for _ in seeds])
-            for snr_db, seeds in points]
+    def score(snr_db: float, seeds: list[tuple[int, int]],
+              texts: list[str]) -> list[ExperimentRecord]:
+        return [ExperimentRecord(sentence_id, snr_db, scheme, trial, seed, len(bits), len(bits),
+                                 semantic_similarity(sentence, text, vectors), 0, 0, 0,
+                                 flags="" if text else "empty_decode")
+                for (trial, seed), text in zip(seeds, texts)]
+
+    decoded = [_attempt(decode, [next(received) for _ in seeds]) for _, seeds in points]
+    vectors.add([sentence, *(text for texts in decoded if not isinstance(texts, Exception)
+                             for text in texts)])
+    return [texts if isinstance(texts, Exception) else _attempt(score, snr_db, seeds, texts)
+            for (snr_db, seeds), texts in zip(points, decoded)]
 
 
-def _points(ctx: PipelineContext, embedder, scheme: str, sentence: str,
+def _points(ctx: PipelineContext, vectors: SentenceVectors, scheme: str, sentence: str,
             sentence_id: int, points: list[Point]) -> list[PointRows]:
     """encode -> channel -> decode -> score for one (sentence, scheme) at
     every point."""
     if scheme == "kgrag":
-        return _kgrag_points(ctx, embedder, sentence, sentence_id, points)
-    return _text_points(ctx, embedder, scheme, sentence, sentence_id, points)
+        return _kgrag_points(ctx, vectors, sentence, sentence_id, points)
+    return _text_points(ctx, vectors, scheme, sentence, sentence_id, points)
 
 
 def _error_records(sentence_id: int, snr_db: float, scheme: str,
@@ -419,7 +455,7 @@ def run_pipeline(ctx: PipelineContext, sentence: str, sentence_id: int,
                  trial: int = 0) -> ExperimentRecord:
     """Single (sentence, SNR, seed, scheme) run -> one record; a stage
     failure raises."""
-    (rows,) = _points(ctx, ctx.embedder, scheme, sentence, sentence_id,
+    (rows,) = _points(ctx, SentenceVectors(ctx.embedder), scheme, sentence, sentence_id,
                       [(snr_db, [(trial, seed)])])
     if isinstance(rows, Exception):
         raise rows

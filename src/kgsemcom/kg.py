@@ -56,14 +56,16 @@ class KnowledgeGraph:
     """Immutable store of entities, communities, and directed labeled triples."""
 
     def __init__(self, entities: dict[NodeId, Entity], communities: dict[str, Community],
-                 triples: list[Triple]):
+                 triples: list[Triple], name_index: dict[str, NodeId] | None = None):
+        """``name_index`` maps each entity's canonical name to its id; it is
+        computed from ``entities`` when not given."""
         self.entities = entities
         self.communities = communities
         self.triples = triples
-        self.name_index: dict[str, NodeId] = {}
+        if name_index is None:
+            name_index = {canonical_name(ent.name): ent.node_id for ent in entities.values()}
+        self.name_index = name_index
         self._alias_index: dict[str, NodeId] = {}
-        for ent in entities.values():
-            self.name_index[canonical_name(ent.name)] = ent.node_id
         for ent in entities.values():
             for alias in ent.aliases:
                 key = canonical_name(alias)
@@ -151,7 +153,8 @@ def ingest(records: Iterable[str]) -> KnowledgeGraph:
     the stream; a repeated triple is kept once, at its first line."""
     entities: dict[NodeId, Entity] = {}
     communities: dict[str, Community] = {}
-    names_seen: dict[str, int] = {}
+    name_index: dict[str, NodeId] = {}  # canonical name -> id
+    names_seen: dict[str, int] = {}  # canonical name -> its E line
     edge_lines: list[tuple[int, str, str, str]] = []
     next_auto = 0
 
@@ -194,6 +197,7 @@ def ingest(records: Iterable[str]) -> KnowledgeGraph:
                     f"line {lineno}: duplicate canonical name {key!r} "
                     f"(first defined on line {names_seen[key]})")
             names_seen[key] = lineno
+            name_index[key] = nid
             entities[nid] = Entity(nid, name, cid, description, aliases)
         elif kind == "T":
             raise KgFormatError(f"line {lineno}: T record needs 4 fields, got {len(fields)}")
@@ -218,7 +222,7 @@ def ingest(records: Iterable[str]) -> KnowledgeGraph:
             _edge_error(entities, lineno, s_text, relation, o_text)
         triples[Triple(s, relation, o)] = None
 
-    return KnowledgeGraph(entities, communities, list(triples))
+    return KnowledgeGraph(entities, communities, list(triples), name_index)
 
 
 def _edge_error(entities: dict, lineno: int, s_text: str, relation: str,

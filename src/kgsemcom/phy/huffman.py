@@ -15,9 +15,8 @@ import numpy as np
 
 from .bits import Bits
 
-# the decode table has 2**min(longest code, _LOOKUP_BITS) entries; a longer
-# codeword is read bit by bit
-_LOOKUP_BITS = 16
+# a decoder state's steps: one per 4-bit nibble, then one per single bit
+_STEPS_PER_STATE = 16 + 2
 
 
 @dataclass(frozen=True)
@@ -33,17 +32,39 @@ class HuffmanTable:
         return {sym: f"{value:0{length}b}" for sym, (length, value) in self.codes.items()}
 
     @cached_property
-    def _lookup(self) -> tuple[int, list]:
-        """(width, lut): width = min(longest code, _LOOKUP_BITS), and lut[w] is
-        the (symbol, length) of the codeword that prefixes the width-bit window
-        w, or None where no codeword of at most width bits does."""
-        width = min(max(length for length, _ in self.codes.values()), _LOOKUP_BITS)
-        lut: list = [None] * (1 << width)
+    def _steps(self) -> list[tuple[str, int]]:
+        """The decoder's state table. A state is an internal node of the code
+        tree (the root is 0) or the dead state that a bit no codeword starts
+        with leads to, numbered by its offset, _STEPS_PER_STATE times its index.
+        steps[state + v] is the (symbols emitted, next state) of reading the
+        nibble v, MSB first, and steps[state + 16 + b] that of reading the
+        single bit b."""
+        # child[node][bit]: an internal node's index, a symbol, or None
+        child: list[list] = [[None, None]]
         for sym, (length, value) in self.codes.items():
-            if length <= width:
-                shift = width - length
-                lut[value << shift:(value + 1) << shift] = [(sym, length)] * (1 << shift)
-        return width, lut
+            node = 0
+            for k in range(length - 1, 0, -1):
+                bit = value >> k & 1
+                if child[node][bit] is None:
+                    child[node][bit] = len(child)
+                    child.append([None, None])
+                node = child[node][bit]
+            child[node][value & 1] = sym
+        dead = len(child)
+        child.append([dead, dead])
+
+        def read(node: int, bits: tuple[int, ...]) -> tuple[str, int]:
+            emitted = ""
+            for bit in bits:
+                node = child[node][bit]
+                if node is None:
+                    node = dead
+                elif isinstance(node, str):
+                    emitted, node = emitted + node, 0
+            return emitted, node * _STEPS_PER_STATE
+
+        reads = [tuple(v >> k & 1 for k in (3, 2, 1, 0)) for v in range(16)] + [(0,), (1,)]
+        return [read(node, bits) for node in range(dead + 1) for bits in reads]
 
 
 def _code_lengths(freqs: dict) -> dict:
@@ -95,35 +116,20 @@ def huffman_encode(text: str, table: HuffmanTable) -> Bits:
 
 
 def huffman_decode(bits: Bits, table: HuffmanTable) -> str:
-    """Greedy prefix decode, one table lookup per codeword. A stream that ends
-    mid-codeword is truncated at the last fully decodable symbol; corruption
-    garbles text but never raises."""
-    width, lut = table._lookup
-    n = len(bits)
-    # windows[i]: the width bits from position i, zero-padded past the end
-    padded = np.concatenate([bits, np.zeros(width, dtype=np.uint8)]).astype(np.int64)
-    windows = np.correlate(padded, 1 << np.arange(width - 1, -1, -1), "valid").tolist()
+    """Greedy prefix decode, two state-table steps per byte of the stream. A
+    stream that ends mid-codeword is truncated at the last fully decodable
+    symbol, and one that leaves the code tree stops there; corruption garbles
+    text but never raises."""
+    steps = table._steps
+    n = len(bits) - len(bits) % 8
     out: list[str] = []
-    i = 0
-    while i < n:
-        entry = lut[windows[i]] or _long_codeword(bits, i, table)
-        if entry is None or i + entry[1] > n:
-            break  # truncated, or an unreachable leaf: stop cleanly
-        out.append(entry[0])
-        i += entry[1]
+    state = 0
+    for byte in np.packbits(bits[:n]).tolist():
+        emitted, state = steps[state + (byte >> 4)]
+        out.append(emitted)
+        emitted, state = steps[state + (byte & 15)]
+        out.append(emitted)
+    for bit in bits[n:].tolist():
+        emitted, state = steps[state + 16 + bit]
+        out.append(emitted)
     return "".join(out)
-
-
-def _long_codeword(bits: Bits, start: int, table: HuffmanTable) -> tuple[str, int] | None:
-    """The (symbol, length) of the codeword at bits[start:] that the lookup
-    table does not hold, read bit by bit; None if the stream ends first or no
-    codeword matches."""
-    decode_map = {lv: sym for sym, lv in table.codes.items()}
-    max_len = max(length for length, _ in table.codes.values())
-    value = 0
-    for length, bit in enumerate(bits[start:start + max_len].tolist(), start=1):
-        value = value << 1 | bit
-        sym = decode_map.get((length, value))
-        if sym is not None:
-            return sym, length
-    return None

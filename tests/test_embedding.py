@@ -194,6 +194,39 @@ def test_embed_rows_equal_embed_one_across_text_boundaries(dim):
             assert np.array_equal(row, emb.embed_one(text)), (repr(text), batch)
 
 
+def _scored_text(rnd: random.Random) -> str:
+    """One text of a kind a sweep scores: empty, whitespace only, non-Latin-1,
+    a Latin-1 channel decode, or words."""
+    kind = rnd.randrange(5)
+    if kind == 0:
+        return ""
+    if kind == 1:
+        return "".join(rnd.choices(" \t\n\r\x0b\x0c\x85\xa0\u2003\u3000", k=rnd.randrange(1, 6)))
+    if kind == 2:
+        return _random_texts(rnd.random(), 1)[0]
+    if kind == 3:
+        return bytes(rnd.randrange(256) for _ in range(rnd.randrange(1, 60))).decode("latin-1")
+    return " ".join(rnd.choices(["Alan", "Bean", "walked", "on", "the", "Moon", "Straße"],
+                                k=rnd.randrange(1, 9)))
+
+
+@pytest.mark.parametrize("dim", [384, 7, 1])
+def test_batch_rows_and_their_dots_equal_embed_one_bitwise(dim):
+    # property: for random batches of the texts a sweep scores, each batch row
+    # is embed_one's vector, so a 1-D dot of two rows is bitwise the dot of
+    # the two single vectors
+    emb = TrigramEmbedder(dim=dim)
+    rnd = random.Random(400 + dim)
+    for _ in range(150):
+        texts = [_scored_text(rnd) for _ in range(rnd.randrange(1, 40))]
+        rows = emb.embed(texts)
+        singles = [emb.embed_one(t) for t in texts]
+        for text, row, single in zip(texts, rows, singles):
+            assert np.array_equal(row, single), repr(text)
+        i, j = rnd.randrange(len(texts)), rnd.randrange(len(texts))
+        assert float(rows[i] @ rows[j]) == float(singles[i] @ singles[j])
+
+
 def test_index_matrices_equal_embed_one_rows(sample_kg, sample_index, embedder):
     summaries = sample_index._community_matrix
     assert summaries.shape == (len(sample_kg.communities), embedder.dim)

@@ -4,7 +4,9 @@ A change that alters sweep output on purpose (a new decoder, a new embedder)
 re-pins this hash in the same change and says so."""
 
 import hashlib
+import importlib.util
 import math
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,9 @@ BASELINE_SHA256 = [
      "a16fa922b61ee54347b8fe2ee804204043e0049fca8853b90783d238ae649e71"),
     ([2.0], 2**70, "ad5501afd2b2f3610e975bae9d8dbfd3a6ce5dbc5f7a919f758924caf84ca7fa"),
 ]
+# every scheme on the benchmark's synthetic graph generator at 8,000 entities
+# and 80 sentences (generator seed 3), so the KG path is pinned at scale
+SYNTHETIC_KG_SWEEP_SHA256 = "53eacae2805e6738da4183c6c1e75e50e6f1d193e832df75e209f13e0a917994"
 
 
 def test_fixture_sweep_matches_golden_sha256(sample_kg_path, sample_corpus_path):
@@ -49,3 +54,20 @@ def test_baseline_report_matches_pinned_sha256(sample_corpus, grid, seed, sha256
     assert len(records) == 60 * len(grid) * 2
     report = render_report(records, grid)
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == sha256
+
+
+def test_synthetic_kg_sweep_matches_pinned_sha256(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "bench" / "synthkg.py"
+    spec = importlib.util.spec_from_file_location("synthkg", path)
+    synthkg = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(synthkg)
+    kg_text, corpus_text = synthkg.generate(3, 8000, 80)
+    kg_path, corpus_path = tmp_path / "kg.tsv", tmp_path / "corpus.txt"
+    kg_path.write_text(kg_text, encoding="utf-8")
+    corpus_path.write_text(corpus_text, encoding="utf-8")
+    config = SweepConfig(kg_path=str(kg_path), corpus_path=str(corpus_path),
+                         snr_grid=[0.0, 3.0, 6.0, 12.0, math.inf], trials_per_point=3, seed=5)
+    records = run_sweep(config)
+    assert len(records) == 80 * 5 * 3 * 3
+    report = render_report(records, config.snr_grid)
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == SYNTHETIC_KG_SWEEP_SHA256

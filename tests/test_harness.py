@@ -420,10 +420,13 @@ def test_run_sweep_embeds_each_distinct_text_once_per_sentence(small_config, mon
     ctx.extraction = dataclasses.replace(ctx.extraction,
                                          embedder=TrigramEmbedder(dim=ctx.embedder.dim))
     clean = run_sweep(config, ctx)
-    calls: list[str] = []
-    real_embed_one = ctx.embedder.embed_one
+    calls: list[str] = []  # every text embedded, one at a time or in a batch
+    real_embed_one, real_embed = ctx.embedder.embed_one, ctx.embedder.embed
     monkeypatch.setattr(ctx.embedder, "embed_one",
                         lambda text: calls.append(text) or real_embed_one(text))
+    batches: list[int] = []
+    monkeypatch.setattr(ctx.embedder, "embed", lambda texts: batches.append(len(texts))
+                        or calls.extend(texts) or real_embed(texts))
     memos: list[harness.SentenceVectors] = []
     real_memo = harness.SentenceVectors
     monkeypatch.setattr(harness, "SentenceVectors",
@@ -434,6 +437,66 @@ def test_run_sweep_embeds_each_distinct_text_once_per_sentence(small_config, mon
     for sentence, memo in zip(ctx.corpus, memos):
         assert sentence in memo._vectors
     assert calls.count(ctx.corpus[0]) == 1
+    assert len(batches) <= len(ctx.corpus) * len(config.schemes)  # one per (sentence, scheme)
+
+
+def test_batched_sentence_vectors_score_like_the_embedder(embedder):
+    rnd = random.Random(31)
+    texts = ["", " \t", "Straße \u00e9t\u00e9 \u65e5\u672c", "Alan Bean", "Alan Bean",
+             bytes(rnd.randrange(256) for _ in range(80)).decode("latin-1")]
+    vectors = harness.SentenceVectors(embedder)
+    vectors.add(texts)
+    assert set(vectors._vectors) == {t for t in texts if t.strip()}  # blanks score unembedded
+    for a in texts:
+        for b in texts:
+            assert semantic_similarity(a, b, vectors) == semantic_similarity(a, b, embedder)
+
+
+def test_run_sweep_reconstructs_each_received_id_list_once_per_sentence(small_config,
+                                                                         monkeypatch):
+    config = SweepConfig(kg_path=small_config.kg_path, corpus_path=small_config.corpus_path,
+                         snr_grid=[math.inf, 4.0, 12.0], trials_per_point=3, schemes=("kgrag",))
+    clean = run_sweep(config)
+    real_derive_seed, real_reconstruct = harness.derive_seed, harness.reconstruct
+    sentence = [-1]
+    calls: list[tuple[int, tuple[int, ...]]] = []
+
+    def derive_seed(base_seed, sentence_id, *rest):  # marks the sentence being served
+        sentence[0] = sentence_id
+        return real_derive_seed(base_seed, sentence_id, *rest)
+
+    def reconstruct(received, kg, **kwargs):
+        calls.append((sentence[0], tuple(received)))
+        return real_reconstruct(received, kg, **kwargs)
+
+    monkeypatch.setattr(harness, "derive_seed", derive_seed)
+    monkeypatch.setattr(harness, "reconstruct", reconstruct)
+    assert run_sweep(config) == clean
+    assert len(calls) == len(set(calls))
+    assert len(calls) < sum(1 for r in clean if r.n_selected)  # the noiseless points repeat
+
+
+def test_generation_memo_stays_within_its_cap(small_config, monkeypatch):
+    config = SweepConfig(kg_path=small_config.kg_path, corpus_path=small_config.corpus_path,
+                         snr_grid=[0.0, 2.0, 4.0], trials_per_point=4, schemes=("kgrag",))
+    clean = run_sweep(config)
+    monkeypatch.setattr(harness, "GENERATION_CACHE_SIZE", 2)
+    ctx = PipelineContext.from_config(config)
+    real_generate_text, real_generate = ctx.generate_text, ctx.generator.generate
+    sizes: list[int] = []
+    generated: list = []
+
+    def generate_text(recon):
+        hit = real_generate_text(recon)
+        sizes.append(len(ctx._generation_cache))
+        return hit
+
+    monkeypatch.setattr(ctx, "generate_text", generate_text)
+    monkeypatch.setattr(ctx.generator, "generate",
+                        lambda prompt: generated.append(prompt) or real_generate(prompt))
+    assert run_sweep(config, ctx) == clean
+    assert max(sizes) == 2
+    assert len(generated) > 2  # so entries were evicted
 
 
 def test_baseline_records_no_noise(sample_corpus):

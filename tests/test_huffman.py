@@ -169,8 +169,8 @@ def test_unknown_character_rejected_without_escape():
 
 def test_decode_matches_reference_on_corrupted_streams(sample_corpus):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(73)))
-    # Fibonacci frequencies give codewords of up to 21 bits, longer than the
-    # decode table is wide, so those are read bit by bit
+    # Fibonacci frequencies give codewords of up to 21 bits, several state-table
+    # steps long
     fib = [1, 1]
     while len(fib) < 22:
         fib.append(fib[-1] + fib[-2])
@@ -181,7 +181,9 @@ def test_decode_matches_reference_on_corrupted_streams(sample_corpus):
               "abcdefghijklmnopqrstuv" * 3 + "vvvba")]
     for corpus, text in cases:
         table = huffman_build(corpus)
-        assert len(table._lookup[1]) <= 1 << 16
+        # one state per internal node of the code tree (a symbol count less
+        # one, or the lone root) and the dead state, 18 steps each
+        assert len(table._steps) == 18 * (max(len(table.codes) - 1, 1) + 1)
         bits = huffman_encode(text, table)
         streams = [bits, rng.integers(0, 2, size=3000, dtype=np.uint8)]
         streams += [bits[:cut] for cut in range(len(bits) + 1)]

@@ -157,6 +157,15 @@ def test_id_of_roundtrip_all_ids(sample_kg):
         assert sample_kg.id_of(ent.name) == nid
 
 
+def test_ingest_hands_over_the_name_index_the_graph_would_build(sample_kg):
+    odd = ingest(["C\tc\tl\ts", "E\t\t  Mixed   CASE name \tc\td\t", "E\t7\tStraße\tc\t\t",
+                  "E\t\tſigma\tc\t\tAlias"])
+    for kg in (sample_kg, odd):
+        rebuilt = kgmod.KnowledgeGraph(kg.entities, kg.communities, kg.triples)
+        assert kg.name_index == rebuilt.name_index
+        assert kg._alias_index == rebuilt._alias_index
+
+
 def test_canonical_name_rule():
     assert canonical_name("  aLaN   bEan ") == "alan bean"
 
