@@ -22,7 +22,7 @@ from . import kg as kgmod
 from .extraction import extract_trace
 from .generation import enrich_kg
 from .harness import (PipelineContext, SweepConfig, baseline_records, load_corpus,
-                      run_sweep, select_backends, write_report)
+                      run_sweep, select_backends, semantic_similarity, write_report)
 from .importance import ImportanceConfig, partition_uep
 from .phy import ChannelConfig, channel_bit_cost, payload_bits, transmit
 from .remote import RemoteConfig
@@ -154,13 +154,13 @@ def _cmd_send(args) -> int:
           f"header consistent: {result.header_consistent}")
     received = ctx.received_ids(result)  # -1 where a rank names no entity
     print(f"[6 receive] ids: {received}")
-    recon, text, similarity, _ = ctx.receive(args.sentence, received)
+    recon, text, _ = ctx.receive(received)
     print(f"[7 reconstruct] kept {len(recon.nodes)} nodes, {len(recon.edges)} edges")
     if not recon.nodes:
         print("empty reconstruction; similarity 0.0")
         return 0
     print(f"[8 generate] {text}")
-    print(f"[9 similarity] {similarity:.4f}")
+    print(f"[9 similarity] {semantic_similarity(args.sentence, text, ctx.embedder):.4f}")
     return 0
 
 
@@ -192,6 +192,8 @@ def _cmd_baseline(args) -> int:
     except ValueError as exc:
         raise CliError("config", str(exc)) from None
     snr_grid = [_parse_snr(s) for s in args.snr] if args.snr else [math.inf]
+    if len(set(snr_grid)) < len(snr_grid):
+        raise CliError("usage", f"--snr repeats a value: {' '.join(args.snr)}")
     records = baseline_records(corpus, snr_grid, seed=args.seed)
     write_report(records, snr_grid, args.out)
     print(f"wrote {len(records)} trial records to {args.out}")

@@ -89,6 +89,8 @@ class SweepConfig:
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
         self.snr_grid = [_number("snr_grid", v) for v in _list("snr_grid", self.snr_grid)]
+        if len(set(self.snr_grid)) < len(self.snr_grid):  # 0.0 == -0.0, so both count once
+            raise ValueError(f"snr_grid repeats a value: {self.snr_grid!r}")
         for name, low in (("seed", 0), ("trials_per_point", 1), ("top_k", 1),
                           ("max_selected", 1), ("embedding_dim", 1)):
             value = getattr(self, name)
@@ -177,7 +179,9 @@ class PipelineContext:
     generation memo.
 
     ``analyze`` is a plain function of the sentence; the sweep calls it once
-    per sentence. Generation is a deterministic function of the reconstructed
+    per sentence. ``receive`` is the one receiver: ``kgsemcom send``,
+    ``run_pipeline`` and the sweep all call it, and each scores the text it
+    returns. Generation is a deterministic function of the reconstructed
     node set, so texts are memoized by that set, up to GENERATION_CACHE_SIZE
     entries and oldest out first, which changes nothing observable besides
     speed. The corpus only feeds the sweep's sentence list and the Huffman
@@ -249,26 +253,15 @@ class PipelineContext:
             hit = cache[recon.nodes] = (result.text, result.degraded)
         return hit
 
-    def rebuild(self, received_ids: list[int]) -> Mcsg:
-        """The receiver's subgraph for the received ids."""
-        return reconstruct(received_ids, self.kg, keep_all_components=self.keep_all_components)
-
-    def regenerate(self, recon: Mcsg) -> tuple[str, str]:
-        """-> (text, flags) for a reconstruction; an empty one yields no text."""
+    def receive(self, received_ids: list[int]) -> tuple[Mcsg, str, str]:
+        """The receiver: reconstruct the subgraph from the received ids and
+        generate text from it. -> (reconstruction, text, flags); an empty
+        reconstruction yields no text."""
+        recon = reconstruct(received_ids, self.kg, keep_all_components=self.keep_all_components)
         if not recon.nodes:
-            return "", "empty_reconstruction"
+            return recon, "", "empty_reconstruction"
         text, degraded = self.generate_text(recon)
-        return text, "generation_fallback" if degraded else ""
-
-    def receive(self, sentence: str, received_ids: list[int]) -> tuple[Mcsg, str, float, str]:
-        """Receiver half of one transmission: reconstruct the subgraph from
-        the received ids, generate text and score it against ``sentence``.
-        -> (reconstruction, text, similarity, ";"-joined flags); an empty
-        reconstruction yields no text and similarity 0.0."""
-        recon = self.rebuild(received_ids)
-        text, flags = self.regenerate(recon)
-        similarity = semantic_similarity(sentence, text, self.embedder) if recon.nodes else 0.0
-        return recon, text, similarity, flags
+        return recon, text, "generation_fallback" if degraded else ""
 
 
 class SentenceVectors:
@@ -314,10 +307,14 @@ def derive_seed(base_seed: int, sentence_id: int, snr_index, trial, scheme):
 
 
 # One (SNR, trials) point of a (sentence, scheme): the SNR and its
-# (trial, seed) pairs. A scheme's point function returns, per point, that
-# point's records or the exception a per-point stage raised there.
+# (trial, seed) pairs.
 Point = tuple[float, list[tuple[int, int]]]
-PointRows = list[ExperimentRecord] | Exception
+# One trial's reception: (text, flags, n_received_valid).
+Reception = tuple[str, str, int]
+# What a scheme's sender makes of one point: the record fields its trials
+# share, (payload_bits, channel_bits, n_selected, n_mcsg_nodes), and one
+# reception per trial; or the exception a per-point stage raised there.
+SentPoint = tuple[tuple[int, int, int, int], list[Reception]] | Exception
 
 
 def _attempt(stage, *args):
@@ -328,16 +325,13 @@ def _attempt(stage, *args):
         return exc
 
 
-def _kgrag_points(ctx: PipelineContext, vectors: SentenceVectors, sentence: str,
-                  sentence_id: int, points: list[Point]) -> list[PointRows]:
+def _send_kgrag(ctx: PipelineContext, sentence: str, points: list[Point]) -> list[SentPoint]:
     """Analysis once, one frame per SNR, one channel call for every point,
-    then per point the receptions' texts, one embedding batch for them all,
-    and per point the scores."""
+    and ``ctx.receive`` once per distinct reception of the sentence."""
     analysis = ctx.analyze(sentence)
     if not analysis.selected.ids:
-        return [[ExperimentRecord(sentence_id, snr_db, "kgrag", trial, seed, 0, 0, 0.0,
-                                  0, 0, 0, flags="empty_selection") for trial, seed in seeds]
-                for snr_db, seeds in points]
+        return [((0, 0, 0, 0), [("", "empty_selection", 0)] * len(seeds)) for _, seeds in points]
+    n_selected, n_ids = len(analysis.selected.ids), len(analysis.mcsg.nodes)
 
     def frame_at(snr_db: float) -> TransmissionFrame:
         protected, unprotected = partition_uep(analysis.table, snr_db, ctx.importance_config)
@@ -348,40 +342,26 @@ def _kgrag_points(ctx: PipelineContext, vectors: SentenceVectors, sentence: str,
             for (snr_db, seeds), frame in zip(points, frames)
             if not isinstance(frame, Exception) for _, seed in seeds]
     results = iter(transmit_many([f for f, _ in sent], [c for _, c in sent]))
-    # this sentence's receptions often repeat: received ids -> (valid ids, subgraph)
-    rebuilt: dict[tuple[int, ...], tuple[int, Mcsg]] = {}
+    # this sentence's receptions often repeat: received ids -> reception
+    receptions: dict[tuple[int, ...], Reception] = {}
 
-    def receive(point_results: list[TransmitResult]) -> list[tuple[int, Mcsg, str, str]]:
-        """(valid ids, reconstruction, text, flags) per transmission."""
-        out = []
-        for result in point_results:
-            received = ctx.received_ids(result)
-            key = tuple(received)
-            hit = rebuilt.get(key)
-            if hit is None:
-                n_valid = len({node for node in received if node in ctx.kg.entities})
-                hit = rebuilt[key] = (n_valid, ctx.rebuild(received))
-            out.append((*hit, *ctx.regenerate(hit[1])))
-        return out
+    def receive(result: TransmitResult) -> Reception:
+        received = ctx.received_ids(result)
+        key = tuple(received)
+        if key not in receptions:
+            _, text, flags = ctx.receive(received)
+            receptions[key] = text, flags, len({i for i in received if i in ctx.kg.entities})
+        return receptions[key]
 
-    def score(snr_db: float, frame: TransmissionFrame, seeds: list[tuple[int, int]],
-              received: list[tuple[int, Mcsg, str, str]]) -> list[ExperimentRecord]:
-        n_selected, n_ids = len(analysis.selected.ids), len(analysis.mcsg.nodes)
-        payload = payload_bits(n_ids, frame.width)
+    def point(frame: TransmissionFrame, point_results: list[TransmitResult]) -> SentPoint:
         channel_bits = channel_bit_cost(len(frame.protected_ids), len(frame.unprotected_ids),
                                         frame.width)
-        return [ExperimentRecord(sentence_id, snr_db, "kgrag", trial, seed, payload, channel_bits,
-                                 semantic_similarity(sentence, text, vectors) if recon.nodes
-                                 else 0.0, n_selected, n_ids, n_valid, flags=flags)
-                for (trial, seed), (n_valid, recon, text, flags) in zip(seeds, received)]
+        return ((payload_bits(n_ids, frame.width), channel_bits, n_selected, n_ids),
+                [receive(result) for result in point_results])
 
-    received = [frame if isinstance(frame, Exception)
-                else _attempt(receive, [next(results) for _ in seeds])
-                for (_, seeds), frame in zip(points, frames)]
-    vectors.add([sentence, *(text for rows in received if not isinstance(rows, Exception)
-                             for _, _, text, _ in rows)])
-    return [rows if isinstance(rows, Exception) else _attempt(score, snr_db, frame, seeds, rows)
-            for (snr_db, seeds), frame, rows in zip(points, frames, received)]
+    return [frame if isinstance(frame, Exception)
+            else _attempt(point, frame, [next(results) for _ in seeds])
+            for (_, seeds), frame in zip(points, frames)]
 
 
 def _ascii_bits(text: str) -> np.ndarray:
@@ -393,42 +373,46 @@ def _bits_to_ascii(bits: np.ndarray) -> str:
     return np.packbits(bits[:len(bits) - len(bits) % 8]).tobytes().decode("latin-1")
 
 
-def _text_points(ctx: PipelineContext, vectors: SentenceVectors, scheme: str, sentence: str,
-                 sentence_id: int, points: list[Point]) -> list[PointRows]:
+def _send_text(ctx: PipelineContext, scheme: str, sentence: str,
+               points: list[Point]) -> list[SentPoint]:
     """An uncoded text scheme: the sentence is encoded once and crosses the
-    channel in one call for every trial of every point; then per point the
-    decoded texts, one embedding batch for them all, and per point the
-    scores."""
+    channel in one call for every trial of every point; each reception is
+    decoded to text."""
     huffman = scheme == "huffman_baseline"
     bits = huffman_encode(sentence, ctx.huffman_table) if huffman else _ascii_bits(sentence)
     received = iter(transmit_bits(bits, [ChannelConfig(snr_db, seed)
                                          for snr_db, seeds in points for _, seed in seeds]))
 
-    def decode(rx_rows) -> list[str]:
-        return [huffman_decode(rx, ctx.huffman_table) if huffman else _bits_to_ascii(rx)
-                for rx in rx_rows]
+    def decode(rx_rows) -> SentPoint:
+        texts = [huffman_decode(rx, ctx.huffman_table) if huffman else _bits_to_ascii(rx)
+                 for rx in rx_rows]
+        return (len(bits), len(bits), 0, 0), [(t, "" if t else "empty_decode", 0) for t in texts]
 
-    def score(snr_db: float, seeds: list[tuple[int, int]],
-              texts: list[str]) -> list[ExperimentRecord]:
-        return [ExperimentRecord(sentence_id, snr_db, scheme, trial, seed, len(bits), len(bits),
-                                 semantic_similarity(sentence, text, vectors), 0, 0, 0,
-                                 flags="" if text else "empty_decode")
-                for (trial, seed), text in zip(seeds, texts)]
-
-    decoded = [_attempt(decode, [next(received) for _ in seeds]) for _, seeds in points]
-    vectors.add([sentence, *(text for texts in decoded if not isinstance(texts, Exception)
-                             for text in texts)])
-    return [texts if isinstance(texts, Exception) else _attempt(score, snr_db, seeds, texts)
-            for (snr_db, seeds), texts in zip(points, decoded)]
+    return [_attempt(decode, [next(received) for _ in seeds]) for _, seeds in points]
 
 
 def _points(ctx: PipelineContext, vectors: SentenceVectors, scheme: str, sentence: str,
-            sentence_id: int, points: list[Point]) -> list[PointRows]:
-    """encode -> channel -> decode -> score for one (sentence, scheme) at
-    every point."""
-    if scheme == "kgrag":
-        return _kgrag_points(ctx, vectors, sentence, sentence_id, points)
-    return _text_points(ctx, vectors, scheme, sentence, sentence_id, points)
+            sentence_id: int, points: list[Point]) -> list[list[ExperimentRecord] | Exception]:
+    """One (sentence, scheme) at every point: the scheme's sender, one
+    embedding batch for every text received, then each point's records, or
+    the exception that point raised. A text is scored iff it is non-empty;
+    an empty one scores 0.0."""
+    sent = (_send_kgrag(ctx, sentence, points) if scheme == "kgrag"
+            else _send_text(ctx, scheme, sentence, points))
+    texts = [text for s in sent if not isinstance(s, Exception) for text, _, _ in s[1] if text]
+    if texts:
+        vectors.add([sentence, *texts])
+
+    def score(snr_db: float, seeds: list[tuple[int, int]], shared: tuple[int, int, int, int],
+              receptions: list[Reception]) -> list[ExperimentRecord]:
+        payload, channel_bits, n_selected, n_ids = shared
+        return [ExperimentRecord(sentence_id, snr_db, scheme, trial, seed, payload, channel_bits,
+                                 semantic_similarity(sentence, text, vectors) if text else 0.0,
+                                 n_selected, n_ids, n_valid, flags=flags)
+                for (trial, seed), (text, flags, n_valid) in zip(seeds, receptions)]
+
+    return [s if isinstance(s, Exception) else _attempt(score, snr_db, seeds, *s)
+            for (snr_db, seeds), s in zip(points, sent)]
 
 
 def _error_records(sentence_id: int, snr_db: float, scheme: str,
@@ -468,9 +452,11 @@ def run_sweep(config: SweepConfig, ctx: PipelineContext | None = None) -> list[E
 
     The sweep works one sentence at a time: one ``derive_seed`` pass gives
     every seed of the sentence, and each scheme sends all its SNR points and
-    trials through one channel call. A failure is captured as an
+    trials through one channel call. ``ctx.receive`` runs once per distinct
+    kgrag reception of a sentence, and one embedding batch serves each
+    (sentence, scheme)'s scores. A failure is captured as an
     ``error:<type>`` flag and the sweep keeps going. A per-point stage (UEP
-    split, frame, decode, generation, scoring) flags only the records of its
+    split, frame, decode, reception, scoring) flags only the records of its
     (sentence, SNR, scheme); a shared step (analysis, encoding, the channel
     call) flags the records of every point it covered."""
     return _sweep(ctx or PipelineContext.from_config(config), config.snr_grid,

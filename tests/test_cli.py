@@ -338,6 +338,21 @@ def test_baseline_empty_corpus(capsys, tmp_path):
     assert payload["error"] == "config"
 
 
+def test_repeated_snr_is_rejected(capsys, tmp_path, sample_kg_path, sample_corpus_path):
+    payload = _error(capsys, ["baseline", "--corpus", str(sample_corpus_path),
+                              "--out", str(tmp_path / "o.csv"), "--snr", "4", "4"])
+    assert payload["error"] == "usage"
+    assert "--snr" in payload["message"]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"kg_path": str(sample_kg_path),
+                               "corpus_path": str(sample_corpus_path),
+                               "snr_grid": [0.0, -0.0]}), encoding="utf-8")
+    payload = _error(capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert payload["error"] == "config"
+    assert "snr_grid" in payload["message"]
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.csv").exists()
+
+
 # -- parser-level errors -----------------------------------------------------------
 
 def test_missing_required_argument(capsys, sample_kg_path):

@@ -219,7 +219,7 @@ def test_rank_no_entity_holds_is_dropped(monkeypatch):
     monkeypatch.setattr(harness, "transmit_many", lambda frame, cfgs: [words] * len(cfgs))
     record = run_pipeline(ctx, "Amber met Basalt.", 0, 0.0, seed=0)
     assert record.n_received_valid == 2
-    recon, _, _, _ = ctx.receive("Amber met Basalt.", [0, -1, 1, -1, -1])
+    recon, _, _ = ctx.receive([0, -1, 1, -1, -1])
     assert recon.nodes == {0, 1}
 
 
@@ -294,7 +294,7 @@ def test_sweep_config_validation(sample_kg_path, sample_corpus_path):
                       ("kg_path", 5), ("snr_grid", [math.nan]), ("schemes", ()),
                       ("keep_all_components", "no"), ("snr_grid", ["x"]),
                       ("snr_grid", 5), ("threshold_policy", [[1]]), ("schemes", "kgrag"),
-                      ("alpha", "x")):
+                      ("alpha", "x"), ("snr_grid", [4.0, 4.0]), ("snr_grid", [0.0, -0.0])):
         with pytest.raises(ValueError, match=name):
             SweepConfig(**{**paths, name: bad})
 
@@ -457,9 +457,12 @@ def test_run_sweep_reconstructs_each_received_id_list_once_per_sentence(small_co
     config = SweepConfig(kg_path=small_config.kg_path, corpus_path=small_config.corpus_path,
                          snr_grid=[math.inf, 4.0, 12.0], trials_per_point=3, schemes=("kgrag",))
     clean = run_sweep(config)
+    ctx = PipelineContext.from_config(config)
     real_derive_seed, real_reconstruct = harness.derive_seed, harness.reconstruct
+    real_generate_text = ctx.generate_text
     sentence = [-1]
     calls: list[tuple[int, tuple[int, ...]]] = []
+    generated: list[tuple[int, tuple[int, ...]]] = []  # (sentence, received ids) per generation
 
     def derive_seed(base_seed, sentence_id, *rest):  # marks the sentence being served
         sentence[0] = sentence_id
@@ -469,11 +472,53 @@ def test_run_sweep_reconstructs_each_received_id_list_once_per_sentence(small_co
         calls.append((sentence[0], tuple(received)))
         return real_reconstruct(received, kg, **kwargs)
 
+    def generate_text(recon):  # the receiver generates from the last reconstruction
+        generated.append(calls[-1])
+        return real_generate_text(recon)
+
     monkeypatch.setattr(harness, "derive_seed", derive_seed)
     monkeypatch.setattr(harness, "reconstruct", reconstruct)
-    assert run_sweep(config) == clean
+    monkeypatch.setattr(ctx, "generate_text", generate_text)
+    assert run_sweep(config, ctx) == clean
     assert len(calls) == len(set(calls))
     assert len(calls) < sum(1 for r in clean if r.n_selected)  # the noiseless points repeat
+    assert generated and len(generated) == len(set(generated))
+
+
+def test_an_empty_text_scores_zero_without_a_similarity_call(small_config, monkeypatch):
+    config = SweepConfig(kg_path=small_config.kg_path, corpus_path=small_config.corpus_path,
+                         snr_grid=[math.inf, 0.0], trials_per_point=2,
+                         schemes=("kgrag", "huffman_baseline"))
+    ctx = PipelineContext.from_config(config)
+    clean = run_sweep(config, ctx)
+    real_decode, real_similarity = harness.huffman_decode, harness.semantic_similarity
+
+    def decode_empty_when_noiseless(bits, table):
+        text = real_decode(bits, table)
+        return "" if text in ctx.corpus else text  # only the noiseless point decodes cleanly
+
+    scored: list[str] = []
+
+    def similarity(a, b, embedder):
+        scored.append(b)
+        return real_similarity(a, b, embedder)
+
+    monkeypatch.setattr(harness, "huffman_decode", decode_empty_when_noiseless)
+    monkeypatch.setattr(harness, "semantic_similarity", similarity)
+    # the one received rank names no entity: kgrag's reconstruction is empty
+    nowhere = TransmitResult(((1 << ctx.id_width) - 1,), (), 0, 0, 0, 0, False)
+    monkeypatch.setattr(harness, "transmit_many", lambda frames, cfgs: [nowhere] * len(cfgs))
+    records = run_sweep(config, ctx)
+    assert len(scored) == sum(1 for r in records if "empty_" not in r.flags)
+    assert "" not in scored
+    for got, want in zip(records, clean):
+        if got.scheme == "huffman_baseline" and got.snr_db == math.inf:
+            assert (got.flags, got.similarity) == ("empty_decode", 0.0)
+        elif got.scheme == "kgrag":
+            assert want.n_selected
+            assert (got.flags, got.similarity) == ("empty_reconstruction", 0.0)
+        else:
+            assert got == want
 
 
 def test_generation_memo_stays_within_its_cap(small_config, monkeypatch):

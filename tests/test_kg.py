@@ -1,6 +1,7 @@
 """Knowledge-graph store: ingestion, lookups, persistence, error reporting."""
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_forward_reference_edge_before_entities():
 
 def test_sample_file_triple_count_matches_line_count(sample_kg, sample_kg_path):
     # independent line-count oracle over the shipped file
-    lines = open(sample_kg_path, encoding="utf-8").read().splitlines()
+    lines = Path(sample_kg_path).read_text(encoding="utf-8").splitlines()
     t_lines = [l for l in lines if l.startswith("T\t")]
     e_lines = [l for l in lines if l.startswith("E\t")]
     c_lines = [l for l in lines if l.startswith("C\t")]
