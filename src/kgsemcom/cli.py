@@ -106,10 +106,9 @@ def _cmd_extract(args) -> int:
     print(f"mentions ({len(trace.mentions)}):")
     for m in trace.mentions:
         print(f"  [{m.start}:{m.end}] {m.surface}")
-    print(f"candidates ({len(trace.candidates.candidates)}):")
-    for node_id in sorted(trace.candidates.candidates):
+    print(f"candidates ({len(trace.candidates.provenance)}):")
+    for node_id, (_, sim) in sorted(trace.candidates.provenance.items()):
         ent = kg.entity_by_id(node_id)
-        _, sim = trace.candidates.provenance[node_id]
         print(f"  {node_id}  {ent.name}  (similarity {sim:.4f})")
     print(f"selected ({len(trace.selected.ids)}):")
     for node_id in trace.selected.ids:

@@ -31,15 +31,6 @@ def _window_keys(s: str) -> np.ndarray:
     return c[:-2] << 42 | c[1:-1] << 21 | c[2:]
 
 
-def _trigram_keys(text: str) -> np.ndarray:
-    """The keys of each trigram of the framed text; the empty text, which has
-    none, gets one key of its own."""
-    s = _framed(text)
-    if len(s) < 3:
-        return np.array([_EMPTY_KEY], dtype=np.uint64)
-    return _window_keys(s)
-
-
 def _signed_coords(keys: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """splitmix64 finalizer h of each key -> (h % dim, +-1 by h's top bit)."""
     h = (keys ^ keys >> 30) * np.uint64(0xBF58476D1CE4E5B9)
@@ -55,16 +46,13 @@ class TrigramEmbedder:
         self.dim = dim
 
     def embed_one(self, text: str) -> Vector:
-        coords, signs = _signed_coords(_trigram_keys(text), self.dim)
-        v = np.bincount(coords, weights=signs, minlength=self.dim)
-        norm = np.sqrt(v @ v)
-        if norm == 0.0:  # the signed counts cancelled: one-hot of the first trigram
-            v[coords[0]], norm = signs[0], 1.0
-        return v / norm
+        """The vector of one text: ``embed`` of a one-text batch."""
+        return self.embed([text])[0]
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        """``embed_one`` of each text, bitwise, from one encode of all framed
-        texts, one hashing pass and one bincount."""
+        """One unit vector per text, from one encode of all framed texts, one
+        hashing pass and one bincount; no row depends on the rest of its batch.
+        A text whose signed counts cancel gets the one-hot of its first trigram."""
         if not texts:
             return np.zeros((0, self.dim))
         framed = [_framed(t) for t in texts]
@@ -84,8 +72,11 @@ class TrigramEmbedder:
         m = np.bincount(rows * self.dim + coords, weights=signs,
                         minlength=len(texts) * self.dim).reshape(len(texts), self.dim)
         norms = np.sqrt(np.einsum("ij,ij->i", m, m))
-        for i in np.flatnonzero(norms == 0.0):
-            m[i], norms[i] = self.embed_one(texts[i]), 1.0
+        cancelled = np.flatnonzero(norms == 0.0)
+        if len(cancelled):
+            # a text's first window is always kept: its rank among kept windows
+            first = (np.cumsum(keep) - 1)[starts[cancelled]]
+            m[cancelled, coords[first]], norms[cancelled] = signs[first], 1.0
         m /= norms[:, None]
         return m
 

@@ -28,7 +28,7 @@ class Mention:
 
 @dataclass
 class CandidateSet:
-    candidates: set[NodeId]
+    # the candidates: id -> (its highest-similarity source mention, that similarity)
     provenance: dict[NodeId, tuple[Mention, float]]
     # diagnostic: (mention, routed community, ranked (id, sim)) per mention
     per_mention: list[tuple[Mention, str, list[tuple[NodeId, float]]]] = field(default_factory=list)
@@ -99,15 +99,14 @@ def recognize(sentence: str, kg: KnowledgeGraph) -> list[Mention]:
 def expand(mentions: list[Mention], index: EmbeddingIndex, embedder,
            k: int = 3) -> CandidateSet:
     """Route each mention to its best community, then take the top-k entities
-    there. Provenance keeps the highest-similarity source mention per id."""
-    cset = CandidateSet(candidates=set(), provenance={})
-    for mention in mentions:
-        query = embedder.embed_one(mention.surface)
+    there. The mentions are embedded in one batch. Provenance keeps the
+    highest-similarity source mention per id."""
+    cset = CandidateSet(provenance={})
+    for mention, query in zip(mentions, embedder.embed([m.surface for m in mentions])):
         community = index.best_community(query)
         ranked = index.top_k_in_community(community, query, k=k)
         cset.per_mention.append((mention, community, ranked))
         for nid, sim in ranked:
-            cset.candidates.add(nid)
             prev = cset.provenance.get(nid)
             if prev is None or sim > prev[1]:
                 cset.provenance[nid] = (mention, sim)
@@ -123,8 +122,7 @@ class StubSelector:
                max_selected: int = 8) -> SelectedEntities:
         canon_sentence = canonical_name(sentence)
         keep: list[tuple[float, NodeId]] = []
-        for nid in candidates.candidates:
-            sim = candidates.provenance[nid][1]
+        for nid, (_, sim) in candidates.provenance.items():
             name = kg.entities[nid].name
             if canonical_name(name) in canon_sentence or sim >= SIMILARITY_THRESHOLD:
                 keep.append((sim, nid))
@@ -148,7 +146,7 @@ class HttpSelector:
         from .remote import chat_completion
         listing = "\n".join(
             f"- {kg.entities[nid].name}: {kg.entities[nid].description}"
-            for nid in sorted(candidates.candidates))
+            for nid in sorted(candidates.provenance))
         prompt = self.template.format(sentence=sentence, candidates=listing)
         reply = chat_completion(self.config, prompt)
         names = [p.strip() for chunk in reply.splitlines() for p in chunk.split(",")]
@@ -157,7 +155,7 @@ class HttpSelector:
             if not name:
                 continue
             nid = kg.id_of(name.strip("-* \t"))
-            if nid is not None and nid in candidates.candidates:
+            if nid is not None and nid in candidates.provenance:
                 chosen.add(nid)
         return SelectedEntities(ids=tuple(sorted(chosen)[:max_selected]))
 

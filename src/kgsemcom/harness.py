@@ -465,7 +465,10 @@ def run_sweep(config: SweepConfig, ctx: PipelineContext | None = None) -> list[E
 
 def _sweep(ctx: PipelineContext, grid: list[float], trials: int, seed: int,
            schemes: Sequence[str]) -> list[ExperimentRecord]:
-    """The one sweep loop behind ``run_sweep`` and ``baseline_records``."""
+    """The one sweep loop behind ``run_sweep`` and ``baseline_records``. A
+    repeated SNR would repeat its report rows, so it raises ValueError."""
+    if len(set(grid)) < len(grid):  # 0.0 == -0.0, so both count once
+        raise ValueError(f"snr grid repeats a value: {grid!r}")
     schemes = [s for s in SCHEMES if s in schemes]
     shape = (len(grid), trials, len(schemes))
     snr_index, trial_index, scheme_index = np.indices(shape).reshape(3, -1)

@@ -11,28 +11,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kg import NodeId
-from .semgraph import Mcsg
-
-
-def _undirected_adjacency(mcsg: Mcsg) -> dict[NodeId, set[NodeId]]:
-    # parallel relations between the same pair collapse to one adjacency
-    adj: dict[NodeId, set[NodeId]] = {n: set() for n in mcsg.nodes}
-    for t in mcsg.edges:
-        if t.subject != t.object:
-            adj[t.subject].add(t.object)
-            adj[t.object].add(t.subject)
-    return adj
+from .semgraph import Mcsg, undirected_adjacency
 
 
 def degree_centrality(mcsg: Mcsg) -> dict[NodeId, int]:
-    adj = _undirected_adjacency(mcsg)
+    adj = undirected_adjacency(mcsg.nodes, mcsg.edges)
     return {n: len(adj[n]) for n in mcsg.nodes}
 
 
 def betweenness_centrality(mcsg: Mcsg) -> dict[NodeId, float]:
     """Exact betweenness, unweighted shortest paths, each unordered pair
     counted once. Brandes accumulation; endpoints excluded."""
-    adj = _undirected_adjacency(mcsg)
+    adj = undirected_adjacency(mcsg.nodes, mcsg.edges)
     bc = {n: 0.0 for n in mcsg.nodes}
     for s in mcsg.nodes:
         stack: list[NodeId] = []

@@ -38,14 +38,22 @@ def payload_of(mcsg: Mcsg) -> list[NodeId]:
     return sorted(mcsg.nodes)
 
 
-def _components(nodes: frozenset[NodeId], edges: tuple[Triple, ...]) -> list[set[NodeId]]:
+def undirected_adjacency(nodes: frozenset[NodeId],
+                         edges: tuple[Triple, ...]) -> dict[NodeId, set[NodeId]]:
+    """Each node's neighbours, either edge direction. A self-loop adds none,
+    and parallel relations between the same pair collapse to one."""
     adj: dict[NodeId, set[NodeId]] = {n: set() for n in nodes}
     for t in edges:
-        adj[t.subject].add(t.object)
-        adj[t.object].add(t.subject)
+        if t.subject != t.object:
+            adj[t.subject].add(t.object)
+            adj[t.object].add(t.subject)
+    return adj
+
+
+def _components(adj: dict[NodeId, set[NodeId]]) -> list[set[NodeId]]:
     seen: set[NodeId] = set()
     comps: list[set[NodeId]] = []
-    for start in sorted(nodes):
+    for start in sorted(adj):
         if start in seen:
             continue
         comp = {start}
@@ -69,7 +77,7 @@ def reconstruct(received: list[NodeId], kg: KnowledgeGraph,
     valid = frozenset(i for i in received if i in kg.entities)
     edges = kg.induced_edges(valid)
     if not keep_all_components and valid:
-        comps = _components(valid, edges)
+        comps = _components(undirected_adjacency(valid, edges))
         comps.sort(key=lambda c: (-len(c), min(c)))
         chosen = frozenset(comps[0])
         # a component is closed under its edges, so an edge is in it iff its subject is

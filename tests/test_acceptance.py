@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kgsemcom import kg as kgmod
-from kgsemcom.extraction import SelectedEntities
+from kgsemcom.extraction import SelectedEntities, recognize
 from kgsemcom.harness import (PipelineContext, SweepConfig, derive_seed,
                               render_report, run_pipeline, run_sweep,
                               semantic_similarity)
@@ -22,8 +22,10 @@ from kgsemcom.phy import (ChannelConfig, awgn, conv_encode_frames, huffman_decod
                           viterbi_decode_frames)
 from kgsemcom.semgraph import Mcsg, build_mcsg, payload_of, reconstruct
 
+from kgtools import load_synthkg
 
-def _verdict(capsys, criterion: int, ok: bool, detail: str) -> None:
+
+def _verdict(capsys, criterion: int | str, ok: bool, detail: str) -> None:
     with capsys.disabled():
         print(f"\n[criterion {criterion}] {'PASS' if ok else 'FAIL'} — {detail}",
               flush=True)
@@ -378,6 +380,11 @@ def test_criterion_9_low_snr_fidelity_and_overhead(capsys, sample_kg_path,
                                                     sample_corpus_path):
     config = SweepConfig(kg_path=str(sample_kg_path), corpus_path=str(sample_corpus_path),
                          snr_grid=[0.0, 2.0, 4.0], trials_per_point=10, seed=9009)
+    _low_snr_verdict(capsys, 9, config)
+
+
+def _low_snr_verdict(capsys, criterion: int | str, config: SweepConfig) -> None:
+    """Criterion 9's test on the graph and corpus of ``config``."""
     records = run_sweep(config)
 
     def mean(values):
@@ -397,6 +404,106 @@ def test_criterion_9_low_snr_fidelity_and_overhead(capsys, sample_kg_path,
             for scheme in ("kgrag", "huffman_baseline")}
     fewer_bits = bits["kgrag"] < bits["huffman_baseline"]
     ok &= fewer_bits
-    _verdict(capsys, 9, ok,
+    _verdict(capsys, criterion, ok,
              "; ".join(parts) + f"; mean channel bits kgrag {bits['kgrag']:.1f} "
              f"{'<' if fewer_bits else '>='} huffman {bits['huffman_baseline']:.1f}")
+
+
+def _synthetic_paths(tmp_path, seed: int, n_entities: int, n_sentences: int) -> tuple[str, str]:
+    """(KG path, corpus path) of the benchmark generator's graph and corpus."""
+    kg_text, corpus_text = load_synthkg().generate(seed, n_entities, n_sentences)
+    kg_path = tmp_path / f"synth_{seed}_{n_entities}.tsv"
+    corpus_path = tmp_path / f"synth_{seed}_{n_entities}.txt"
+    kg_path.write_text(kg_text, encoding="utf-8")
+    corpus_path.write_text(corpus_text, encoding="utf-8")
+    return str(kg_path), str(corpus_path)
+
+
+# -- criterion 9h: criterion 9 on a held-out synthetic graph ----------------------------
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="kgrag's mean similarity stays below Huffman's at every point of the "
+           "held-out graph. Measured kgrag / huffman: 0.027 / 0.036 at 0 dB, "
+           "0.036 / 0.042 at 2 dB, 0.056 / 0.057 at 4 dB, at 140.9 vs 731.5 mean "
+           "channel bits. The change that earns green removes this marker.")
+def test_criterion_9h_held_out_low_snr_fidelity_and_overhead(capsys, tmp_path):
+    kg_path, corpus_path = _synthetic_paths(tmp_path, 11, 2000, 100)
+    config = SweepConfig(kg_path=kg_path, corpus_path=corpus_path,
+                         snr_grid=[0.0, 2.0, 4.0], trials_per_point=10, seed=4242)
+    _low_snr_verdict(capsys, "9h", config)
+
+
+# -- criterion 11: the importance-aware split beats time-sharing of fixed splits --------
+
+def _best_time_sharing(a: tuple[float, float], b: tuple[float, float],
+                       bits_cap: float) -> tuple[float, float] | None:
+    """The highest-similarity (similarity, bits) of a time-sharing mix of two
+    policies' (mean similarity, mean bits) that uses at most ``bits_cap`` mean
+    bits; None if no mix does. Both means are linear in the mix, so the best
+    one is an endpoint or the mix that spends exactly ``bits_cap``."""
+    (sim_a, bits_a), (sim_b, bits_b) = a, b
+    mixes = [p for p in (a, b) if p[1] <= bits_cap]
+    if min(bits_a, bits_b) < bits_cap < max(bits_a, bits_b):
+        share = (bits_cap - bits_b) / (bits_a - bits_b)
+        mixes.append((share * sim_a + (1.0 - share) * sim_b, bits_cap))
+    return max(mixes, default=None)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="a time-sharing mix of protecting every id and protecting only the "
+           "top-scoring ids beats the default split at three points. Measured "
+           "best mix vs default, similarity @ mean bits: 0.0607 @ 78.7 vs "
+           "0.0466 @ 86.2 at 0 dB, 0.0819 vs 0.0817 at 2 dB, 0.1712 vs 0.1709 "
+           "at 6 dB. The change that earns green removes this marker.")
+def test_criterion_11_importance_split_beats_time_sharing(capsys, sample_kg_path,
+                                                          sample_corpus_path):
+    policies = {"default": SweepConfig.threshold_policy, "top": ((0.0, 1.0),),
+                "all": ((0.0, 0.0),)}
+    means: dict[str, dict[float, tuple[float, float]]] = {}
+    for name, policy in policies.items():
+        config = SweepConfig(kg_path=str(sample_kg_path), corpus_path=str(sample_corpus_path),
+                             trials_per_point=10, seed=9009, schemes=("kgrag",),
+                             threshold_policy=policy)
+        records = run_sweep(config)
+        means[name] = {}
+        for snr_db in config.snr_grid:
+            point = [r for r in records if r.snr_db == snr_db]
+            means[name][snr_db] = (sum(r.similarity for r in point) / len(point),
+                                   sum(r.channel_bits for r in point) / len(point))
+    parts, ok = [], True
+    for snr_db, (sim, bits) in means["default"].items():
+        best = _best_time_sharing(means["all"][snr_db], means["top"][snr_db], bits)
+        red = best is not None and best[0] > sim
+        ok &= not red
+        mix = "none fits" if best is None else f"{best[0]:.4f} @ {best[1]:.1f}"
+        parts.append(f"{snr_db:g}dB default {sim:.4f} @ {bits:.1f} vs best mix {mix}"
+                     f"{' (BEATEN)' if red else ''}")
+    _verdict(capsys, 11, ok, "; ".join(parts))
+
+
+# -- criterion 12: every entity an exact gazetteer mention names is selected -----------
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="community routing loses exact-name mentions on large graphs. Measured "
+           "recall / empty selections: 0.51 / 28% on synthkg (11, 2000, 100), "
+           "0.388 / 37.5% on (3, 8000, 80). The change that earns green removes "
+           "this marker.")
+def test_criterion_12_exact_mentions_are_selected(capsys, tmp_path):
+    parts, ok = [], True
+    for graph in ((11, 2000, 100), (3, 8000, 80)):
+        kg_path, corpus_path = _synthetic_paths(tmp_path, *graph)
+        ctx = PipelineContext.from_config(SweepConfig(kg_path=kg_path, corpus_path=corpus_path))
+        named = found = empty = 0
+        for sentence in ctx.corpus:
+            selected = set(ctx.analyze(sentence).selected.ids)
+            exact = {ctx.kg.id_of(m.surface) for m in recognize(sentence, ctx.kg)} - {None}
+            named += len(exact)
+            found += len(exact & selected)
+            empty += not selected
+            ok &= exact <= selected or len(selected) >= ctx.extraction.max_selected
+        parts.append(f"synthkg{graph}: recall {found / named:.3f} ({found}/{named}), "
+                     f"empty selections {empty / len(ctx.corpus):.1%}")
+    _verdict(capsys, 12, ok, "; ".join(parts))

@@ -4,14 +4,13 @@ trigram embedder, and community-first search against full-scan oracles."""
 import math
 import random
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from kgsemcom import EmbeddingIndex, TrigramEmbedder, ingest
 
-from kgtools import cosine
+from kgtools import cosine, reference_embedding, reference_hashes
 
 
 # -- cosine ------------------------------------------------------------------
@@ -89,40 +88,6 @@ def test_casefold_and_whitespace_collapse_share_vectors(embedder):
                           embedder.embed_one("alan bean"))
 
 
-def _splitmix64_finalizer(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
-    return z ^ (z >> 31)
-
-
-def _reference_hashes(text: str, dim: int) -> list[tuple[int, int]]:
-    """(coordinate, sign) per trigram, in plain integers."""
-    points = [ord(ch) for ch in "\x02" + " ".join(text.split()).casefold() + "\x03"]
-    if len(points) < 3:
-        keys = [1 << 63 | points[0] << 21 | points[1]]
-    else:
-        keys = [a << 42 | b << 21 | c for a, b, c in zip(points, points[1:], points[2:])]
-    hashes = [_splitmix64_finalizer(key) for key in keys]
-    return [(h % dim, -1 if h >> 63 else 1) for h in hashes]
-
-
-def _reference_embedding(text: str, dim: int) -> np.ndarray:
-    """Signed feature hashing: one Counter over coordinates, then normalise."""
-    hashes = _reference_hashes(text, dim)
-    counts: Counter = Counter()
-    for coord, sign in hashes:
-        counts[coord] += sign
-    v = np.zeros(dim)
-    norm = math.sqrt(sum(c * c for c in counts.values()))
-    if norm == 0.0:
-        coord, sign = hashes[0]
-        v[coord] = sign
-        return v
-    for coord, count in counts.items():
-        v[coord] = count
-    return v / norm
-
-
 def _random_texts(seed: int, n: int, max_len: int = 40) -> list[str]:
     # ASCII, whitespace, NUL, Latin-1, BMP, lone surrogates and astral planes
     rnd = random.Random(seed)
@@ -150,10 +115,22 @@ def test_embed_one_equals_integer_reference_bitwise(dim):
     for text in ORACLE_TEXTS:
         got = emb.embed_one(text)
         assert got.shape == (dim,)
-        assert np.array_equal(got, _reference_embedding(text, dim)), repr(text)
+        assert np.array_equal(got, reference_embedding(text, dim)), repr(text)
     if dim == 1:
-        assert any(sum(sign for _, sign in _reference_hashes(t, 1)) == 0
+        assert any(sum(sign for _, sign in reference_hashes(t, 1)) == 0
                    for t in ORACLE_TEXTS)
+
+
+@pytest.mark.parametrize("dim", [7, 1])
+def test_embed_maps_cancelled_rows_itself(monkeypatch, dim):
+    # a text whose signed counts cancel gets the one-hot of its first trigram
+    # inside the batch, with no per-text path
+    def forbidden(self, text):
+        raise AssertionError("embed must not call embed_one")
+    monkeypatch.setattr(TrigramEmbedder, "embed_one", forbidden)
+    rows = TrigramEmbedder(dim=dim).embed(ORACLE_TEXTS)
+    for text, row in zip(ORACLE_TEXTS, rows):
+        assert np.array_equal(row, reference_embedding(text, dim)), repr(text)
 
 
 def test_embed_batch_matches_embed_one(embedder):
@@ -182,7 +159,7 @@ BOUNDARY_TEXTS = ["", "", "\x02", "\x03", "\x03\x02", "\x02\x03", "", "a", "b",
 def test_embed_rows_equal_embed_one_across_text_boundaries(dim):
     emb = TrigramEmbedder(dim=dim)
     for text in BOUNDARY_TEXTS:
-        assert np.array_equal(emb.embed_one(text), _reference_embedding(text, dim)), repr(text)
+        assert np.array_equal(emb.embed_one(text), reference_embedding(text, dim)), repr(text)
     rnd = random.Random(dim)
     batches = [BOUNDARY_TEXTS, BOUNDARY_TEXTS[::-1], [""], ["", ""], ["a"], ["a", ""],
                ["", "a"], ["\x03", "\x02"], ["\ud83d", "\ude00"]]

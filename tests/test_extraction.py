@@ -11,6 +11,7 @@ from kgsemcom import (
     HttpSelector,
     Mention,
     StubSelector,
+    TrigramEmbedder,
     expand,
     extract_trace,
     ingest,
@@ -92,7 +93,7 @@ def test_mentions_sorted_non_overlapping_surface_matches_slice(sample_kg, sample
 
 def test_expand_zero_mentions_empty(sample_index, embedder):
     cset = expand([], sample_index, embedder)
-    assert cset.candidates == set()
+    assert set(cset.provenance) == set()
     assert cset.provenance == {}
 
 
@@ -102,7 +103,7 @@ def test_expand_exact_entity_text_scores_one(sample_kg, sample_index, embedder):
     surface = f"{ent.name}: {ent.description}"
     mention = Mention(surface, 0, len(surface))
     cset = expand([mention], sample_index, embedder)
-    assert ent.node_id in cset.candidates
+    assert ent.node_id in cset.provenance
     assert cset.provenance[ent.node_id][1] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -110,7 +111,7 @@ def test_expand_matches_exhaustive_scan_oracle(sample_kg, sample_index, embedder
     surfaces = ["Alan Bean", "Koh-i-Noor", "Flying Scotsman"]  # disjoint communities
     mentions = [Mention(s, 0, len(s)) for s in surfaces]
     cset = expand(mentions, sample_index, embedder, k=3)
-    assert len(cset.candidates) <= 9
+    assert len(cset.provenance) <= 9
 
     # oracle: for each mention scan all summaries, then all entities there
     expected: set[int] = set()
@@ -124,7 +125,7 @@ def test_expand_matches_exhaustive_scan_oracle(sample_kg, sample_index, embedder
                     for nid, e in sample_kg.entities.items() if e.community == cstar}
         top3 = sorted(ent_sims, key=lambda n: (-ent_sims[n], n))[:3]
         expected.update(top3)
-    assert cset.candidates == expected
+    assert set(cset.provenance) == expected
 
 
 def test_expand_provenance_keeps_best_similarity(sample_kg, sample_index, embedder):
@@ -132,7 +133,7 @@ def test_expand_provenance_keeps_best_similarity(sample_kg, sample_index, embedd
     mentions = [Mention("Alan Bean.", 0, 10), Mention("Alan Bean", 20, 29)]
     cset = expand(mentions, sample_index, embedder)
     nid = sample_kg.id_of("Alan Bean")
-    assert nid in cset.candidates
+    assert nid in cset.provenance
     best = max(
         cosine(embedder.embed_one(m.surface),
                embedder.embed_one("Alan Bean: " + sample_kg.entities[nid].description))
@@ -156,13 +157,34 @@ def test_expand_search_space_reduction_counters(sample_kg, sample_index, embedde
     sample_index.reset_counts()
 
 
+def test_expand_embeds_a_sentences_mentions_in_one_call(sample_kg, sample_corpus,
+                                                        monkeypatch):
+    # one embed call per sentence, also with no mention, and each mention
+    # routed and ranked as its own embedding would route and rank it
+    emb = TrigramEmbedder()
+    index = EmbeddingIndex.build(sample_kg, emb)
+    real_embed = emb.embed
+    batches: list[list[str]] = []
+    monkeypatch.setattr(emb, "embed", lambda texts: batches.append(list(texts))
+                        or real_embed(texts))
+    for sentence in sample_corpus + ["nothing relevant here at all"]:
+        mentions = recognize(sentence, sample_kg)
+        batches.clear()
+        cset = expand(mentions, index, emb)
+        assert batches == [[m.surface for m in mentions]]
+        assert [m for m, _, _ in cset.per_mention] == mentions
+        for mention, community, ranked in cset.per_mention:
+            query = real_embed([mention.surface])[0]
+            assert community == index.best_community(query)
+            assert ranked == index.top_k_in_community(community, query)
+
+
 # -- stage 3: select -----------------------------------------------------------
 
 def _cset(pairs) -> CandidateSet:
     """pairs: (node_id, similarity) with a dummy mention."""
     m = Mention("m", 0, 1)
-    return CandidateSet(candidates={nid for nid, _ in pairs},
-                        provenance={nid: (m, sim) for nid, sim in pairs})
+    return CandidateSet(provenance={nid: (m, sim) for nid, sim in pairs})
 
 
 def test_stub_keeps_name_found_in_sentence(sample_kg):
@@ -251,7 +273,7 @@ def test_empty_pipeline_reports_empty_selection(sample_kg, sample_index, stub_co
     trace = extract_trace("nothing relevant here at all", sample_kg,
                           sample_index, stub_config)
     assert trace.mentions == []
-    assert trace.candidates.candidates == set()
+    assert set(trace.candidates.provenance) == set()
     assert trace.selected.ids == ()
 
 
@@ -269,8 +291,8 @@ def test_selected_subset_of_candidates_subset_of_kg(sample_kg, sample_index,
                                                     sample_corpus, stub_config):
     for sentence in sample_corpus[:15]:
         trace = extract_trace(sentence, sample_kg, sample_index, stub_config)
-        assert set(trace.selected.ids) <= trace.candidates.candidates
-        assert trace.candidates.candidates <= set(sample_kg.entities)
+        assert set(trace.selected.ids) <= set(trace.candidates.provenance)
+        assert set(trace.candidates.provenance) <= set(sample_kg.entities)
 
 
 def test_extract_deterministic(sample_kg, sample_index, sample_corpus, stub_config):

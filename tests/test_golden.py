@@ -4,13 +4,13 @@ A change that alters sweep output on purpose (a new decoder, a new embedder)
 re-pins this hash in the same change and says so."""
 
 import hashlib
-import importlib.util
 import math
-from pathlib import Path
 
 import pytest
 
 from kgsemcom.harness import SweepConfig, baseline_records, render_report, run_sweep
+
+from kgtools import load_synthkg
 
 FIXTURE_SWEEP_SHA256 = "8ec28c1cd9fd31e45317b6886d3ab2897ea45ef32ab1f1d6582ba62af240f7be"
 # sweep seed 2**40 + 3 (two 32-bit words, so six-word seed entropy), both
@@ -57,11 +57,7 @@ def test_baseline_report_matches_pinned_sha256(sample_corpus, grid, seed, sha256
 
 
 def test_synthetic_kg_sweep_matches_pinned_sha256(tmp_path):
-    path = Path(__file__).resolve().parents[1] / "bench" / "synthkg.py"
-    spec = importlib.util.spec_from_file_location("synthkg", path)
-    synthkg = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(synthkg)
-    kg_text, corpus_text = synthkg.generate(3, 8000, 80)
+    kg_text, corpus_text = load_synthkg().generate(3, 8000, 80)
     kg_path, corpus_path = tmp_path / "kg.tsv", tmp_path / "corpus.txt"
     kg_path.write_text(kg_text, encoding="utf-8")
     corpus_path.write_text(corpus_text, encoding="utf-8")

@@ -7,12 +7,13 @@ import io
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import kgsemcom.harness as harness
-from kgsemcom.embedding import TrigramEmbedder, _signed_coords, _trigram_keys
+from kgsemcom.embedding import TrigramEmbedder
 from kgsemcom.harness import (
     SCHEMES,
     ExperimentRecord,
@@ -32,7 +33,7 @@ from kgsemcom.kg import ingest
 from kgsemcom.phy import (ChannelConfig, TransmitResult, channel_bit_cost, huffman_build,
                           huffman_encode, transmit)
 
-from kgtools import cosine, tiny_kg
+from kgtools import cosine, reference_hashes, tiny_kg
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +106,10 @@ def test_similarity_orders_related_above_unrelated(embedder):
 
 
 def _signed_counts_cancel(text: str, dim: int) -> bool:
-    coords, signs = _signed_coords(_trigram_keys(text), dim)
-    return not np.bincount(coords, weights=signs, minlength=dim).any()
+    counts: Counter = Counter()
+    for coord, sign in reference_hashes(text, dim):
+        counts[coord] += sign
+    return not any(counts.values())
 
 
 @pytest.mark.parametrize("dim", [384, 7, 1])
@@ -420,10 +423,8 @@ def test_run_sweep_embeds_each_distinct_text_once_per_sentence(small_config, mon
     ctx.extraction = dataclasses.replace(ctx.extraction,
                                          embedder=TrigramEmbedder(dim=ctx.embedder.dim))
     clean = run_sweep(config, ctx)
-    calls: list[str] = []  # every text embedded, one at a time or in a batch
-    real_embed_one, real_embed = ctx.embedder.embed_one, ctx.embedder.embed
-    monkeypatch.setattr(ctx.embedder, "embed_one",
-                        lambda text: calls.append(text) or real_embed_one(text))
+    calls: list[str] = []  # every text embedded; embed_one is a one-text embed
+    real_embed = ctx.embedder.embed
     batches: list[int] = []
     monkeypatch.setattr(ctx.embedder, "embed", lambda texts: batches.append(len(texts))
                         or calls.extend(texts) or real_embed(texts))
@@ -585,6 +586,14 @@ def test_baseline_records_flag_a_failing_stage_and_keep_going(sample_corpus, mon
             assert (got.trial, got.seed, got.similarity) == (want.trial, want.seed, 0.0)
         else:
             assert got == want
+
+
+@pytest.mark.parametrize("grid", [[4.0, 4.0], [0.0, -0.0], [math.inf, 2.0, math.inf]],
+                         ids=["4-4", "0-minus0", "inf-2-inf"])
+def test_baseline_records_reject_a_repeated_snr(sample_corpus, grid):
+    # a repeated point would write its summary rows and cumulative blocks twice
+    with pytest.raises(ValueError, match="repeats a value"):
+        baseline_records(sample_corpus[:2], grid)
 
 
 # -- CSV reports -------------------------------------------------------------------
