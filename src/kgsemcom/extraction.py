@@ -100,8 +100,11 @@ def expand(mentions: list[Mention], index: EmbeddingIndex, embedder,
            k: int = 3) -> CandidateSet:
     """Route each mention to its best community, then take the top-k entities
     there. The mentions are embedded in one batch. Provenance keeps the
-    highest-similarity source mention per id."""
+    highest-similarity source mention per id. An index without communities
+    holds no entity, so nothing is linked."""
     cset = CandidateSet(provenance={})
+    if not index.community_ids:
+        return cset
     for mention, query in zip(mentions, embedder.embed([m.surface for m in mentions])):
         community = index.best_community(query)
         ranked = index.top_k_in_community(community, query, k=k)

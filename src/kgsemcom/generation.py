@@ -50,12 +50,12 @@ def build_prompt(mcsg: Mcsg, kg: KnowledgeGraph) -> Prompt:
     if not mcsg.nodes:
         raise ValueError("cannot build a prompt from an empty subgraph")
     name = {nid: kg.entities[nid].name for nid in mcsg.nodes}
-    edges = sorted(mcsg.edges, key=lambda t: (t.subject, t.relation, t.object))
-    triple_names = tuple((name[t.subject], t.relation, name[t.object]) for t in edges)
+    # Mcsg keeps its edges sorted by (subject, relation, object)
+    triple_names = tuple((name[t.subject], t.relation, name[t.object]) for t in mcsg.edges)
     triples_section = tuple(f"{s} -{r}-> {o}" for s, r, o in triple_names)
     ordered_nodes = sorted(mcsg.nodes)
     descriptions = tuple(f"{name[n]}: {kg.entities[n].description}" for n in ordered_nodes)
-    touched = {t.subject for t in edges} | {t.object for t in edges}
+    touched = {t.subject for t in mcsg.edges} | {t.object for t in mcsg.edges}
     isolated = tuple(name[n] for n in ordered_nodes if n not in touched)
     return Prompt(instruction=load_prompt(GENERATION_PROMPT_FILE),
                   triples_section=triples_section,

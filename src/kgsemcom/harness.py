@@ -512,33 +512,27 @@ def render_report(records: list[ExperimentRecord], snr_grid: list[float]) -> str
         writer.writerow(["trial", r.sentence_id, _fmt_float(r.snr_db), r.scheme, r.trial,
                          r.seed, r.payload_bits, r.channel_bits, f"{r.similarity:.6f}",
                          r.n_selected, r.n_mcsg_nodes, r.n_received_valid, r.flags])
-    for snr_db in snr_grid:
-        for scheme in SCHEMES:
-            sims = [r.similarity for r in records
-                    if r.scheme == scheme and r.snr_db == snr_db]
-            if sims:
-                writer.writerow(["summary", "", _fmt_float(snr_db), scheme, "", "",
-                                 "", "", f"{sum(sims) / len(sims):.6f}", "", "", "",
-                                 f"n={len(sims)}"])
+    # one pass groups the records by (snr, scheme), in record order
+    by_point: dict[tuple[float, str], list[ExperimentRecord]] = {}
+    for r in records:
+        by_point.setdefault((r.snr_db, r.scheme), []).append(r)
+    points = [(snr_db, scheme, by_point[snr_db, scheme]) for snr_db in snr_grid
+              for scheme in SCHEMES if (snr_db, scheme) in by_point]
+    for snr_db, scheme, group in points:
+        writer.writerow(["summary", "", _fmt_float(snr_db), scheme, "", "", "", "",
+                         f"{sum(r.similarity for r in group) / len(group):.6f}", "", "", "",
+                         f"n={len(group)}"])
     # One cumulative block per (snr, scheme): payload bits never depend on
     # the channel, but kgrag channel bits follow the SNR-driven UEP split.
-    by_point: dict[tuple[float, str], dict[int, tuple[int, int]]] = {}
-    for r in records:
-        by_point.setdefault((r.snr_db, r.scheme), {})[r.sentence_id] = (
-            r.payload_bits, r.channel_bits)
-    for snr_db in snr_grid:
-        for scheme in SCHEMES:
-            per_sentence = by_point.get((snr_db, scheme))
-            if not per_sentence:
-                continue
-            payload_total = channel_total = 0
-            for sentence_id in sorted(per_sentence):
-                payload, channel = per_sentence[sentence_id]
-                payload_total += payload
-                channel_total += channel
-                writer.writerow(["cumulative", sentence_id, _fmt_float(snr_db),
-                                 scheme, "", "", payload_total, channel_total,
-                                 "", "", "", "", ""])
+    for snr_db, scheme, group in points:
+        per_sentence = {r.sentence_id: (r.payload_bits, r.channel_bits) for r in group}
+        payload_total = channel_total = 0
+        for sentence_id, (payload, channel) in sorted(per_sentence.items()):
+            payload_total += payload
+            channel_total += channel
+            writer.writerow(["cumulative", sentence_id, _fmt_float(snr_db),
+                             scheme, "", "", payload_total, channel_total,
+                             "", "", "", "", ""])
     return buf.getvalue()
 
 

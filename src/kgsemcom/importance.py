@@ -1,9 +1,10 @@
 """Node importance over the transmitted subgraph and the UEP split.
 
 Importance blends degree centrality (local influence) with exact unweighted
-betweenness centrality over unordered node pairs (bridging role), each
-min-max normalized over the subgraph. The SNR-dependent threshold policy
-decides which node ids the channel code protects.
+betweenness centrality over unordered node pairs (bridging role), both read
+from one ``semgraph.undirected_adjacency`` of the subgraph and each min-max
+normalized over it. The SNR-dependent threshold policy decides which node ids
+the channel code protects.
 """
 
 from dataclasses import dataclass, field
@@ -14,21 +15,19 @@ from .kg import NodeId
 from .semgraph import Mcsg, undirected_adjacency
 
 
-def degree_centrality(mcsg: Mcsg) -> dict[NodeId, int]:
-    adj = undirected_adjacency(mcsg.nodes, mcsg.edges)
-    return {n: len(adj[n]) for n in mcsg.nodes}
+def degree_centrality(adj: dict[NodeId, set[NodeId]]) -> dict[NodeId, int]:
+    return {n: len(others) for n, others in adj.items()}
 
 
-def betweenness_centrality(mcsg: Mcsg) -> dict[NodeId, float]:
+def betweenness_centrality(adj: dict[NodeId, set[NodeId]]) -> dict[NodeId, float]:
     """Exact betweenness, unweighted shortest paths, each unordered pair
     counted once. Brandes accumulation; endpoints excluded."""
-    adj = undirected_adjacency(mcsg.nodes, mcsg.edges)
-    bc = {n: 0.0 for n in mcsg.nodes}
-    for s in mcsg.nodes:
+    bc = {n: 0.0 for n in adj}
+    for s in adj:
         stack: list[NodeId] = []
-        preds: dict[NodeId, list[NodeId]] = {v: [] for v in mcsg.nodes}
-        sigma = {v: 0 for v in mcsg.nodes}
-        dist = {v: -1 for v in mcsg.nodes}
+        preds: dict[NodeId, list[NodeId]] = {v: [] for v in adj}
+        sigma = {v: 0 for v in adj}
+        dist = {v: -1 for v in adj}
         sigma[s] = 1
         dist[s] = 0
         queue = [s]
@@ -42,7 +41,7 @@ def betweenness_centrality(mcsg: Mcsg) -> dict[NodeId, float]:
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     preds[w].append(v)
-        delta = {v: 0.0 for v in mcsg.nodes}
+        delta = {v: 0.0 for v in adj}
         while stack:
             w = stack.pop()
             for v in preds[w]:
@@ -76,11 +75,12 @@ class ThresholdPolicy:
             raise ValueError("policy breakpoints must have strictly increasing SNR")
         if any(not 0.0 <= t <= 1.0 for t in taus) or taus != sorted(taus):
             raise ValueError("thresholds must be non-decreasing within [0, 1]")
+        # the breakpoints as np.interp reads them, built once
+        object.__setattr__(self, "_xp_fp", (np.array(snrs, dtype=float),
+                                            np.array(taus, dtype=float)))
 
     def threshold(self, snr_db: float) -> float:
-        snrs = [p[0] for p in self.points]
-        taus = [p[1] for p in self.points]
-        return float(np.interp(snr_db, snrs, taus))
+        return float(np.interp(snr_db, *self._xp_fp))
 
 
 @dataclass
@@ -103,8 +103,9 @@ class ImportanceTable:
 
 
 def importance_scores(mcsg: Mcsg, config: ImportanceConfig) -> ImportanceTable:
-    deg = degree_centrality(mcsg)
-    btw = betweenness_centrality(mcsg)
+    adj = undirected_adjacency(mcsg.nodes, mcsg.edges)
+    deg = degree_centrality(adj)
+    btw = betweenness_centrality(adj)
     deg_n = _minmax({n: float(v) for n, v in deg.items()})
     btw_n = _minmax(btw)
     a = config.alpha
@@ -117,6 +118,7 @@ def partition_uep(table: ImportanceTable, snr_db: float,
     """Split ids into (protected, unprotected), both ascending. Protection goes
     to scores at or above the policy threshold for this SNR."""
     tau = config.threshold_policy.threshold(snr_db)
-    protected = sorted(n for n, row in table.rows.items() if row[2] >= tau)
-    unprotected = sorted(n for n in table.rows if table.rows[n][2] < tau)
+    protected, unprotected = [], []
+    for n in sorted(table.rows):
+        (protected if table.rows[n][2] >= tau else unprotected).append(n)
     return protected, unprotected

@@ -62,18 +62,16 @@ class KnowledgeGraph:
         self.entities = entities
         self.communities = communities
         self.triples = triples
-        if name_index is None:
-            name_index = {canonical_name(ent.name): ent.node_id for ent in entities.values()}
-        self.name_index = name_index
-        self._alias_index: dict[str, NodeId] = {}
+        # canonical name or alias -> id: every name first, then each alias that
+        # no name or earlier entity holds, so an alias never shadows a name
+        self.lookup: dict[str, NodeId] = dict(
+            name_index if name_index is not None
+            else ((canonical_name(ent.name), ent.node_id) for ent in entities.values()))
         for ent in entities.values():
             for alias in ent.aliases:
-                key = canonical_name(alias)
-                if key not in self.name_index and key not in self._alias_index:
-                    self._alias_index[key] = ent.node_id
+                self.lookup.setdefault(canonical_name(alias), ent.node_id)
         # longest lookup key in words, so recognition bounds its span search
-        self.max_name_words = max((len(k.split()) for k in
-                                   (*self.name_index, *self._alias_index)), default=1)
+        self.max_name_words = max((len(k.split()) for k in self.lookup), default=1)
         # per-node incidence lists: each triple under its subject and its object,
         # a self-loop once, so subgraph queries never scan the whole graph
         self._incident: dict[NodeId, list[Triple]] = {i: [] for i in entities}
@@ -88,11 +86,7 @@ class KnowledgeGraph:
         return self.entities.get(node_id)
 
     def id_of(self, name: str) -> NodeId | None:
-        key = canonical_name(name)
-        hit = self.name_index.get(key)
-        if hit is None:
-            hit = self._alias_index.get(key)
-        return hit
+        return self.lookup.get(canonical_name(name))
 
     def neighbors(self, node_id: NodeId) -> set[tuple[str, NodeId]]:
         """Edges touching node_id in either direction, as (relation, other) pairs."""
@@ -239,4 +233,8 @@ def _edge_error(entities: dict, lineno: int, s_text: str, relation: str,
 
 
 def load(path: str | Path) -> KnowledgeGraph:
-    return ingest(Path(path).read_text(encoding="utf-8").splitlines())
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise KgFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    return ingest(text.splitlines())

@@ -21,11 +21,9 @@ class Mcsg:
 
 def build_mcsg(selected: SelectedEntities, kg: KnowledgeGraph) -> Mcsg:
     """Seeds plus all one-hop neighbors (either edge direction), with every KG
-    edge among those nodes. May be disconnected; may be empty for no seeds."""
+    edge among those nodes. May be disconnected; may be empty for no seeds.
+    A seed the graph lacks raises ``KeyError`` from ``kg.neighbors``."""
     seeds = frozenset(selected.ids)
-    for nid in seeds:
-        if nid not in kg.entities:
-            raise KeyError(f"selected id {nid} not in knowledge graph")
     nodes = set(seeds)
     for nid in seeds:
         nodes.update(other for _, other in kg.neighbors(nid))

@@ -21,6 +21,21 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+# a KG file that is not valid UTF-8: a stray 0xff byte in an entity name
+NOT_UTF8_KG = b"C\tc0\tL\tS\nE\t0\tCaf\xff\tc0\t\t\n"
+
+
+def _not_utf8_kg(tmp_path) -> Path:
+    path = tmp_path / "latin.tsv"
+    path.write_bytes(NOT_UTF8_KG)
+    return path
+
+
+def _assert_not_utf8_error(payload):
+    assert payload["error"] == "kg-format"
+    assert f"byte {NOT_UTF8_KG.index(0xff)}" in payload["message"]
+
+
 def _error(capsys, argv):
     code, out, err = _run(capsys, argv)
     assert code == 2
@@ -52,6 +67,8 @@ def test_build_kg_rejects_malformed_file(capsys, tmp_path):
     payload = _error(capsys, ["build-kg", "--input", str(bad), "--out",
                               str(tmp_path / "out.tsv")])
     assert payload["error"] == "kg-format"
+    _assert_not_utf8_error(_error(capsys, ["build-kg", "--input", str(_not_utf8_kg(tmp_path)),
+                                           "--out", str(tmp_path / "out.tsv")]))
 
 
 # -- extract -----------------------------------------------------------------------
@@ -74,6 +91,26 @@ def test_extract_missing_kg_file(capsys, tmp_path):
                               "--sentence", "x"])
     assert payload["error"] == "io"
     assert "not found" in payload["message"]
+    latin = str(_not_utf8_kg(tmp_path))
+    _assert_not_utf8_error(_error(capsys, ["extract", "--kg", latin, "--sentence", "x"]))
+    _assert_not_utf8_error(_error(capsys, ["send", "--kg", latin, "--sentence", "x",
+                                           "--snr", "6", "--seed", "0"]))
+
+
+def test_graph_without_communities_links_nothing(capsys, tmp_path):
+    # a KG with no C line is valid; a capitalized fallback mention finds no
+    # community to route to, so nothing is selected and nothing is sent
+    kg = tmp_path / "bare.tsv"
+    kg.write_text("# no communities, no entities\n", encoding="utf-8")
+    sentence = "Alan Bean met Pete Conrad"
+    code, stdout, _ = _run(capsys, ["extract", "--kg", str(kg), "--sentence", sentence])
+    assert code == 0
+    assert "mentions (2):" in stdout
+    assert "candidates (0):" in stdout
+    code, stdout, _ = _run(capsys, ["send", "--kg", str(kg), "--sentence", sentence,
+                                    "--snr", "6", "--seed", "1"])
+    assert code == 0
+    assert "nothing recognized; no transmission" in stdout
 
 
 # -- send --------------------------------------------------------------------------
@@ -261,6 +298,8 @@ def test_sweep_rejects_malformed_kg(capsys, tmp_path, sweep_config_path):
     bad.write_text("E\t0\tName\tnowhere\t\t\n", encoding="utf-8")
     payload = _sweep_error(capsys, tmp_path, sweep_config_path, kg_path=str(bad))
     assert payload["error"] == "kg-format"
+    _assert_not_utf8_error(_sweep_error(capsys, tmp_path, sweep_config_path,
+                                        kg_path=str(_not_utf8_kg(tmp_path))))
 
 
 # -- remote backends without an endpoint -------------------------------------------

@@ -259,6 +259,22 @@ def test_empty_selection_flagged(ctx):
     assert record.n_selected == record.n_mcsg_nodes == record.n_received_valid == 0
 
 
+def test_graph_without_communities_flags_empty_selection(tmp_path):
+    # a capitalized fallback mention on a graph with no communities links to
+    # nothing: the kgrag records are empty selections, not errors
+    kg_path, corpus_path = tmp_path / "bare.tsv", tmp_path / "one.txt"
+    kg_path.write_text("# no communities\n", encoding="utf-8")
+    corpus_path.write_text("Alan Bean met Pete Conrad\n", encoding="utf-8")
+    records = run_sweep(SweepConfig(kg_path=str(kg_path), corpus_path=str(corpus_path),
+                                    snr_grid=[0.0, 6.0], trials_per_point=2))
+    assert len(records) == 2 * 2 * len(SCHEMES)
+    for r in records:
+        if r.scheme == "kgrag":
+            assert (r.flags, r.similarity, r.channel_bits) == ("empty_selection", 0.0, 0)
+        else:
+            assert not r.flags.startswith("error:")
+
+
 # -- corpus + config ---------------------------------------------------------------
 
 def test_load_corpus_skips_comments_and_blanks(tmp_path):

@@ -16,6 +16,7 @@ from kgsemcom import (
     partition_uep,
 )
 from kgsemcom.importance import _minmax
+from kgsemcom.semgraph import undirected_adjacency
 
 from kgtools import tiny_kg
 
@@ -29,6 +30,11 @@ def _path_mcsg():
 def _whole_graph_mcsg(records):
     kg = ingest(records)
     return build_mcsg(SelectedEntities(ids=tuple(sorted(kg.entities))), kg)
+
+
+def _adjacency(mcsg):
+    """The program's adjacency, which the centrality functions take."""
+    return undirected_adjacency(mcsg.nodes, mcsg.edges)
 
 
 def _random_mcsg(rng, max_nodes=8):
@@ -98,27 +104,27 @@ def _oracle_betweenness(mcsg):
 # -- degree --------------------------------------------------------------------
 
 def test_degree_path_closed_form():
-    deg = degree_centrality(_path_mcsg())
+    deg = degree_centrality(_adjacency(_path_mcsg()))
     assert deg == {0: 1, 1: 2, 2: 1}
 
 
 def test_degree_isolated_node_zero():
     kg = tiny_kg(triples=("A r B",), extra_entities=("X",))
     mcsg = build_mcsg(SelectedEntities(ids=tuple(sorted(kg.entities))), kg)
-    assert degree_centrality(mcsg)[kg.id_of("X")] == 0
+    assert degree_centrality(_adjacency(mcsg))[kg.id_of("X")] == 0
 
 
 def test_parallel_relations_count_once():
     mcsg = _whole_graph_mcsg(
         ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "E\t1\tB\tc0\t\t",
          "T\t0\tr\t1", "T\t0\ts\t1", "T\t1\tt\t0"])
-    assert degree_centrality(mcsg) == {0: 1, 1: 1}
+    assert degree_centrality(_adjacency(mcsg)) == {0: 1, 1: 1}
 
 
 def test_self_loop_ignored():
     mcsg = _whole_graph_mcsg(
         ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\t0\tr\t0"])
-    assert degree_centrality(mcsg) == {0: 0}
+    assert degree_centrality(_adjacency(mcsg)) == {0: 0}
 
 
 def test_degree_matches_adjacency_count_oracle():
@@ -126,13 +132,13 @@ def test_degree_matches_adjacency_count_oracle():
     for _ in range(100):
         mcsg = _random_mcsg(rng)
         adj = _undirected_adj(mcsg)
-        assert degree_centrality(mcsg) == {v: len(adj[v]) for v in mcsg.nodes}
+        assert degree_centrality(_adjacency(mcsg)) == {v: len(adj[v]) for v in mcsg.nodes}
 
 
 # -- betweenness ---------------------------------------------------------------
 
 def test_betweenness_path_closed_form():
-    bc = betweenness_centrality(_path_mcsg())
+    bc = betweenness_centrality(_adjacency(_path_mcsg()))
     assert bc[1] == pytest.approx(1.0, abs=1e-12)
     assert bc[0] == bc[2] == pytest.approx(0.0, abs=1e-12)
 
@@ -141,7 +147,7 @@ def test_betweenness_star_closed_form():
     mcsg = _whole_graph_mcsg(
         ["C\tc0\tL\tS"] + [f"E\t{i}\tn{i}\tc0\t\t" for i in range(4)]
         + ["T\t0\tr\t1", "T\t0\tr\t2", "T\t0\tr\t3"])
-    bc = betweenness_centrality(mcsg)
+    bc = betweenness_centrality(_adjacency(mcsg))
     assert bc[0] == pytest.approx(3.0, abs=1e-12)  # C(3,2) leaf pairs
     assert all(bc[i] == pytest.approx(0.0, abs=1e-12) for i in (1, 2, 3))
 
@@ -150,7 +156,7 @@ def test_betweenness_matches_path_enumeration_oracle():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(32)))
     for _ in range(50):
         mcsg = _random_mcsg(rng)
-        got = betweenness_centrality(mcsg)
+        got = betweenness_centrality(_adjacency(mcsg))
         want = _oracle_betweenness(mcsg)
         for v in mcsg.nodes:
             assert got[v] == pytest.approx(want[v], abs=1e-9)
@@ -169,7 +175,7 @@ def test_betweenness_conservation():
                 paths = _all_shortest_paths(adj, s, t)
                 if paths:
                     pair_total += sum(len(p) - 2 for p in paths) / len(paths)
-        got_total = sum(betweenness_centrality(mcsg).values())
+        got_total = sum(betweenness_centrality(_adjacency(mcsg)).values())
         assert got_total == pytest.approx(pair_total, abs=1e-9)
 
 
@@ -177,7 +183,7 @@ def test_disconnected_pairs_contribute_nothing():
     mcsg = _whole_graph_mcsg(
         ["C\tc0\tL\tS"] + [f"E\t{i}\tn{i}\tc0\t\t" for i in range(4)]
         + ["T\t0\tr\t1", "T\t2\tr\t3"])
-    bc = betweenness_centrality(mcsg)
+    bc = betweenness_centrality(_adjacency(mcsg))
     assert all(v == pytest.approx(0.0, abs=1e-12) for v in bc.values())
 
 
@@ -196,12 +202,28 @@ def test_single_node_degenerate_score_one():
     assert table.score(0) == pytest.approx(1.0)
 
 
+def test_importance_scores_builds_one_adjacency_per_call(monkeypatch):
+    from kgsemcom import importance
+    builds = []
+
+    def counting(nodes, edges):
+        builds.append(nodes)
+        return undirected_adjacency(nodes, edges)
+
+    monkeypatch.setattr(importance, "undirected_adjacency", counting)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(36)))
+    graphs = [_path_mcsg()] + [_random_mcsg(rng) for _ in range(5)]
+    for mcsg in graphs:
+        importance_scores(mcsg, ImportanceConfig())
+    assert builds == [mcsg.nodes for mcsg in graphs]
+
+
 def test_alpha_one_ranking_equals_degree_ranking():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(34)))
     for _ in range(50):
         mcsg = _random_mcsg(rng)
         table = importance_scores(mcsg, ImportanceConfig(alpha=1.0))
-        deg = degree_centrality(mcsg)
+        deg = degree_centrality(_adjacency(mcsg))
         nodes = sorted(mcsg.nodes)
         for a in nodes:
             for b in nodes:

@@ -158,13 +158,23 @@ def test_id_of_roundtrip_all_ids(sample_kg):
         assert sample_kg.id_of(ent.name) == nid
 
 
+def test_id_of_names_beat_aliases_and_the_first_alias_claim_wins():
+    kg = ingest(["C\tc\tl\ts",
+                 "E\t5\tAlpha\tc\t\tBETA|shared",  # claims another entity's name
+                 "E\t2\tBeta\tc\t\tShared|alpha",  # a claim made after Alpha's
+                 "E\t9\tGamma\tc\t\tshared"])
+    assert kg.id_of("beta") == 2  # an alias never shadows a name
+    assert kg.id_of("alpha") == 5
+    assert kg.id_of("SHARED") == 5  # the first entity in entity order keeps it
+    assert kg.id_of("gamma") == 9
+
+
 def test_ingest_hands_over_the_name_index_the_graph_would_build(sample_kg):
     odd = ingest(["C\tc\tl\ts", "E\t\t  Mixed   CASE name \tc\td\t", "E\t7\tStraße\tc\t\t",
                   "E\t\tſigma\tc\t\tAlias"])
     for kg in (sample_kg, odd):
         rebuilt = kgmod.KnowledgeGraph(kg.entities, kg.communities, kg.triples)
-        assert kg.name_index == rebuilt.name_index
-        assert kg._alias_index == rebuilt._alias_index
+        assert kg.lookup == rebuilt.lookup
 
 
 def test_canonical_name_rule():
