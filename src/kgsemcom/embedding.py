@@ -6,7 +6,7 @@ overlapping texts land near each other. Integer counts sum exactly, so a text
 has one bitwise vector on every platform, run and batch, and needs no cache.
 """
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -82,31 +82,54 @@ class TrigramEmbedder:
 
 
 class EmbeddingIndex:
-    """Flat per-community index over entity embeddings plus one summary
-    embedding per community. Queries count similarity evaluations so the
-    search-space reduction of the hierarchical scheme is observable."""
+    """Per-community index over entity embeddings plus one summary embedding
+    per community. ``build`` embeds the summaries only; a community's entity
+    texts ("name: description") are embedded on first use, through
+    ``entities``, and kept for the index's life. Rows of ``embed`` do not
+    depend on their batch, so every score equals that of an index embedded
+    whole up front. Queries count similarity evaluations so the search-space
+    reduction of the hierarchical scheme is observable."""
 
     def __init__(self, dim: int):
         self.dim = dim
         self.community_ids: list[str] = []
         self._community_matrix: Vector | None = None
+        self._member_ids: dict[str, list[NodeId]] = {}  # ascending, per community
+        # the communities embedded so far: member ids and one row per member
         self._entities: dict[str, tuple[list[NodeId], Vector]] = {}
+        self._kg: KnowledgeGraph | None = None
+        self._embedder = None
         self.eval_counts = {"community": 0, "entity": 0}
 
     @classmethod
     def build(cls, kg: KnowledgeGraph, embedder) -> "EmbeddingIndex":
         index = cls(dim=embedder.dim)
+        index._kg, index._embedder = kg, embedder
         index.community_ids = sorted(kg.communities)
         summaries = [kg.communities[c].summary for c in index.community_ids]
         index._community_matrix = embedder.embed(summaries)
-        members: dict[str, list[NodeId]] = {cid: [] for cid in index.community_ids}
-        for e in kg.entities.values():
-            members[e.community].append(e.node_id)
-        for cid in index.community_ids:
-            ids = sorted(members[cid])
-            texts = [f"{kg.entities[i].name}: {kg.entities[i].description}" for i in ids]
-            index._entities[cid] = (ids, embedder.embed(texts))
+        index._member_ids = {cid: [] for cid in index.community_ids}
+        for nid in sorted(kg.entities):
+            index._member_ids[kg.entities[nid].community].append(nid)
         return index
+
+    def entities(self, communities: Iterable[str]) -> list[tuple[list[NodeId], Vector]]:
+        """(member ids ascending, one embedded row per member) of each
+        community, in order. The members of every community not yet held are
+        embedded in one batch and kept."""
+        communities = list(communities)
+        missing = [c for c in dict.fromkeys(communities) if c not in self._entities]
+        if missing:
+            ents = self._kg.entities
+            texts = [f"{ents[i].name}: {ents[i].description}"
+                     for c in missing for i in self._member_ids[c]]
+            rows = self._embedder.embed(texts)
+            start = 0
+            for c in missing:
+                ids = self._member_ids[c]
+                self._entities[c] = (ids, rows[start:start + len(ids)])
+                start += len(ids)
+        return [self._entities[c] for c in communities]
 
     def reset_counts(self) -> None:
         self.eval_counts = {"community": 0, "entity": 0}
@@ -124,7 +147,7 @@ class EmbeddingIndex:
                            k: int = 3) -> list[tuple[NodeId, float]]:
         if k <= 0:
             raise ValueError("k must be positive")
-        ids, matrix = self._entities[community]
+        [(ids, matrix)] = self.entities([community])
         if not ids:
             return []
         sims = matrix @ query
@@ -134,4 +157,4 @@ class EmbeddingIndex:
         return [(ids[i], float(sims[i])) for i in order[:k]]
 
     def community_size(self, community: str) -> int:
-        return len(self._entities[community][0])
+        return len(self._member_ids[community])

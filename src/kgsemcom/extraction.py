@@ -99,14 +99,17 @@ def recognize(sentence: str, kg: KnowledgeGraph) -> list[Mention]:
 def expand(mentions: list[Mention], index: EmbeddingIndex, embedder,
            k: int = 3) -> CandidateSet:
     """Route each mention to its best community, then take the top-k entities
-    there. The mentions are embedded in one batch. Provenance keeps the
-    highest-similarity source mention per id. An index without communities
-    holds no entity, so nothing is linked."""
+    there. The mentions are embedded in one batch, and then, in one more, the
+    entities of every routed community the index does not hold yet.
+    Provenance keeps the highest-similarity source mention per id. An index
+    without communities holds no entity, so nothing is linked."""
     cset = CandidateSet(provenance={})
     if not index.community_ids:
         return cset
-    for mention, query in zip(mentions, embedder.embed([m.surface for m in mentions])):
-        community = index.best_community(query)
+    queries = embedder.embed([m.surface for m in mentions])
+    routed = [index.best_community(query) for query in queries]
+    index.entities(routed)
+    for mention, query, community in zip(mentions, queries, routed):
         ranked = index.top_k_in_community(community, query, k=k)
         cset.per_mention.append((mention, community, ranked))
         for nid, sim in ranked:

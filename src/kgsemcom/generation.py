@@ -7,6 +7,7 @@ each triple as "subject relation-phrase object"; a remote backend asks a chat
 model and falls back to the offline template on empty replies.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -38,8 +39,11 @@ def _name_phrase(name: str) -> str:
     return " ".join(name.replace("_", " ").split())
 
 
+@functools.lru_cache(maxsize=4096)
 def verbalize_relation(relation: str) -> str:
-    """camelCase / snake_case relation label -> spaced lowercase phrase."""
+    """camelCase / snake_case relation label -> spaced lowercase phrase.
+    Memoized: a graph has few labels, and each verbalization runs two regex
+    substitutions."""
     s = relation.replace("_", " ")
     s = re.sub(r"(.)([A-Z][a-z]+)", r"\1 \2", s)
     s = re.sub(r"([a-z0-9])([A-Z])", r"\1 \2", s)
@@ -135,7 +139,7 @@ def enrich_kg(kg, remote_config):
                                         facts="\n".join(facts) or "- (none recorded)")
         reply = one_line(chat_completion(remote_config, prompt))
         if reply:
-            entities[node_id] = dataclasses.replace(ent, description=reply)
+            entities[node_id] = ent._replace(description=reply)
 
     members = {}
     for ent in entities.values():

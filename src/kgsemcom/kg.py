@@ -1,6 +1,7 @@
 """Knowledge graph store: entities with descriptions, communities, relation triples.
 
-File format (UTF-8, one record per line, tab-separated, '#' comments ignored):
+File format (UTF-8, one record per line, tab-separated, '#' comments ignored;
+a leading byte-order mark is skipped):
 
     C<TAB>community_id<TAB>label<TAB>summary
     E<TAB>node_id<TAB>name<TAB>community_id<TAB>description<TAB>alias1|alias2|...
@@ -11,6 +12,7 @@ auto-assignment (first free id starting at 0, in file order). dump() inverts
 load(). Graphs are immutable after ingestion; all queries are read-only.
 """
 
+import codecs
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, NoReturn
@@ -36,8 +38,9 @@ class Triple(NamedTuple):
     object: NodeId
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
+    """A node: its id, name, community, description and aliases; a plain
+    tuple, so ingest builds one cheaply per E line."""
     node_id: NodeId
     name: str
     community: str
@@ -233,8 +236,11 @@ def _edge_error(entities: dict, lineno: int, s_text: str, relation: str,
 
 
 def load(path: str | Path) -> KnowledgeGraph:
+    """The graph of a UTF-8 file; a leading byte-order mark is skipped."""
+    data = Path(path).read_bytes()
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        text = data[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise KgFormatError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+        raise KgFormatError(f"{path}: not valid UTF-8 at byte {bom + exc.start}") from None
     return ingest(text.splitlines())

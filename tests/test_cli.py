@@ -71,6 +71,16 @@ def test_build_kg_rejects_malformed_file(capsys, tmp_path):
                                            "--out", str(tmp_path / "out.tsv")]))
 
 
+def test_build_kg_accepts_a_byte_order_mark(capsys, tmp_path, sample_kg_path, sample_kg):
+    marked = tmp_path / "bom.tsv"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(sample_kg_path).read_bytes())
+    out = tmp_path / "rebuilt.tsv"
+    code, stdout, _ = _run(capsys, ["build-kg", "--input", str(marked), "--out", str(out)])
+    assert code == 0
+    assert f"wrote {len(sample_kg.entities)} entities" in stdout
+    assert kgmod.load(out) == sample_kg
+
+
 # -- extract -----------------------------------------------------------------------
 
 def test_extract_shows_stages(capsys, sample_kg_path, sample_corpus):

@@ -210,7 +210,7 @@ def test_index_matrices_equal_embed_one_rows(sample_kg, sample_index, embedder):
     for cid, row in zip(sample_index.community_ids, summaries):
         assert np.array_equal(row, embedder.embed_one(sample_kg.communities[cid].summary))
     for cid in sample_index.community_ids:
-        ids, matrix = sample_index._entities[cid]
+        [(ids, matrix)] = sample_index.entities([cid])
         assert matrix.shape == (len(ids), embedder.dim)
         for nid, row in zip(ids, matrix):
             ent = sample_kg.entities[nid]
@@ -245,6 +245,7 @@ def test_no_embedding_path_draws_a_random_generator(monkeypatch, sample_kg):
     emb.embed_one("Alan Bean walked on the Moon")
     emb.embed(["Pete Conrad", "Surveyor Crater", ""])
     index = EmbeddingIndex.build(sample_kg, emb)
+    index.entities(index.community_ids)  # every entity row, embedded on demand
     assert sum(index.community_size(c) for c in index.community_ids) == len(sample_kg)
 
 
@@ -310,7 +311,7 @@ def test_best_community_tie_breaks_to_smallest_id(embedder):
 def test_top_k_member_text_scores_one(sample_kg, sample_index, embedder):
     # entity indexed text is "name: description"; that exact text ranks first
     cid = sample_index.community_ids[0]
-    ids, _ = sample_index._entities[cid]
+    [(ids, _)] = sample_index.entities([cid])
     target = sample_kg.entities[ids[0]]
     query = embedder.embed_one(f"{target.name}: {target.description}")
     ranked = sample_index.top_k_in_community(cid, query, k=3)
@@ -411,7 +412,7 @@ def test_index_groups_interleaved_communities(embedder):
                 + [f"E\t{i}\tn{i}\tc{i % 3}\td{i}\t" for i in order])
     index = EmbeddingIndex.build(kg, embedder)
     for c in range(3):
-        ids, matrix = index._entities[f"c{c}"]
+        [(ids, matrix)] = index.entities([f"c{c}"])
         assert ids == [i for i in range(12) if i % 3 == c]
         assert matrix.shape == (4, index.dim)
         assert np.array_equal(matrix[0], embedder.embed_one(f"n{c}: d{c}"))

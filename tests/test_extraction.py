@@ -159,19 +159,28 @@ def test_expand_search_space_reduction_counters(sample_kg, sample_index, embedde
 
 def test_expand_embeds_a_sentences_mentions_in_one_call(sample_kg, sample_corpus,
                                                         monkeypatch):
-    # one embed call per sentence, also with no mention, and each mention
-    # routed and ranked as its own embedding would route and rank it
+    # one embed call of a sentence's mentions, also with no mention, then at
+    # most one of the entity texts of the routed communities not embedded
+    # before, and each mention routed and ranked as its own embedding would
+    # route and rank it
     emb = TrigramEmbedder()
     index = EmbeddingIndex.build(sample_kg, emb)
     real_embed = emb.embed
     batches: list[list[str]] = []
     monkeypatch.setattr(emb, "embed", lambda texts: batches.append(list(texts))
                         or real_embed(texts))
+    held: set[str] = set()
     for sentence in sample_corpus + ["nothing relevant here at all"]:
         mentions = recognize(sentence, sample_kg)
         batches.clear()
         cset = expand(mentions, index, emb)
-        assert batches == [[m.surface for m in mentions]]
+        assert batches[0] == [m.surface for m in mentions]
+        routed = dict.fromkeys(community for _, community, _ in cset.per_mention)
+        fresh = [c for c in routed if c not in held]
+        held.update(fresh)
+        entity_texts = [f"{ent.name}: {ent.description}" for c in fresh
+                        for _, ent in sorted(sample_kg.entities.items()) if ent.community == c]
+        assert batches[1:] == ([entity_texts] if fresh else [])
         assert [m for m, _, _ in cset.per_mention] == mentions
         for mention, community, ranked in cset.per_mention:
             query = real_embed([mention.surface])[0]

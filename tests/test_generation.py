@@ -1,5 +1,7 @@
 """Prompt assembly and text regeneration from reconstructed subgraphs."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,20 @@ def test_verbalize_relation():
     assert verbalize_relation("operatedBy") == "operated by"
     assert verbalize_relation("crewed_missionRole") == "crewed mission role"
     assert verbalize_relation("r") == "r"
+
+
+def test_verbalize_relation_memo_equals_the_function(sample_kg):
+    labels = {t.relation for t in sample_kg.triples}
+    assert len(labels) == 50
+    rnd = random.Random(65)
+    parts = ["birth", "Place", "launch", "SITE", "x", "9", "Of", "crew", "Mission"]
+    for _ in range(500):
+        words = [rnd.choice(parts) for _ in range(rnd.randint(1, 4))]
+        labels.add(rnd.choice(["", "_"]).join(words))
+    for label in sorted(labels):
+        assert verbalize_relation(label) == verbalize_relation.__wrapped__(label)
+    maxsize = verbalize_relation.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < 100_000
 
 
 def test_stub_verbalizes_single_triple():

@@ -33,7 +33,7 @@ from kgsemcom.kg import ingest
 from kgsemcom.phy import (ChannelConfig, TransmitResult, channel_bit_cost, huffman_build,
                           huffman_encode, transmit)
 
-from kgtools import cosine, reference_hashes, tiny_kg
+from kgtools import cosine, load_synthkg, reference_hashes, tiny_kg
 
 
 @pytest.fixture(scope="module")
@@ -435,7 +435,9 @@ def test_run_sweep_embeds_each_distinct_text_once_per_sentence(small_config, mon
     config = SweepConfig(kg_path=small_config.kg_path, corpus_path=small_config.corpus_path,
                          snr_grid=[math.inf, 4.0, 12.0], trials_per_point=3)
     ctx = PipelineContext.from_config(config)
-    # extraction embeds mentions through its own embedder, so only scoring is counted
+    # extraction embeds mentions through its own embedder, and the first sweep
+    # leaves every routed community's entities in the index, so only scoring
+    # is counted
     ctx.extraction = dataclasses.replace(ctx.extraction,
                                          embedder=TrigramEmbedder(dim=ctx.embedder.dim))
     clean = run_sweep(config, ctx)
@@ -663,3 +665,49 @@ def test_pipeline_caches_do_not_change_results(sample_kg, sample_corpus):
     a = run_pipeline(fresh, sample_corpus[0], 0, 4.0, seed=9)
     b = run_pipeline(warm, sample_corpus[0], 0, 4.0, seed=9)
     assert a == b
+
+
+# -- the embedding index: entity rows embedded on first use ------------------------
+
+@pytest.fixture(scope="module")
+def synth_config(tmp_path_factory) -> SweepConfig:
+    kg_text, corpus_text = load_synthkg().generate(5, 300, 60)
+    base = tmp_path_factory.mktemp("synth")
+    (base / "kg.tsv").write_text(kg_text, encoding="utf-8")
+    (base / "corpus.txt").write_text(corpus_text, encoding="utf-8")
+    return SweepConfig(kg_path=str(base / "kg.tsv"), corpus_path=str(base / "corpus.txt"),
+                       snr_grid=[0.0, 6.0, math.inf], trials_per_point=2, seed=3)
+
+
+def test_set_up_embeds_one_text_per_community(sample_kg, monkeypatch):
+    texts: list[str] = []
+    real_embed = TrigramEmbedder.embed
+    monkeypatch.setattr(TrigramEmbedder, "embed",
+                        lambda self, batch: texts.extend(batch) or real_embed(self, batch))
+    PipelineContext(sample_kg)
+    assert len(texts) == len(sample_kg.communities)
+
+
+def test_each_communitys_entities_are_embedded_at_most_once(synth_config, monkeypatch):
+    ctx = PipelineContext.from_config(synth_config)
+    community_of = {f"{e.name}: {e.description}": e.community for e in ctx.kg.entities.values()}
+    embedded: Counter = Counter()
+    real_embed = ctx.embedder.embed
+    monkeypatch.setattr(ctx.embedder, "embed", lambda texts: embedded.update(
+        t for t in texts if t in community_of) or real_embed(texts))
+    run_sweep(synth_config, ctx)
+    run_sweep(synth_config, ctx)  # the second sweep routes to communities already held
+    assert embedded and max(embedded.values()) == 1
+    # whole communities only: every member of a community once some member is
+    routed = {community_of[t] for t in embedded}
+    assert len(embedded) == sum(ctx.index.community_size(c) for c in routed)
+    assert len(routed) < len(ctx.kg.communities)
+
+
+def test_a_pre_filled_index_gives_the_same_report(synth_config):
+    def report(ctx: PipelineContext) -> bytes:
+        return render_report(run_sweep(synth_config, ctx), synth_config.snr_grid).encode()
+
+    full = PipelineContext.from_config(synth_config)
+    full.index.entities(full.index.community_ids)
+    assert report(full) == report(PipelineContext.from_config(synth_config))

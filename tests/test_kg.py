@@ -192,6 +192,18 @@ def test_save_then_load_identity(sample_kg, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_load_skips_a_leading_byte_order_mark(sample_kg_path, tmp_path):
+    bom = b"\xef\xbb\xbf"
+    path = tmp_path / "bom.tsv"
+    path.write_bytes(bom + Path(sample_kg_path).read_bytes())
+    assert kgmod.load(path) == kgmod.load(sample_kg_path)
+    # a bad byte's offset counts from the file's first byte, the mark included
+    data = bom + b"C\tc0\tL\tS\xff\n"
+    path.write_bytes(data)
+    with pytest.raises(KgFormatError, match=f"not valid UTF-8 at byte {data.index(0xff)}$"):
+        kgmod.load(path)
+
+
 def test_duplicate_canonical_name_rejected():
     with pytest.raises(KgFormatError, match="alpha"):
         ingest(["C\tc0\tL\tS", "E\t\tAlpha\tc0\t\t", "E\t\tALPHA\tc0\t\t"])
