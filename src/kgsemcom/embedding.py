@@ -13,6 +13,7 @@ import numpy as np
 from .kg import KnowledgeGraph, NodeId
 
 DEFAULT_DIM = 384
+SUMMARY_BATCH = 128  # community summaries per embed call of EmbeddingIndex.build
 
 Vector = np.ndarray
 
@@ -107,7 +108,11 @@ class EmbeddingIndex:
         index._kg, index._embedder = kg, embedder
         index.community_ids = sorted(kg.communities)
         summaries = [kg.communities[c].summary for c in index.community_ids]
-        index._community_matrix = embedder.embed(summaries)
+        # rows do not depend on their batch: batches only bound the working memory
+        index._community_matrix = np.empty((len(summaries), embedder.dim))
+        for start in range(0, len(summaries), SUMMARY_BATCH):
+            stop = start + SUMMARY_BATCH
+            index._community_matrix[start:stop] = embedder.embed(summaries[start:stop])
         index._member_ids = {cid: [] for cid in index.community_ids}
         for nid in sorted(kg.entities):
             index._member_ids[kg.entities[nid].community].append(nid)

@@ -10,15 +10,22 @@ a leading byte-order mark is skipped):
 Description and aliases may be empty. An empty node_id field requests dense
 auto-assignment (first free id starting at 0, in file order). dump() inverts
 load(). Graphs are immutable after ingestion; all queries are read-only.
+
+load() builds the graph in one pass: it drops the file's bytes once they are
+decoded and feeds ingest() the lines chunk by chunk, never as one list; ingest()
+turns each T line into its Triple as it reads it and keeps one string object
+per distinct relation label and community id.
 """
 
 import codecs
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 NodeId = int
 MAX_NODE_ID = 2**32 - 1
+LINE_CHUNK = 1 << 16  # characters of decoded text that load splits at a time
 
 
 class KgFormatError(ValueError):
@@ -145,14 +152,19 @@ def _parse_node_id(text: str, lineno: int) -> NodeId:
 
 
 def ingest(records: Iterable[str]) -> KnowledgeGraph:
-    """Build a KnowledgeGraph from record lines. T lines are checked after
-    all entities are known, so they may reference entities declared later in
-    the stream; a repeated triple is kept once, at its first line."""
+    """Build a KnowledgeGraph from record lines in one pass: each T line
+    becomes its Triple as it is read, and every relation label and community
+    id is kept as one shared string. T lines are checked after all entities
+    are known, so they may reference entities declared later in the stream;
+    a repeated triple is kept once, at its first line."""
     entities: dict[NodeId, Entity] = {}
     communities: dict[str, Community] = {}
     name_index: dict[str, NodeId] = {}  # canonical name -> id
     names_seen: dict[str, int] = {}  # canonical name -> its E line
-    edge_lines: list[tuple[int, str, str, str]] = []
+    shared: dict[str, str] = {}  # one object per relation label and community id
+    # insertion-ordered dict: dedup keeps each triple's first line
+    triples: dict[Triple, int] = {}
+    bad_edge: tuple[int, str, str, str] | None = None  # first T line with a bad field
     next_auto = 0
 
     for lineno, raw in enumerate(records, start=1):
@@ -160,7 +172,18 @@ def ingest(records: Iterable[str]) -> KnowledgeGraph:
         fields = line.split("\t")
         kind = fields[0]
         if kind == "T" and len(fields) == 4:
-            edge_lines.append((lineno, fields[1], fields[2], fields[3]))
+            _, s_text, relation, o_text = fields
+            try:  # the common case: a relation and two integer ids
+                s, o = int(s_text), int(o_text)
+                ok = relation
+            except ValueError:
+                ok = False
+            if ok:
+                # tuple.__new__ skips the NamedTuple constructor's argument handling
+                triple = tuple.__new__(Triple, (s, shared.setdefault(relation, relation), o))
+                triples.setdefault(triple, lineno)
+            elif bad_edge is None:
+                bad_edge = (lineno, s_text, relation, o_text)
             continue
         if not line.strip() or line.lstrip().startswith("#"):
             continue
@@ -170,6 +193,7 @@ def ingest(records: Iterable[str]) -> KnowledgeGraph:
             _, cid, label, summary = fields
             if cid in communities:
                 raise KgFormatError(f"line {lineno}: duplicate community id {cid!r}")
+            cid = shared.setdefault(cid, cid)
             communities[cid] = Community(cid, label, summary)
         elif kind == "E":
             if len(fields) not in (5, 6):
@@ -195,7 +219,7 @@ def ingest(records: Iterable[str]) -> KnowledgeGraph:
                     f"(first defined on line {names_seen[key]})")
             names_seen[key] = lineno
             name_index[key] = nid
-            entities[nid] = Entity(nid, name, cid, description, aliases)
+            entities[nid] = Entity(nid, name, shared.setdefault(cid, cid), description, aliases)
         elif kind == "T":
             raise KgFormatError(f"line {lineno}: T record needs 4 fields, got {len(fields)}")
         else:
@@ -207,17 +231,14 @@ def ingest(records: Iterable[str]) -> KnowledgeGraph:
                 f"entity {ent.node_id} ({ent.name!r}) references unknown community "
                 f"{ent.community!r}")
 
-    # insertion-ordered dict: dedup keeps each triple's first line
-    triples: dict[Triple, None] = {}
-    for lineno, s_text, relation, o_text in edge_lines:
-        try:  # the common case: a relation and two declared integer ids
-            s, o = int(s_text), int(o_text)
-            ok = relation and s in entities and o in entities
-        except ValueError:
-            ok = False
-        if not ok:
-            _edge_error(entities, lineno, s_text, relation, o_text)
-        triples[Triple(s, relation, o)] = None
+    # the first line of a triple that reaches outside the graph; a repeat
+    # fails as its first line did, so the dict's order is line order
+    unknown = next(((lineno, str(t.subject), t.relation, str(t.object))
+                    for t, lineno in triples.items()
+                    if t.subject not in entities or t.object not in entities), None)
+    failures = [f for f in (bad_edge, unknown) if f is not None]
+    if failures:
+        _edge_error(entities, *min(failures))
 
     return KnowledgeGraph(entities, communities, list(triples), name_index)
 
@@ -235,12 +256,29 @@ def _edge_error(entities: dict, lineno: int, s_text: str, relation: str,
                 f"line {lineno}: edge ({s}, {relation!r}, {o}) references unknown node {nid}")
 
 
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, one chunk of about LINE_CHUNK characters at a
+    time; each chunk ends just after a newline, so no line break is split."""
+    return chain.from_iterable(map(str.splitlines, _chunks(text)))
+
+
+def _chunks(text: str) -> Iterator[str]:
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + LINE_CHUNK) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def load(path: str | Path) -> KnowledgeGraph:
-    """The graph of a UTF-8 file; a leading byte-order mark is skipped."""
+    """The graph of a UTF-8 file; a leading byte-order mark is skipped. The
+    raw bytes are dropped once decoded, and ingest reads the text chunk by
+    chunk, so no list of all its lines is ever built."""
     data = Path(path).read_bytes()
     bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
         text = data[bom:].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise KgFormatError(f"{path}: not valid UTF-8 at byte {bom + exc.start}") from None
-    return ingest(text.splitlines())
+    del data
+    return ingest(_lines(text))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kgsemcom import EmbeddingIndex, TrigramEmbedder, ingest
+from kgsemcom import embedding as embmod
 
 from kgtools import cosine, reference_embedding, reference_hashes
 
@@ -416,6 +417,16 @@ def test_index_groups_interleaved_communities(embedder):
         assert ids == [i for i in range(12) if i % 3 == c]
         assert matrix.shape == (4, index.dim)
         assert np.array_equal(matrix[0], embedder.embed_one(f"n{c}: d{c}"))
+
+
+def test_batched_summary_matrix_equals_one_embed(embedder):
+    # two whole batches of summaries and a remainder
+    n = 2 * embmod.SUMMARY_BATCH + 5
+    kg = ingest([f"C\tc{c:03d}\tL{c}\tsummary {c} of words {c * 7 % 13}" for c in range(n)])
+    index = EmbeddingIndex.build(kg, embedder)
+    summaries = [kg.communities[c].summary for c in index.community_ids]
+    assert np.array_equal(index._community_matrix, embedder.embed(summaries))
+    assert EmbeddingIndex.build(ingest([]), embedder)._community_matrix.shape == (0, embedder.dim)
 
 
 def test_empty_index_rejected(embedder):

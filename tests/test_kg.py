@@ -1,6 +1,7 @@
 """Knowledge-graph store: ingestion, lookups, persistence, error reporting."""
 
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from kgsemcom import KgFormatError, canonical_name, ingest
 from kgsemcom import kg as kgmod
 
-from kgtools import tiny_kg
+from kgtools import load_synthkg, tiny_kg
 
 
 def test_two_entities_one_edge_dense_ids():
@@ -433,6 +434,15 @@ MALFORMED_STREAMS = [
     ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\t8\tr\t9"],
     ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", f"T\t0\tr\t{2**32}", "T\t0\tr\tz"],
     ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\t0\tr"],
+    # a bad field and an undeclared node, in both orders: the first line wins
+    ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\tx\tr\t0", "T\t0\tr\t9"],
+    ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\t0\tr\t9", "T\tx\tr\t0"],
+    # a repeated triple to an undeclared node is reported at its first line
+    ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\t0\tr\t9", "T\t0\ts\tz", "T\t0\tr\t9"],
+    # an empty relation after a valid duplicate
+    ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "E\t1\tB\tc0\t\t", "T\t0\tr\t1", "T\t0\tr\t1",
+     "T\t0\t\t1"],
+    ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "T\t-1\tr\t0"],
 ]
 
 
@@ -451,3 +461,55 @@ def test_induced_edges_sort_as_tuples():
     edges = kg.induced_edges(frozenset({0, 1, 2}))
     assert edges == ((0, "a", 1), (0, "a", 2), (0, "z", 1), (1, "b", 0), (2, "a", 0))
     assert all(isinstance(t, kgmod.Triple) for t in edges)
+
+
+# -- the streamed load ----------------------------------------------------------
+
+LINE_BREAK_TEXTS = [
+    "",
+    "C\tc0\tL\tS\nE\t0\tA\tc0\t\t\nT\t0\tr\t0\n",
+    "one\r\ntwo\r\nthree\r\n\r\nfour",  # \r\n pairs, the last line unterminated
+    "a\rb\r\rc\n\nd\r",  # lone \r
+    "E\t0\tform\x0cfeed\tc0\tnext\x85line\tsep\u2028par\u2029\nT\t0\tr\t0",
+    "no newline at all",
+    "\n\n\n",
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 1 << 16])
+def test_chunked_lines_equal_splitlines(monkeypatch, chunk):
+    # a small chunk puts chunk boundaries inside the text, next to every break
+    monkeypatch.setattr(kgmod, "LINE_CHUNK", chunk)
+    for text in LINE_BREAK_TEXTS:
+        assert list(kgmod._lines(text)) == text.splitlines(), repr(text)
+    rnd = random.Random(chunk)
+    for _ in range(200):
+        text = "".join(rnd.choice(["a", "\t", "\n", "\r", "\r\n", "\x0c", "\x85", "\u2028"])
+                       for _ in range(rnd.randint(0, 30)))
+        assert list(kgmod._lines(text)) == text.splitlines(), repr(text)
+
+
+def test_load_in_small_chunks_equals_the_whole_file(monkeypatch, sample_kg, sample_kg_path):
+    monkeypatch.setattr(kgmod, "LINE_CHUNK", 7)
+    assert kgmod.load(sample_kg_path) == sample_kg
+
+
+def test_load_memory_stays_bounded_and_labels_are_shared(tmp_path):
+    # measured 2.88 MB traced peak for this graph (2 vCPUs, Python 3.11.7);
+    # the bound leaves 25% headroom, and the whole-file load it replaced
+    # peaked at 5.52 MB
+    kg_text, _ = load_synthkg().generate(5, 2000, 100)
+    path = tmp_path / "synthetic.tsv"
+    path.write_text(kg_text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        kg = kgmod.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_600_000
+    assert len(kg.triples) > 5000
+    # one string object per distinct relation label and community id
+    assert len({id(t.relation) for t in kg.triples}) == len({t.relation for t in kg.triples})
+    communities = [e.community for e in kg.entities.values()]
+    assert len({id(c) for c in communities}) == len(set(communities))
