@@ -14,7 +14,8 @@ load(). Graphs are immutable after ingestion; all queries are read-only.
 load() builds the graph in one pass: it drops the file's bytes once they are
 decoded and feeds ingest() the lines chunk by chunk, never as one list; ingest()
 turns each T line into its Triple as it reads it and keeps one string object
-per distinct relation label and community id.
+per distinct relation label and community id, and one int object per node id:
+every triple end is the very key of its entity.
 """
 
 import codecs
@@ -151,17 +152,30 @@ def _parse_node_id(text: str, lineno: int) -> NodeId:
     return value
 
 
+class _IdTable(dict):
+    """Id text -> node id, one int object per id: a text seen for the first
+    time is parsed with ``int()`` (its ValueError propagates) and mapped to the
+    object already held for that id's canonical text, if any."""
+
+    def __missing__(self, text: str) -> NodeId:
+        value = int(text)
+        nid = self[text] = self.setdefault(str(value), value)
+        return nid
+
+
 def ingest(records: Iterable[str]) -> KnowledgeGraph:
     """Build a KnowledgeGraph from record lines in one pass: each T line
-    becomes its Triple as it is read, and every relation label and community
-    id is kept as one shared string. T lines are checked after all entities
-    are known, so they may reference entities declared later in the stream;
-    a repeated triple is kept once, at its first line."""
+    becomes its Triple as it is read, every relation label and community id
+    is kept as one shared string, and every node id as one shared int. T
+    lines are checked after all entities are known, so they may reference
+    entities declared later in the stream; a repeated triple is kept once,
+    at its first line."""
     entities: dict[NodeId, Entity] = {}
     communities: dict[str, Community] = {}
     name_index: dict[str, NodeId] = {}  # canonical name -> id
     names_seen: dict[str, int] = {}  # canonical name -> its E line
     shared: dict[str, str] = {}  # one object per relation label and community id
+    ids = _IdTable()  # one object per node id, for T and E lines alike
     # insertion-ordered dict: dedup keeps each triple's first line
     triples: dict[Triple, int] = {}
     bad_edge: tuple[int, str, str, str] | None = None  # first T line with a bad field
@@ -174,7 +188,7 @@ def ingest(records: Iterable[str]) -> KnowledgeGraph:
         if kind == "T" and len(fields) == 4:
             _, s_text, relation, o_text = fields
             try:  # the common case: a relation and two integer ids
-                s, o = int(s_text), int(o_text)
+                s, o = ids[s_text], ids[o_text]
                 ok = relation
             except ValueError:
                 ok = False
@@ -210,6 +224,7 @@ def ingest(records: Iterable[str]) -> KnowledgeGraph:
                 next_auto += 1
             else:
                 nid = _parse_node_id(id_text, lineno)
+            nid = ids.setdefault(str(nid), nid)
             if nid in entities:
                 raise KgFormatError(f"line {lineno}: duplicate node id {nid}")
             key = canonical_name(name)

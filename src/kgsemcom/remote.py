@@ -8,13 +8,13 @@ never embed secrets:
     KGSEMCOM_CHAT_MODEL
 
 Requests retry twice with exponential backoff on transport errors and 5xx.
+``requests`` is imported by post_json, on the first call that sends one, so
+an offline run (the stub backends) never loads the HTTP stack.
 """
 
 import os
 import time
 from dataclasses import dataclass, field
-
-import requests
 
 DEFAULT_TIMEOUT = 30.0
 RETRIES = 2
@@ -41,6 +41,8 @@ class RemoteConfig:
 
 
 def post_json(config: RemoteConfig, path: str, payload: dict) -> dict:
+    import requests  # deferred: only a remote call needs the HTTP stack
+
     headers = {"Content-Type": "application/json", **config.extra_headers}
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"

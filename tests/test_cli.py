@@ -345,7 +345,7 @@ def test_unreachable_endpoint_is_io_error(capsys, monkeypatch, tmp_path, sample_
         raise requests.ConnectionError(f"refused: {url}")
 
     monkeypatch.setenv("KGSEMCOM_API_BASE", "http://endpoint.invalid/v1")
-    monkeypatch.setattr(remote.requests, "post", refuse)
+    monkeypatch.setattr(requests, "post", refuse)
     monkeypatch.setattr(remote.time, "sleep", lambda seconds: None)
     kg = str(sample_kg_path)
     bare = tmp_path / "bare.tsv"  # an entity without a description to fill

@@ -253,6 +253,28 @@ def test_duplicate_triples_collapse():
     assert len(kg.triples) == 1
 
 
+def test_every_triple_end_is_its_entity_key():
+    # ids above CPython's small-int cache, so only ingest can make them one
+    # object; T lines come both before and after the E lines they name, and
+    # one names an id by a non-canonical text
+    records = ["C\tc0\tL\tS", "T\t300\tr\t400", "E\t300\tA\tc0\t\t",
+               "T\t0300\ts\t500", "E\t400\tB\tc0\t\t", "E\t500\tC\tc0\t\t",
+               "T\t500\tr\t400"]
+    kg = ingest(records)
+    keys = {nid: nid for nid in kg.entities}
+    assert len(kg.triples) == 3
+    for t in kg.triples:
+        assert t.subject is keys[t.subject] and t.object is keys[t.object]
+    entities_first = [r for r in records if r[0] != "T"] + [r for r in records if r[0] == "T"]
+    assert ingest(entities_first) == kg
+    # a bad T line still fails at its own line, with the same message
+    with pytest.raises(KgFormatError, match=r"^line 5: node id 'x' is not an integer$"):
+        ingest(records[:4] + ["T\t300\tr\tx"] + records[4:])
+    with pytest.raises(KgFormatError, match=r"^line 3: edge \(300, 'r', 900\) references "
+                                            r"unknown node 900$"):
+        ingest(records[:2] + ["T\t300\tr\t900"] + records[2:])
+
+
 # -- the bulk ingest against the per-line ingest it replaced -------------------
 
 def _reference_parse_node_id(text: str, lineno: int) -> int:

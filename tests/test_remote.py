@@ -1,6 +1,12 @@
 """HTTP plumbing for the optional model backends, exercised entirely against
 a monkeypatched requests layer — no sockets."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 import requests
 
@@ -59,7 +65,7 @@ def test_post_json_success_sends_auth_and_payload(monkeypatch, no_sleep):
         seen.update(url=url, json=json, headers=headers, timeout=timeout)
         return FakeResponse(payload={"ok": True})
 
-    monkeypatch.setattr(remote.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     out = post_json(_cfg(api_key="tok", timeout=7.5), "/chat/completions", {"x": 1})
     assert out == {"ok": True}
     assert seen["url"] == "http://api.test/v1/chat/completions"
@@ -76,7 +82,7 @@ def test_post_json_no_auth_header_without_key(monkeypatch, no_sleep):
         seen.update(headers=headers)
         return FakeResponse(payload={})
 
-    monkeypatch.setattr(remote.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     post_json(_cfg(), "/p", {})
     assert "Authorization" not in seen["headers"]
 
@@ -89,7 +95,7 @@ def test_post_json_retries_on_5xx_then_succeeds(monkeypatch, no_sleep):
         calls.append(url)
         return responses[len(calls) - 1]
 
-    monkeypatch.setattr(remote.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     assert post_json(_cfg(), "/p", {}) == {"ok": 1}
     assert len(calls) == 3
     assert no_sleep == [0.5, 1.0]  # exponential backoff
@@ -104,7 +110,7 @@ def test_post_json_retries_on_transport_error(monkeypatch, no_sleep):
             raise requests.ConnectionError("refused")
         return FakeResponse(payload={"ok": 1})
 
-    monkeypatch.setattr(remote.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     assert post_json(_cfg(), "/p", {}) == {"ok": 1}
     assert len(calls) == 2
 
@@ -116,7 +122,7 @@ def test_post_json_gives_up_after_three_attempts(monkeypatch, no_sleep):
         calls.append(url)
         raise requests.Timeout("slow")
 
-    monkeypatch.setattr(remote.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     with pytest.raises(RuntimeError, match="after 3 attempts"):
         post_json(_cfg(), "/p", {})
     assert len(calls) == 3
@@ -130,7 +136,7 @@ def test_post_json_does_not_retry_client_errors(monkeypatch, no_sleep):
         calls.append(url)
         return FakeResponse(404)
 
-    monkeypatch.setattr(remote.requests, "post", fake_post)
+    monkeypatch.setattr(requests, "post", fake_post)
     with pytest.raises(requests.HTTPError):
         post_json(_cfg(), "/p", {})
     assert len(calls) == 1
@@ -166,3 +172,30 @@ def test_chat_completion_malformed_response(monkeypatch):
         monkeypatch.setattr(remote, "post_json", lambda c, p, d, bad=bad: bad)
         with pytest.raises(ValueError, match="malformed"):
             chat_completion(_cfg(), "hi")
+
+
+# -- the deferred import ---------------------------------------------------------
+
+def test_offline_run_never_imports_requests():
+    # a fresh interpreter, since this one has imported requests for the tests above
+    src = str(Path(remote.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = textwrap.dedent("""
+        import sys
+        from importlib import resources
+
+        import kgsemcom, kgsemcom.cli
+        from kgsemcom import kg as kgmod
+        from kgsemcom.harness import PipelineContext, load_corpus, run_pipeline
+
+        data = resources.files("kgsemcom") / "data"
+        ctx = PipelineContext(kgmod.load(str(data / "sample_kg.tsv")))
+        sentence = load_corpus(str(data / "fixture_corpus.txt"))[0]
+        record = run_pipeline(ctx, sentence, sentence_id=0, snr_db=float("inf"), seed=0)
+        assert record.similarity > 0, record
+        assert "requests" not in sys.modules
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
