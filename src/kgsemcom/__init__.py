@@ -19,8 +19,8 @@ from .semgraph import Mcsg, build_mcsg, payload_of, reconstruct
 from .importance import (ImportanceConfig, ImportanceTable, ThresholdPolicy,
                          degree_centrality, betweenness_centrality,
                          importance_scores, partition_uep)
-from .phy import (ChannelConfig, SymbolStream, TransmissionFrame, ParsedHeader,
-                  TransmitResult, HuffmanTable, conv_encode, viterbi_decode,
+from .phy import (ChannelConfig, SymbolStream, TransmissionFrame, TransmitResult,
+                  HuffmanTable, conv_encode, viterbi_decode,
                   qam16_modulate, qam16_demodulate, awgn, seed_state,
                   transmit_bits, transmit_rows, serialize_frame, parse_coded_stream,
                   channel_bit_cost, transmit, transmit_many, huffman_build,
@@ -52,8 +52,8 @@ __all__ = [
     "degree_centrality", "betweenness_centrality", "importance_scores",
     "partition_uep",
     # physical layer
-    "ChannelConfig", "SymbolStream", "TransmissionFrame", "ParsedHeader",
-    "TransmitResult", "HuffmanTable", "conv_encode", "viterbi_decode",
+    "ChannelConfig", "SymbolStream", "TransmissionFrame", "TransmitResult",
+    "HuffmanTable", "conv_encode", "viterbi_decode",
     "qam16_modulate", "qam16_demodulate", "awgn", "seed_state",
     "transmit_bits", "transmit_rows", "serialize_frame", "parse_coded_stream",
     "channel_bit_cost",

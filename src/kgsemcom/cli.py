@@ -149,8 +149,7 @@ def _cmd_send(args) -> int:
           f"{payload_bits(n_p + n_u, w)} bits, channel {channel_bit_cost(n_p, n_u, w)} bits")
     result = transmit(frame, ChannelConfig(snr_db, args.seed))
     print(f"[5 channel] decoded info-bit errors {result.coded_bit_errors}/{payload_bits(n_p, w)}, "
-          f"uncoded bit errors {result.uncoded_bit_errors}/{result.uncoded_channel_bits}, "
-          f"header consistent: {result.header_consistent}")
+          f"uncoded bit errors {result.uncoded_bit_errors}/{result.uncoded_channel_bits}")
     received = ctx.received_ids(result)  # -1 where a rank names no entity
     print(f"[6 receive] ids: {received}")
     recon, text, _ = ctx.receive(received)

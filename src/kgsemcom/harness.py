@@ -203,9 +203,10 @@ class PipelineContext:
         self.generator = generator or StubGenerator()
         self.importance_config = importance_config or ImportanceConfig()
         self.keep_all_components = keep_all_components
-        # an id travels as its rank among the sorted entity ids, in W bits;
-        # ranks >= N name no entity and map to -1, which reconstruction drops
-        self.id_width = len(kg.entities).bit_length()
+        # an id travels as its rank among the sorted entity ids, in the W bits
+        # the largest rank N - 1 needs; ranks >= N name no entity and map to
+        # -1, which reconstruction drops
+        self.id_width = max(1, (len(kg.entities) - 1).bit_length())
         self._id_of_rank = np.full(1 << self.id_width, -1, dtype=np.int64)
         self._id_of_rank[:len(kg.entities)] = sorted(kg.entities)
         self._generation_cache: dict[frozenset[int], tuple[str, bool]] = {}

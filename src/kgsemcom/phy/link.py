@@ -1,11 +1,12 @@
 """End-to-end transmission of id frames: UEP channel coding, 16QAM, AWGN.
 
-The header+protected stream is convolutionally encoded before it enters the
-channel; the unprotected stream enters as-is. Both cross ``qam.transmit_rows``
-(16QAM, AWGN, hard slicing). ``frame.py`` serializes and parses both streams,
-and ``channel_bit_cost`` gives the total channel bits from its
-``payload_bits`` and the code's tail; nothing else restates them. The two
-streams see independent noise derived from the same 64-bit seed.
+The protected stream is convolutionally encoded before it enters the channel
+(a frame with no protected id still sends the code's tail); the unprotected
+stream enters as-is. Both cross ``qam.transmit_rows`` (16QAM, AWGN, hard
+slicing). ``frame.py`` serializes and parses both streams, and
+``channel_bit_cost`` gives the total channel bits from its ``payload_bits``
+and the code's tail; nothing else restates them. The two streams see
+independent noise derived from the same 64-bit seed.
 """
 
 from collections.abc import Sequence
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convcode import TAIL, conv_encode, viterbi_decode_frames
-from .frame import (TransmissionFrame, parse_coded_stream, parse_uncoded_stream,
-                    payload_bits, serialize_frame)
+from .frame import TransmissionFrame, parse_coded_stream, payload_bits, serialize_frame
 from .qam import ChannelConfig, transmit_rows
 from .seeding import seed_state
 
@@ -26,9 +26,8 @@ class TransmitResult:
     received_unprotected: tuple[int, ...]
     coded_channel_bits: int
     uncoded_channel_bits: int
-    coded_bit_errors: int    # info-bit errors on the decoded header+protected stream
+    coded_bit_errors: int    # info-bit errors on the decoded protected stream
     uncoded_bit_errors: int
-    header_consistent: bool
 
     @property
     def received_ids(self) -> tuple[int, ...]:
@@ -41,8 +40,8 @@ class TransmitResult:
 
 
 def channel_bit_cost(n_protected: int, n_unprotected: int, width: int) -> int:
-    """Rate-1/2 coded header, protected ids and tail, plus the raw unprotected
-    ids: the payload once, its coded part again as parity, the tail twice."""
+    """Rate-1/2 coded protected ids and tail, plus the raw unprotected ids:
+    the payload once, its coded part again as parity, the tail twice."""
     return (payload_bits(n_protected + n_unprotected, width)
             + payload_bits(n_protected, width) + 2 * TAIL)
 
@@ -87,15 +86,12 @@ def transmit_many(frames: Sequence[TransmissionFrame],
     results = []
     for frame, (coded_info, coded, uncoded), rx_info, rx_plain in zip(
             frames, sent, decoded, rx_uncoded):
-        parsed = parse_coded_stream(rx_info, frame.width)
-        uncoded_ids = parse_uncoded_stream(rx_plain, frame.width)
         results.append(TransmitResult(
-            received_protected=parsed.ids,
-            received_unprotected=uncoded_ids,
+            received_protected=parse_coded_stream(rx_info, frame.width),
+            received_unprotected=parse_coded_stream(rx_plain, frame.width),
             coded_channel_bits=len(coded),
             uncoded_channel_bits=len(uncoded),
             coded_bit_errors=int(np.count_nonzero(rx_info != coded_info)),
             uncoded_bit_errors=int(np.count_nonzero(rx_plain != uncoded)),
-            header_consistent=parsed.header_consistent and parsed.n_unprotected == len(uncoded_ids),
         ))
     return results

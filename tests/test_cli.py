@@ -132,7 +132,6 @@ def test_send_noiseless_full_trace(capsys, sample_kg_path, sample_corpus):
     assert code == 0
     for stage in range(1, 10):
         assert f"[{stage} " in stdout
-    assert "header consistent: True" in stdout
     assert "decoded info-bit errors 0/" in stdout
     payload_ids = stdout.split("payload ids: ")[1].splitlines()[0]
     received_ids = stdout.split("[6 receive] ids: ")[1].splitlines()[0]
@@ -191,10 +190,9 @@ def test_send_at_minus_inf_snr_warns_nothing(sample_kg_path, sample_corpus):
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "RuntimeWarning" not in proc.stderr
-    for line in ("[5 channel] decoded info-bit errors 27/42, uncoded bit errors 0/0, "
-                 "header consistent: False",
-                 "[6 receive] ids: [401, -1, -1, 8]",
-                 "[9 similarity] 0.0177"):
+    for line in ("[5 channel] decoded info-bit errors 12/28, uncoded bit errors 0/0",
+                 "[6 receive] ids: [509, 106, 211, 203]",
+                 "[9 similarity] -0.0548"):
         assert line in proc.stdout.splitlines()
 
 

@@ -12,10 +12,10 @@ from kgsemcom.harness import SweepConfig, baseline_records, render_report, run_s
 
 from kgtools import load_synthkg
 
-FIXTURE_SWEEP_SHA256 = "8ec28c1cd9fd31e45317b6886d3ab2897ea45ef32ab1f1d6582ba62af240f7be"
+FIXTURE_SWEEP_SHA256 = "9fce8662777df642ff81d057df753cb0f4aada88419b5e1627221548ab5352a0"
 # sweep seed 2**40 + 3 (two 32-bit words, so six-word seed entropy), both
 # infinite SNRs, every scheme
-WIDE_SEED_SWEEP_SHA256 = "92eb38d924388c10d1f7935a39d439682faf38f4a405f65b199fed3b656e2a90"
+WIDE_SEED_SWEEP_SHA256 = "90c3718c48b91939f3bf33aa9a04030be2beacf2b63b390a0491e0f591627651"
 # `kgsemcom baseline` reports on the fixture corpus: (SNR grid, seed, sha256)
 BASELINE_SHA256 = [
     ([math.inf], 0, "b3f1adb8af841ed2657a8a5fbb22d71c3f81636f0d0718d078fb584ebae581c1"),
@@ -25,7 +25,7 @@ BASELINE_SHA256 = [
 ]
 # every scheme on the benchmark's synthetic graph generator at 8,000 entities
 # and 80 sentences (generator seed 3), so the KG path is pinned at scale
-SYNTHETIC_KG_SWEEP_SHA256 = "53eacae2805e6738da4183c6c1e75e50e6f1d193e832df75e209f13e0a917994"
+SYNTHETIC_KG_SWEEP_SHA256 = "9e3861c8ed74266669d0dc74862f6941ee4ce44ed3afe92926a6ce00d4e2ec0a"
 
 
 def test_fixture_sweep_matches_golden_sha256(sample_kg_path, sample_corpus_path):

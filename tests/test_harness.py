@@ -66,8 +66,8 @@ def test_count_bits_kgrag(ctx, sample_corpus):
         record = run_pipeline(ctx, sentence, 0, snr_db, seed=1)
         protected, unprotected = partition_uep(analysis.table, snr_db,
                                                ctx.importance_config)
-        # 104 entities: ids travel as 7-bit ranks, behind two 7-bit counts
-        assert record.payload_bits == 7 * (len(protected) + len(unprotected) + 2)
+        # 104 entities: ids travel as 7-bit ranks, and nothing else is sent
+        assert record.payload_bits == 7 * (len(protected) + len(unprotected))
         assert record.channel_bits == channel_bit_cost(len(protected), len(unprotected), 7)
 
 
@@ -176,22 +176,21 @@ def test_run_pipeline_no_noise_full_recovery(ctx, sample_corpus):
     assert record.n_received_valid == record.n_mcsg_nodes > 0
     assert record.flags == ""
     assert 0.0 < record.similarity <= 1.0
-    assert record.payload_bits == 7 * (record.n_mcsg_nodes + 2)
+    assert record.payload_bits == 7 * record.n_mcsg_nodes
     assert record.channel_bits > record.payload_bits
 
 
 # -- ids on the wire ---------------------------------------------------------------
 
-@pytest.mark.parametrize("n, width", [(127, 7), (128, 8)])
+@pytest.mark.parametrize("n, width", [(127, 7), (128, 7), (129, 8), (1, 1)])
 def test_id_width_follows_the_entity_count(n, width):
     kg = ingest(["C\tc0\tlabel\tsummary"] + [f"E\t\tNode {k}\tc0\t\t" for k in range(n)])
     ctx = PipelineContext(kg)
     assert ctx.id_width == width
-    # a class may hold every entity: its count N still fits in W bits
+    # a class may hold every entity: the largest rank N - 1 fits in W bits
     frame = ctx.frame(sorted(kg.entities), [])
     assert frame.width == width
     result = transmit(frame, ChannelConfig(math.inf, 0))
-    assert result.header_consistent
     assert ctx.received_ids(result) == sorted(kg.entities)
 
 
@@ -208,7 +207,7 @@ def test_sparse_ids_near_the_top_of_the_range_roundtrip():
     assert ctx.received_ids(transmit(frame, ChannelConfig(math.inf, 0))) == ids
     record = run_pipeline(ctx, "Cobalt lies between Basalt and Dolomite.", 0, math.inf, seed=0)
     assert record.n_received_valid == record.n_mcsg_nodes > 0
-    assert record.payload_bits == 3 * (record.n_mcsg_nodes + 2)
+    assert record.payload_bits == 3 * record.n_mcsg_nodes
 
 
 def test_rank_no_entity_holds_is_dropped(monkeypatch):
@@ -217,7 +216,7 @@ def test_rank_no_entity_holds_is_dropped(monkeypatch):
     ctx = PipelineContext(kg)
     assert ctx.id_width == 3  # words 5, 6 and 7 name no entity
 
-    words = TransmitResult((0, 5), (1, 6, 7), 0, 0, 0, 0, False)
+    words = TransmitResult((0, 5), (1, 6, 7), 0, 0, 0, 0)
     assert ctx.received_ids(words) == [0, -1, 1, -1, -1]
     monkeypatch.setattr(harness, "transmit_many", lambda frame, cfgs: [words] * len(cfgs))
     record = run_pipeline(ctx, "Amber met Basalt.", 0, 0.0, seed=0)
@@ -357,7 +356,7 @@ def test_run_sweep_kgrag_invariants(small_config):
         if r.scheme != "kgrag":
             continue
         assert 0 <= r.n_received_valid <= r.n_mcsg_nodes
-        assert r.payload_bits == 7 * (r.n_mcsg_nodes + 2)
+        assert r.payload_bits == 7 * r.n_mcsg_nodes
         analysis = ctx.analyze(ctx.corpus[r.sentence_id])
         protected, unprotected = partition_uep(analysis.table, r.snr_db,
                                                ctx.importance_config)
@@ -525,7 +524,7 @@ def test_an_empty_text_scores_zero_without_a_similarity_call(small_config, monke
     monkeypatch.setattr(harness, "huffman_decode", decode_empty_when_noiseless)
     monkeypatch.setattr(harness, "semantic_similarity", similarity)
     # the one received rank names no entity: kgrag's reconstruction is empty
-    nowhere = TransmitResult(((1 << ctx.id_width) - 1,), (), 0, 0, 0, 0, False)
+    nowhere = TransmitResult(((1 << ctx.id_width) - 1,), (), 0, 0, 0, 0)
     monkeypatch.setattr(harness, "transmit_many", lambda frames, cfgs: [nowhere] * len(cfgs))
     records = run_sweep(config, ctx)
     assert len(scored) == sum(1 for r in records if "empty_" not in r.flags)
