@@ -16,6 +16,7 @@ Success exits 0. Any failure prints a single JSON object on stderr
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import kg as kgmod
@@ -36,7 +37,13 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as the JSON error line."""
+    """argparse that reports usage problems as the JSON error line, and reads
+    -inf like -3: as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        number = self._negative_number_matcher.pattern
+        self._negative_number_matcher = re.compile(rf"{number}|^-inf(inity)?$", re.IGNORECASE)
 
     def error(self, message):
         raise CliError("usage", message)
@@ -219,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("send", help="single transmission with a stage-by-stage trace")
     p.add_argument("--kg", required=True)
     p.add_argument("--sentence", required=True)
-    p.add_argument("--snr", required=True, help="channel SNR in dB (inf for noiseless)")
+    p.add_argument("--snr", required=True,
+                   help="channel SNR in dB (inf for noiseless, -inf for pure noise)")
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--extract-backend", choices=["stub", "http"], default="stub")
@@ -234,7 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline", help="text-only schemes over a corpus, write CSV")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--snr", nargs="*", help="SNR grid in dB (default: noiseless)")
+    p.add_argument("--snr", nargs="*",
+                   help="SNR grid in dB, inf and -inf included (default: noiseless)")
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_baseline)
     return parser

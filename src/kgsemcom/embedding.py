@@ -4,6 +4,9 @@ The offline embedder is signed feature hashing (Weinberger et al. 2009): each
 character trigram adds +1 or -1 to one hashed coordinate, so lexically
 overlapping texts land near each other. Integer counts sum exactly, so a text
 has one bitwise vector on every platform, run and batch, and needs no cache.
+A short text sets only a few of the ``dim`` coordinates (a mention about 13 of
+384), so the index stores its community summaries coordinate-major and routes a
+query by reading only the query's nonzero coordinates.
 """
 
 from typing import Iterable, Sequence
@@ -84,17 +87,20 @@ class TrigramEmbedder:
 
 class EmbeddingIndex:
     """Per-community index over entity embeddings plus one summary embedding
-    per community. ``build`` embeds the summaries only; a community's entity
-    texts ("name: description") are embedded on first use, through
-    ``entities``, and kept for the index's life. Rows of ``embed`` do not
-    depend on their batch, so every score equals that of an index embedded
-    whole up front. Queries count similarity evaluations so the search-space
-    reduction of the hierarchical scheme is observable."""
+    per community. ``build`` embeds the summaries only, into one ``(dim, C)``
+    array whose column j is community j's summary; ``best_community`` gathers
+    the rows of the query's nonzero coordinates, so a route costs nnz(query)
+    x C multiply-adds. A community's entity texts ("name: description") are
+    embedded on first use, through ``entities``, and kept for the index's
+    life. Rows of ``embed`` do not depend on their batch, so every score
+    equals that of an index embedded whole up front. Queries count similarity
+    evaluations so the search-space reduction of the hierarchical scheme is
+    observable."""
 
     def __init__(self, dim: int):
         self.dim = dim
         self.community_ids: list[str] = []
-        self._community_matrix: Vector | None = None
+        self._summaries: Vector | None = None  # (dim, C), coordinate-major
         self._member_ids: dict[str, list[NodeId]] = {}  # ascending, per community
         # the communities embedded so far: member ids and one row per member
         self._entities: dict[str, tuple[list[NodeId], Vector]] = {}
@@ -109,10 +115,10 @@ class EmbeddingIndex:
         index.community_ids = sorted(kg.communities)
         summaries = [kg.communities[c].summary for c in index.community_ids]
         # rows do not depend on their batch: batches only bound the working memory
-        index._community_matrix = np.empty((len(summaries), embedder.dim))
+        index._summaries = np.empty((embedder.dim, len(summaries)))
         for start in range(0, len(summaries), SUMMARY_BATCH):
             stop = start + SUMMARY_BATCH
-            index._community_matrix[start:stop] = embedder.embed(summaries[start:stop])
+            index._summaries[:, start:stop] = embedder.embed(summaries[start:stop]).T
         index._member_ids = {cid: [] for cid in index.community_ids}
         for nid in sorted(kg.entities):
             index._member_ids[kg.entities[nid].community].append(nid)
@@ -142,7 +148,13 @@ class EmbeddingIndex:
     def best_community(self, query: Vector) -> str:
         if not self.community_ids:
             raise ValueError("index has no communities")
-        sims = self._community_matrix @ query
+        if np.shape(query) != (self.dim,):
+            raise ValueError(f"query shape {np.shape(query)} does not match dim {self.dim}")
+        # a zero coordinate adds exactly 0.0 to every score, so only the order
+        # in which the nonzero terms are summed differs from a dense product,
+        # and for a unit query the rounding below absorbs that
+        nz = np.flatnonzero(query)
+        sims = query[nz] @ self._summaries[nz]
         self.eval_counts["community"] += len(self.community_ids)
         # ids are sorted and argmax takes the first maximum of the rounded
         # scores, so the smallest id wins real-valued ties

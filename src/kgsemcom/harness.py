@@ -119,11 +119,17 @@ class SweepConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepConfig":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, got {_JSON_TYPES[type(raw)]}")
         known = {f.name for f in dc_fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw)
+
+
+_JSON_TYPES = {str: "string", int: "number", float: "number", bool: "boolean",
+               list: "array", type(None): "null"}  # what json.loads returns besides dict
 
 
 def _list(name: str, value):

@@ -75,19 +75,24 @@ def reference_hashes(text: str, dim: int) -> list[tuple[int, int]]:
     return [(h % dim, -1 if h >> 63 else 1) for h in hashes]
 
 
-def reference_embedding(text: str, dim: int) -> np.ndarray:
-    """Signed feature hashing: one Counter over coordinates, then normalise;
-    the one-hot of the first trigram when the signed counts cancel."""
+def reference_counts(text: str, dim: int) -> np.ndarray:
+    """Signed feature hashing in integers: one Counter over coordinates, or the
+    one-hot of the first trigram when the signed counts cancel."""
     hashes = reference_hashes(text, dim)
     counts: Counter = Counter()
     for coord, sign in hashes:
         counts[coord] += sign
-    v = np.zeros(dim)
-    norm = math.sqrt(sum(c * c for c in counts.values()))
-    if norm == 0.0:
+    v = np.zeros(dim, dtype=np.int64)
+    if not any(counts.values()):
         coord, sign = hashes[0]
         v[coord] = sign
         return v
     for coord, count in counts.items():
         v[coord] = count
-    return v / norm
+    return v
+
+
+def reference_embedding(text: str, dim: int) -> np.ndarray:
+    """The unit vector of ``reference_counts``."""
+    counts = reference_counts(text, dim)
+    return counts / math.sqrt(sum(int(c) * int(c) for c in counts))

@@ -2,6 +2,7 @@
 error contract (single stderr line, exit code 2)."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import requests
 
 from kgsemcom import cli, remote
 from kgsemcom import kg as kgmod
-from kgsemcom.harness import PipelineContext, run_pipeline
+from kgsemcom.harness import (PipelineContext, baseline_records, render_report,
+                              run_pipeline)
 
 
 def _run(capsys, argv):
@@ -196,6 +198,16 @@ def test_send_at_minus_inf_snr_warns_nothing(sample_kg_path, sample_corpus):
         assert line in proc.stdout.splitlines()
 
 
+@pytest.mark.parametrize("value", ["-inf", "-Infinity"])
+def test_send_reads_a_bare_minus_inf_snr_as_a_value(capsys, sample_kg_path, sample_corpus,
+                                                   value):
+    argv = ["send", "--kg", str(sample_kg_path), "--sentence", sample_corpus[0], "--seed", "0"]
+    code, spaced, _ = _run(capsys, argv + ["--snr", value])
+    assert code == 0
+    assert _run(capsys, argv + ["--snr=-inf"]) == (0, spaced, "")
+    assert "[9 similarity] -0.0548" in spaced.splitlines()
+
+
 def test_send_rejects_bad_snr(capsys, sample_kg_path):
     payload = _error(capsys, ["send", "--kg", str(sample_kg_path),
                               "--sentence", "x", "--snr", "loud", "--seed", "0"])
@@ -265,6 +277,16 @@ def test_sweep_missing_and_invalid_config(capsys, tmp_path):
                               "--out", str(tmp_path / "o.csv")])
     assert payload["error"] == "config"
     assert "mystery" in payload["message"]
+
+
+@pytest.mark.parametrize("document, kind", [('"abc"', "string"), ("[1]", "array"),
+                                            ("5", "number"), ("null", "null")])
+def test_sweep_config_that_is_not_an_object(capsys, tmp_path, document, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(document, encoding="utf-8")
+    payload = _error(capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert payload == {"error": "config",
+                       "message": f"config must be a JSON object, got {kind}"}
 
 
 def _sweep_error(capsys, tmp_path, sweep_config_path, **override):
@@ -375,6 +397,22 @@ def test_baseline_noiseless_perfect_similarity(capsys, tmp_path, sample_corpus):
     assert len(rows) == 6
     assert all(row[2] == "inf" for row in rows)
     assert all(float(row[8]) == pytest.approx(1.0, abs=1e-6) for row in rows)
+
+
+def test_baseline_reads_minus_inf_in_an_snr_list(capsys, tmp_path, sample_corpus):
+    corpus = tmp_path / "two.txt"
+    corpus.write_text("\n".join(sample_corpus[:2]) + "\n", encoding="utf-8")
+    out = tmp_path / "base.csv"
+    payload = _error(capsys, ["baseline", "--corpus", str(corpus), "--out", str(out),
+                              "--snr", "0", "-inf", "-INF"])
+    assert "repeats a value" in payload["message"]
+    code, stdout, _ = _run(capsys, ["baseline", "--corpus", str(corpus), "--out", str(out),
+                                    "--snr", "0", "-inf"])
+    assert code == 0
+    assert "wrote 8 trial records" in stdout
+    grid = [0.0, -math.inf]
+    assert (out.read_text(encoding="utf-8")
+            == render_report(baseline_records(sample_corpus[:2], grid, seed=0), grid))
 
 
 def test_baseline_empty_corpus(capsys, tmp_path):

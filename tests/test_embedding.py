@@ -4,6 +4,7 @@ trigram embedder, and community-first search against full-scan oracles."""
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 from kgsemcom import EmbeddingIndex, TrigramEmbedder, ingest
 from kgsemcom import embedding as embmod
 
-from kgtools import cosine, reference_embedding, reference_hashes
+from kgtools import (cosine, load_synthkg, reference_counts, reference_embedding,
+                     reference_hashes)
 
 
 # -- cosine ------------------------------------------------------------------
@@ -206,9 +208,9 @@ def test_batch_rows_and_their_dots_equal_embed_one_bitwise(dim):
 
 
 def test_index_matrices_equal_embed_one_rows(sample_kg, sample_index, embedder):
-    summaries = sample_index._community_matrix
-    assert summaries.shape == (len(sample_kg.communities), embedder.dim)
-    for cid, row in zip(sample_index.community_ids, summaries):
+    summaries = sample_index._summaries  # coordinate-major: one column per community
+    assert summaries.shape == (embedder.dim, len(sample_kg.communities))
+    for cid, row in zip(sample_index.community_ids, summaries.T):
         assert np.array_equal(row, embedder.embed_one(sample_kg.communities[cid].summary))
     for cid in sample_index.community_ids:
         [(ids, matrix)] = sample_index.entities([cid])
@@ -368,7 +370,7 @@ def test_real_valued_ties_go_to_the_smallest_id():
     assert first @ query < second @ query
     index = EmbeddingIndex(dim=3)
     index.community_ids = ["aa", "bb"]
-    index._community_matrix = np.stack([first, second])
+    index._summaries = np.stack([first, second], axis=1)
     index._entities["aa"] = ([2, 5], np.stack([first, second]))
     assert index.best_community(query) == "aa"
     ranked = index.top_k_in_community("aa", query, k=2)
@@ -385,6 +387,68 @@ def test_queries_invariant_under_positive_rescaling(sample_index, embedder):
         a = sample_index.top_k_in_community(cid, scaled, k=3)
         b = sample_index.top_k_in_community(cid, query, k=3)
         assert [nid for nid, _ in a] == [nid for nid, _ in b]
+
+
+def _dense_route(community_ids, dense, query):
+    """The row-major routing oracle: every community's summary row scored
+    against the whole query, then the first maximum of the rounded scores."""
+    return community_ids[int(np.argmax(np.round(dense @ query, 12)))]
+
+
+def _exact_best(summary_counts: np.ndarray, query_counts: np.ndarray) -> list[int]:
+    """Indices of the exact real maxima of a . c / |a| over the summaries a:
+    the sign of a . c times its square over |a|^2 orders them alike."""
+    dots = summary_counts @ query_counts
+    keys = [Fraction(int(d) * abs(int(d)), int(a @ a)) for d, a in zip(dots, summary_counts)]
+    top = max(keys)
+    return [i for i, key in enumerate(keys) if key == top]
+
+
+@pytest.mark.parametrize("dim", [1, 7, 384])
+def test_best_community_matches_the_dense_routing_oracle(dim):
+    emb = TrigramEmbedder(dim=dim)
+    rnd = random.Random(500 + dim)
+    words = [f"w{i}" for i in range(12)]
+    for _ in range(4):
+        n = rnd.randrange(1, 300)
+        cids = rnd.sample(range(10**6), n)
+        summaries = []
+        for _ in range(n):
+            kind = rnd.randrange(4)
+            if kind == 0 and summaries:  # a repeated summary: an exact tie
+                summaries.append(rnd.choice(summaries))
+            elif kind == 1:
+                summaries.append(_scored_text(rnd))
+            else:
+                summaries.append(" ".join(rnd.choices(words, k=rnd.randrange(1, 6))))
+        kg = ingest([f"C\tc{cid:06d}\tL\t{' '.join(text.split())}"
+                     for cid, text in zip(cids, summaries)])
+        index = EmbeddingIndex.build(kg, emb)
+        ids = index.community_ids
+        dense = emb.embed([kg.communities[c].summary for c in ids])
+        summary_counts = np.stack([reference_counts(kg.communities[c].summary, dim)
+                                   for c in ids])
+        # (query, its integer counts): a zero vector, one-hots, then texts
+        queries = [(np.zeros(dim), np.zeros(dim, dtype=np.int64))]
+        for _ in range(3):
+            one_hot = np.zeros(dim, dtype=np.int64)
+            one_hot[rnd.randrange(dim)] = rnd.choice((-1, 1))
+            queries.append((one_hot.astype(float), one_hot))
+        texts = [" ".join(rnd.choices(words, k=rnd.randrange(1, 4))) for _ in range(15)]
+        texts += [_scored_text(rnd) for _ in range(5)]
+        texts += [kg.communities[c].summary for c in rnd.sample(ids, min(n, 5))]
+        queries += zip(emb.embed(texts), [reference_counts(text, dim) for text in texts])
+        for query, query_counts in queries:
+            best = [ids[i] for i in _exact_best(summary_counts, query_counts)]
+            for lam in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+                scaled = lam * query
+                route = index.best_community(scaled)
+                assert route in best, (dim, lam, query_counts)
+                # a score of 1e3 or more has an ulp near the 1e-12 rounding
+                # step, so from there both sums break real-valued ties by the
+                # order of their terms
+                if lam <= 1.0:
+                    assert route == _dense_route(ids, dense, scaled) == best[0]
 
 
 def test_hierarchical_search_exact_within_community(sample_kg, sample_index, embedder):
@@ -425,8 +489,35 @@ def test_batched_summary_matrix_equals_one_embed(embedder):
     kg = ingest([f"C\tc{c:03d}\tL{c}\tsummary {c} of words {c * 7 % 13}" for c in range(n)])
     index = EmbeddingIndex.build(kg, embedder)
     summaries = [kg.communities[c].summary for c in index.community_ids]
-    assert np.array_equal(index._community_matrix, embedder.embed(summaries))
-    assert EmbeddingIndex.build(ingest([]), embedder)._community_matrix.shape == (0, embedder.dim)
+    assert np.array_equal(index._summaries, embedder.embed(summaries).T)
+    assert EmbeddingIndex.build(ingest([]), embedder)._summaries.shape == (embedder.dim, 0)
+
+
+def test_summary_storage_is_one_coordinate_major_array(embedder):
+    kg_text, _ = load_synthkg().generate(11, 2000, 100)
+    kg = ingest(kg_text.splitlines())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        index = EmbeddingIndex.build(kg, embedder)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = len(kg.communities)
+    [summaries] = [v for v in vars(index).values() if isinstance(v, np.ndarray)]
+    assert summaries.dtype == np.float64 and summaries.flags.owndata
+    assert summaries.shape == (embedder.dim, n)
+    assert summaries.nbytes == 8 * n * embedder.dim
+    # measured 1.10x: the member id lists take the rest; a second copy makes it 2.1x
+    assert kept < 1.5 * summaries.nbytes
+
+
+def test_best_community_rejects_a_query_of_another_length(sample_index, embedder):
+    query = embedder.embed_one("Alan Bean")
+    for bad in (query[:-1], np.ones(embedder.dim - 1), np.append(query, 0.0),
+                np.ones(embedder.dim + 1)):
+        with pytest.raises(ValueError, match="dim"):
+            sample_index.best_community(bad)
 
 
 def test_empty_index_rejected(embedder):

@@ -339,6 +339,17 @@ def test_sweep_config_from_json(tmp_path, sample_kg_path, sample_corpus_path):
     assert SweepConfig.from_json(inf_cfg).snr_grid == [math.inf]
 
 
+@pytest.mark.parametrize("document, kind", [('"abc"', "string"), ("[1]", "array"),
+                                            ("5", "number"), ("null", "null")])
+def test_sweep_config_from_json_rejects_a_document_that_is_not_an_object(tmp_path, document,
+                                                                        kind):
+    path = tmp_path / "cfg.json"
+    path.write_text(document, encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        SweepConfig.from_json(path)
+    assert str(err.value) == f"config must be a JSON object, got {kind}"
+
+
 # -- sweeps ------------------------------------------------------------------------
 
 def test_run_sweep_row_count_and_order(small_config):
