@@ -9,6 +9,7 @@ A short text sets only a few of the ``dim`` coordinates (a mention about 13 of
 query by reading only the query's nonzero coordinates.
 """
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,6 +20,15 @@ DEFAULT_DIM = 384
 SUMMARY_BATCH = 128  # community summaries per embed call of EmbeddingIndex.build
 
 Vector = np.ndarray
+
+
+def _tie_decimals(query: Vector) -> int:
+    """Decimals to round scores against ``query`` to before ranking, so that
+    summation-order noise cannot split a real-valued tie: 12 for a unit query,
+    and one fewer per tenfold of its norm (12 for a zero query). Scores scale
+    with the norm, and so does their rounding noise."""
+    norm = float(np.linalg.norm(query))
+    return 12 - round(math.log10(norm)) if 0.0 < norm < math.inf else 12
 
 
 _EMPTY_KEY = 1 << 63 | 0x02 << 21 | 0x03  # the top bit no trigram sets
@@ -152,13 +162,13 @@ class EmbeddingIndex:
             raise ValueError(f"query shape {np.shape(query)} does not match dim {self.dim}")
         # a zero coordinate adds exactly 0.0 to every score, so only the order
         # in which the nonzero terms are summed differs from a dense product,
-        # and for a unit query the rounding below absorbs that
+        # and the rounding below absorbs that
         nz = np.flatnonzero(query)
         sims = query[nz] @ self._summaries[nz]
         self.eval_counts["community"] += len(self.community_ids)
         # ids are sorted and argmax takes the first maximum of the rounded
         # scores, so the smallest id wins real-valued ties
-        return self.community_ids[int(np.argmax(np.round(sims, 12)))]
+        return self.community_ids[int(np.argmax(np.round(sims, _tie_decimals(query))))]
 
     def top_k_in_community(self, community: str, query: Vector,
                            k: int = 3) -> list[tuple[NodeId, float]]:
@@ -169,7 +179,7 @@ class EmbeddingIndex:
             return []
         sims = matrix @ query
         self.eval_counts["entity"] += len(ids)
-        ranked = np.round(sims, 12)  # real-valued ties go to the smaller id
+        ranked = np.round(sims, _tie_decimals(query))  # real-valued ties go to the smaller id
         order = sorted(range(len(ids)), key=lambda i: (-ranked[i], ids[i]))
         return [(ids[i], float(sims[i])) for i in order[:k]]
 

@@ -504,7 +504,7 @@ def _sweep(ctx: PipelineContext, grid: list[float], trials: int, seed: int,
 
 def _fmt_float(x: float) -> str:
     if math.isinf(x):
-        return "inf"
+        return "inf" if x > 0 else "-inf"
     return f"{x:.6f}".rstrip("0").rstrip(".") if x != int(x) else str(int(x))
 
 

@@ -5,8 +5,8 @@ from .convcode import conv_encode, conv_encode_frames, viterbi_decode, viterbi_d
 from .frame import TransmissionFrame, parse_coded_stream, payload_bits, serialize_frame
 from .huffman import HuffmanTable, huffman_build, huffman_decode, huffman_encode
 from .link import TransmitResult, channel_bit_cost, transmit, transmit_many
-from .qam import (ChannelConfig, SymbolStream, awgn, qam16_demodulate, qam16_modulate,
-                  standard_normals, transmit_bits, transmit_rows)
+from .qam import (ChannelConfig, SymbolStream, awgn, noise_normals, qam16_demodulate,
+                  qam16_modulate, transmit_bits, transmit_rows)
 from .seeding import seed_state
 
 __all__ = [
@@ -15,7 +15,7 @@ __all__ = [
     "TransmissionFrame", "parse_coded_stream", "payload_bits", "serialize_frame",
     "HuffmanTable", "huffman_build", "huffman_decode", "huffman_encode",
     "TransmitResult", "channel_bit_cost", "transmit", "transmit_many",
-    "ChannelConfig", "SymbolStream", "awgn", "qam16_demodulate", "qam16_modulate",
-    "standard_normals", "transmit_bits", "transmit_rows",
+    "ChannelConfig", "SymbolStream", "awgn", "noise_normals", "qam16_demodulate",
+    "qam16_modulate", "transmit_bits", "transmit_rows",
     "seed_state",
 ]

@@ -25,7 +25,14 @@ def ids_to_bits(ids, width: int) -> Bits:
 
 def bits_to_ids(bits: Bits, width: int) -> list[int]:
     """Parse as many whole ``width``-bit big-endian words as available."""
-    n = len(bits) // width
-    words = np.zeros((n, 64), dtype=np.uint8)
-    words[:, 64 - width:] = bits[:n * width].reshape(n, width)
-    return np.packbits(words, axis=1).view(">u8").ravel().tolist()
+    return bits_to_id_rows(np.reshape(bits, (1, -1)), width)[0].tolist()
+
+
+def bits_to_id_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """``bits_to_ids`` of each row of a (R, n) bit array, as one (R, n // width)
+    big-endian uint64 array."""
+    n_rows, n = rows.shape
+    k = n // width
+    words = np.zeros((n_rows, k, 64), dtype=np.uint8)
+    words[:, :, 64 - width:] = rows[:, :k * width].reshape(n_rows, k, width)
+    return np.packbits(words, axis=2).view(">u8").reshape(n_rows, k)

@@ -51,10 +51,10 @@ def conv_encode_frames(info: np.ndarray) -> np.ndarray:
     if info.ndim != 2:
         raise ValueError("expected a (B, L) batch")
     B, L = info.shape
-    x = np.zeros((B, L + TAIL), dtype=np.uint8)
-    x[:, :L] = info
-    xp = np.pad(x, ((0, 0), (K - 1, 0)))
     T = L + TAIL
+    # K-1 leading zeros as the start state, the info bits, then the zero tail
+    xp = np.zeros((B, K - 1 + T), dtype=np.uint8)
+    xp[:, K - 1:K - 1 + L] = info
     out = np.zeros((B, 2 * T), dtype=np.uint8)
     for col, g in ((0, G1), (1, G2)):
         for s in range(K):  # bit s of g taps the input K-1-s steps back

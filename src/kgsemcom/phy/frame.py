@@ -5,12 +5,16 @@ sorted entity ids, so W = max(1, (N - 1).bit_length()). The protected ids form
 the coded stream, which is convolutionally encoded; the unprotected ids travel
 as a second, uncoded stream. A stream is its W-bit words and nothing else: its
 length gives the id count, so no header is sent. This module is the one place
-the layout and its size (``payload_bits``) live.
+the layout and its size (``payload_bits``) live. ``parse_streams`` is the one
+parser: it reads a (rows, bits) array of received streams at once, and
+``parse_coded_stream`` is its one-row case.
 """
 
 from dataclasses import dataclass
 
-from .bits import Bits, bits_to_ids, ids_to_bits
+import numpy as np
+
+from .bits import Bits, bits_to_id_rows, ids_to_bits
 
 
 def payload_bits(n_ids: int, width: int) -> int:
@@ -38,7 +42,13 @@ def serialize_frame(frame: TransmissionFrame) -> tuple[Bits, Bits]:
             ids_to_bits(frame.unprotected_ids, frame.width))
 
 
+def parse_streams(rows: np.ndarray, width: int) -> np.ndarray:
+    """The ids of each row of a (R, n) array of received streams, coded or
+    uncoded, as a (R, n // W) array: every whole W-bit word. Never raises on
+    corruption; a trailing partial word is dropped."""
+    return bits_to_id_rows(rows, width)
+
+
 def parse_coded_stream(bits: Bits, width: int) -> tuple[int, ...]:
-    """The ids of a received stream, coded or uncoded: every whole W-bit word.
-    Never raises on corruption; a trailing partial word is dropped."""
-    return tuple(bits_to_ids(bits, width))
+    """``parse_streams`` of one received stream."""
+    return tuple(parse_streams(np.reshape(bits, (1, -1)), width)[0].tolist())

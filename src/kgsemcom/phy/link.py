@@ -2,11 +2,13 @@
 
 The protected stream is convolutionally encoded before it enters the channel
 (a frame with no protected id still sends the code's tail); the unprotected
-stream enters as-is. Both cross ``qam.transmit_rows`` (16QAM, AWGN, hard
-slicing). ``frame.py`` serializes and parses both streams, and
-``channel_bit_cost`` gives the total channel bits from its ``payload_bits``
-and the code's tail; nothing else restates them. The two streams see
-independent noise derived from the same 64-bit seed.
+stream enters as-is. Both cross ``qam.channel_rows`` (16QAM, AWGN, hard
+slicing), which takes each row's SNR and noise seed as plain values.
+``frame.py`` serializes and parses both streams, and ``channel_bit_cost``
+gives the total channel bits from its ``payload_bits`` and the code's tail;
+nothing else restates them. The two streams see independent noise derived
+from the same 64-bit seed. The rows that send one frame are decoded, parsed
+and checked for bit errors together, as 2-D arrays.
 """
 
 from collections.abc import Sequence
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convcode import TAIL, conv_encode, viterbi_decode_frames
-from .frame import TransmissionFrame, parse_coded_stream, payload_bits, serialize_frame
-from .qam import ChannelConfig, transmit_rows
+from .frame import TransmissionFrame, parse_streams, payload_bits, serialize_frame
+from .qam import ChannelConfig, channel_rows
 from .seeding import seed_state
 
 
@@ -53,45 +55,63 @@ def transmit(frame: TransmissionFrame, cfg: ChannelConfig) -> TransmitResult:
 def transmit_many(frames: Sequence[TransmissionFrame],
                   cfgs: Sequence[ChannelConfig]) -> list[TransmitResult]:
     """Send ``frames[i]`` over the channel of ``cfgs[i]``; result i equals
-    ``transmit(frames[i], cfgs[i])``. Each distinct frame is serialized and
-    encoded once, all coded and uncoded streams cross the channel in one
-    call, and Viterbi runs once per distinct coded length."""
+    ``transmit(frames[i], cfgs[i])``. The rows are grouped by distinct frame.
+    Each frame is serialized and encoded once, all coded and uncoded streams
+    cross the channel in one call, Viterbi runs once per distinct coded
+    length, and each group is parsed and its bit errors counted as one 2-D
+    array."""
     if len(frames) != len(cfgs):
         raise ValueError("one channel config per frame")
     if not frames:
         return []
-    streams = {}
-    for frame in frames:
-        if frame not in streams:
-            coded_info, uncoded = serialize_frame(frame)
-            streams[frame] = (coded_info, conv_encode(coded_info), uncoded)
-    sent = [streams[frame] for frame in frames]
-    # separate substreams per class so class sizes never shift the noise
-    n = len(cfgs)
-    seeds = [c.seed for c in cfgs]
+    groups: dict[TransmissionFrame, list[int]] = {}
+    for row, frame in enumerate(frames):
+        groups.setdefault(frame, []).append(row)
+    sent = []
+    for frame in groups:
+        coded_info, uncoded = serialize_frame(frame)
+        sent.append((coded_info, conv_encode(coded_info), uncoded))
+    sizes = [len(rows) for rows in groups.values()]
+    # the channel's rows follow the groups; separate substreams per class so
+    # class sizes never shift the noise
+    order = [row for rows in groups.values() for row in rows]
+    n = len(order)
+    snrs_db = [cfgs[row].snr_db for row in order]
+    seeds = [cfgs[row].seed for row in order]
     substream = seed_state((seeds + seeds, [0] * n + [1] * n), 1)[:, 0].tolist()
-    channels = [ChannelConfig(c.snr_db, s) for c, s in zip(list(cfgs) * 2, substream)]
-    received = transmit_rows([coded for _, coded, _ in sent] + [uncoded for *_, uncoded in sent],
-                             channels)
-    rx_coded, rx_uncoded = received[:n], received[n:]
+    received = channel_rows([coded for (_, coded, _), k in zip(sent, sizes) for _ in range(k)]
+                            + [uncoded for (*_, uncoded), k in zip(sent, sizes) for _ in range(k)],
+                            snrs_db + snrs_db, substream)
+    ends = np.cumsum(sizes).tolist()
+    rx_coded = [np.stack(received[end - k:end]) for end, k in zip(ends, sizes)]
+    rx_uncoded = [np.stack(received[n + end - k:n + end]) for end, k in zip(ends, sizes)]
 
-    decoded: list = [None] * n
+    decoded: list = [None] * len(sent)
     by_length: dict[int, list[int]] = {}
-    for row, bits in enumerate(rx_coded):
-        by_length.setdefault(len(bits), []).append(row)
-    for rows in by_length.values():
-        for row, bits in zip(rows, viterbi_decode_frames(np.stack([rx_coded[r] for r in rows]))):
-            decoded[row] = bits
+    for group, (_, coded, _) in enumerate(sent):
+        by_length.setdefault(len(coded), []).append(group)
+    for batch in by_length.values():
+        bits = viterbi_decode_frames(np.concatenate([rx_coded[g] for g in batch]))
+        for group, part in zip(batch, np.split(bits, np.cumsum([sizes[g] for g in batch[:-1]]))):
+            decoded[group] = part
 
-    results = []
-    for frame, (coded_info, coded, uncoded), rx_info, rx_plain in zip(
-            frames, sent, decoded, rx_uncoded):
-        results.append(TransmitResult(
-            received_protected=parse_coded_stream(rx_info, frame.width),
-            received_unprotected=parse_coded_stream(rx_plain, frame.width),
-            coded_channel_bits=len(coded),
-            uncoded_channel_bits=len(uncoded),
-            coded_bit_errors=int(np.count_nonzero(rx_info != coded_info)),
-            uncoded_bit_errors=int(np.count_nonzero(rx_plain != uncoded)),
-        ))
+    results: list = [None] * n
+    for frame, rows, (coded_info, coded, uncoded), rx_info, rx_plain in zip(
+            groups, groups.values(), sent, decoded, rx_uncoded):
+        rx = np.concatenate([rx_info, rx_plain], axis=1)
+        ids = parse_streams(rx, frame.width).tolist()
+        errors = rx != np.concatenate([coded_info, uncoded])
+        split = len(coded_info)
+        n_protected = len(frame.protected_ids)
+        for row, row_ids, coded_errors, uncoded_errors in zip(
+                rows, ids, np.count_nonzero(errors[:, :split], axis=1).tolist(),
+                np.count_nonzero(errors[:, split:], axis=1).tolist()):
+            results[row] = TransmitResult(
+                received_protected=tuple(row_ids[:n_protected]),
+                received_unprotected=tuple(row_ids[n_protected:]),
+                coded_channel_bits=len(coded),
+                uncoded_channel_bits=len(uncoded),
+                coded_bit_errors=coded_errors,
+                uncoded_bit_errors=uncoded_errors,
+            )
     return results

@@ -5,6 +5,12 @@ Each 4-bit group b3 b2 b1 b0 maps to one symbol: (b3, b2) pick the I level and
 10 -> +3, scaled by 1/sqrt(10) for unit average symbol energy. Demodulation
 is per-axis minimum-distance slicing straight to bits; a sample landing
 exactly on a decision boundary goes to the smaller-amplitude level.
+
+Every channel call modulates its rows as one stream, adds one noise pass and
+slices once. ``noise_normals`` is the one place a seed becomes noise: per row
+it draws the real parts, then the imaginary parts, of its seed's stream
+straight into two buffers, and ``_add_noise`` scales them and adds them to
+the symbols in place.
 """
 
 import math
@@ -70,8 +76,9 @@ def qam16_demodulate(stream: SymbolStream) -> Bits:
 def awgn(stream: SymbolStream, cfg: ChannelConfig) -> SymbolStream:
     """Complex AWGN with per-dimension variance N0/2 where N0 = Es/10^(snr/10)
     and Es = 1. snr_db = +inf passes symbols through untouched."""
-    noisy = _add_noise(stream.symbols, np.array([len(stream.symbols)]), [cfg])
-    return SymbolStream(symbols=noisy, pad_bits=stream.pad_bits)
+    symbols = stream.symbols.astype(complex)  # a copy, which takes the noise in place
+    _add_noise(symbols, [len(symbols)], [cfg.snr_db], [cfg.seed])
+    return SymbolStream(symbols=symbols, pad_bits=stream.pad_bits)
 
 
 def transmit_rows(streams: Sequence[Bits], cfgs: Sequence[ChannelConfig]) -> list[Bits]:
@@ -79,36 +86,57 @@ def transmit_rows(streams: Sequence[Bits], cfgs: Sequence[ChannelConfig]) -> lis
     from one modulate, one noise pass and one demodulate over all rows."""
     if len(streams) != len(cfgs):
         raise ValueError("one channel config per stream")
+    return channel_rows(streams, [c.snr_db for c in cfgs], [c.seed for c in cfgs])
+
+
+def channel_rows(streams: Sequence[Bits], snrs_db: Sequence[float],
+                 seeds: Sequence[int]) -> list[Bits]:
+    """``transmit_rows`` with row i's channel given as ``snrs_db[i]`` and
+    ``seeds[i]``, which the caller has validated: no ``ChannelConfig`` per row.
+    The rows are copied into one buffer, each padded to whole symbols, in
+    their own dtype; the modulator's one ``as_bits`` then checks them all
+    before the cast to uint8."""
     if not streams:
         return []
-    lengths = np.array([len(s) for s in streams], dtype=np.int64)
+    lengths = np.fromiter(map(len, streams), dtype=np.int64, count=len(streams))
     n_symbols = -(-lengths // 4)
-    # each row padded to whole symbols, so the rows modulate as one stream
-    flat = as_bits(np.concatenate([part for s, n in zip(streams, lengths.tolist())
-                                   for part in (s, np.zeros(-n % 4, dtype=np.uint8))]))
-    symbols = _add_noise(qam16_modulate(flat).symbols, n_symbols, cfgs)
-    bits = qam16_demodulate(SymbolStream(symbols=symbols, pad_bits=0))
     starts = 4 * (np.cumsum(n_symbols) - n_symbols)
+    flat = np.concatenate(streams)
+    if flat.ndim == 1 and not np.array_equal(4 * n_symbols, lengths):
+        padded = np.zeros(4 * int(n_symbols.sum()), dtype=flat.dtype)
+        padded[np.arange(len(flat)) + np.repeat(starts - (np.cumsum(lengths) - lengths),
+                                                lengths)] = flat
+    else:  # no row needs padding, or a row is not flat and the check rejects it
+        padded = flat
+    symbols = qam16_modulate(padded).symbols
+    _add_noise(symbols, n_symbols.tolist(), snrs_db, seeds)
+    bits = qam16_demodulate(SymbolStream(symbols=symbols, pad_bits=0))
     return [bits[start:start + n] for start, n in zip(starts.tolist(), lengths.tolist())]
 
 
 def transmit_bits(bits: Bits, cfgs: Sequence[ChannelConfig]) -> np.ndarray:
     """``transmit_rows`` with the same stream on every row: a (len(cfgs),
-    len(bits)) uint8 array. An empty stream draws no noise."""
-    out = np.empty((len(cfgs), len(bits)), dtype=np.uint8)
-    if cfgs:
-        out[:] = transmit_rows([bits] * len(cfgs), cfgs)
-    return out
+    len(bits)) uint8 array. The stream is modulated once and its symbols
+    tiled over the rows; an empty stream draws no noise."""
+    stream = qam16_modulate(bits)
+    n = len(stream.symbols)
+    symbols = np.tile(stream.symbols, len(cfgs))
+    _add_noise(symbols, [n] * len(cfgs), [c.snr_db for c in cfgs], [c.seed for c in cfgs])
+    rows = qam16_demodulate(SymbolStream(symbols=symbols, pad_bits=0)).reshape(len(cfgs), 4 * n)
+    return rows[:, :4 * n - stream.pad_bits]
 
 
-def standard_normals(seeds, counts: Sequence[int]) -> np.ndarray:
-    """The first ``counts[i]`` standard normals of the noise stream of
-    ``seeds[i]``, rows back to back. A seed's stream is a Philox generator
-    with the key ``Philox(SeedSequence(seed))`` would get; this is the one
-    place a seed becomes noise. One bit generator serves every row: its state
-    is reset per row, which costs far less than building a generator."""
+def noise_normals(seeds, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row i's noise: the first ``counts[i]`` standard normals of the stream
+    of ``seeds[i]`` are its real parts and the next ``counts[i]`` its
+    imaginary parts. -> (real, imag), each with the rows back to back. A
+    seed's stream is a Philox generator with the key
+    ``Philox(SeedSequence(seed))`` would get; this is the one place a seed
+    becomes noise. One bit generator serves every row: its state is reset
+    per row, which costs far less than building a generator."""
     keys = seed_state((seeds,), 2)
-    out = np.empty(int(sum(counts)))
+    total = int(sum(counts))
+    real, imag = np.empty(total), np.empty(total)
     bit_generator = np.random.Philox(0)
     rng = np.random.Generator(bit_generator)
     state = bit_generator.state  # a fresh stream: zero counter, empty buffers
@@ -116,27 +144,35 @@ def standard_normals(seeds, counts: Sequence[int]) -> np.ndarray:
     for key, n in zip(keys, counts):
         state["state"]["key"] = key
         bit_generator.state = state
-        rng.standard_normal(out=out[start:start + n])
-        start += n
-    return out
+        stop = start + n
+        rng.standard_normal(out=real[start:stop])
+        rng.standard_normal(out=imag[start:stop])
+        start = stop
+    return real, imag
 
 
-def _add_noise(symbols: np.ndarray, lengths: np.ndarray,
-               cfgs: Sequence[ChannelConfig]) -> np.ndarray:
-    """``symbols`` holds the rows back to back, row i ``lengths[i]`` long.
-    Row i gets the AWGN of ``cfgs[i]``: the first n normals of its seed's
-    stream on the real axis, the next n on the imaginary one, each times
-    sqrt(N0/2). An empty row, or one at SNR +inf, draws nothing."""
-    out = symbols.copy()
-    noisy = [bool(n) and cfg.snr_db != math.inf for n, cfg in zip(lengths.tolist(), cfgs)]
+def _add_noise(symbols: np.ndarray, lengths: Sequence[int], snrs_db: Sequence[float],
+               seeds: Sequence[int]) -> None:
+    """Add AWGN to ``symbols`` in place. They hold the rows back to back, row
+    i ``lengths[i]`` long, and row i gets ``seeds[i]``'s noise times
+    sqrt(N0/2) at ``snrs_db[i]``. An empty row, or one at SNR +inf, draws
+    nothing; only then is a mask built."""
+    noisy = [bool(n) and snr != math.inf for n, snr in zip(lengths, snrs_db)]
     if not any(noisy):
-        return out
-    cfgs = [cfg for cfg, hit in zip(cfgs, noisy) if hit]
-    n = lengths[noisy]
-    normals = standard_normals([cfg.seed for cfg in cfgs], (2 * n).tolist())
-    real = np.repeat(np.tile([True, False], len(n)), np.repeat(n, 2))
-    noise = np.empty(len(normals) // 2, dtype=complex)
-    noise.real, noise.imag = normals[real], normals[~real]
-    noise *= np.repeat([math.sqrt(10.0 ** (-cfg.snr_db / 10.0) / 2.0) for cfg in cfgs], n)
-    out[np.repeat(noisy, lengths)] += noise
-    return out
+        return
+    mask = None
+    if not all(noisy):
+        mask = np.repeat(noisy, lengths)
+        lengths = [n for n, hit in zip(lengths, noisy) if hit]
+        snrs_db = [snr for snr, hit in zip(snrs_db, noisy) if hit]
+        seeds = [seed for seed, hit in zip(seeds, noisy) if hit]
+    real, imag = noise_normals(seeds, lengths)
+    scale = np.repeat([math.sqrt(10.0 ** (-snr / 10.0) / 2.0) for snr in snrs_db], lengths)
+    real *= scale
+    imag *= scale
+    if mask is None:
+        symbols.real += real
+        symbols.imag += imag
+    else:
+        symbols.real[mask] += real
+        symbols.imag[mask] += imag

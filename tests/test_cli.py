@@ -415,6 +415,25 @@ def test_baseline_reads_minus_inf_in_an_snr_list(capsys, tmp_path, sample_corpus
             == render_report(baseline_records(sample_corpus[:2], grid, seed=0), grid))
 
 
+def test_baseline_labels_minus_inf_rows_minus_inf(capsys, tmp_path, sample_corpus):
+    # -inf rows are written "-inf", never "inf", so the two infinite SNRs stay
+    # apart in every row kind
+    corpus = tmp_path / "two.txt"
+    corpus.write_text("\n".join(sample_corpus[:2]) + "\n", encoding="utf-8")
+    out = tmp_path / "base.csv"
+    code, _, _ = _run(capsys, ["baseline", "--corpus", str(corpus), "--out", str(out),
+                               "--snr", "0", "-inf"])
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    labels = {}
+    for row in rows:
+        labels.setdefault(row[0], []).append(row[2])
+    assert sorted(labels) == ["cumulative", "summary", "trial"]
+    for kind, snrs in labels.items():
+        assert set(snrs) == {"0", "-inf"}, kind
+        assert snrs.count("-inf") == snrs.count("0")
+
+
 def test_baseline_empty_corpus(capsys, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n", encoding="utf-8")

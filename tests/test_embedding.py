@@ -377,6 +377,23 @@ def test_real_valued_ties_go_to_the_smallest_id():
     assert ranked == [(2, float(first @ query)), (5, float(second @ query))]
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+def test_real_valued_ties_go_to_the_smallest_id_at_any_query_norm(scale):
+    # both rows score 1.03 * scale / sqrt(3) as real numbers. For the scaled
+    # queries the floating-point sums differ by more than 1e-12, the first
+    # one lower, so a fixed 12-decimal rounding gives the tie to "bb"
+    first, second = np.array([0.5, 0.4, 0.13]), np.array([0.13, 0.4, 0.5])
+    query = scale * (np.ones(3) / np.sqrt(3.0))
+    if scale > 1.0:
+        assert np.round(first @ query, 12) < np.round(second @ query, 12)
+    index = EmbeddingIndex(dim=3)
+    index.community_ids = ["aa", "bb"]
+    index._summaries = np.stack([first, second], axis=1)
+    index._entities["aa"] = ([2, 5], np.stack([first, second]))
+    assert index.best_community(query) == "aa"
+    assert [nid for nid, _ in index.top_k_in_community("aa", query, k=2)] == [2, 5]
+
+
 def test_queries_invariant_under_positive_rescaling(sample_index, embedder):
     query = embedder.embed_one("Alan Bean")
     for lam in (1e-6, 0.5, 1.0, 3.0, 1e6):

@@ -18,6 +18,7 @@ from kgsemcom.phy import (
     transmit,
     transmit_many,
 )
+from kgsemcom.phy import link
 from kgsemcom.phy.bits import as_bits, bits_to_ids, ids_to_bits
 
 
@@ -152,6 +153,41 @@ def test_transmit_many_bit_identical_to_single_calls():
     assert transmit_many([], []) == []
     with pytest.raises(ValueError, match="one channel config per frame"):
         transmit_many(frames, cfgs[:2])
+
+
+def _three_frames_ten_rows():
+    frames = [TransmissionFrame((1, 5), (9, 12, 77), 7), TransmissionFrame((), (3,), 7),
+              TransmissionFrame((1, 5, 8, 40), (), 11)]
+    rows = [frames[i % 3] for i in (0, 1, 2, 0, 0, 1, 2, 2, 0, 1)]
+    return rows, [ChannelConfig(2.0, seed) for seed in range(len(rows))]
+
+
+def test_transmit_many_builds_no_channel_config(monkeypatch):
+    frames, cfgs = _three_frames_ten_rows()
+    built = []
+    monkeypatch.setattr(ChannelConfig, "__post_init__", lambda self: built.append(self))
+    transmit_many(frames, cfgs)
+    assert built == []
+    # the patch sees every construction
+    ChannelConfig(0.0, 0)
+    assert len(built) == 1
+
+
+def test_transmit_many_parses_each_distinct_frame_once(monkeypatch):
+    frames, cfgs = _three_frames_ten_rows()
+    parsed = []
+
+    def counting(rows, width):
+        parsed.append((rows.shape, width))
+        return link_parse(rows, width)
+
+    link_parse = link.parse_streams
+    monkeypatch.setattr(link, "parse_streams", counting)
+    results = transmit_many(frames, cfgs)
+    # one parse of both streams per group of rows
+    assert sorted(parsed) == [((3, 7), 7), ((3, 44), 11), ((4, 35), 7)]
+    monkeypatch.undo()
+    assert results == [transmit(frame, cfg) for frame, cfg in zip(frames, cfgs)]
 
 
 # sha256 over the repr of every TransmitResult field, for the frames below at

@@ -14,13 +14,13 @@ from kgtools import load_synthkg
 
 FIXTURE_SWEEP_SHA256 = "9fce8662777df642ff81d057df753cb0f4aada88419b5e1627221548ab5352a0"
 # sweep seed 2**40 + 3 (two 32-bit words, so six-word seed entropy), both
-# infinite SNRs, every scheme
-WIDE_SEED_SWEEP_SHA256 = "90c3718c48b91939f3bf33aa9a04030be2beacf2b63b390a0491e0f591627651"
+# infinite SNRs, every scheme; the -inf rows are labelled "-inf"
+WIDE_SEED_SWEEP_SHA256 = "1660b6383ccb9b78a20ec7a99b93e1e28bfa7f043f55d117c7e4322420076772"
 # `kgsemcom baseline` reports on the fixture corpus: (SNR grid, seed, sha256)
 BASELINE_SHA256 = [
     ([math.inf], 0, "b3f1adb8af841ed2657a8a5fbb22d71c3f81636f0d0718d078fb584ebae581c1"),
     ([0.0, 3.0, 12.0, math.inf, -math.inf], 7,
-     "a16fa922b61ee54347b8fe2ee804204043e0049fca8853b90783d238ae649e71"),
+     "12ff0e33f63eaac34cb0b064fb0ae606ac646378f34afab9370cf95743d87b68"),
     ([2.0], 2**70, "ad5501afd2b2f3610e975bae9d8dbfd3a6ce5dbc5f7a919f758924caf84ca7fa"),
 ]
 # every scheme on the benchmark's synthetic graph generator at 8,000 entities

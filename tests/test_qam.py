@@ -1,6 +1,7 @@
 """Gray-coded 16QAM mapping, hard-decision slicing, the seeded AWGN channel,
 and ``transmit_rows``, the one path through all three."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,10 +11,10 @@ from kgsemcom.phy import (
     ChannelConfig,
     SymbolStream,
     awgn,
+    noise_normals,
     qam16_demodulate,
     qam16_modulate,
     qam,
-    standard_normals,
     transmit_bits,
     transmit_rows,
 )
@@ -183,14 +184,18 @@ def test_transmit_rows_equal_one_reference_channel_pass_each():
         transmit_rows([np.array([0, 2])], [ChannelConfig(0.0, 0)])
 
 
-def test_standard_normals_continue_one_stream_per_seed():
+def test_noise_normals_continue_one_stream_per_seed():
+    # a row's real parts are its stream's first n normals, its imaginary
+    # parts the next n
     counts = [3, 0, 5, 3]
     seeds = [9, 2**70, 11, 9]
-    out = standard_normals(seeds, counts)
+    real, imag = noise_normals(seeds, counts)
+    assert real.shape == imag.shape == (sum(counts),)
     starts = np.cumsum(counts) - counts
     for seed, n, start in zip(seeds, counts, starts):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        assert np.array_equal(out[start:start + n], rng.standard_normal(n))
+        assert np.array_equal(real[start:start + n], rng.standard_normal(n))
+        assert np.array_equal(imag[start:start + n], rng.standard_normal(n))
 
 
 def test_empty_bitstream_roundtrip():
@@ -254,16 +259,61 @@ def test_transmit_bits_rows_equal_one_channel_pass_each(n):
     assert np.array_equal(out[1], out[4])
 
 
+def test_transmit_bits_modulates_its_stream_once(monkeypatch):
+    calls = []
+
+    def counting(bits):
+        calls.append(len(bits))
+        return qam16_modulate(bits)
+
+    monkeypatch.setattr(qam, "qam16_modulate", counting)
+    cfgs = [ChannelConfig(snr_db, seed) for snr_db in (0.0, 6.0, math.inf) for seed in (1, 2)]
+    transmit_bits(np.ones(37, dtype=np.uint8), cfgs)
+    assert calls == [37]
+
+
 def test_transmit_bits_empty_stream_draws_no_noise(monkeypatch):
     def no_noise(*args):
         raise AssertionError("keys derived or noise drawn for an empty stream")
 
     # the two steps from a seed to noise: key derivation, then the draws
     monkeypatch.setattr(qam, "seed_state", no_noise)
-    monkeypatch.setattr(qam, "standard_normals", no_noise)
+    monkeypatch.setattr(qam, "noise_normals", no_noise)
     out = transmit_bits(np.zeros(0, dtype=np.uint8), [ChannelConfig(0.0, s) for s in range(3)])
     assert out.shape == (3, 0) and out.dtype == np.uint8
     assert transmit_bits(np.zeros(0, dtype=np.uint8), []).shape == (0, 0)
     # the patches sit on the path a non-empty stream takes
     with pytest.raises(AssertionError, match="empty stream"):
         transmit_bits(np.ones(1, dtype=np.uint8), [ChannelConfig(0.0, 0)])
+
+
+# sha256 over each row's length and bytes, for the rows below: noisy, +inf,
+# -inf and empty rows, every padding, huge and repeated seeds, repeated rows
+TRANSMIT_ROWS_SHA256 = "44bc9b8291303803564c33b297a283dc4138b804627108e233ffe4156f0e057b"
+# sha256 over each output's shape and bytes, for the streams and channels below
+TRANSMIT_BITS_SHA256 = "0b43e6535e1a57baf9a4e1b547ad6e622653dd5a8e9c8ab35e2a6ee73d02f8f7"
+
+
+def test_transmit_rows_matches_pinned_sha256():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(58)))
+    lengths = [0, 5, 6, 7, 8, 403, 0, 1, 2, 3, 4, 37]
+    snrs = [0.0, math.inf, -math.inf, 6.0, -3.0, 12.5]
+    seeds = [0, 2**70, 7, 2**64 - 1, 7, 2**32]
+    streams, cfgs = [], []
+    for i in range(36):
+        streams.append(rng.integers(0, 2, size=lengths[i % len(lengths)], dtype=np.uint8))
+        cfgs.append(ChannelConfig(snrs[i % len(snrs)], seeds[i // 6 % len(seeds)]))
+    digest = hashlib.sha256()
+    for row in transmit_rows(streams + streams[:4], cfgs + cfgs[:4]):
+        digest.update(len(row).to_bytes(4, "little") + row.tobytes())
+    assert digest.hexdigest() == TRANSMIT_ROWS_SHA256
+
+
+def test_transmit_bits_matches_pinned_sha256():
+    cfgs = [ChannelConfig(snr_db, seed) for snr_db in (-math.inf, 0.0, 6.0, math.inf)
+            for seed in (0, 2**70, 2**64 - 1)]
+    digest = hashlib.sha256()
+    for n in (0, 1, 2, 3, 4, 5, 403):
+        out = transmit_bits((np.arange(n) * 7 % 11 % 2).astype(np.uint8), cfgs + cfgs[:3])
+        digest.update(repr(out.shape).encode() + out.tobytes())
+    assert digest.hexdigest() == TRANSMIT_BITS_SHA256
