@@ -15,8 +15,15 @@ def as_bits(values) -> Bits:
     return arr.astype(np.uint8, copy=False)
 
 
+def check_width(width: int) -> None:
+    """Words are 1 to 64 bits wide; any other width raises ValueError."""
+    if not 1 <= width <= 64:
+        raise ValueError(f"word width must be 1..64 bits, got {width}")
+
+
 def ids_to_bits(ids, width: int) -> Bits:
     """Concatenated ``width``-bit big-endian words (1 <= width <= 64)."""
+    check_width(width)
     ids = np.asarray(ids, dtype=np.uint64)
     if len(ids) and int(ids.max()) >> width:
         raise ValueError(f"ids must fit in {width} bits")
@@ -31,6 +38,7 @@ def bits_to_ids(bits: Bits, width: int) -> list[int]:
 def bits_to_id_rows(rows: np.ndarray, width: int) -> np.ndarray:
     """``bits_to_ids`` of each row of a (R, n) bit array, as one (R, n // width)
     big-endian uint64 array."""
+    check_width(width)
     n_rows, n = rows.shape
     k = n // width
     words = np.zeros((n_rows, k, 64), dtype=np.uint8)

@@ -1,20 +1,21 @@
 """Wire format for one id payload, in big-endian words of W bits.
 
 Both ends share a KG of N entities and send each id as its rank among the
-sorted entity ids, so W = max(1, (N - 1).bit_length()). The protected ids form
-the coded stream, which is convolutionally encoded; the unprotected ids travel
-as a second, uncoded stream. A stream is its W-bit words and nothing else: its
-length gives the id count, so no header is sent. This module is the one place
-the layout and its size (``payload_bits``) live. ``parse_streams`` is the one
-parser: it reads a (rows, bits) array of received streams at once, and
-``parse_coded_stream`` is its one-row case.
+sorted entity ids, so W = max(1, (N - 1).bit_length()), 1 <= W <= 64. The
+protected ids form the coded stream, which the link encodes with the code
+``convcode.GENERATORS`` (its size is ``convcode.coded_length``); the
+unprotected ids travel as a second, uncoded stream. A stream is its W-bit words
+and nothing else: its length gives the id count, so no header is sent. This
+module is the one place the layout and its size (``payload_bits``) live.
+``parse_streams`` is the one parser: it reads a (rows, bits) array of received
+streams at once, and ``parse_coded_stream`` is its one-row case.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import Bits, bits_to_id_rows, ids_to_bits
+from .bits import Bits, bits_to_id_rows, check_width, ids_to_bits
 
 
 def payload_bits(n_ids: int, width: int) -> int:
@@ -26,9 +27,10 @@ def payload_bits(n_ids: int, width: int) -> int:
 class TransmissionFrame:
     protected_ids: tuple[int, ...]
     unprotected_ids: tuple[int, ...]
-    width: int  # bits per id
+    width: int  # bits per id, 1..64
 
     def __post_init__(self):
+        check_width(self.width)
         for ids in (self.protected_ids, self.unprotected_ids):
             if list(ids) != sorted(set(ids)):
                 raise ValueError("id classes must be sorted and duplicate-free")

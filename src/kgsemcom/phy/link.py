@@ -1,14 +1,13 @@
 """End-to-end transmission of id frames: UEP channel coding, 16QAM, AWGN.
 
-The protected stream is convolutionally encoded before it enters the channel
-(a frame with no protected id still sends the code's tail); the unprotected
-stream enters as-is. Both cross ``qam.channel_rows`` (16QAM, AWGN, hard
-slicing), which takes each row's SNR and noise seed as plain values.
-``frame.py`` serializes and parses both streams, and ``channel_bit_cost``
-gives the total channel bits from its ``payload_bits`` and the code's tail;
-nothing else restates them. The two streams see independent noise derived
-from the same 64-bit seed. The rows that send one frame are decoded, parsed
-and checked for bit errors together, as 2-D arrays.
+The protected stream is encoded with the code ``convcode.GENERATORS`` (a frame
+with no protected id still sends its tail); the unprotected stream enters the
+channel as-is. Both cross ``qam.channel_rows`` (16QAM, AWGN, hard slicing),
+which takes each row's SNR and noise seed as plain values. ``channel_bit_cost``
+sizes both from ``frame.payload_bits`` and ``convcode.coded_length``; nothing
+else restates them. The two streams see independent noise derived from the
+same 64-bit seed. The rows that send one frame are decoded, parsed and checked
+for bit errors together, as 2-D arrays.
 """
 
 from collections.abc import Sequence
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convcode import TAIL, conv_encode, viterbi_decode_frames
+from .convcode import coded_length, conv_encode, viterbi_decode_frames
 from .frame import TransmissionFrame, parse_streams, payload_bits, serialize_frame
 from .qam import ChannelConfig, channel_rows
 from .seeding import seed_state
@@ -42,10 +41,8 @@ class TransmitResult:
 
 
 def channel_bit_cost(n_protected: int, n_unprotected: int, width: int) -> int:
-    """Rate-1/2 coded protected ids and tail, plus the raw unprotected ids:
-    the payload once, its coded part again as parity, the tail twice."""
-    return (payload_bits(n_protected + n_unprotected, width)
-            + payload_bits(n_protected, width) + 2 * TAIL)
+    """The coded protected ids plus the raw unprotected ids."""
+    return coded_length(payload_bits(n_protected, width)) + payload_bits(n_unprotected, width)
 
 
 def transmit(frame: TransmissionFrame, cfg: ChannelConfig) -> TransmitResult:

@@ -20,6 +20,7 @@ from kgsemcom.phy import (
 )
 from kgsemcom.phy import link
 from kgsemcom.phy.bits import as_bits, bits_to_ids, ids_to_bits
+from kgsemcom.phy.convcode import coded_length, conv_encode_frames
 
 
 # -- frame ---------------------------------------------------------------------
@@ -108,6 +109,18 @@ def test_bits_helpers_roundtrip():
         ids_to_bits([128], 7)
 
 
+@pytest.mark.parametrize("width", [0, 65, 70])
+def test_word_widths_outside_one_to_sixty_four_rejected(width):
+    # 70 used to pass the fit check and slice the 64-bit word from -6, so id 5
+    # went out as 6 bits; 0 failed late, or divided by zero in the parser
+    with pytest.raises(ValueError, match="1..64"):
+        ids_to_bits([5], width)
+    with pytest.raises(ValueError, match="1..64"):
+        bits_to_ids(np.zeros(140, dtype=np.uint8), width)
+    with pytest.raises(ValueError, match="1..64"):
+        TransmissionFrame((3,), (), width)
+
+
 # -- link ----------------------------------------------------------------------
 
 def test_channel_bit_cost_formula():
@@ -123,6 +136,20 @@ def test_transmit_diagnostics_match_formula():
     assert result.coded_channel_bits == 2 * (14 + 6)
     assert result.uncoded_channel_bits == 21
     assert result.channel_bits == channel_bit_cost(2, 3, 7)
+    # random frames, empty classes included: the sent sizes are the formulas'
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(64)))
+    for _ in range(200):
+        width = int(rng.integers(1, 33))
+        n_p, n_u = (int(n) for n in rng.integers(0, 13, size=2))
+        if n_p + n_u > 2**width:
+            continue
+        ids = sorted(int(i) for i in rng.choice(2**width, size=n_p + n_u, replace=False))
+        result = transmit(TransmissionFrame(tuple(ids[:n_p]), tuple(ids[n_p:]), width),
+                          ChannelConfig(math.inf, 0))
+        assert result.channel_bits == channel_bit_cost(n_p, n_u, width)
+        assert result.coded_channel_bits == coded_length(width * n_p)
+    for n in range(41):
+        assert coded_length(n) == conv_encode_frames(np.zeros((1, n), np.uint8)).shape[1]
 
 
 def test_transmit_no_noise_identity_thousand_random_frames():
