@@ -22,7 +22,7 @@ from .importance import (ImportanceConfig, ImportanceTable, ThresholdPolicy,
 from .phy import (ChannelConfig, SymbolStream, TransmissionFrame, TransmitResult,
                   HuffmanTable, conv_encode, viterbi_decode,
                   qam16_modulate, qam16_demodulate, awgn, seed_state,
-                  transmit_bits, transmit_rows, serialize_frame, parse_coded_stream,
+                  transmit_bits, channel_groups, serialize_frame, parse_coded_stream,
                   channel_bit_cost, transmit, transmit_many, huffman_build,
                   huffman_encode, huffman_decode, ids_to_bits, bits_to_ids)
 from .generation import (Prompt, ReconstructedText, StubGenerator,
@@ -55,7 +55,7 @@ __all__ = [
     "ChannelConfig", "SymbolStream", "TransmissionFrame", "TransmitResult",
     "HuffmanTable", "conv_encode", "viterbi_decode",
     "qam16_modulate", "qam16_demodulate", "awgn", "seed_state",
-    "transmit_bits", "transmit_rows", "serialize_frame", "parse_coded_stream",
+    "transmit_bits", "channel_groups", "serialize_frame", "parse_coded_stream",
     "channel_bit_cost",
     "transmit", "transmit_many", "huffman_build", "huffman_encode",
     "huffman_decode", "ids_to_bits", "bits_to_ids",

@@ -26,7 +26,7 @@ from .harness import (PipelineContext, SweepConfig, baseline_records, load_corpu
                       run_sweep, select_backends, semantic_similarity, write_report)
 from .importance import ImportanceConfig, partition_uep
 from .phy import ChannelConfig, channel_bit_cost, payload_bits, transmit
-from .remote import RemoteConfig
+from .remote import MALFORMED_REPLY, RemoteConfig
 from .semgraph import payload_of
 
 
@@ -262,6 +262,10 @@ def main(argv=None) -> int:
         if not isinstance(exc.__cause__, OSError):  # not an endpoint that failed every retry
             raise
         kind, message = "io", f"{exc}: {exc.__cause__}"
+    except ValueError as exc:
+        if not str(exc).startswith(MALFORMED_REPLY):  # not an endpoint's unusable reply
+            raise
+        kind, message = "io", str(exc)
     print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
     return 2
 

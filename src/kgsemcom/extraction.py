@@ -119,6 +119,13 @@ def expand(mentions: list[Mention], index: EmbeddingIndex, embedder,
     return cset
 
 
+def _capped(ids, candidates: CandidateSet, max_selected: int) -> SelectedEntities:
+    """The ``max_selected`` of ``ids`` with the highest provenance similarity,
+    ties to the smaller id, in ascending id order: both selectors' cap."""
+    ranked = sorted(ids, key=lambda nid: (-candidates.provenance[nid][1], nid))
+    return SelectedEntities(ids=tuple(sorted(ranked[:max_selected])))
+
+
 class StubSelector:
     """Deterministic offline stage 3: keep a candidate iff its canonical name
     occurs in the canonicalized sentence or its provenance similarity clears
@@ -127,20 +134,17 @@ class StubSelector:
     def select(self, sentence: str, candidates: CandidateSet, kg: KnowledgeGraph,
                max_selected: int = 8) -> SelectedEntities:
         canon_sentence = canonical_name(sentence)
-        keep: list[tuple[float, NodeId]] = []
-        for nid, (_, sim) in candidates.provenance.items():
-            name = kg.entities[nid].name
-            if canonical_name(name) in canon_sentence or sim >= SIMILARITY_THRESHOLD:
-                keep.append((sim, nid))
-        keep.sort(key=lambda t: (-t[0], t[1]))
-        chosen = sorted(nid for _, nid in keep[:max_selected])
-        return SelectedEntities(ids=tuple(chosen))
+        keep = [nid for nid, (_, sim) in candidates.provenance.items()
+                if canonical_name(kg.entities[nid].name) in canon_sentence
+                or sim >= SIMILARITY_THRESHOLD]
+        return _capped(keep, candidates, max_selected)
 
 
 class HttpSelector:
     """Stage 3 via a chat-completion endpoint. The model sees the sentence and
     the candidate list and answers with entity names, one per line or comma
-    separated; unmatched and non-candidate names are dropped."""
+    separated; unmatched and non-candidate names are dropped, and the rest
+    capped by descending similarity, as in ``StubSelector``."""
 
     def __init__(self, config, prompt_template: str | None = None):
         from .prompts import load_prompt
@@ -163,7 +167,7 @@ class HttpSelector:
             nid = kg.id_of(name.strip("-* \t"))
             if nid is not None and nid in candidates.provenance:
                 chosen.add(nid)
-        return SelectedEntities(ids=tuple(sorted(chosen)[:max_selected]))
+        return _capped(chosen, candidates, max_selected)
 
 
 def select(sentence: str, candidates: CandidateSet, kg: KnowledgeGraph,

@@ -26,9 +26,9 @@ from .extraction import (ExtractionConfig, HttpSelector, SelectedEntities, StubS
                          extract_trace)
 from .generation import HttpGenerator, StubGenerator, build_prompt
 from .importance import ImportanceConfig, ImportanceTable, ThresholdPolicy, importance_scores, partition_uep
-from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, channel_bit_cost,
-                  HuffmanTable, huffman_build, huffman_decode, huffman_encode, payload_bits,
-                  seed_state, transmit_bits, transmit_many)
+from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, HuffmanTable,
+                  huffman_build, huffman_decode, huffman_encode, payload_bits, seed_state,
+                  transmit_bits, transmit_many)
 from .remote import RemoteConfig
 from .semgraph import Mcsg, build_mcsg, reconstruct
 
@@ -361,10 +361,9 @@ def _send_kgrag(ctx: PipelineContext, sentence: str, points: list[Point]) -> lis
         return receptions[key]
 
     def point(frame: TransmissionFrame, point_results: list[TransmitResult]) -> SentPoint:
-        channel_bits = channel_bit_cost(len(frame.protected_ids), len(frame.unprotected_ids),
-                                        frame.width)
-        return ((payload_bits(n_ids, frame.width), channel_bits, n_selected, n_ids),
-                [receive(result) for result in point_results])
+        # every trial of a point sends the same frame, so the same channel bits
+        return ((payload_bits(n_ids, frame.width), point_results[0].channel_bits, n_selected,
+                 n_ids), [receive(result) for result in point_results])
 
     return [frame if isinstance(frame, Exception)
             else _attempt(point, frame, [next(results) for _ in seeds])

@@ -6,7 +6,7 @@ from .frame import TransmissionFrame, parse_coded_stream, payload_bits, serializ
 from .huffman import HuffmanTable, huffman_build, huffman_decode, huffman_encode
 from .link import TransmitResult, channel_bit_cost, transmit, transmit_many
 from .qam import (ChannelConfig, SymbolStream, awgn, noise_normals, qam16_demodulate,
-                  qam16_modulate, transmit_bits, transmit_rows)
+                  qam16_modulate, transmit_bits, channel_groups)
 from .seeding import seed_state
 
 __all__ = [
@@ -16,6 +16,6 @@ __all__ = [
     "HuffmanTable", "huffman_build", "huffman_decode", "huffman_encode",
     "TransmitResult", "channel_bit_cost", "transmit", "transmit_many",
     "ChannelConfig", "SymbolStream", "awgn", "noise_normals", "qam16_demodulate",
-    "qam16_modulate", "transmit_bits", "transmit_rows",
+    "qam16_modulate", "transmit_bits", "channel_groups",
     "seed_state",
 ]

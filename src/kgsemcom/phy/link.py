@@ -2,12 +2,13 @@
 
 The protected stream is encoded with the code ``convcode.GENERATORS`` (a frame
 with no protected id still sends its tail); the unprotected stream enters the
-channel as-is. Both cross ``qam.channel_rows`` (16QAM, AWGN, hard slicing),
-which takes each row's SNR and noise seed as plain values. ``channel_bit_cost``
-sizes both from ``frame.payload_bits`` and ``convcode.coded_length``; nothing
-else restates them. The two streams see independent noise derived from the
-same 64-bit seed. The rows that send one frame are decoded, parsed and checked
-for bit errors together, as 2-D arrays.
+channel as-is. Each distinct frame's two streams cross ``qam.channel_groups``
+(16QAM, AWGN, hard slicing) as two groups, each with the frame's rows of plain
+SNR and noise-seed values, and come back as one 2-D array per group.
+``channel_bit_cost`` sizes both from ``frame.payload_bits`` and
+``convcode.coded_length``; nothing else restates them. The two streams see
+independent noise derived from the same 64-bit seed. The rows that send one
+frame are decoded, parsed and checked for bit errors together.
 """
 
 from collections.abc import Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from .convcode import coded_length, conv_encode, viterbi_decode_frames
 from .frame import TransmissionFrame, parse_streams, payload_bits, serialize_frame
-from .qam import ChannelConfig, channel_rows
+from .qam import ChannelConfig, channel_groups
 from .seeding import seed_state
 
 
@@ -68,20 +69,16 @@ def transmit_many(frames: Sequence[TransmissionFrame],
     for frame in groups:
         coded_info, uncoded = serialize_frame(frame)
         sent.append((coded_info, conv_encode(coded_info), uncoded))
-    sizes = [len(rows) for rows in groups.values()]
-    # the channel's rows follow the groups; separate substreams per class so
-    # class sizes never shift the noise
-    order = [row for rows in groups.values() for row in rows]
-    n = len(order)
-    snrs_db = [cfgs[row].snr_db for row in order]
-    seeds = [cfgs[row].seed for row in order]
-    substream = seed_state((seeds + seeds, [0] * n + [1] * n), 1)[:, 0].tolist()
-    received = channel_rows([coded for (_, coded, _), k in zip(sent, sizes) for _ in range(k)]
-                            + [uncoded for (*_, uncoded), k in zip(sent, sizes) for _ in range(k)],
-                            snrs_db + snrs_db, substream)
-    ends = np.cumsum(sizes).tolist()
-    rx_coded = [np.stack(received[end - k:end]) for end, k in zip(ends, sizes)]
-    rx_uncoded = [np.stack(received[n + end - k:n + end]) for end, k in zip(ends, sizes)]
+    # each group's coded rows, then each group's uncoded rows, every row with
+    # its own substream per class, so class sizes never shift the noise
+    seeds = [cfgs[row].seed for rows in groups.values() for row in rows]
+    n = len(seeds)
+    keys = iter(seed_state((seeds + seeds, [0] * n + [1] * n), 1)[:, 0].tolist())
+    snrs_db = [[cfgs[row].snr_db for row in rows] for rows in groups.values()]
+    received = channel_groups(
+        [coded for _, coded, _ in sent] + [uncoded for *_, uncoded in sent], snrs_db + snrs_db,
+        [[next(keys) for _ in rows] for _ in range(2) for rows in groups.values()])
+    rx_coded, rx_uncoded = received[:len(sent)], received[len(sent):]
 
     decoded: list = [None] * len(sent)
     by_length: dict[int, list[int]] = {}
@@ -89,7 +86,8 @@ def transmit_many(frames: Sequence[TransmissionFrame],
         by_length.setdefault(len(coded), []).append(group)
     for batch in by_length.values():
         bits = viterbi_decode_frames(np.concatenate([rx_coded[g] for g in batch]))
-        for group, part in zip(batch, np.split(bits, np.cumsum([sizes[g] for g in batch[:-1]]))):
+        ends = np.cumsum([len(rx_coded[g]) for g in batch[:-1]])
+        for group, part in zip(batch, np.split(bits, ends)):
             decoded[group] = part
 
     results: list = [None] * n

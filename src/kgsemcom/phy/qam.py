@@ -6,16 +6,21 @@ Each 4-bit group b3 b2 b1 b0 maps to one symbol: (b3, b2) pick the I level and
 is per-axis minimum-distance slicing straight to bits; a sample landing
 exactly on a decision boundary goes to the smaller-amplitude level.
 
-Every channel call modulates its rows as one stream, adds one noise pass and
-slices once. ``noise_normals`` is the one place a seed becomes noise: per row
-it draws the real parts, then the imaginary parts, of its seed's stream
-straight into two buffers, and ``_add_noise`` scales them and adds them to
-the symbols in place.
+``channel_groups`` is the one channel core for every scheme: it takes
+distinct streams, each with its own rows of (SNR, seed), modulates all the
+streams in one call, tiles each stream's symbols over its rows, adds one
+noise pass and slices once. ``transmit_bits`` is its one-stream case and
+``awgn`` the one-stream noise primitive. ``noise_normals`` is the one place a
+seed becomes noise: per row it draws the real parts, then the imaginary
+parts, of its seed's stream straight into two buffers, and ``_add_noise``
+scales them and adds them to the symbols in place.
 """
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -81,49 +86,49 @@ def awgn(stream: SymbolStream, cfg: ChannelConfig) -> SymbolStream:
     return SymbolStream(symbols=symbols, pad_bits=stream.pad_bits)
 
 
-def transmit_rows(streams: Sequence[Bits], cfgs: Sequence[ChannelConfig]) -> list[Bits]:
-    """Row i is ``qam16_demodulate(awgn(qam16_modulate(streams[i]), cfgs[i]))``,
-    from one modulate, one noise pass and one demodulate over all rows."""
-    if len(streams) != len(cfgs):
-        raise ValueError("one channel config per stream")
-    return channel_rows(streams, [c.snr_db for c in cfgs], [c.seed for c in cfgs])
-
-
-def channel_rows(streams: Sequence[Bits], snrs_db: Sequence[float],
-                 seeds: Sequence[int]) -> list[Bits]:
-    """``transmit_rows`` with row i's channel given as ``snrs_db[i]`` and
-    ``seeds[i]``, which the caller has validated: no ``ChannelConfig`` per row.
-    The rows are copied into one buffer, each padded to whole symbols, in
-    their own dtype; the modulator's one ``as_bits`` then checks them all
-    before the cast to uint8."""
+def channel_groups(streams: Sequence[Bits], snrs_db: Sequence[Sequence[float]],
+                   seeds: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """The one channel core. Group g sends ``streams[g]`` over
+    ``len(snrs_db[g])`` channels and comes back as a (rows, len(streams[g]))
+    uint8 array whose row r is ``qam16_demodulate(awgn(qam16_modulate(
+    streams[g]), ChannelConfig(snrs_db[g][r], seeds[g][r])))``; the caller has
+    validated the SNRs and seeds. Every stream is zero-padded to whole symbols
+    in its own dtype and all are modulated in one call, whose one ``as_bits``
+    check sees every value before the cast to uint8. Each stream's symbols
+    are tiled over its rows, and one noise pass and one slice serve them all."""
+    rows = [len(group) for group in snrs_db]
+    if len(streams) != len(rows) or rows != [len(group) for group in seeds]:
+        raise ValueError("one SNR list per stream and one seed per SNR")
     if not streams:
         return []
-    lengths = np.fromiter(map(len, streams), dtype=np.int64, count=len(streams))
-    n_symbols = -(-lengths // 4)
-    starts = 4 * (np.cumsum(n_symbols) - n_symbols)
+    lengths = [len(stream) for stream in streams]
+    n_symbols = [-(-n // 4) for n in lengths]
+    starts = list(accumulate(n_symbols, initial=0))  # of each stream's symbols
+    spans = list(accumulate(map(mul, n_symbols, rows), initial=0))  # of each group's rows
     flat = np.concatenate(streams)
-    if flat.ndim == 1 and not np.array_equal(4 * n_symbols, lengths):
-        padded = np.zeros(4 * int(n_symbols.sum()), dtype=flat.dtype)
-        padded[np.arange(len(flat)) + np.repeat(starts - (np.cumsum(lengths) - lengths),
-                                                lengths)] = flat
-    else:  # no row needs padding, or a row is not flat and the check rejects it
+    if flat.ndim == 1 and any(n % 4 for n in lengths):
+        padded = np.zeros(4 * starts[-1], dtype=flat.dtype)
+        for start, n, bit in zip(starts, lengths, accumulate(lengths, initial=0)):
+            padded[4 * start:4 * start + n] = flat[bit:bit + n]
+    else:  # no stream needs padding, or one is not flat and the check rejects it
         padded = flat
-    symbols = qam16_modulate(padded).symbols
-    _add_noise(symbols, n_symbols.tolist(), snrs_db, seeds)
+    sent = qam16_modulate(padded).symbols
+    symbols = np.empty(spans[-1], dtype=sent.dtype)
+    for start, m, k, span in zip(starts, n_symbols, rows, spans):
+        symbols[span:span + m * k].reshape(k, m)[:] = sent[start:start + m]
+    _add_noise(symbols, [m for m, k in zip(n_symbols, rows) for _ in range(k)],
+               [snr for group in snrs_db for snr in group],
+               [seed for group in seeds for seed in group])
     bits = qam16_demodulate(SymbolStream(symbols=symbols, pad_bits=0))
-    return [bits[start:start + n] for start, n in zip(starts.tolist(), lengths.tolist())]
+    return [bits[4 * span:4 * (span + m * k)].reshape(k, 4 * m)[:, :n]
+            for span, m, k, n in zip(spans, n_symbols, rows, lengths)]
 
 
 def transmit_bits(bits: Bits, cfgs: Sequence[ChannelConfig]) -> np.ndarray:
-    """``transmit_rows`` with the same stream on every row: a (len(cfgs),
-    len(bits)) uint8 array. The stream is modulated once and its symbols
-    tiled over the rows; an empty stream draws no noise."""
-    stream = qam16_modulate(bits)
-    n = len(stream.symbols)
-    symbols = np.tile(stream.symbols, len(cfgs))
-    _add_noise(symbols, [n] * len(cfgs), [c.snr_db for c in cfgs], [c.seed for c in cfgs])
-    rows = qam16_demodulate(SymbolStream(symbols=symbols, pad_bits=0)).reshape(len(cfgs), 4 * n)
-    return rows[:, :4 * n - stream.pad_bits]
+    """``bits`` over the channel of each config: ``channel_groups`` with one
+    group, a (len(cfgs), len(bits)) uint8 array. An empty stream draws no
+    noise."""
+    return channel_groups([bits], [[c.snr_db for c in cfgs]], [[c.seed for c in cfgs]])[0]
 
 
 def noise_normals(seeds, counts: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:

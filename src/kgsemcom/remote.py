@@ -65,6 +65,10 @@ def post_json(config: RemoteConfig, path: str, payload: dict) -> dict:
     raise RuntimeError(f"request to {url} failed after {RETRIES + 1} attempts") from last_error
 
 
+# a chat completion without a message's content starts its ValueError with this
+MALFORMED_REPLY = "malformed chat completion response"
+
+
 def chat_completion(config: RemoteConfig, prompt: str) -> str:
     payload = {
         "model": config.model,
@@ -75,4 +79,4 @@ def chat_completion(config: RemoteConfig, prompt: str) -> str:
     try:
         return data["choices"][0]["message"]["content"] or ""
     except (KeyError, IndexError, TypeError) as err:
-        raise ValueError(f"malformed chat completion response: {data!r}") from err
+        raise ValueError(f"{MALFORMED_REPLY}: {data!r}") from err

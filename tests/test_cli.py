@@ -380,6 +380,31 @@ def test_unreachable_endpoint_is_io_error(capsys, monkeypatch, tmp_path, sample_
     assert payload["error"] == "io"
     assert "after 3 attempts" in payload["message"]
     assert "refused" in payload["message"]
+    # an endpoint that answers, but with no message in its reply
+    monkeypatch.setattr(remote, "post_json", lambda config, path, data: {"choices": []})
+    variants = [argv]
+    if command == "send":  # the selector's reply as well as the generator's
+        variants.append(argv[:-2] + ["--extract-backend", "http"])
+    for args in variants:
+        payload = _error(capsys, args)
+        assert payload["error"] == "io"
+        assert payload["message"] == "malformed chat completion response: {'choices': []}"
+
+
+def test_sweep_flags_a_malformed_reply_and_keeps_going(capsys, monkeypatch, tmp_path,
+                                                       sweep_config_path):
+    # a sweep flags the failing rows, as for any other stage error
+    monkeypatch.setenv("KGSEMCOM_API_BASE", "http://endpoint.invalid/v1")
+    monkeypatch.setattr(remote, "post_json", lambda config, path, data: {"choices": []})
+    raw = json.loads(sweep_config_path.read_text(encoding="utf-8"))
+    http_sweep = tmp_path / "http.json"
+    http_sweep.write_text(json.dumps({**raw, "extract_backend": "http"}), encoding="utf-8")
+    out = tmp_path / "o.csv"
+    code, _, err = _run(capsys, ["sweep", "--config", str(http_sweep), "--out", str(out)])
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()
+            if line.startswith("trial,")]
+    assert {(row[3], row[-1]) for row in rows} == {("kgrag", "error:ValueError"), ("ascii", "")}
 
 
 # -- baseline ----------------------------------------------------------------------

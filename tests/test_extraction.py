@@ -241,6 +241,24 @@ def test_http_selector_subset_filter(sample_kg, monkeypatch):
     assert got.ids == tuple(sorted([ids[1], ids[4]]))
 
 
+def test_http_selector_caps_by_descending_similarity(sample_kg, monkeypatch):
+    # the reply names every candidate; the cap keeps the most similar, as the
+    # stub does, with ties to the smaller id
+    ids = sorted(sample_kg.entities)[:4]
+    reply = "\n".join(sample_kg.entities[i].name for i in ids)
+    import kgsemcom.remote as remote_mod
+    monkeypatch.setattr(remote_mod, "chat_completion", lambda config, prompt: reply)
+    selector = HttpSelector(config=object(), prompt_template="{sentence}|{candidates}")
+    cands = _cset(zip(ids, [0.1, 0.2, 0.95, 0.2]))
+    assert selector.select("s", cands, sample_kg, max_selected=1).ids == (ids[2],)
+    assert selector.select("s", cands, sample_kg, max_selected=2).ids == (ids[1], ids[2])
+    assert selector.select("s", cands, sample_kg, max_selected=3).ids == tuple(ids[1:])
+    high = _cset(zip(ids, [0.6, 0.7, 0.95, 0.7]))  # every candidate clears the stub's bar
+    for k in range(1, 5):
+        assert (selector.select("s", high, sample_kg, max_selected=k)
+                == StubSelector().select("s", high, sample_kg, max_selected=k))
+
+
 def test_http_selector_never_admits_non_candidates(sample_kg, monkeypatch):
     ids = sorted(sample_kg.entities)[:2]
     outside = next(i for i in sorted(sample_kg.entities) if i not in ids)

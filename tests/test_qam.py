@@ -1,5 +1,5 @@
 """Gray-coded 16QAM mapping, hard-decision slicing, the seeded AWGN channel,
-and ``transmit_rows``, the one path through all three."""
+and ``channel_groups``, the one path through all three."""
 
 import hashlib
 import math
@@ -11,12 +11,12 @@ from kgsemcom.phy import (
     ChannelConfig,
     SymbolStream,
     awgn,
+    channel_groups,
     noise_normals,
     qam16_demodulate,
     qam16_modulate,
     qam,
     transmit_bits,
-    transmit_rows,
 )
 
 SCALE = 1.0 / math.sqrt(10.0)
@@ -162,26 +162,80 @@ def test_awgn_equals_one_seeded_philox_generator_per_call():
             assert np.array_equal(awgn(stream, cfg).symbols, expected, equal_nan=True)
 
 
-def test_transmit_rows_equal_one_reference_channel_pass_each():
-    # rows of every padding, empty rows, repeated and huge seeds, all SNRs
+def _one_row_groups(streams, cfgs) -> list[np.ndarray]:
+    """``channel_groups`` with stream i sent once, over ``cfgs[i]``."""
+    groups = channel_groups(streams, [[c.snr_db] for c in cfgs], [[c.seed] for c in cfgs])
+    assert [g.shape for g in groups] == [(1, len(s)) for s in streams]
+    return [g[0] for g in groups]
+
+
+def _grouped(streams, cfg_groups) -> list[np.ndarray]:
+    return channel_groups(streams, [[c.snr_db for c in cfgs] for cfgs in cfg_groups],
+                          [[c.seed for c in cfgs] for cfgs in cfg_groups])
+
+
+def _reference_row(bits, cfg: ChannelConfig) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        return qam16_demodulate(_reference_awgn(qam16_modulate(bits), cfg))
+
+
+def test_channel_groups_rows_equal_one_reference_channel_pass_each():
+    # one-row groups: every padding, empty streams, repeated and huge seeds,
+    # all SNRs
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(57)))
     lengths = [0, 1, 2, 3, 4, 5, 37, 0, 400]
+    pairs = [(s, r) for s in SEEDS for r in SNRS]
     streams, cfgs = [], []
-    for i, (seed, snr_db) in enumerate((s, r) for s in SEEDS for r in SNRS):
+    for i, (seed, snr_db) in enumerate(pairs):
         streams.append(rng.integers(0, 2, size=lengths[i % len(lengths)], dtype=np.uint8))
         cfgs.append(ChannelConfig(snr_db, seed))
-    rows = transmit_rows(streams, cfgs)
+    rows = _one_row_groups(streams, cfgs)
     assert len(rows) == len(streams)
     for bits, cfg, row in zip(streams, cfgs, rows):
-        with np.errstate(invalid="ignore"):
-            expected = qam16_demodulate(_reference_awgn(qam16_modulate(bits), cfg))
         assert row.dtype == np.uint8
-        assert np.array_equal(row, expected)
-    assert transmit_rows([], []) == []
-    with pytest.raises(ValueError, match="one channel config per stream"):
-        transmit_rows(streams, cfgs[:1])
+        assert np.array_equal(row, _reference_row(bits, cfg))
+    # groups of 0, 1 and several rows, over the same streams and channels
+    sizes = [0, 1, 5, 3, 0, 2, 7, 1, 4, 0, 6]
+    streams = [rng.integers(0, 2, size=lengths[i % len(lengths)], dtype=np.uint8)
+               for i in range(len(sizes))]
+    ends = np.cumsum(sizes).tolist()
+    cfg_groups = [[ChannelConfig(r, s) for s, r in pairs[end - k:end]]
+                  for end, k in zip(ends, sizes)]
+    assert {c.snr_db for cfgs in cfg_groups for c in cfgs} == set(SNRS)
+    groups = _grouped(streams, cfg_groups)
+    assert len(groups) == len(streams)
+    for bits, cfgs, group in zip(streams, cfg_groups, groups):
+        assert group.shape == (len(cfgs), len(bits)) and group.dtype == np.uint8
+        for row, cfg in zip(group, cfgs):
+            assert np.array_equal(row, _reference_row(bits, cfg))
+    assert channel_groups([], [], []) == []
+
+
+def test_channel_groups_check_every_value_before_the_cast():
+    # 256 in a uint16 stream would wrap to a 0 bit in uint8
+    wide = np.array([1, 256, 0], dtype=np.uint16)
+    whole = np.array([1, 256, 0, 1], dtype=np.uint16)  # no padding needed
+    for streams in ([wide], [whole], [np.ones(5, dtype=np.uint8), wide],
+                    [wide, np.ones(4, dtype=np.uint8)], [np.ones(4, dtype=np.uint8), whole]):
+        with pytest.raises(ValueError, match="0/1"):
+            channel_groups(streams, [[0.0]] * len(streams), [[0]] * len(streams))
     with pytest.raises(ValueError, match="0/1"):
-        transmit_rows([np.array([0, 2])], [ChannelConfig(0.0, 0)])
+        transmit_bits(wide, [ChannelConfig(0.0, 0)])
+    with pytest.raises(ValueError, match="0/1"):
+        channel_groups([np.array([0, 2])], [[0.0]], [[0]])
+
+
+def test_channel_groups_reject_mismatched_list_lengths():
+    bits = np.ones(6, dtype=np.uint8)
+    for streams, snrs_db, seeds in (
+            ([bits], [[0.0]], [[1], [2]]),            # a seed list too many
+            ([bits, bits], [[0.0]], [[1]]),           # an SNR and seed list too few
+            ([bits], [[0.0], [1.0]], [[1], [2]]),     # a stream too few
+            ([bits], [[0.0, 1.0]], [[1]]),            # a seed too few
+            ([bits], [[0.0]], [[1, 2]]),              # a seed too many
+            ([bits, bits], [[0.0], []], [[1], [2]])):  # a seed too many in group 2
+        with pytest.raises(ValueError, match="one SNR list per stream"):
+            channel_groups(streams, snrs_db, seeds)
 
 
 def test_noise_normals_continue_one_stream_per_seed():
@@ -269,7 +323,10 @@ def test_transmit_bits_modulates_its_stream_once(monkeypatch):
     monkeypatch.setattr(qam, "qam16_modulate", counting)
     cfgs = [ChannelConfig(snr_db, seed) for snr_db in (0.0, 6.0, math.inf) for seed in (1, 2)]
     transmit_bits(np.ones(37, dtype=np.uint8), cfgs)
-    assert calls == [37]
+    assert calls == [40]  # the stream padded to whole symbols
+    # one call for every group, whatever its rows
+    _grouped([np.ones(n, dtype=np.uint8) for n in (37, 0, 8, 2)], [cfgs, cfgs[:1], [], cfgs[2:]])
+    assert calls == [40, 40 + 0 + 8 + 4]
 
 
 def test_transmit_bits_empty_stream_draws_no_noise(monkeypatch):
@@ -287,14 +344,15 @@ def test_transmit_bits_empty_stream_draws_no_noise(monkeypatch):
         transmit_bits(np.ones(1, dtype=np.uint8), [ChannelConfig(0.0, 0)])
 
 
-# sha256 over each row's length and bytes, for the rows below: noisy, +inf,
-# -inf and empty rows, every padding, huge and repeated seeds, repeated rows
+# sha256 over each row's length and bytes, for the rows below, each sent as a
+# one-row group: noisy, +inf, -inf and empty rows, every padding, huge and
+# repeated seeds, repeated rows
 TRANSMIT_ROWS_SHA256 = "44bc9b8291303803564c33b297a283dc4138b804627108e233ffe4156f0e057b"
 # sha256 over each output's shape and bytes, for the streams and channels below
 TRANSMIT_BITS_SHA256 = "0b43e6535e1a57baf9a4e1b547ad6e622653dd5a8e9c8ab35e2a6ee73d02f8f7"
 
 
-def test_transmit_rows_matches_pinned_sha256():
+def test_channel_groups_one_row_groups_match_pinned_sha256():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(58)))
     lengths = [0, 5, 6, 7, 8, 403, 0, 1, 2, 3, 4, 37]
     snrs = [0.0, math.inf, -math.inf, 6.0, -3.0, 12.5]
@@ -304,7 +362,7 @@ def test_transmit_rows_matches_pinned_sha256():
         streams.append(rng.integers(0, 2, size=lengths[i % len(lengths)], dtype=np.uint8))
         cfgs.append(ChannelConfig(snrs[i % len(snrs)], seeds[i // 6 % len(seeds)]))
     digest = hashlib.sha256()
-    for row in transmit_rows(streams + streams[:4], cfgs + cfgs[:4]):
+    for row in _one_row_groups(streams + streams[:4], cfgs + cfgs[:4]):
         digest.update(len(row).to_bytes(4, "little") + row.tobytes())
     assert digest.hexdigest() == TRANSMIT_ROWS_SHA256
 
