@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Walk one sentence through the whole pipeline, stage by stage.
 
-The sentence is matched against the bundled knowledge graph, compressed to
-the node ids of its one-hop subgraph, split into protected and unprotected
-ids by importance, sent through the coded/uncoded 16QAM link at a chosen
-SNR, reconstructed on the receiver's copy of the graph, and re-verbalized.
+The sentence is matched against the bundled knowledge graph and expanded
+to its one-hop subgraph. Its seed ids are split into protected and
+unprotected by their importance in that subgraph and sent through the
+coded/uncoded 16QAM link at a chosen SNR. The receiver expands the seeds it
+gets by one hop in its copy of the graph, rebuilds the subgraph and
+re-verbalizes it.
 This is `kgsemcom send` on the bundled graph: every stage prints what it
 produced, so you can watch where noise starts to bite as you lower --snr.
 

@@ -15,7 +15,7 @@ from .extraction import (ExtractionConfig, ExtractionTrace, Mention,
                          CandidateSet, SelectedEntities, StubSelector,
                          HttpSelector, recognize, expand, select,
                          extract_trace)
-from .semgraph import Mcsg, build_mcsg, payload_of, reconstruct
+from .semgraph import Mcsg, build_mcsg, one_hop, reconstruct
 from .importance import (ImportanceConfig, ImportanceTable, ThresholdPolicy,
                          degree_centrality, betweenness_centrality,
                          importance_scores, partition_uep)
@@ -46,7 +46,7 @@ __all__ = [
     "SelectedEntities", "StubSelector", "HttpSelector", "recognize", "expand",
     "select", "extract_trace",
     # semantic subgraph
-    "Mcsg", "build_mcsg", "payload_of", "reconstruct",
+    "Mcsg", "build_mcsg", "one_hop", "reconstruct",
     # importance and UEP
     "ImportanceConfig", "ImportanceTable", "ThresholdPolicy",
     "degree_centrality", "betweenness_centrality", "importance_scores",

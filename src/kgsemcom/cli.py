@@ -27,7 +27,6 @@ from .harness import (PipelineContext, SweepConfig, baseline_records, load_corpu
 from .importance import ImportanceConfig, partition_uep
 from .phy import ChannelConfig, channel_bit_cost, payload_bits, transmit
 from .remote import MALFORMED_REPLY, RemoteConfig
-from .semgraph import payload_of
 
 
 class CliError(Exception):
@@ -139,20 +138,20 @@ def _cmd_send(args) -> int:
         print("nothing recognized; no transmission")
         return 0
     mcsg, table = analysis.mcsg, analysis.table
-    payload = payload_of(mcsg)
-    print(f"[2 subgraph] {len(mcsg.nodes)} nodes, {len(mcsg.edges)} edges; "
-          f"payload ids: {payload}")
-    protected, unprotected = partition_uep(table, snr_db, imp_config)
+    print(f"[2 subgraph] {len(mcsg.nodes)} nodes, {len(mcsg.edges)} edges: "
+          f"{sorted(mcsg.nodes)}; sent ids (the seeds): {sorted(mcsg.seed_nodes)}")
+    protected, _ = partition_uep(table, snr_db, imp_config)
     tau = imp_config.threshold_policy.threshold(snr_db)
     print(f"[3 importance] threshold {tau:.3f} at {snr_db:g} dB")
-    for node_id in payload:
+    for node_id in sorted(mcsg.nodes):
         deg, btw, score = table.rows[node_id]
         mark = "P" if node_id in protected else "-"
-        print(f"  {mark} {node_id}  {kg.entity_by_id(node_id).name}  "
+        role = "seed" if node_id in mcsg.seed_nodes else "hop "
+        print(f"  {mark} {role} {node_id}  {kg.entity_by_id(node_id).name}  "
               f"degree {deg:.0f}  betweenness {btw:.2f}  score {score:.4f}")
-    frame = ctx.frame(protected, unprotected)
-    n_p, n_u, w = len(protected), len(unprotected), frame.width
-    print(f"[4 frame] {n_p} protected / {n_u} unprotected, {w}-bit ranks; payload "
+    frame = ctx.send_frame(analysis, snr_db)
+    n_p, n_u, w = len(frame.protected_ids), len(frame.unprotected_ids), frame.width
+    print(f"[4 frame] {n_p} protected / {n_u} unprotected seeds, {w}-bit ranks; payload "
           f"{payload_bits(n_p + n_u, w)} bits, channel {channel_bit_cost(n_p, n_u, w)} bits")
     result = transmit(frame, ChannelConfig(snr_db, args.seed))
     print(f"[5 channel] decoded info-bit errors {result.coded_bit_errors}/{payload_bits(n_p, w)}, "
@@ -160,7 +159,8 @@ def _cmd_send(args) -> int:
     received = ctx.received_ids(result)  # -1 where a rank names no entity
     print(f"[6 receive] ids: {received}")
     recon, text, _ = ctx.receive(received)
-    print(f"[7 reconstruct] kept {len(recon.nodes)} nodes, {len(recon.edges)} edges")
+    print(f"[7 reconstruct] seeds {sorted(recon.seed_nodes)} expanded by one hop: kept "
+          f"{len(recon.nodes)} nodes, {len(recon.edges)} edges: {sorted(recon.nodes)}")
     if not recon.nodes:
         print("empty reconstruction; similarity 0.0")
         return 0

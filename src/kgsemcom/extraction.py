@@ -142,9 +142,10 @@ class StubSelector:
 
 class HttpSelector:
     """Stage 3 via a chat-completion endpoint. The model sees the sentence and
-    the candidate list and answers with entity names, one per line or comma
-    separated; unmatched and non-candidate names are dropped, and the rest
-    capped by descending similarity, as in ``StubSelector``."""
+    the candidate list and answers with entity names, one per line, as
+    ``selector_v1.txt`` asks (a name may hold a comma, as "Washington, D.C."
+    does); unmatched and non-candidate names are dropped, and the rest capped
+    by descending similarity, as in ``StubSelector``."""
 
     def __init__(self, config, prompt_template: str | None = None):
         from .prompts import load_prompt
@@ -159,12 +160,12 @@ class HttpSelector:
             for nid in sorted(candidates.provenance))
         prompt = self.template.format(sentence=sentence, candidates=listing)
         reply = chat_completion(self.config, prompt)
-        names = [p.strip() for chunk in reply.splitlines() for p in chunk.split(",")]
         chosen: set[NodeId] = set()
-        for name in names:
+        for line in reply.splitlines():
+            name = line.strip().strip("-* \t")
             if not name:
                 continue
-            nid = kg.id_of(name.strip("-* \t"))
+            nid = kg.id_of(name)
             if nid is not None and nid in candidates.provenance:
                 chosen.add(nid)
         return _capped(chosen, candidates, max_selected)

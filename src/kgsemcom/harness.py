@@ -1,7 +1,8 @@
 """Experiment harness: metrics, single-shot pipeline runs, SNR sweeps, CSV
-reports. Three schemes share the channel: "kgrag" (id payload with UEP),
-"huffman_baseline" (corpus-frequency Huffman, uncoded), and "ascii"
-(8 bits per character, uncoded).
+reports. Three schemes share the channel: "kgrag" (the seed ids of the
+sentence's subgraph, with UEP; the receiver re-derives their one-hop
+neighbours from its copy of the KG), "huffman_baseline" (corpus-frequency
+Huffman, uncoded), and "ascii" (8 bits per character, uncoded).
 
 Determinism: every trial's channel seed derives from (sweep seed, sentence,
 SNR index, trial, scheme) as ``SeedSequence`` would derive it (one
@@ -13,8 +14,8 @@ import csv
 import io
 import json
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field, fields as dc_fields
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, fields as dc_fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, HuffmanTable
                   huffman_build, huffman_decode, huffman_encode, payload_bits, seed_state,
                   transmit_bits, transmit_many)
 from .remote import RemoteConfig
-from .semgraph import Mcsg, build_mcsg, reconstruct
+from .semgraph import Mcsg, build_mcsg, one_hop, reconstruct
 
 SCHEMES = ("kgrag", "huffman_baseline", "ascii")
 
@@ -185,13 +186,15 @@ class PipelineContext:
     generation memo.
 
     ``analyze`` is a plain function of the sentence; the sweep calls it once
-    per sentence. ``receive`` is the one receiver: ``kgsemcom send``,
-    ``run_pipeline`` and the sweep all call it, and each scores the text it
-    returns. Generation is a deterministic function of the reconstructed
-    node set, so texts are memoized by that set, up to GENERATION_CACHE_SIZE
-    entries and oldest out first, which changes nothing observable besides
-    speed. The corpus only feeds the sweep's sentence list and the Huffman
-    table, which is built on first use.
+    per sentence. ``send_frame`` is the one sender and ``receive`` the one
+    receiver: ``kgsemcom send``, ``run_pipeline`` and the sweep all call
+    them, and each scores the text ``receive`` returns. Only a sentence's
+    seeds cross the channel; both ends derive the rest of its subgraph from
+    the seeds and the KG they share. Generation is a deterministic function
+    of the reconstructed node set, so texts are memoized by that set, up to
+    GENERATION_CACHE_SIZE entries and oldest out first, which changes nothing
+    observable besides speed. The corpus only feeds the sweep's sentence list
+    and the Huffman table, which is built on first use.
     """
 
     def __init__(self, kg: kgmod.KnowledgeGraph, corpus: Sequence[str] = (),
@@ -238,12 +241,17 @@ class PipelineContext:
         return SentenceAnalysis(trace.selected, mcsg,
                                 importance_scores(mcsg, self.importance_config))
 
-    def frame(self, protected: list[int], unprotected: list[int]) -> TransmissionFrame:
-        """The wire frame for two ascending id classes: each id as its rank."""
+    def send_frame(self, analysis: SentenceAnalysis, snr_db: float) -> TransmissionFrame:
+        """The one sender: the wire frame of a sentence's seeds at ``snr_db``.
+        The UEP split runs over the importance table of the whole subgraph,
+        so each seed keeps the centrality it has there; each class then keeps
+        only its seeds, each as its rank among the sorted entity ids. The
+        seeds' neighbours are not sent: the receiver re-derives them."""
+        seeds = analysis.mcsg.seed_nodes
         ranks = self._id_of_rank[:len(self.kg.entities)]
-        return TransmissionFrame(tuple(np.searchsorted(ranks, protected).tolist()),
-                                 tuple(np.searchsorted(ranks, unprotected).tolist()),
-                                 self.id_width)
+        classes = partition_uep(analysis.table, snr_db, self.importance_config)
+        return TransmissionFrame(*(tuple(np.searchsorted(ranks, [n for n in ids if n in seeds])
+                                         .tolist()) for ids in classes), self.id_width)
 
     def received_ids(self, result: TransmitResult) -> list[int]:
         """KG ids for the received words, protected first; -1 for a word no
@@ -260,11 +268,16 @@ class PipelineContext:
             hit = cache[recon.nodes] = (result.text, result.degraded)
         return hit
 
-    def receive(self, received_ids: list[int]) -> tuple[Mcsg, str, str]:
-        """The receiver: reconstruct the subgraph from the received ids and
-        generate text from it. -> (reconstruction, text, flags); an empty
-        reconstruction yields no text."""
-        recon = reconstruct(received_ids, self.kg, keep_all_components=self.keep_all_components)
+    def receive(self, received_ids: Iterable[int]) -> tuple[Mcsg, str, str]:
+        """The one receiver: drop the received ids no entity holds, expand the
+        surviving seeds by one hop in the KG, ``reconstruct`` the subgraph of
+        that node set and generate text from it. -> (reconstruction, text,
+        flags); the reconstruction's seed nodes are the received seeds it
+        kept, and an empty reconstruction yields no text."""
+        seeds = frozenset(i for i in received_ids if i in self.kg.entities)
+        recon = reconstruct(one_hop(seeds, self.kg), self.kg,
+                            keep_all_components=self.keep_all_components)
+        recon = replace(recon, seed_nodes=seeds & recon.nodes)
         if not recon.nodes:
             return recon, "", "empty_reconstruction"
         text, degraded = self.generate_text(recon)
@@ -333,37 +346,34 @@ def _attempt(stage, *args):
 
 
 def _send_kgrag(ctx: PipelineContext, sentence: str, points: list[Point]) -> list[SentPoint]:
-    """Analysis once, one frame per SNR, one channel call for every point,
-    and ``ctx.receive`` once per distinct reception of the sentence."""
+    """Analysis once, ``ctx.send_frame`` once per SNR, one channel call for
+    every point, and ``ctx.receive`` once per distinct set of valid seeds
+    the sentence's receptions hold."""
     analysis = ctx.analyze(sentence)
     if not analysis.selected.ids:
         return [((0, 0, 0, 0), [("", "empty_selection", 0)] * len(seeds)) for _, seeds in points]
-    n_selected, n_ids = len(analysis.selected.ids), len(analysis.mcsg.nodes)
-
-    def frame_at(snr_db: float) -> TransmissionFrame:
-        protected, unprotected = partition_uep(analysis.table, snr_db, ctx.importance_config)
-        return ctx.frame(protected, unprotected)
-
-    frames = [_attempt(frame_at, snr_db) for snr_db, _ in points]
+    n_selected, n_mcsg = len(analysis.selected.ids), len(analysis.mcsg.nodes)
+    frames = [_attempt(ctx.send_frame, analysis, snr_db) for snr_db, _ in points]
     sent = [(frame, ChannelConfig(snr_db, seed))
             for (snr_db, seeds), frame in zip(points, frames)
             if not isinstance(frame, Exception) for _, seed in seeds]
     results = iter(transmit_many([f for f, _ in sent], [c for _, c in sent]))
-    # this sentence's receptions often repeat: received ids -> reception
-    receptions: dict[tuple[int, ...], Reception] = {}
+    # the receiver's output depends only on the valid seeds, and this
+    # sentence's receptions often repeat them: valid seeds -> reception
+    receptions: dict[frozenset[int], Reception] = {}
 
     def receive(result: TransmitResult) -> Reception:
-        received = ctx.received_ids(result)
-        key = tuple(received)
-        if key not in receptions:
-            _, text, flags = ctx.receive(received)
-            receptions[key] = text, flags, len({i for i in received if i in ctx.kg.entities})
-        return receptions[key]
+        seeds = frozenset(i for i in ctx.received_ids(result) if i in ctx.kg.entities)
+        if seeds not in receptions:
+            _, text, flags = ctx.receive(seeds)
+            receptions[seeds] = text, flags, len(seeds)
+        return receptions[seeds]
 
     def point(frame: TransmissionFrame, point_results: list[TransmitResult]) -> SentPoint:
         # every trial of a point sends the same frame, so the same channel bits
-        return ((payload_bits(n_ids, frame.width), point_results[0].channel_bits, n_selected,
-                 n_ids), [receive(result) for result in point_results])
+        n_sent = len(frame.protected_ids) + len(frame.unprotected_ids)
+        return ((payload_bits(n_sent, frame.width), point_results[0].channel_bits, n_selected,
+                 n_mcsg), [receive(result) for result in point_results])
 
     return [frame if isinstance(frame, Exception)
             else _attempt(point, frame, [next(results) for _ in seeds])
@@ -459,12 +469,12 @@ def run_sweep(config: SweepConfig, ctx: PipelineContext | None = None) -> list[E
     The sweep works one sentence at a time: one ``derive_seed`` pass gives
     every seed of the sentence, and each scheme sends all its SNR points and
     trials through one channel call. ``ctx.receive`` runs once per distinct
-    kgrag reception of a sentence, and one embedding batch serves each
-    (sentence, scheme)'s scores. A failure is captured as an
-    ``error:<type>`` flag and the sweep keeps going. A per-point stage (UEP
-    split, frame, decode, reception, scoring) flags only the records of its
-    (sentence, SNR, scheme); a shared step (analysis, encoding, the channel
-    call) flags the records of every point it covered."""
+    set of valid seeds a sentence's kgrag receptions hold, and one embedding
+    batch serves each (sentence, scheme)'s scores. A failure is captured as
+    an ``error:<type>`` flag and the sweep keeps going. A per-point stage
+    (``send_frame``'s UEP split and frame, decode, reception, scoring) flags
+    only the records of its (sentence, SNR, scheme); a shared step (analysis,
+    encoding, the channel call) flags the records of every point it covered."""
     return _sweep(ctx or PipelineContext.from_config(config), config.snr_grid,
                   config.trials_per_point, config.seed, config.schemes)
 

@@ -1,11 +1,15 @@
 """Minimum connected subgraph construction and receiver-side reconstruction.
 
-The transmitter expands selected entities by one hop in the shared KG and
-sends only the sorted node ids, as their ranks in the KG. The receiver
-discards ids that do not exist in its KG copy, re-induces the edges, and
-keeps the largest connected component unless the ablation switch keeps all.
+The subgraph of a sentence is its selected entities (the seeds) expanded by
+one hop in the shared KG. ``one_hop`` is that expansion, and both ends call
+it: the transmitter to build the subgraph it scores, the receiver to re-derive
+it from the seeds, which are all that crosses the channel. The receiver
+discards ids that do not exist in its KG copy before it expands them; then
+``reconstruct`` re-induces the edges and keeps the largest connected
+component unless the ablation switch keeps all.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .extraction import SelectedEntities
@@ -19,21 +23,21 @@ class Mcsg:
     edges: tuple[Triple, ...]  # sorted by (subject, relation, object)
 
 
-def build_mcsg(selected: SelectedEntities, kg: KnowledgeGraph) -> Mcsg:
-    """Seeds plus all one-hop neighbors (either edge direction), with every KG
-    edge among those nodes. May be disconnected; may be empty for no seeds.
-    A seed the graph lacks raises ``KeyError`` from ``kg.neighbors``."""
-    seeds = frozenset(selected.ids)
+def one_hop(seeds: Iterable[NodeId], kg: KnowledgeGraph) -> frozenset[NodeId]:
+    """The seeds plus all their one-hop neighbors, either edge direction. A
+    seed the graph lacks raises ``KeyError`` from ``kg.neighbors``."""
+    seeds = frozenset(seeds)
     nodes = set(seeds)
     for nid in seeds:
         nodes.update(other for _, other in kg.neighbors(nid))
-    nodes_f = frozenset(nodes)
-    return Mcsg(nodes=nodes_f, seed_nodes=seeds, edges=kg.induced_edges(nodes_f))
+    return frozenset(nodes)
 
 
-def payload_of(mcsg: Mcsg) -> list[NodeId]:
-    """Ascending list of distinct node ids; all the channel ever carries."""
-    return sorted(mcsg.nodes)
+def build_mcsg(selected: SelectedEntities, kg: KnowledgeGraph) -> Mcsg:
+    """The ``one_hop`` expansion of the seeds, with every KG edge among those
+    nodes. May be disconnected; may be empty for no seeds."""
+    nodes = one_hop(selected.ids, kg)
+    return Mcsg(nodes=nodes, seed_nodes=frozenset(selected.ids), edges=kg.induced_edges(nodes))
 
 
 def undirected_adjacency(nodes: frozenset[NodeId],
@@ -67,7 +71,7 @@ def _components(adj: dict[NodeId, set[NodeId]]) -> list[set[NodeId]]:
     return comps
 
 
-def reconstruct(received: list[NodeId], kg: KnowledgeGraph,
+def reconstruct(received: Iterable[NodeId], kg: KnowledgeGraph,
                 keep_all_components: bool = False) -> Mcsg:
     """Receiver-side rebuild from (possibly corrupted) ids. Invalid ids are
     dropped; surviving nodes are induced against the KG; ties between equal

@@ -1,9 +1,11 @@
 """Command-line interface: the five subcommands, their outputs, and the JSON
 error contract (single stderr line, exit code 2)."""
 
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,9 +137,19 @@ def test_send_noiseless_full_trace(capsys, sample_kg_path, sample_corpus):
     for stage in range(1, 10):
         assert f"[{stage} " in stdout
     assert "decoded info-bit errors 0/" in stdout
-    payload_ids = stdout.split("payload ids: ")[1].splitlines()[0]
-    received_ids = stdout.split("[6 receive] ids: ")[1].splitlines()[0]
-    assert payload_ids == received_ids
+
+    def lists(stage: str) -> list[list[int]]:
+        line = stdout.split(f"[{stage}] ")[1].splitlines()[0]
+        return [ast.literal_eval(ids) for ids in re.findall(r"\[[-\d, ]*\]", line)]
+
+    # only the seeds are sent; the receiver re-derives the rest of the subgraph
+    mcsg, seeds = lists("2 subgraph")
+    assert set(seeds) < set(mcsg)
+    assert [sorted(ids) for ids in lists("6 receive")] == [seeds]
+    assert lists("7 reconstruct") == [seeds, mcsg]
+    n_p, n_u = (int(n) for n in stdout.split("[4 frame] ")[1].split(" unprotected")[0]
+                .split(" protected / "))
+    assert n_p + n_u == len(seeds)
 
 
 @pytest.mark.parametrize("sentence", ["no graph words here", ""], ids=["no-match", "empty"])
@@ -192,9 +204,9 @@ def test_send_at_minus_inf_snr_warns_nothing(sample_kg_path, sample_corpus):
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "RuntimeWarning" not in proc.stderr
-    for line in ("[5 channel] decoded info-bit errors 12/28, uncoded bit errors 0/0",
-                 "[6 receive] ids: [509, 106, 211, 203]",
-                 "[9 similarity] -0.0548"):
+    for line in ("[5 channel] decoded info-bit errors 4/14, uncoded bit errors 0/0",
+                 "[6 receive] ids: [509, 8]",
+                 "[9 similarity] 0.1575"):
         assert line in proc.stdout.splitlines()
 
 
@@ -205,7 +217,7 @@ def test_send_reads_a_bare_minus_inf_snr_as_a_value(capsys, sample_kg_path, samp
     code, spaced, _ = _run(capsys, argv + ["--snr", value])
     assert code == 0
     assert _run(capsys, argv + ["--snr=-inf"]) == (0, spaced, "")
-    assert "[9 similarity] -0.0548" in spaced.splitlines()
+    assert "[9 similarity] 0.1575" in spaced.splitlines()
 
 
 def test_send_rejects_bad_snr(capsys, sample_kg_path):

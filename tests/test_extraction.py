@@ -230,15 +230,28 @@ def test_stub_output_ascending(sample_kg):
 
 
 def test_http_selector_subset_filter(sample_kg, monkeypatch):
-    # model names 2 of 6 candidates (one with decoration, one unknown junk)
+    # model names 2 of 6 candidates (one with decoration), then unknown junk
     ids = sorted(sample_kg.entities)[:6]
     names = [sample_kg.entities[i].name for i in ids]
-    reply = f"- {names[4]}\n{names[1]}, Completely Unknown Thing"
+    reply = f"- {names[4]}\n{names[1]}\n\nCompletely Unknown Thing"
     import kgsemcom.remote as remote_mod
     monkeypatch.setattr(remote_mod, "chat_completion", lambda config, prompt: reply)
     selector = HttpSelector(config=object(), prompt_template="{sentence}|{candidates}")
     got = selector.select("any sentence", _cset([(i, 0.3) for i in ids]), sample_kg)
     assert got.ids == tuple(sorted([ids[1], ids[4]]))
+
+
+def test_http_selector_reads_one_name_per_line(monkeypatch):
+    # the prompt asks for one name per line, and a name may hold a comma
+    kg = ingest(["C\tc0\tlabel\tsummary", "E\t\tWashington, D.C.\tc0\t\t",
+                 "E\t\tOhio\tc0\t\t", "E\t\tWashington\tc0\t\t"])
+    capital, ohio, state = (kg.id_of(n) for n in ("Washington, D.C.", "Ohio", "Washington"))
+    import kgsemcom.remote as remote_mod
+    monkeypatch.setattr(remote_mod, "chat_completion",
+                        lambda config, prompt: "Washington, D.C.\nOhio\n")
+    selector = HttpSelector(config=object(), prompt_template="{sentence}|{candidates}")
+    got = selector.select("s", _cset([(i, 0.3) for i in (capital, ohio, state)]), kg)
+    assert got.ids == tuple(sorted([capital, ohio]))
 
 
 def test_http_selector_caps_by_descending_similarity(sample_kg, monkeypatch):

@@ -12,10 +12,10 @@ from kgsemcom.harness import SweepConfig, baseline_records, render_report, run_s
 
 from kgtools import load_synthkg
 
-FIXTURE_SWEEP_SHA256 = "9fce8662777df642ff81d057df753cb0f4aada88419b5e1627221548ab5352a0"
+FIXTURE_SWEEP_SHA256 = "3a1a94d32f772927ca84469e3ee3be1988d9070c35bcd0f85796e417474d9e18"
 # sweep seed 2**40 + 3 (two 32-bit words, so six-word seed entropy), both
 # infinite SNRs, every scheme; the -inf rows are labelled "-inf"
-WIDE_SEED_SWEEP_SHA256 = "1660b6383ccb9b78a20ec7a99b93e1e28bfa7f043f55d117c7e4322420076772"
+WIDE_SEED_SWEEP_SHA256 = "0dfb9b616efb2f06b7ade60ba48f4d8f4c3a3c949e7b38944b4ee9b5be359919"
 # `kgsemcom baseline` reports on the fixture corpus: (SNR grid, seed, sha256)
 BASELINE_SHA256 = [
     ([math.inf], 0, "b3f1adb8af841ed2657a8a5fbb22d71c3f81636f0d0718d078fb584ebae581c1"),
@@ -25,7 +25,7 @@ BASELINE_SHA256 = [
 ]
 # every scheme on the benchmark's synthetic graph generator at 8,000 entities
 # and 80 sentences (generator seed 3), so the KG path is pinned at scale
-SYNTHETIC_KG_SWEEP_SHA256 = "9e3861c8ed74266669d0dc74862f6941ee4ce44ed3afe92926a6ce00d4e2ec0a"
+SYNTHETIC_KG_SWEEP_SHA256 = "70c3886ecc2f1481005b5b97ce2b20114c0aac2f82745f8c691ea0d7fa0a7b84"
 
 
 def test_fixture_sweep_matches_golden_sha256(sample_kg_path, sample_corpus_path):

@@ -28,8 +28,10 @@ from kgsemcom.harness import (
     semantic_similarity,
     write_report,
 )
-from kgsemcom.importance import partition_uep
+from kgsemcom.extraction import SelectedEntities
+from kgsemcom.importance import importance_scores, partition_uep
 from kgsemcom.kg import ingest
+from kgsemcom.semgraph import build_mcsg
 from kgsemcom.phy import (ChannelConfig, TransmitResult, channel_bit_cost, huffman_build,
                           huffman_encode, transmit)
 
@@ -59,15 +61,24 @@ def test_count_bits_ascii(ctx, sample_corpus):
         assert record.payload_bits == record.channel_bits == 8 * len(sentence)
 
 
+def _seed_classes(analysis, snr_db, importance_config) -> tuple[list[int], list[int]]:
+    """Each UEP class of the whole subgraph, cut to the seeds: what is sent."""
+    seeds = analysis.mcsg.seed_nodes
+    return tuple([n for n in ids if n in seeds]
+                 for ids in partition_uep(analysis.table, snr_db, importance_config))
+
+
 def test_count_bits_kgrag(ctx, sample_corpus):
     sentence = sample_corpus[0]
     analysis = ctx.analyze(sentence)
+    assert len(analysis.selected.ids) < len(analysis.mcsg.nodes)
     for snr_db in (0.0, 12.0):
         record = run_pipeline(ctx, sentence, 0, snr_db, seed=1)
-        protected, unprotected = partition_uep(analysis.table, snr_db,
-                                               ctx.importance_config)
-        # 104 entities: ids travel as 7-bit ranks, and nothing else is sent
-        assert record.payload_bits == 7 * (len(protected) + len(unprotected))
+        protected, unprotected = _seed_classes(analysis, snr_db, ctx.importance_config)
+        # 104 entities: the seeds travel as 7-bit ranks, and nothing else is sent
+        assert record.payload_bits == 7 * record.n_selected
+        assert len(protected) + len(unprotected) == record.n_selected
+        assert record.n_mcsg_nodes == len(analysis.mcsg.nodes)
         assert record.channel_bits == channel_bit_cost(len(protected), len(unprotected), 7)
 
 
@@ -172,24 +183,37 @@ def test_derive_seed_arrays_equal_scalar_calls():
 def test_run_pipeline_no_noise_full_recovery(ctx, sample_corpus):
     record = run_pipeline(ctx, sample_corpus[0], 0, math.inf, seed=5)
     assert record.scheme == "kgrag"
-    assert record.n_selected > 0
-    assert record.n_received_valid == record.n_mcsg_nodes > 0
+    assert record.n_mcsg_nodes > record.n_selected > 0
+    assert record.n_received_valid == record.n_selected
     assert record.flags == ""
     assert 0.0 < record.similarity <= 1.0
-    assert record.payload_bits == 7 * record.n_mcsg_nodes
+    assert record.payload_bits == 7 * record.n_selected
     assert record.channel_bits > record.payload_bits
+    analysis = ctx.analyze(sample_corpus[0])
+    frame = ctx.send_frame(analysis, math.inf)
+    recon, _, _ = ctx.receive(ctx.received_ids(transmit(frame, ChannelConfig(math.inf, 5))))
+    assert (recon.nodes, recon.edges) == (analysis.mcsg.nodes, analysis.mcsg.edges)
 
 
 # -- ids on the wire ---------------------------------------------------------------
+
+def _analysis_of(ctx, seeds) -> harness.SentenceAnalysis:
+    """What ``ctx.analyze`` gives a sentence that selects ``seeds``."""
+    selected = SelectedEntities(ids=tuple(seeds))
+    mcsg = build_mcsg(selected, ctx.kg)
+    return harness.SentenceAnalysis(selected, mcsg, importance_scores(mcsg, ctx.importance_config))
+
 
 @pytest.mark.parametrize("n, width", [(127, 7), (128, 7), (129, 8), (1, 1)])
 def test_id_width_follows_the_entity_count(n, width):
     kg = ingest(["C\tc0\tlabel\tsummary"] + [f"E\t\tNode {k}\tc0\t\t" for k in range(n)])
     ctx = PipelineContext(kg)
     assert ctx.id_width == width
-    # a class may hold every entity: the largest rank N - 1 fits in W bits
-    frame = ctx.frame(sorted(kg.entities), [])
+    # a class may hold every entity: the largest rank N - 1 fits in W bits.
+    # At 0 dB the threshold is 0, so every seed is protected.
+    frame = ctx.send_frame(_analysis_of(ctx, sorted(kg.entities)), 0.0)
     assert frame.width == width
+    assert frame.protected_ids == tuple(range(n)) and frame.unprotected_ids == ()
     result = transmit(frame, ChannelConfig(math.inf, 0))
     assert ctx.received_ids(result) == sorted(kg.entities)
 
@@ -202,12 +226,14 @@ def test_sparse_ids_near_the_top_of_the_range_roundtrip():
     records += [f"T\t{a}\tnext\t{b}" for a, b in zip(ids, ids[1:])]
     ctx = PipelineContext(ingest(records))
     assert ctx.id_width == 3
-    frame = ctx.frame(ids[:2], ids[2:])
+    frame = ctx.send_frame(_analysis_of(ctx, ids), 0.0)
     assert frame.protected_ids + frame.unprotected_ids == (0, 1, 2, 3, 4)
     assert ctx.received_ids(transmit(frame, ChannelConfig(math.inf, 0))) == ids
     record = run_pipeline(ctx, "Cobalt lies between Basalt and Dolomite.", 0, math.inf, seed=0)
-    assert record.n_received_valid == record.n_mcsg_nodes > 0
-    assert record.payload_bits == 3 * record.n_mcsg_nodes
+    assert record.n_received_valid == record.n_selected == 3
+    assert record.n_mcsg_nodes == 5
+    assert record.payload_bits == 3 * record.n_selected
+    assert record.flags == ""
 
 
 def test_rank_no_entity_holds_is_dropped(monkeypatch):
@@ -221,8 +247,65 @@ def test_rank_no_entity_holds_is_dropped(monkeypatch):
     monkeypatch.setattr(harness, "transmit_many", lambda frame, cfgs: [words] * len(cfgs))
     record = run_pipeline(ctx, "Amber met Basalt.", 0, 0.0, seed=0)
     assert record.n_received_valid == 2
+    # the invalid words are dropped; the seeds Amber and Basalt bring Cobalt
     recon, _, _ = ctx.receive([0, -1, 1, -1, -1])
-    assert recon.nodes == {0, 1}
+    assert recon.nodes == {0, 1, 2} and recon.seed_nodes == {0, 1}
+
+
+def _assert_noiseless_seeds_only(ctx) -> int:
+    """At +inf dB each sentence's frame holds exactly the ranks of its seeds,
+    and the receiver rebuilds its subgraph exactly. -> sentences checked."""
+    rank_of = {nid: rank for rank, nid in enumerate(sorted(ctx.kg.entities))}
+    checked = 0
+    for sentence in ctx.corpus:
+        analysis = ctx.analyze(sentence)
+        if not analysis.selected.ids:
+            continue
+        frame = ctx.send_frame(analysis, math.inf)
+        assert (sorted(frame.protected_ids + frame.unprotected_ids)
+                == sorted(rank_of[n] for n in analysis.selected.ids))
+        received = ctx.received_ids(transmit(frame, ChannelConfig(math.inf, 0)))
+        recon, text, flags = ctx.receive(received)
+        assert recon == analysis.mcsg
+        assert text and flags == ""
+        checked += 1
+    return checked
+
+
+def test_noiseless_frame_holds_the_seeds_and_the_receiver_rebuilds_the_mcsg(ctx):
+    assert _assert_noiseless_seeds_only(ctx) == len(ctx.corpus)
+
+
+def test_noiseless_seeds_only_on_a_synthetic_graph(tmp_path):
+    kg_text, corpus_text = load_synthkg().generate(5, 300, 60)
+    kg_path, corpus_path = tmp_path / "kg.tsv", tmp_path / "corpus.txt"
+    kg_path.write_text(kg_text, encoding="utf-8")
+    corpus_path.write_text(corpus_text, encoding="utf-8")
+    ctx = PipelineContext.from_config(SweepConfig(kg_path=str(kg_path),
+                                                  corpus_path=str(corpus_path)))
+    assert _assert_noiseless_seeds_only(ctx) > 50
+
+
+@pytest.mark.parametrize("protected, unprotected, n_valid, nodes, flags", [
+    ((5,), (6, 7), 0, set(), "empty_reconstruction"),  # every word names no entity
+    ((0, 0), (0,), 1, {0, 1}, ""),                     # one seed, three times
+    ((3, 7), (6,), 1, {2, 3, 4}, ""),                  # ranks >= N dropped
+    ((4, 1), (1, 4, 6), 2, {0, 1, 2, 3, 4}, ""),       # both, out of order
+], ids=["all-invalid", "repeated", "rank-past-n", "mixed"])
+def test_corrupted_receptions_are_flagged_and_never_raise(monkeypatch, protected,
+                                                          unprotected, n_valid, nodes, flags):
+    kg = tiny_kg(triples=("Amber r Basalt", "Basalt s Cobalt", "Cobalt t Dolomite",
+                          "Dolomite u Emerald"))
+    ctx = PipelineContext(kg)
+    assert ctx.id_width == 3  # words 5, 6 and 7 name no entity
+    words = TransmitResult(protected, unprotected, 0, 0, 0, 0)
+    monkeypatch.setattr(harness, "transmit_many", lambda frames, cfgs: [words] * len(cfgs))
+    record = run_pipeline(ctx, "Amber met Basalt.", 0, 0.0, seed=0)
+    assert (record.n_received_valid, record.flags) == (n_valid, flags)
+    assert record.n_selected == 2 and record.n_mcsg_nodes == 3
+    assert (record.similarity > 0.0) == bool(nodes)
+    recon, _, _ = ctx.receive(ctx.received_ids(words))
+    assert recon.nodes == nodes
 
 
 def test_run_pipeline_repeat_determinism(ctx, sample_corpus):
@@ -366,11 +449,10 @@ def test_run_sweep_kgrag_invariants(small_config):
     for r in run_sweep(small_config, ctx):
         if r.scheme != "kgrag":
             continue
-        assert 0 <= r.n_received_valid <= r.n_mcsg_nodes
-        assert r.payload_bits == 7 * r.n_mcsg_nodes
+        assert 0 <= r.n_received_valid <= r.n_selected <= r.n_mcsg_nodes
+        assert r.payload_bits == 7 * r.n_selected
         analysis = ctx.analyze(ctx.corpus[r.sentence_id])
-        protected, unprotected = partition_uep(analysis.table, r.snr_db,
-                                               ctx.importance_config)
+        protected, unprotected = _seed_classes(analysis, r.snr_db, ctx.importance_config)
         assert r.channel_bits == channel_bit_cost(len(protected), len(unprotected), 7)
         assert r.channel_bits >= r.payload_bits
 
@@ -483,30 +565,34 @@ def test_batched_sentence_vectors_score_like_the_embedder(embedder):
 
 def test_run_sweep_reconstructs_each_received_id_list_once_per_sentence(small_config,
                                                                          monkeypatch):
+    # the receiver's output depends only on the valid seeds received, so the
+    # sweep receives each distinct set of them once per sentence
     config = SweepConfig(kg_path=small_config.kg_path, corpus_path=small_config.corpus_path,
                          snr_grid=[math.inf, 4.0, 12.0], trials_per_point=3, schemes=("kgrag",))
     clean = run_sweep(config)
     ctx = PipelineContext.from_config(config)
-    real_derive_seed, real_reconstruct = harness.derive_seed, harness.reconstruct
+    real_derive_seed, real_receive = harness.derive_seed, ctx.receive
     real_generate_text = ctx.generate_text
     sentence = [-1]
-    calls: list[tuple[int, tuple[int, ...]]] = []
-    generated: list[tuple[int, tuple[int, ...]]] = []  # (sentence, received ids) per generation
+    calls: list[tuple[int, frozenset[int]]] = []
+    generated: list[tuple[int, frozenset[int]]] = []  # (sentence, seeds) per generation
 
     def derive_seed(base_seed, sentence_id, *rest):  # marks the sentence being served
         sentence[0] = sentence_id
         return real_derive_seed(base_seed, sentence_id, *rest)
 
-    def reconstruct(received, kg, **kwargs):
-        calls.append((sentence[0], tuple(received)))
-        return real_reconstruct(received, kg, **kwargs)
+    def receive(received):
+        seeds = frozenset(received)
+        assert seeds <= set(ctx.kg.entities)  # the sweep keys its memo by valid seeds
+        calls.append((sentence[0], seeds))
+        return real_receive(received)
 
-    def generate_text(recon):  # the receiver generates from the last reconstruction
+    def generate_text(recon):  # the receiver generates from the last reception
         generated.append(calls[-1])
         return real_generate_text(recon)
 
     monkeypatch.setattr(harness, "derive_seed", derive_seed)
-    monkeypatch.setattr(harness, "reconstruct", reconstruct)
+    monkeypatch.setattr(ctx, "receive", receive)
     monkeypatch.setattr(ctx, "generate_text", generate_text)
     assert run_sweep(config, ctx) == clean
     assert len(calls) == len(set(calls))

@@ -1,5 +1,6 @@
-"""Transmitted-subgraph construction, the id payload, and receiver-side
-reconstruction, checked against set-comprehension oracles on random graphs."""
+"""Subgraph construction, the one-hop expansion both ends share, and
+receiver-side reconstruction, checked against set-comprehension oracles on
+random graphs."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from kgsemcom import (
     SelectedEntities,
     build_mcsg,
     ingest,
-    payload_of,
+    one_hop,
     reconstruct,
 )
 
@@ -101,30 +102,35 @@ def test_build_independent_of_seed_order():
         assert build_mcsg(SelectedEntities(ids=perm), kg) == base
 
 
-# -- payload_of ----------------------------------------------------------------
+# -- the receiver: one hop from the received seeds ------------------------------
 
-def test_payload_sorted_ascending():
+def test_receiver_rederives_the_subgraph_of_one_seed():
     kg = ingest(["C\tc0\tL\tS"] + [f"E\t{i}\tn{i}\tc0\t\t" for i in (2, 7, 9)]
                 + ["T\t2\tr\t7", "T\t7\tr\t9", "T\t9\tr\t2"])
     mcsg = build_mcsg(SelectedEntities(ids=(7,)), kg)
-    assert payload_of(mcsg) == [2, 7, 9]
+    assert one_hop([7], kg) == mcsg.nodes == {2, 7, 9}
+    recon, text, flags = PipelineContext(kg).receive([7])
+    assert recon == mcsg
+    assert text and flags == ""
 
 
-def test_payload_empty():
-    mcsg = build_mcsg(SelectedEntities(ids=()), tiny_kg())
-    assert payload_of(mcsg) == []
+def test_receiver_of_no_seed_is_empty():
+    kg = tiny_kg()
+    assert one_hop((), kg) == frozenset()
+    recon, text, flags = PipelineContext(kg).receive([])
+    assert recon == build_mcsg(SelectedEntities(ids=()), kg)
+    assert (text, flags) == ("", "empty_reconstruction")
 
 
-def test_payload_length_equals_node_count():
+def test_receiver_rebuilds_each_single_seed_subgraph():
+    # one seed's subgraph is a star, so connected: the receiver keeps all of it
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(22)))
     for _ in range(50):
         kg = _random_kg(rng)
-        pool = sorted(kg.entities)
-        seeds = {int(rng.choice(pool))}
+        seeds = {int(rng.choice(sorted(kg.entities)))}
         mcsg = build_mcsg(SelectedEntities(ids=tuple(seeds)), kg)
-        payload = payload_of(mcsg)
-        assert len(payload) == len(mcsg.nodes)
-        assert payload == sorted(set(payload))
+        assert one_hop(seeds, kg) == _oracle_nodes(kg, seeds)
+        assert PipelineContext(kg).receive([*seeds, -1, *seeds])[0] == mcsg
 
 
 # -- reconstruct ---------------------------------------------------------------
@@ -132,10 +138,10 @@ def test_payload_length_equals_node_count():
 def test_noiseless_roundtrip_on_connected_subgraph():
     kg = tiny_kg(triples=("A r B", "B s C"))
     mcsg = build_mcsg(SelectedEntities(ids=(kg.id_of("A"), kg.id_of("C"))), kg)
-    recon = reconstruct(payload_of(mcsg), kg)
+    recon = reconstruct(mcsg.nodes, kg)
     assert recon.nodes == mcsg.nodes
     assert recon.edges == mcsg.edges
-    assert recon.seed_nodes == recon.nodes  # receiver cannot know the seeds
+    assert recon.seed_nodes == recon.nodes  # reconstruct is not told the seeds
 
 
 def test_invalid_id_discarded():
@@ -256,4 +262,4 @@ def test_record_path_never_scans_the_whole_graph(sample_kg_path, sample_corpus):
     mcsg = build_mcsg(ctx.analyze(sample_corpus[0]).selected, kg)
     assert mcsg.edges
     for keep_all in (False, True):
-        assert reconstruct(payload_of(mcsg), kg, keep_all).nodes == mcsg.nodes
+        assert reconstruct(mcsg.nodes, kg, keep_all).nodes == mcsg.nodes
