@@ -20,9 +20,11 @@ from importlib import resources
 from kgsemcom import cli
 
 DATA = resources.files("kgsemcom") / "data"
-DEFAULT_SENTENCE = ("After the Intrepid lander settled onto the Ocean of Storms, "
-                    "Alan Bean joined Pete Conrad on the dusty surface while their "
-                    "crewmate kept watch overhead.")
+# the bundled corpus's first sentence: above 0 dB its frame carries one
+# protected and one unprotected seed, so both classes can be watched
+DEFAULT_SENTENCE = ("Alan Bean and Pete Conrad rehearsed every traverse for months, and the "
+                    "training logs describe how calm both men stayed when the checklist grew "
+                    "crowded near the end.")
 
 
 def main() -> int:

@@ -16,7 +16,7 @@ from .extraction import (ExtractionConfig, ExtractionTrace, Mention,
                          HttpSelector, recognize, expand, select,
                          extract_trace)
 from .semgraph import Mcsg, build_mcsg, one_hop, reconstruct
-from .importance import (ImportanceConfig, ImportanceTable, ThresholdPolicy,
+from .importance import (ImportanceConfig, ThresholdPolicy,
                          degree_centrality, betweenness_centrality,
                          importance_scores, partition_uep)
 from .phy import (ChannelConfig, SymbolStream, TransmissionFrame, TransmitResult,
@@ -48,7 +48,7 @@ __all__ = [
     # semantic subgraph
     "Mcsg", "build_mcsg", "one_hop", "reconstruct",
     # importance and UEP
-    "ImportanceConfig", "ImportanceTable", "ThresholdPolicy",
+    "ImportanceConfig", "ThresholdPolicy",
     "degree_centrality", "betweenness_centrality", "importance_scores",
     "partition_uep",
     # physical layer

@@ -3,8 +3,8 @@
 Subcommands:
   build-kg  validate a KG file, optionally fill missing descriptions and
             community summaries through the chat backend, and rewrite it
-  extract   run entity extraction on one sentence and show the stages
-            (their timings on stderr)
+  extract   run entity extraction on one sentence and show the stages and
+            each mention's routing (their timings on stderr)
   send      one full transmission at a chosen SNR, stage-by-stage trace
   sweep     run a configured SNR sweep and write the CSV report
   baseline  text-only schemes over a corpus (no KG), CSV report
@@ -109,9 +109,12 @@ def _cmd_extract(args) -> int:
     ctx = _context(kg, args.extract_backend)
     trace = extract_trace(args.sentence, kg, ctx.index, ctx.extraction)
     print(f"sentence: {args.sentence}")
+    # each routed mention's community and its ranked (id, similarity) candidates there
+    routes = {m: f"  -> community {c}: [{', '.join(f'({n}, {sim:.4f})' for n, sim in ranked)}]"
+              for m, c, ranked in trace.candidates.per_mention}
     print(f"mentions ({len(trace.mentions)}):")
     for m in trace.mentions:
-        print(f"  [{m.start}:{m.end}] {m.surface}")
+        print(f"  [{m.start}:{m.end}] {m.surface}{routes.get(m, '')}")
     print(f"candidates ({len(trace.candidates.provenance)}):")
     for node_id, (_, sim) in sorted(trace.candidates.provenance.items()):
         ent = kg.entity_by_id(node_id)
@@ -142,12 +145,12 @@ def _cmd_send(args) -> int:
           f"{sorted(mcsg.nodes)}; sent ids (the seeds): {sorted(mcsg.seed_nodes)}")
     protected, _ = partition_uep(table, snr_db, imp_config)
     tau = imp_config.threshold_policy.threshold(snr_db)
-    print(f"[3 importance] threshold {tau:.3f} at {snr_db:g} dB")
-    for node_id in sorted(mcsg.nodes):
-        deg, btw, score = table.rows[node_id]
+    print(f"[3 importance] the seeds, scored in the subgraph; threshold {tau:.3f} "
+          f"at {snr_db:g} dB")
+    for node_id in sorted(table):
+        deg, btw, score = table[node_id]
         mark = "P" if node_id in protected else "-"
-        role = "seed" if node_id in mcsg.seed_nodes else "hop "
-        print(f"  {mark} {role} {node_id}  {kg.entity_by_id(node_id).name}  "
+        print(f"  {mark} {node_id}  {kg.entity_by_id(node_id).name}  "
               f"degree {deg:.0f}  betweenness {btw:.2f}  score {score:.4f}")
     frame = ctx.send_frame(analysis, snr_db)
     n_p, n_u, w = len(frame.protected_ids), len(frame.unprotected_ids), frame.width

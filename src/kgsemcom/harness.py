@@ -26,7 +26,7 @@ from .embedding import EmbeddingIndex, TrigramEmbedder
 from .extraction import (ExtractionConfig, HttpSelector, SelectedEntities, StubSelector,
                          extract_trace)
 from .generation import HttpGenerator, StubGenerator, build_prompt
-from .importance import ImportanceConfig, ImportanceTable, ThresholdPolicy, importance_scores, partition_uep
+from .importance import ImportanceConfig, ThresholdPolicy, importance_scores, partition_uep
 from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, HuffmanTable,
                   huffman_build, huffman_decode, huffman_encode, payload_bits, seed_state,
                   transmit_bits, transmit_many)
@@ -119,7 +119,7 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, got {_JSON_TYPES[type(raw)]}")
         known = {f.name for f in dc_fields(cls)}
@@ -146,9 +146,9 @@ def _number(name: str, value) -> float:
 
 
 def load_corpus(path: str | Path) -> list[str]:
-    """One sentence per line; blank lines and '#' comments are skipped."""
+    """One sentence per line; blank lines, '#' comments and a leading BOM are skipped."""
     sentences = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in Path(path).read_text(encoding="utf-8-sig").splitlines():
         stripped = line.strip()
         if stripped and not stripped.startswith("#"):
             sentences.append(stripped)
@@ -168,7 +168,7 @@ def semantic_similarity(a: str, b: str, embedder) -> float:
 class SentenceAnalysis:
     selected: SelectedEntities
     mcsg: Mcsg
-    table: ImportanceTable
+    table: dict[kgmod.NodeId, tuple[int, float, float]]  # importance_scores: the seeds' rows
 
 
 def select_backends(extract_backend: str, generate_backend: str) -> tuple[object, object]:
@@ -237,21 +237,20 @@ class PipelineContext:
 
     def analyze(self, sentence: str) -> SentenceAnalysis:
         trace = extract_trace(sentence, self.kg, self.index, self.extraction)
-        mcsg = build_mcsg(trace.selected, self.kg)
+        mcsg = build_mcsg(trace.selected.ids, self.kg)
         return SentenceAnalysis(trace.selected, mcsg,
                                 importance_scores(mcsg, self.importance_config))
 
     def send_frame(self, analysis: SentenceAnalysis, snr_db: float) -> TransmissionFrame:
         """The one sender: the wire frame of a sentence's seeds at ``snr_db``.
-        The UEP split runs over the importance table of the whole subgraph,
-        so each seed keeps the centrality it has there; each class then keeps
-        only its seeds, each as its rank among the sorted entity ids. The
-        seeds' neighbours are not sent: the receiver re-derives them."""
-        seeds = analysis.mcsg.seed_nodes
+        The importance table holds exactly the seeds, so its UEP classes are
+        the frame's classes; each seed travels as its rank among the sorted
+        entity ids. The seeds' neighbours are not sent: the receiver
+        re-derives them."""
         ranks = self._id_of_rank[:len(self.kg.entities)]
         classes = partition_uep(analysis.table, snr_db, self.importance_config)
-        return TransmissionFrame(*(tuple(np.searchsorted(ranks, [n for n in ids if n in seeds])
-                                         .tolist()) for ids in classes), self.id_width)
+        return TransmissionFrame(*(tuple(np.searchsorted(ranks, ids).tolist()) for ids in classes),
+                                 self.id_width)
 
     def received_ids(self, result: TransmitResult) -> list[int]:
         """KG ids for the received words, protected first; -1 for a word no

@@ -1,10 +1,12 @@
-"""Node importance over the transmitted subgraph and the UEP split.
+"""Importance of the sent ids and the UEP split.
 
-Importance blends degree centrality (local influence) with exact unweighted
-betweenness centrality over unordered node pairs (bridging role), both read
-from one ``semgraph.undirected_adjacency`` of the subgraph and each min-max
-normalized over it. The SNR-dependent threshold policy decides which node ids
-the channel code protects.
+Only a sentence's seeds cross the channel, so only they are scored. Each
+seed's importance blends degree centrality (local influence) with exact
+unweighted betweenness centrality over unordered node pairs (bridging role),
+both read from one ``semgraph.undirected_adjacency`` of the whole one-hop
+subgraph and each min-max normalized over all of its nodes, so a seed keeps
+the centrality it has among its neighbours. The SNR-dependent threshold
+policy splits the seeds into the frame's protected and unprotected classes.
 """
 
 from dataclasses import dataclass, field
@@ -93,32 +95,25 @@ class ImportanceConfig:
             raise ValueError("alpha must lie in [0, 1]")
 
 
-@dataclass
-class ImportanceTable:
-    # NodeId -> (raw degree, raw betweenness, combined score in [0, 1])
-    rows: dict[NodeId, tuple[int, float, float]]
-
-    def score(self, nid: NodeId) -> float:
-        return self.rows[nid][2]
-
-
-def importance_scores(mcsg: Mcsg, config: ImportanceConfig) -> ImportanceTable:
+def importance_scores(mcsg: Mcsg,
+                      config: ImportanceConfig) -> dict[NodeId, tuple[int, float, float]]:
+    """Seed id -> (raw degree, raw betweenness, combined score in [0, 1]), with
+    both centralities and their normalization taken over the whole subgraph."""
     adj = undirected_adjacency(mcsg.nodes, mcsg.edges)
     deg = degree_centrality(adj)
     btw = betweenness_centrality(adj)
     deg_n = _minmax({n: float(v) for n, v in deg.items()})
     btw_n = _minmax(btw)
     a = config.alpha
-    rows = {n: (deg[n], btw[n], a * deg_n[n] + (1.0 - a) * btw_n[n]) for n in mcsg.nodes}
-    return ImportanceTable(rows=rows)
+    return {n: (deg[n], btw[n], a * deg_n[n] + (1.0 - a) * btw_n[n]) for n in mcsg.seed_nodes}
 
 
-def partition_uep(table: ImportanceTable, snr_db: float,
+def partition_uep(table: dict[NodeId, tuple[int, float, float]], snr_db: float,
                   config: ImportanceConfig) -> tuple[list[NodeId], list[NodeId]]:
-    """Split ids into (protected, unprotected), both ascending. Protection goes
-    to scores at or above the policy threshold for this SNR."""
+    """Split the table's ids into (protected, unprotected), both ascending.
+    Protection goes to scores at or above the policy threshold for this SNR."""
     tau = config.threshold_policy.threshold(snr_db)
     protected, unprotected = [], []
-    for n in sorted(table.rows):
-        (protected if table.rows[n][2] >= tau else unprotected).append(n)
+    for n in sorted(table):
+        (protected if table[n][2] >= tau else unprotected).append(n)
     return protected, unprotected

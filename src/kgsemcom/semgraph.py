@@ -1,18 +1,17 @@
 """Minimum connected subgraph construction and receiver-side reconstruction.
 
-The subgraph of a sentence is its selected entities (the seeds) expanded by
+The subgraph of a sentence is its selected entity ids (the seeds) expanded by
 one hop in the shared KG. ``one_hop`` is that expansion, and both ends call
-it: the transmitter to build the subgraph it scores, the receiver to re-derive
-it from the seeds, which are all that crosses the channel. The receiver
-discards ids that do not exist in its KG copy before it expands them; then
-``reconstruct`` re-induces the edges and keeps the largest connected
-component unless the ablation switch keeps all.
+it: the transmitter to build the subgraph in which it scores the seeds, the
+receiver to re-derive it from the seeds, which are all that crosses the
+channel. The receiver discards ids that do not exist in its KG copy before it
+expands them; then ``reconstruct`` re-induces the edges and keeps the largest
+connected component unless the ablation switch keeps all.
 """
 
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .extraction import SelectedEntities
 from .kg import KnowledgeGraph, NodeId, Triple
 
 
@@ -33,11 +32,12 @@ def one_hop(seeds: Iterable[NodeId], kg: KnowledgeGraph) -> frozenset[NodeId]:
     return frozenset(nodes)
 
 
-def build_mcsg(selected: SelectedEntities, kg: KnowledgeGraph) -> Mcsg:
+def build_mcsg(seeds: Iterable[NodeId], kg: KnowledgeGraph) -> Mcsg:
     """The ``one_hop`` expansion of the seeds, with every KG edge among those
     nodes. May be disconnected; may be empty for no seeds."""
-    nodes = one_hop(selected.ids, kg)
-    return Mcsg(nodes=nodes, seed_nodes=frozenset(selected.ids), edges=kg.induced_edges(nodes))
+    seeds = frozenset(seeds)
+    nodes = one_hop(seeds, kg)
+    return Mcsg(nodes=nodes, seed_nodes=seeds, edges=kg.induced_edges(nodes))
 
 
 def undirected_adjacency(nodes: frozenset[NodeId],

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kgsemcom import kg as kgmod
-from kgsemcom.extraction import SelectedEntities, recognize
+from kgsemcom.extraction import recognize
 from kgsemcom.harness import (PipelineContext, SweepConfig, derive_seed,
                               render_report, run_pipeline, run_sweep,
                               semantic_similarity)
@@ -224,7 +224,7 @@ def test_criterion_4_subgraph_exactness(capsys):
         ids = sorted(kg.entities)
         seeds = tuple(sorted(int(v) for v in rng.choice(
             ids, size=int(rng.integers(1, min(4, len(ids)) + 1)), replace=False)))
-        mcsg = build_mcsg(SelectedEntities(ids=seeds), kg)
+        mcsg = build_mcsg(seeds, kg)
         nodes, edges = _oracle_one_hop(kg, set(seeds))
         build_ok &= mcsg.nodes == nodes and mcsg.edges == edges
         build_ok &= mcsg.seed_nodes == frozenset(seeds)

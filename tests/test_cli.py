@@ -15,6 +15,7 @@ import requests
 
 from kgsemcom import cli, remote
 from kgsemcom import kg as kgmod
+from kgsemcom.extraction import recognize
 from kgsemcom.harness import (PipelineContext, baseline_records, render_report,
                               run_pipeline)
 
@@ -87,7 +88,8 @@ def test_build_kg_accepts_a_byte_order_mark(capsys, tmp_path, sample_kg_path, sa
 
 # -- extract -----------------------------------------------------------------------
 
-def test_extract_shows_stages(capsys, sample_kg_path, sample_corpus):
+def test_extract_shows_stages(capsys, sample_kg, sample_kg_path, sample_corpus, embedder,
+                             sample_index):
     code, stdout, stderr = _run(capsys, ["extract", "--kg", str(sample_kg_path),
                                          "--sentence", sample_corpus[0]])
     assert code == 0
@@ -98,6 +100,12 @@ def test_extract_shows_stages(capsys, sample_kg_path, sample_corpus):
     for stage in ("recognize", "expand", "select"):
         assert f"time[{stage}]:" in stderr
     assert "time[" not in stdout  # timings stay out of the deterministic output
+    # each mention line names the community the index routes it to
+    mentions = recognize(sample_corpus[0], sample_kg)
+    assert mentions
+    for m in mentions:
+        community = sample_index.best_community(embedder.embed_one(m.surface))
+        assert f"  [{m.start}:{m.end}] {m.surface}  -> community {community}: [(" in stdout
 
 
 def test_extract_missing_kg_file(capsys, tmp_path):
@@ -147,9 +155,34 @@ def test_send_noiseless_full_trace(capsys, sample_kg_path, sample_corpus):
     assert set(seeds) < set(mcsg)
     assert [sorted(ids) for ids in lists("6 receive")] == [seeds]
     assert lists("7 reconstruct") == [seeds, mcsg]
+    n_p, n_u = _frame_counts(stdout)
+    assert n_p + n_u == len(seeds)
+
+
+def _frame_counts(stdout: str) -> tuple[int, int]:
+    """(protected, unprotected) seed counts from the `[4 frame]` line."""
     n_p, n_u = (int(n) for n in stdout.split("[4 frame] ")[1].split(" unprotected")[0]
                 .split(" protected / "))
-    assert n_p + n_u == len(seeds)
+    return n_p, n_u
+
+
+# sends 4 seeds; at 6 dB a hop node of its subgraph outscores every one of them
+HUB_NEIGHBOUR_SENTENCE = ("After the Intrepid lander settled onto the Ocean of Storms, Alan "
+                          "Bean joined Pete Conrad on the dusty surface while their crewmate "
+                          "kept watch overhead.")
+
+
+@pytest.mark.parametrize("snr", ["0", "6", "12"])
+def test_send_marks_exactly_the_frame_s_classes(capsys, sample_kg_path, sample_corpus, snr):
+    for sentence in (sample_corpus[0], HUB_NEIGHBOUR_SENTENCE):
+        code, stdout, _ = _run(capsys, ["send", "--kg", str(sample_kg_path),
+                                        "--sentence", sentence, "--snr", snr, "--seed", "0"])
+        assert code == 0
+        rows = stdout.split("[3 importance] ")[1].split("[4 frame] ")[0].splitlines()[1:]
+        marks = [row.split()[0] for row in rows]
+        assert (marks.count("P"), marks.count("-")) == _frame_counts(stdout)
+        assert len(marks) == len(stdout.split("sent ids (the seeds): ")[1]
+                                 .splitlines()[0].split(","))
 
 
 @pytest.mark.parametrize("sentence", ["no graph words here", ""], ids=["no-match", "empty"])
@@ -277,6 +310,23 @@ def test_sweep_writes_deterministic_csv(capsys, tmp_path, sweep_config_path):
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
     assert out_a.read_text(encoding="utf-8").startswith("record_type,")
+
+
+def test_sweep_reads_a_config_and_corpus_with_a_byte_order_mark(capsys, tmp_path,
+                                                                 sweep_config_path):
+    raw = json.loads(sweep_config_path.read_text(encoding="utf-8"))
+    corpus = Path(raw["corpus_path"])
+    marked_corpus = tmp_path / "bom.txt"
+    marked_corpus.write_bytes(b"\xef\xbb\xbf# two sentences\n" + corpus.read_bytes())
+    marked = tmp_path / "bom.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + json.dumps(
+        {**raw, "corpus_path": str(marked_corpus)}).encode())
+    out_plain, out_marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    assert cli.main(["sweep", "--config", str(sweep_config_path), "--out", str(out_plain)]) == 0
+    code, stdout, _ = _run(capsys, ["sweep", "--config", str(marked), "--out", str(out_marked)])
+    assert code == 0
+    assert "wrote 4 trial records" in stdout
+    assert out_marked.read_bytes() == out_plain.read_bytes()
 
 
 def test_sweep_missing_and_invalid_config(capsys, tmp_path):

@@ -20,6 +20,20 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     ("sweep_demo.py", ["--trials", "1", "--snr", "6", "--out", "{tmp}/sweep.csv"]),
 ])
 def test_demo_runs(tmp_path, script, args):
+    stdout = _run_demo(tmp_path, script, args)
+    assert stdout.strip()
+
+
+def test_single_transmission_shows_both_classes(tmp_path):
+    # the default sentence's 6 dB frame protects a seed and leaves one uncoded
+    stdout = _run_demo(tmp_path, "run_single_transmission.py", ["--snr", "6"])
+    frame = stdout.split("[4 frame] ")[1].split(" seeds")[0]
+    n_p, n_u = (int(n) for n in frame.removesuffix(" unprotected").split(" protected / "))
+    assert n_p >= 1 and n_u >= 1
+
+
+def _run_demo(tmp_path, script, args) -> str:
+    """Run a demo as its own process; it must exit 0. -> its stdout."""
     src = str(Path(kgsemcom.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -27,4 +41,4 @@ def test_demo_runs(tmp_path, script, args):
     proc = subprocess.run([sys.executable, str(DEMOS / script), *argv], cwd=tmp_path,
                           capture_output=True, text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    return proc.stdout

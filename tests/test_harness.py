@@ -61,20 +61,13 @@ def test_count_bits_ascii(ctx, sample_corpus):
         assert record.payload_bits == record.channel_bits == 8 * len(sentence)
 
 
-def _seed_classes(analysis, snr_db, importance_config) -> tuple[list[int], list[int]]:
-    """Each UEP class of the whole subgraph, cut to the seeds: what is sent."""
-    seeds = analysis.mcsg.seed_nodes
-    return tuple([n for n in ids if n in seeds]
-                 for ids in partition_uep(analysis.table, snr_db, importance_config))
-
-
 def test_count_bits_kgrag(ctx, sample_corpus):
     sentence = sample_corpus[0]
     analysis = ctx.analyze(sentence)
     assert len(analysis.selected.ids) < len(analysis.mcsg.nodes)
     for snr_db in (0.0, 12.0):
         record = run_pipeline(ctx, sentence, 0, snr_db, seed=1)
-        protected, unprotected = _seed_classes(analysis, snr_db, ctx.importance_config)
+        protected, unprotected = partition_uep(analysis.table, snr_db, ctx.importance_config)
         # 104 entities: the seeds travel as 7-bit ranks, and nothing else is sent
         assert record.payload_bits == 7 * record.n_selected
         assert len(protected) + len(unprotected) == record.n_selected
@@ -200,7 +193,7 @@ def test_run_pipeline_no_noise_full_recovery(ctx, sample_corpus):
 def _analysis_of(ctx, seeds) -> harness.SentenceAnalysis:
     """What ``ctx.analyze`` gives a sentence that selects ``seeds``."""
     selected = SelectedEntities(ids=tuple(seeds))
-    mcsg = build_mcsg(selected, ctx.kg)
+    mcsg = build_mcsg(selected.ids, ctx.kg)
     return harness.SentenceAnalysis(selected, mcsg, importance_scores(mcsg, ctx.importance_config))
 
 
@@ -270,6 +263,21 @@ def _assert_noiseless_seeds_only(ctx) -> int:
         assert text and flags == ""
         checked += 1
     return checked
+
+
+def test_frame_classes_are_the_uep_split_of_the_seeds(ctx):
+    # the table holds exactly the seeds, so send_frame filters nothing: its
+    # classes are partition_uep's, each id mapped to its rank
+    rank_of = {nid: rank for rank, nid in enumerate(sorted(ctx.kg.entities))}
+    grid = SweepConfig(kg_path="", corpus_path="").snr_grid
+    for sentence in ctx.corpus:
+        analysis = ctx.analyze(sentence)
+        assert set(analysis.table) == analysis.mcsg.seed_nodes
+        for snr_db in grid:
+            frame = ctx.send_frame(analysis, snr_db)
+            classes = partition_uep(analysis.table, snr_db, ctx.importance_config)
+            assert (frame.protected_ids, frame.unprotected_ids) == tuple(
+                tuple(rank_of[n] for n in ids) for ids in classes)
 
 
 def test_noiseless_frame_holds_the_seeds_and_the_receiver_rebuilds_the_mcsg(ctx):
@@ -365,6 +373,12 @@ def test_load_corpus_skips_comments_and_blanks(tmp_path):
     assert load_corpus(p) == ["First line.", "Second line."]
 
 
+def test_load_corpus_skips_a_byte_order_mark(tmp_path):
+    p = tmp_path / "bom.txt"
+    p.write_bytes(b"\xef\xbb\xbf# header comment\nFirst line.\n")
+    assert load_corpus(p) == ["First line."]
+
+
 def test_load_corpus_empty_rejected(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("# only comments\n\n", encoding="utf-8")
@@ -422,6 +436,14 @@ def test_sweep_config_from_json(tmp_path, sample_kg_path, sample_corpus_path):
     assert SweepConfig.from_json(inf_cfg).snr_grid == [math.inf]
 
 
+def test_sweep_config_from_json_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({
+        "kg_path": "kg.tsv", "corpus_path": "corpus.txt", "snr_grid": [4]}).encode())
+    cfg = SweepConfig.from_json(path)
+    assert (cfg.kg_path, cfg.snr_grid) == ("kg.tsv", [4.0])
+
+
 @pytest.mark.parametrize("document, kind", [('"abc"', "string"), ("[1]", "array"),
                                             ("5", "number"), ("null", "null")])
 def test_sweep_config_from_json_rejects_a_document_that_is_not_an_object(tmp_path, document,
@@ -452,7 +474,7 @@ def test_run_sweep_kgrag_invariants(small_config):
         assert 0 <= r.n_received_valid <= r.n_selected <= r.n_mcsg_nodes
         assert r.payload_bits == 7 * r.n_selected
         analysis = ctx.analyze(ctx.corpus[r.sentence_id])
-        protected, unprotected = _seed_classes(analysis, r.snr_db, ctx.importance_config)
+        protected, unprotected = partition_uep(analysis.table, r.snr_db, ctx.importance_config)
         assert r.channel_bits == channel_bit_cost(len(protected), len(unprotected), 7)
         assert r.channel_bits >= r.payload_bits
 

@@ -1,12 +1,13 @@
 """Structural importance and the SNR-driven protection split, checked against
 a literal all-shortest-paths enumeration oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kgsemcom import (
     ImportanceConfig,
-    SelectedEntities,
     ThresholdPolicy,
     betweenness_centrality,
     build_mcsg,
@@ -21,15 +22,15 @@ from kgsemcom.semgraph import undirected_adjacency
 from kgtools import tiny_kg
 
 
-def _path_mcsg():
+def _path_mcsg(seeds=(0, 1, 2)):
     kg = ingest(["C\tc0\tL\tS"] + [f"E\t{i}\tn{i}\tc0\t\t" for i in range(3)]
                 + ["T\t0\tr\t1", "T\t1\tr\t2"])
-    return build_mcsg(SelectedEntities(ids=(0, 1, 2)), kg)
+    return build_mcsg(seeds, kg)
 
 
 def _whole_graph_mcsg(records):
     kg = ingest(records)
-    return build_mcsg(SelectedEntities(ids=tuple(sorted(kg.entities))), kg)
+    return build_mcsg(tuple(sorted(kg.entities)), kg)
 
 
 def _adjacency(mcsg):
@@ -37,13 +38,17 @@ def _adjacency(mcsg):
     return undirected_adjacency(mcsg.nodes, mcsg.edges)
 
 
-def _random_mcsg(rng, max_nodes=8):
+def _random_records(rng, max_nodes=8):
     n = int(rng.integers(1, max_nodes + 1))
     records = ["C\tc0\tL\tS"] + [f"E\t{i}\tn{i}\tc0\t\t" for i in range(n)]
     for _ in range(int(rng.integers(0, 2 * n + 1))):
         s, o = int(rng.integers(0, n)), int(rng.integers(0, n))
         records.append(f"T\t{s}\trel{int(rng.integers(0, 2))}\t{o}")
-    return _whole_graph_mcsg(records)
+    return records
+
+
+def _random_mcsg(rng, max_nodes=8):
+    return _whole_graph_mcsg(_random_records(rng, max_nodes))
 
 
 def _undirected_adj(mcsg):
@@ -110,7 +115,7 @@ def test_degree_path_closed_form():
 
 def test_degree_isolated_node_zero():
     kg = tiny_kg(triples=("A r B",), extra_entities=("X",))
-    mcsg = build_mcsg(SelectedEntities(ids=tuple(sorted(kg.entities))), kg)
+    mcsg = build_mcsg(tuple(sorted(kg.entities)), kg)
     assert degree_centrality(_adjacency(mcsg))[kg.id_of("X")] == 0
 
 
@@ -191,15 +196,15 @@ def test_disconnected_pairs_contribute_nothing():
 
 def test_path_alpha_half_scores():
     table = importance_scores(_path_mcsg(), ImportanceConfig(alpha=0.5))
-    assert table.score(1) == pytest.approx(1.0, abs=1e-12)
-    assert table.score(0) == pytest.approx(0.0, abs=1e-12)
-    assert table.score(2) == pytest.approx(0.0, abs=1e-12)
+    assert table[1][2] == pytest.approx(1.0, abs=1e-12)
+    assert table[0][2] == pytest.approx(0.0, abs=1e-12)
+    assert table[2][2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_single_node_degenerate_score_one():
     mcsg = _whole_graph_mcsg(["C\tc0\tL\tS", "E\t0\tonly\tc0\t\t"])
     table = importance_scores(mcsg, ImportanceConfig())
-    assert table.score(0) == pytest.approx(1.0)
+    assert table[0][2] == pytest.approx(1.0)
 
 
 def test_importance_scores_builds_one_adjacency_per_call(monkeypatch):
@@ -228,8 +233,8 @@ def test_alpha_one_ranking_equals_degree_ranking():
         for a in nodes:
             for b in nodes:
                 ds = np.sign(deg[a] - deg[b])
-                ss = np.sign(round(table.score(a) - table.score(b), 12))
-                assert ds == ss, (a, b, deg, table.rows)
+                ss = np.sign(round(table[a][2] - table[b][2], 12))
+                assert ds == ss, (a, b, deg, table)
 
 
 def test_minmax_positive_affine_invariance():
@@ -250,11 +255,34 @@ def test_minmax_degenerate_all_equal_maps_to_one():
 
 
 def test_table_covers_exactly_the_nodes():
-    mcsg = _path_mcsg()
+    # the nodes sent are the seeds: the hop nodes get no row
+    mcsg = _path_mcsg(seeds=(0, 2))
+    assert mcsg.seed_nodes < mcsg.nodes
     table = importance_scores(mcsg, ImportanceConfig())
-    assert set(table.rows) == set(mcsg.nodes)
-    for nid, (d, b, s) in table.rows.items():
+    assert set(table) == set(mcsg.seed_nodes)
+    for nid, (d, b, s) in table.items():
         assert 0.0 <= s <= 1.0
+
+
+def test_seed_rows_are_their_rows_in_the_whole_subgraph():
+    # a seed is scored among every node of its subgraph, as if all were seeds
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(38)))
+    config = ImportanceConfig()
+    strict = 0
+    for _ in range(100):
+        kg = ingest(_random_records(rng))
+        ids = sorted(kg.entities)
+        if len(ids) < 2:
+            continue
+        picked = rng.choice(ids, size=int(rng.integers(1, len(ids))), replace=False)
+        mcsg = build_mcsg((int(v) for v in picked), kg)
+        table = importance_scores(mcsg, config)
+        assert set(table) == mcsg.seed_nodes
+        every = importance_scores(dataclasses.replace(mcsg, seed_nodes=mcsg.nodes), config)
+        assert set(every) == mcsg.nodes
+        assert table == {n: every[n] for n in mcsg.seed_nodes}
+        strict += mcsg.seed_nodes < mcsg.nodes
+    assert strict >= 20
 
 
 def test_alpha_validation():

@@ -7,7 +7,6 @@ import pytest
 
 from kgsemcom import (
     KnowledgeGraph,
-    SelectedEntities,
     build_mcsg,
     ingest,
     one_hop,
@@ -47,7 +46,7 @@ def _random_kg(rng, max_nodes=30) -> KnowledgeGraph:
 def test_single_seed_pulls_its_neighbor():
     kg = tiny_kg(triples=("A r B", "B s C"))
     a, b, c = kg.id_of("A"), kg.id_of("B"), kg.id_of("C")
-    mcsg = build_mcsg(SelectedEntities(ids=(a,)), kg)
+    mcsg = build_mcsg((a,), kg)
     assert mcsg.nodes == {a, b}
     assert mcsg.seed_nodes == {a}
     assert [(t.subject, t.relation, t.object) for t in mcsg.edges] == [(a, "r", b)]
@@ -56,7 +55,7 @@ def test_single_seed_pulls_its_neighbor():
 def test_two_seeds_cover_whole_path():
     kg = tiny_kg(triples=("A r B", "B s C"))
     a, b, c = kg.id_of("A"), kg.id_of("B"), kg.id_of("C")
-    mcsg = build_mcsg(SelectedEntities(ids=(a, c)), kg)
+    mcsg = build_mcsg((a, c), kg)
     assert mcsg.nodes == {a, b, c}
     assert len(mcsg.edges) == 2
 
@@ -64,12 +63,12 @@ def test_two_seeds_cover_whole_path():
 def test_unknown_seed_rejected():
     kg = tiny_kg()
     with pytest.raises(KeyError, match="999"):
-        build_mcsg(SelectedEntities(ids=(999,)), kg)
+        build_mcsg((999,), kg)
 
 
 def test_empty_selection_gives_empty_subgraph():
     kg = tiny_kg()
-    mcsg = build_mcsg(SelectedEntities(ids=()), kg)
+    mcsg = build_mcsg((), kg)
     assert mcsg.nodes == frozenset()
     assert mcsg.edges == ()
 
@@ -77,7 +76,7 @@ def test_empty_selection_gives_empty_subgraph():
 def test_mcsg_may_be_disconnected():
     kg = tiny_kg(triples=("A r B", "C s D"))
     seeds = (kg.id_of("A"), kg.id_of("C"))
-    mcsg = build_mcsg(SelectedEntities(ids=seeds), kg)
+    mcsg = build_mcsg(seeds, kg)
     assert len(mcsg.nodes) == 4
     assert len(mcsg.edges) == 2
 
@@ -89,7 +88,7 @@ def test_build_matches_set_comprehension_oracle():
         pool = sorted(kg.entities)
         k = int(rng.integers(0, min(5, len(pool)) + 1))
         seeds = set(int(i) for i in rng.choice(pool, size=k, replace=False)) if k else set()
-        mcsg = build_mcsg(SelectedEntities(ids=tuple(sorted(seeds))), kg)
+        mcsg = build_mcsg(tuple(sorted(seeds)), kg)
         assert mcsg.nodes == _oracle_nodes(kg, seeds)
         assert list(mcsg.edges) == _oracle_edges(kg, mcsg.nodes)
 
@@ -97,9 +96,9 @@ def test_build_matches_set_comprehension_oracle():
 def test_build_independent_of_seed_order():
     kg = tiny_kg(triples=("A r B", "B s C", "C t D"))
     ids = (kg.id_of("A"), kg.id_of("C"), kg.id_of("D"))
-    base = build_mcsg(SelectedEntities(ids=ids), kg)
+    base = build_mcsg(ids, kg)
     for perm in ((ids[2], ids[0], ids[1]), (ids[1], ids[2], ids[0])):
-        assert build_mcsg(SelectedEntities(ids=perm), kg) == base
+        assert build_mcsg(perm, kg) == base
 
 
 # -- the receiver: one hop from the received seeds ------------------------------
@@ -107,7 +106,7 @@ def test_build_independent_of_seed_order():
 def test_receiver_rederives_the_subgraph_of_one_seed():
     kg = ingest(["C\tc0\tL\tS"] + [f"E\t{i}\tn{i}\tc0\t\t" for i in (2, 7, 9)]
                 + ["T\t2\tr\t7", "T\t7\tr\t9", "T\t9\tr\t2"])
-    mcsg = build_mcsg(SelectedEntities(ids=(7,)), kg)
+    mcsg = build_mcsg((7,), kg)
     assert one_hop([7], kg) == mcsg.nodes == {2, 7, 9}
     recon, text, flags = PipelineContext(kg).receive([7])
     assert recon == mcsg
@@ -118,7 +117,7 @@ def test_receiver_of_no_seed_is_empty():
     kg = tiny_kg()
     assert one_hop((), kg) == frozenset()
     recon, text, flags = PipelineContext(kg).receive([])
-    assert recon == build_mcsg(SelectedEntities(ids=()), kg)
+    assert recon == build_mcsg((), kg)
     assert (text, flags) == ("", "empty_reconstruction")
 
 
@@ -128,7 +127,7 @@ def test_receiver_rebuilds_each_single_seed_subgraph():
     for _ in range(50):
         kg = _random_kg(rng)
         seeds = {int(rng.choice(sorted(kg.entities)))}
-        mcsg = build_mcsg(SelectedEntities(ids=tuple(seeds)), kg)
+        mcsg = build_mcsg(tuple(seeds), kg)
         assert one_hop(seeds, kg) == _oracle_nodes(kg, seeds)
         assert PipelineContext(kg).receive([*seeds, -1, *seeds])[0] == mcsg
 
@@ -137,7 +136,7 @@ def test_receiver_rebuilds_each_single_seed_subgraph():
 
 def test_noiseless_roundtrip_on_connected_subgraph():
     kg = tiny_kg(triples=("A r B", "B s C"))
-    mcsg = build_mcsg(SelectedEntities(ids=(kg.id_of("A"), kg.id_of("C"))), kg)
+    mcsg = build_mcsg((kg.id_of("A"), kg.id_of("C")), kg)
     recon = reconstruct(mcsg.nodes, kg)
     assert recon.nodes == mcsg.nodes
     assert recon.edges == mcsg.edges
@@ -259,7 +258,7 @@ def test_record_path_never_scans_the_whole_graph(sample_kg_path, sample_corpus):
     record = run_pipeline(ctx, sample_corpus[0], 0, 6.0, seed=5)
     assert record.n_selected > 0
     assert "error" not in record.flags
-    mcsg = build_mcsg(ctx.analyze(sample_corpus[0]).selected, kg)
+    mcsg = build_mcsg(ctx.analyze(sample_corpus[0]).selected.ids, kg)
     assert mcsg.edges
     for keep_all in (False, True):
         assert reconstruct(mcsg.nodes, kg, keep_all).nodes == mcsg.nodes
