@@ -20,11 +20,11 @@ from .importance import (ImportanceConfig, ThresholdPolicy,
                          degree_centrality, betweenness_centrality,
                          importance_scores, partition_uep)
 from .phy import (ChannelConfig, SymbolStream, TransmissionFrame, TransmitResult,
-                  HuffmanTable, conv_encode, viterbi_decode,
+                  HuffmanTable, conv_encode,
                   qam16_modulate, qam16_demodulate, awgn, seed_state,
                   transmit_bits, channel_groups, serialize_frame, parse_coded_stream,
                   channel_bit_cost, transmit, transmit_many, huffman_build,
-                  huffman_encode, huffman_decode, ids_to_bits, bits_to_ids)
+                  huffman_encode, huffman_decode, ids_to_bits)
 from .generation import (Prompt, ReconstructedText, StubGenerator,
                          HttpGenerator, build_prompt, verbalize_relation,
                          enrich_kg)
@@ -53,12 +53,12 @@ __all__ = [
     "partition_uep",
     # physical layer
     "ChannelConfig", "SymbolStream", "TransmissionFrame", "TransmitResult",
-    "HuffmanTable", "conv_encode", "viterbi_decode",
+    "HuffmanTable", "conv_encode",
     "qam16_modulate", "qam16_demodulate", "awgn", "seed_state",
     "transmit_bits", "channel_groups", "serialize_frame", "parse_coded_stream",
     "channel_bit_cost",
     "transmit", "transmit_many", "huffman_build", "huffman_encode",
-    "huffman_decode", "ids_to_bits", "bits_to_ids",
+    "huffman_decode", "ids_to_bits",
     # generation
     "Prompt", "ReconstructedText", "StubGenerator", "HttpGenerator",
     "build_prompt", "verbalize_relation", "enrich_kg",

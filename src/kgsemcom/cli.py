@@ -22,8 +22,9 @@ import sys
 from . import kg as kgmod
 from .extraction import extract_trace
 from .generation import enrich_kg
-from .harness import (PipelineContext, SweepConfig, baseline_records, load_corpus,
-                      run_sweep, select_backends, semantic_similarity, write_report)
+from .harness import (PipelineContext, SweepConfig, baseline_records, check_snr_grid,
+                      load_corpus, run_sweep, select_backends, semantic_similarity,
+                      write_report)
 from .importance import ImportanceConfig, partition_uep
 from .phy import ChannelConfig, channel_bit_cost, payload_bits, transmit
 from .remote import MALFORMED_REPLY, RemoteConfig
@@ -136,11 +137,11 @@ def _cmd_send(args) -> int:
     kg = _load_kg(args.kg)
     ctx = _context(kg, args.extract_backend, args.gen_backend, importance_config=imp_config)
     analysis = ctx.analyze(args.sentence)
-    print(f"[1 extract] selected ids: {list(analysis.selected.ids)}")
-    if not analysis.selected.ids:
+    mcsg, table = analysis.mcsg, analysis.table
+    print(f"[1 extract] selected ids: {sorted(mcsg.seed_nodes)}")
+    if not mcsg.seed_nodes:
         print("nothing recognized; no transmission")
         return 0
-    mcsg, table = analysis.mcsg, analysis.table
     print(f"[2 subgraph] {len(mcsg.nodes)} nodes, {len(mcsg.edges)} edges: "
           f"{sorted(mcsg.nodes)}; sent ids (the seeds): {sorted(mcsg.seed_nodes)}")
     protected, _ = partition_uep(table, snr_db, imp_config)
@@ -200,8 +201,10 @@ def _cmd_baseline(args) -> int:
     except ValueError as exc:
         raise CliError("config", str(exc)) from None
     snr_grid = [_parse_snr(s) for s in args.snr] if args.snr else [math.inf]
-    if len(set(snr_grid)) < len(snr_grid):
-        raise CliError("usage", f"--snr repeats a value: {' '.join(args.snr)}")
+    try:
+        check_snr_grid("--snr", snr_grid)
+    except ValueError as exc:
+        raise CliError("usage", str(exc)) from None
     records = baseline_records(corpus, snr_grid, seed=args.seed)
     write_report(records, snr_grid, args.out)
     print(f"wrote {len(records)} trial records to {args.out}")

@@ -152,9 +152,6 @@ class EmbeddingIndex:
                 start += len(ids)
         return [self._entities[c] for c in communities]
 
-    def reset_counts(self) -> None:
-        self.eval_counts = {"community": 0, "entity": 0}
-
     def best_community(self, query: Vector) -> str:
         if not self.community_ids:
             raise ValueError("index has no communities")
@@ -182,6 +179,3 @@ class EmbeddingIndex:
         ranked = np.round(sims, _tie_decimals(query))  # real-valued ties go to the smaller id
         order = sorted(range(len(ids)), key=lambda i: (-ranked[i], ids[i]))
         return [(ids[i], float(sims[i])) for i in order[:k]]
-
-    def community_size(self, community: str) -> int:
-        return len(self._member_ids[community])

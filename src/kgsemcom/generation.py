@@ -1,10 +1,12 @@
 """Text regeneration from a reconstructed subgraph.
 
-The prompt renders the subgraph deterministically: triples sorted by
-(subject, relation, object), then a description line per node in ascending id
-order, under a fixed versioned instruction. The offline backend verbalizes
-each triple as "subject relation-phrase object"; a remote backend asks a chat
-model and falls back to the offline template on empty replies.
+The prompt holds the subgraph deterministically: its triples as name tuples
+sorted by (subject, relation, object), then a description line per node in
+ascending id order, under a fixed versioned instruction. The offline backend
+verbalizes each triple as "subject relation-phrase object" and never renders
+the prompt; a remote backend sends ``Prompt.render()``'s text to a chat model
+and falls back to the offline template on an empty reply, which
+``ReconstructedText.degraded`` flags.
 """
 
 import functools
@@ -21,15 +23,13 @@ GENERATION_PROMPT_FILE = "generation_v1.txt"
 @dataclass(frozen=True)
 class Prompt:
     instruction: str
-    triples_section: tuple[str, ...]
+    triples: tuple[tuple[str, str, str], ...]  # (subject, relation, object) names
     descriptions_section: tuple[str, ...]
-    # structured view the offline generator consumes: (subject, relation, object) names
-    triples: tuple[tuple[str, str, str], ...]
     isolated_names: tuple[str, ...]  # nodes no edge touches, ascending id
 
     def render(self) -> str:
         parts = [self.instruction.rstrip(), "", "Facts:"]
-        parts += [f"- {line}" for line in self.triples_section]
+        parts += [f"- {s} -{r}-> {o}" for s, r, o in self.triples]
         parts += ["", "Entity descriptions:"]
         parts += [f"- {line}" for line in self.descriptions_section]
         return "\n".join(parts) + "\n"
@@ -56,23 +56,20 @@ def build_prompt(mcsg: Mcsg, kg: KnowledgeGraph) -> Prompt:
     name = {nid: kg.entities[nid].name for nid in mcsg.nodes}
     # Mcsg keeps its edges sorted by (subject, relation, object)
     triple_names = tuple((name[t.subject], t.relation, name[t.object]) for t in mcsg.edges)
-    triples_section = tuple(f"{s} -{r}-> {o}" for s, r, o in triple_names)
     ordered_nodes = sorted(mcsg.nodes)
     descriptions = tuple(f"{name[n]}: {kg.entities[n].description}" for n in ordered_nodes)
     touched = {t.subject for t in mcsg.edges} | {t.object for t in mcsg.edges}
     isolated = tuple(name[n] for n in ordered_nodes if n not in touched)
     return Prompt(instruction=load_prompt(GENERATION_PROMPT_FILE),
-                  triples_section=triples_section,
-                  descriptions_section=descriptions,
                   triples=triple_names,
+                  descriptions_section=descriptions,
                   isolated_names=isolated)
 
 
 @dataclass(frozen=True)
 class ReconstructedText:
     text: str
-    backend_used: str  # "stub" | "remote"
-    degraded: bool = False
+    degraded: bool = False  # the remote reply was empty and the offline template ran
 
 
 class StubGenerator:
@@ -84,7 +81,7 @@ class StubGenerator:
         clauses = [f"{_name_phrase(s)} {verbalize_relation(r)} {_name_phrase(o)}"
                    for s, r, o in prompt.triples]
         clauses += [_name_phrase(n) for n in prompt.isolated_names]
-        return ReconstructedText(text="; ".join(clauses) + ".", backend_used="stub")
+        return ReconstructedText(text="; ".join(clauses) + ".")
 
 
 class HttpGenerator:
@@ -99,9 +96,8 @@ class HttpGenerator:
         from .remote import chat_completion
         reply = chat_completion(self.config, prompt.render()).strip()
         if not reply:
-            degraded = self._fallback.generate(prompt)
-            return ReconstructedText(text=degraded.text, backend_used="stub", degraded=True)
-        return ReconstructedText(text=reply, backend_used="remote")
+            return ReconstructedText(text=self._fallback.generate(prompt).text, degraded=True)
+        return ReconstructedText(text=reply)
 
 
 ENRICH_ENTITY_PROMPT_FILE = "enrich_entity_v1.txt"

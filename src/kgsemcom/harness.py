@@ -23,8 +23,7 @@ import numpy as np
 
 from . import kg as kgmod
 from .embedding import EmbeddingIndex, TrigramEmbedder
-from .extraction import (ExtractionConfig, HttpSelector, SelectedEntities, StubSelector,
-                         extract_trace)
+from .extraction import ExtractionConfig, HttpSelector, StubSelector, extract_trace
 from .generation import HttpGenerator, StubGenerator, build_prompt
 from .importance import ImportanceConfig, ThresholdPolicy, importance_scores, partition_uep
 from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, HuffmanTable,
@@ -36,7 +35,8 @@ from .semgraph import Mcsg, build_mcsg, one_hop, reconstruct
 SCHEMES = ("kgrag", "huffman_baseline", "ascii")
 
 # most generated texts a context keeps; past it the oldest entry goes first.
-# A benchmark sweep fills at most 1,068 (large_kg), so none of its hits is lost.
+# A seed-0 benchmark sweep fills 167 (fixture_sweep) or 495 (large_kg), so
+# none of its hits is lost.
 GENERATION_CACHE_SIZE = 2048
 
 CSV_COLUMNS = ("record_type", "sentence_id", "snr_db", "scheme", "trial", "seed",
@@ -90,8 +90,7 @@ class SweepConfig:
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
         self.snr_grid = [_number("snr_grid", v) for v in _list("snr_grid", self.snr_grid)]
-        if len(set(self.snr_grid)) < len(self.snr_grid):  # 0.0 == -0.0, so both count once
-            raise ValueError(f"snr_grid repeats a value: {self.snr_grid!r}")
+        check_snr_grid("snr_grid", self.snr_grid)
         for name, low in (("seed", 0), ("trials_per_point", 1), ("top_k", 1),
                           ("max_selected", 1), ("embedding_dim", 1)):
             value = getattr(self, name)
@@ -166,9 +165,11 @@ def semantic_similarity(a: str, b: str, embedder) -> float:
 
 @dataclass
 class SentenceAnalysis:
-    selected: SelectedEntities
+    """A sentence's transmitter-side state: the one-hop subgraph of its
+    selected entities, whose ``seed_nodes`` are those entities and the ids
+    sent, and the seeds' importance rows in it (``importance_scores``)."""
     mcsg: Mcsg
-    table: dict[kgmod.NodeId, tuple[int, float, float]]  # importance_scores: the seeds' rows
+    table: dict[kgmod.NodeId, tuple[int, float, float]]
 
 
 def select_backends(extract_backend: str, generate_backend: str) -> tuple[object, object]:
@@ -238,8 +239,7 @@ class PipelineContext:
     def analyze(self, sentence: str) -> SentenceAnalysis:
         trace = extract_trace(sentence, self.kg, self.index, self.extraction)
         mcsg = build_mcsg(trace.selected.ids, self.kg)
-        return SentenceAnalysis(trace.selected, mcsg,
-                                importance_scores(mcsg, self.importance_config))
+        return SentenceAnalysis(mcsg, importance_scores(mcsg, self.importance_config))
 
     def send_frame(self, analysis: SentenceAnalysis, snr_db: float) -> TransmissionFrame:
         """The one sender: the wire frame of a sentence's seeds at ``snr_db``.
@@ -349,9 +349,9 @@ def _send_kgrag(ctx: PipelineContext, sentence: str, points: list[Point]) -> lis
     every point, and ``ctx.receive`` once per distinct set of valid seeds
     the sentence's receptions hold."""
     analysis = ctx.analyze(sentence)
-    if not analysis.selected.ids:
+    if not analysis.mcsg.seed_nodes:
         return [((0, 0, 0, 0), [("", "empty_selection", 0)] * len(seeds)) for _, seeds in points]
-    n_selected, n_mcsg = len(analysis.selected.ids), len(analysis.mcsg.nodes)
+    n_selected, n_mcsg = len(analysis.mcsg.seed_nodes), len(analysis.mcsg.nodes)
     frames = [_attempt(ctx.send_frame, analysis, snr_db) for snr_db, _ in points]
     sent = [(frame, ChannelConfig(snr_db, seed))
             for (snr_db, seeds), frame in zip(points, frames)
@@ -481,9 +481,8 @@ def run_sweep(config: SweepConfig, ctx: PipelineContext | None = None) -> list[E
 def _sweep(ctx: PipelineContext, grid: list[float], trials: int, seed: int,
            schemes: Sequence[str]) -> list[ExperimentRecord]:
     """The one sweep loop behind ``run_sweep`` and ``baseline_records``. A
-    repeated SNR would repeat its report rows, so it raises ValueError."""
-    if len(set(grid)) < len(grid):  # 0.0 == -0.0, so both count once
-        raise ValueError(f"snr grid repeats a value: {grid!r}")
+    repeated SNR label would merge report rows, so it raises ValueError."""
+    check_snr_grid("snr grid", grid)
     schemes = [s for s in SCHEMES if s in schemes]
     shape = (len(grid), trials, len(schemes))
     snr_index, trial_index, scheme_index = np.indices(shape).reshape(3, -1)
@@ -514,6 +513,14 @@ def _fmt_float(x: float) -> str:
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     return f"{x:.6f}".rstrip("0").rstrip(".") if x != int(x) else str(int(x))
+
+
+def check_snr_grid(name: str, grid: Sequence[float]) -> None:
+    """Raise ValueError if two SNRs of ``grid`` share a report label, as 0.0
+    and -0.0 do, or 0 and 1e-7 (both "0"): their rows would be one point."""
+    labels = [_fmt_float(x) for x in grid]
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"{name} repeats a value as the report labels it: {' '.join(labels)}")
 
 
 def render_report(records: list[ExperimentRecord], snr_grid: list[float]) -> str:

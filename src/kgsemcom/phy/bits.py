@@ -1,5 +1,6 @@
 """Bit-level helpers. Bitstreams are 1-D numpy uint8 arrays of 0/1 values,
-most significant bit first."""
+most significant bit first. ``ids_to_bits`` writes W-bit words; their one
+reader is ``frame.parse_streams``."""
 
 import numpy as np
 
@@ -29,18 +30,3 @@ def ids_to_bits(ids, width: int) -> Bits:
         raise ValueError(f"ids must fit in {width} bits")
     return np.unpackbits(ids.astype(">u8").view(np.uint8)).reshape(-1, 64)[:, 64 - width:].ravel()
 
-
-def bits_to_ids(bits: Bits, width: int) -> list[int]:
-    """Parse as many whole ``width``-bit big-endian words as available."""
-    return bits_to_id_rows(np.reshape(bits, (1, -1)), width)[0].tolist()
-
-
-def bits_to_id_rows(rows: np.ndarray, width: int) -> np.ndarray:
-    """``bits_to_ids`` of each row of a (R, n) bit array, as one (R, n // width)
-    big-endian uint64 array."""
-    check_width(width)
-    n_rows, n = rows.shape
-    k = n // width
-    words = np.zeros((n_rows, k, 64), dtype=np.uint8)
-    words[:, :, 64 - width:] = rows[:, :k * width].reshape(n_rows, k, width)
-    return np.packbits(words, axis=2).view(">u8").reshape(n_rows, k)

@@ -115,8 +115,3 @@ def _traceback(choice: np.ndarray) -> np.ndarray:
             state = (state & 31) << 1 | flat[i * NSTATES + state]
     return np.frombuffer(bits, dtype=np.uint8).reshape(B, T)
 
-
-def viterbi_decode(received: Bits) -> Bits:
-    """Decode one frame of coded_length(L) hard bits back to L info bits."""
-    received = as_bits(received)
-    return viterbi_decode_frames(received.reshape(1, -1))[0]

@@ -10,15 +10,16 @@ classes. The protected ids form the coded stream, which the link encodes with th
 unprotected ids travel as a second, uncoded stream. A stream is its W-bit words
 and nothing else: its length gives the id count, so no header is sent. This
 module is the one place the layout and its size (``payload_bits``) live.
-``parse_streams`` is the one parser: it reads a (rows, bits) array of received
-streams at once, and ``parse_coded_stream`` is its one-row case.
+``parse_streams`` is the one parser of W-bit words: it reads a (rows, bits)
+array of received streams at once, and ``parse_coded_stream`` is its one-row
+case.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import Bits, bits_to_id_rows, check_width, ids_to_bits
+from .bits import Bits, check_width, ids_to_bits
 
 
 def payload_bits(n_ids: int, width: int) -> int:
@@ -50,8 +51,14 @@ def serialize_frame(frame: TransmissionFrame) -> tuple[Bits, Bits]:
 def parse_streams(rows: np.ndarray, width: int) -> np.ndarray:
     """The ids of each row of a (R, n) array of received streams, coded or
     uncoded, as a (R, n // W) array: every whole W-bit word. Never raises on
-    corruption; a trailing partial word is dropped."""
-    return bits_to_id_rows(rows, width)
+    corruption; a trailing partial word is dropped. The words are big-endian
+    and come back as uint64."""
+    check_width(width)
+    n_rows, n = rows.shape
+    k = n // width
+    words = np.zeros((n_rows, k, 64), dtype=np.uint8)
+    words[:, :, 64 - width:] = rows[:, :k * width].reshape(n_rows, k, width)
+    return np.packbits(words, axis=2).view(">u8").reshape(n_rows, k)
 
 
 def parse_coded_stream(bits: Bits, width: int) -> tuple[int, ...]:

@@ -23,9 +23,6 @@ _STEPS_PER_STATE = 16 + 2
 class HuffmanTable:
     codes: dict  # symbol (str of length 1) -> (length, value)
 
-    def lengths(self) -> dict:
-        return {sym: lv[0] for sym, lv in self.codes.items()}
-
     @cached_property
     def _codewords(self) -> dict:
         """symbol -> its codeword as a '0'/'1' string, MSB first."""

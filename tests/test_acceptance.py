@@ -305,7 +305,7 @@ def test_criterion_6_similarity_trend_and_noiseless_recovery(capsys, sample_kg,
     exact_recoveries = 0
     for sentence in sample_corpus:
         analysis = ctx.analyze(sentence)
-        if not analysis.selected.ids:
+        if not analysis.mcsg.seed_nodes:
             continue
         result = transmit(ctx.send_frame(analysis, math.inf), ChannelConfig(math.inf, 0))
         recon, _, _ = ctx.receive(ctx.received_ids(result))
@@ -494,7 +494,7 @@ def test_criterion_12_exact_mentions_are_selected(capsys, tmp_path):
         ctx = PipelineContext.from_config(SweepConfig(kg_path=kg_path, corpus_path=corpus_path))
         named = found = empty = 0
         for sentence in ctx.corpus:
-            selected = set(ctx.analyze(sentence).selected.ids)
+            selected = set(ctx.analyze(sentence).mcsg.seed_nodes)
             exact = {ctx.kg.id_of(m.surface) for m in recognize(sentence, ctx.kg)} - {None}
             named += len(exact)
             found += len(exact & selected)

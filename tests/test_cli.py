@@ -544,6 +544,27 @@ def test_repeated_snr_is_rejected(capsys, tmp_path, sample_kg_path, sample_corpu
     assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("snrs", [["0", "1e-7"], ["-0.000000001", "-0.000000002"],
+                                  ["2", "2.0000001"]],
+                         ids=["0-1e-7", "minus0-minus0", "2-2.0000001"])
+def test_snrs_that_share_a_report_label_are_rejected(capsys, tmp_path, sample_kg_path,
+                                                      sample_corpus_path, snrs):
+    # both values would be written with one snr_db label, so their summary rows
+    # and cumulative blocks would read as one point repeated
+    payload = _error(capsys, ["baseline", "--corpus", str(sample_corpus_path),
+                              "--out", str(tmp_path / "o.csv"), "--snr", *snrs])
+    assert payload["error"] == "usage"
+    assert "--snr repeats a value" in payload["message"]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"kg_path": str(sample_kg_path),
+                               "corpus_path": str(sample_corpus_path),
+                               "snr_grid": [float(s) for s in snrs]}), encoding="utf-8")
+    payload = _error(capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")])
+    assert payload["error"] == "config"
+    assert "snr_grid repeats a value" in payload["message"]
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "s.csv").exists()
+
+
 # -- parser-level errors -----------------------------------------------------------
 
 def test_missing_required_argument(capsys, sample_kg_path):

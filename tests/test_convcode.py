@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kgsemcom.phy import conv_encode, viterbi_decode
+from kgsemcom.phy import conv_encode
 from kgsemcom.phy.convcode import TAIL, _BLOCK, conv_encode_frames, viterbi_decode_frames
 from kgsemcom.phy.qam import ChannelConfig, awgn, qam16_demodulate, qam16_modulate
 
@@ -84,7 +84,7 @@ def test_batch_encode_matches_single():
 def test_noiseless_roundtrip_hundred_thousand_bits():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(45)))
     info = rng.integers(0, 2, size=100_000, dtype=np.uint8)
-    assert np.array_equal(viterbi_decode(conv_encode(info)), info)
+    assert np.array_equal(viterbi_decode_frames(conv_encode(info).reshape(1, -1))[0], info)
 
 
 def test_single_flip_anywhere_in_200_bit_codeword_corrected():
@@ -103,14 +103,14 @@ def test_batch_decode_matches_single_decode():
     coded = rng.integers(0, 2, size=(8, 2 * (30 + 6)), dtype=np.uint8)
     batch = viterbi_decode_frames(coded)
     for row in range(8):
-        assert np.array_equal(batch[row], viterbi_decode(coded[row]))
+        assert np.array_equal(batch[row], viterbi_decode_frames(coded[row:row + 1])[0])
 
 
 def test_malformed_lengths_rejected():
     with pytest.raises(ValueError):
-        viterbi_decode(np.zeros(13, dtype=np.uint8))  # odd
+        viterbi_decode_frames(np.zeros((1, 13), dtype=np.uint8))  # odd
     with pytest.raises(ValueError):
-        viterbi_decode(np.zeros(10, dtype=np.uint8))  # shorter than the tail
+        viterbi_decode_frames(np.zeros((1, 10), dtype=np.uint8))  # shorter than the tail
 
 
 def test_non_binary_values_rejected():
@@ -120,12 +120,12 @@ def test_non_binary_values_rejected():
         viterbi_decode_frames(coded)
     with pytest.raises(ValueError):
         viterbi_decode_frames(-np.ones((1, 20), dtype=np.int8))
-    # the single-stream decoder rejects the same values the batch decoder
-    # does, instead of wrapping 256 into a 0
-    received = np.zeros(2 * (10 + 6), dtype=np.int64)
-    received[5] = 256
+    # values are checked before the int8 cast, so 256 is rejected instead of
+    # wrapping into a 0
+    received = np.zeros((1, 2 * (10 + 6)), dtype=np.int64)
+    received[0, 5] = 256
     with pytest.raises(ValueError):
-        viterbi_decode(received)
+        viterbi_decode_frames(received)
 
 
 # -- the butterfly decoder against the gather/argmin kernel it replaced ----------------
@@ -241,7 +241,7 @@ def test_coded_beats_uncoded_at_four_db():
     info = rng.integers(0, 2, size=100_000, dtype=np.uint8)
     coded = conv_encode(info)
     rx = qam16_demodulate(awgn(qam16_modulate(coded), ChannelConfig(4.0, 1234)))
-    coded_ber = float(np.mean(viterbi_decode(rx) != info))
+    coded_ber = float(np.mean(viterbi_decode_frames(rx.reshape(1, -1))[0] != info))
     plain = rng.integers(0, 2, size=100_000, dtype=np.uint8)
     rx_plain = qam16_demodulate(awgn(qam16_modulate(plain), ChannelConfig(4.0, 5678)))
     uncoded_ber = float(np.mean(rx_plain != plain))

@@ -248,8 +248,8 @@ def test_no_embedding_path_draws_a_random_generator(monkeypatch, sample_kg):
     emb.embed_one("Alan Bean walked on the Moon")
     emb.embed(["Pete Conrad", "Surveyor Crater", ""])
     index = EmbeddingIndex.build(sample_kg, emb)
-    index.entities(index.community_ids)  # every entity row, embedded on demand
-    assert sum(index.community_size(c) for c in index.community_ids) == len(sample_kg)
+    rows = index.entities(index.community_ids)  # every entity row, embedded on demand
+    assert sum(len(ids) for ids, _ in rows) == len(sample_kg)
 
 
 # -- index construction -------------------------------------------------------
@@ -267,10 +267,11 @@ def _random_kg(rng, n_communities=5, members_per=10):
     return ingest(records)
 
 
-def test_every_entity_indexed_exactly_once(sample_kg, sample_index):
-    total = sum(sample_index.community_size(c) for c in sample_index.community_ids)
-    assert total == len(sample_kg)
-    assert sorted(sample_index.community_ids) == sorted(sample_kg.communities)
+def test_every_entity_indexed_exactly_once(sample_kg, embedder):
+    index = EmbeddingIndex.build(sample_kg, embedder)  # a fresh one: this embeds it whole
+    ids = [i for members, _ in index.entities(index.community_ids) for i in members]
+    assert sorted(ids) == sorted(sample_kg.entities)
+    assert sorted(index.community_ids) == sorted(sample_kg.communities)
 
 
 def test_best_community_exact_match_wins(sample_kg, sample_index, embedder):
@@ -324,7 +325,7 @@ def test_top_k_member_text_scores_one(sample_kg, sample_index, embedder):
 
 def test_top_k_larger_than_community_returns_all(sample_index, embedder):
     cid = sample_index.community_ids[0]
-    size = sample_index.community_size(cid)
+    size = len(sample_index.entities([cid])[0][0])
     ranked = sample_index.top_k_in_community(cid, embedder.embed_one("probe"), k=size + 50)
     assert len(ranked) == size
     sims = [s for _, s in ranked]

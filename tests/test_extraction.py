@@ -142,19 +142,15 @@ def test_expand_provenance_keeps_best_similarity(sample_kg, sample_index, embedd
 
 
 def test_expand_search_space_reduction_counters(sample_kg, sample_index, embedder):
-    sample_index.reset_counts()
+    before = dict(sample_index.eval_counts)
     surfaces = ["Alan Bean", "Koh-i-Noor", "Flying Scotsman"]
     mentions = [Mention(s, 0, len(s)) for s in surfaces]
     cset = expand(mentions, sample_index, embedder, k=3)
+    evals = {kind: n - before[kind] for kind, n in sample_index.eval_counts.items()}
     routed = [community for _, community, _ in cset.per_mention]
-    expected_entity_evals = sum(sample_index.community_size(c) for c in routed)
-    assert sample_index.eval_counts["entity"] == expected_entity_evals
-    assert (sample_index.eval_counts["community"]
-            == len(mentions) * len(sample_kg.communities))
-    total = (sample_index.eval_counts["entity"]
-             + sample_index.eval_counts["community"])
-    assert total < len(mentions) * len(sample_kg)
-    sample_index.reset_counts()
+    assert evals["entity"] == sum(len(ids) for ids, _ in sample_index.entities(routed))
+    assert evals["community"] == len(mentions) * len(sample_kg.communities)
+    assert evals["entity"] + evals["community"] < len(mentions) * len(sample_kg)
 
 
 def test_expand_embeds_a_sentences_mentions_in_one_call(sample_kg, sample_corpus,

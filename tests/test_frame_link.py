@@ -19,8 +19,9 @@ from kgsemcom.phy import (
     transmit_many,
 )
 from kgsemcom.phy import link
-from kgsemcom.phy.bits import as_bits, bits_to_ids, ids_to_bits
+from kgsemcom.phy.bits import as_bits, ids_to_bits
 from kgsemcom.phy.convcode import coded_length, conv_encode_frames
+from kgsemcom.phy.frame import parse_streams
 
 
 # -- frame ---------------------------------------------------------------------
@@ -40,7 +41,7 @@ def test_serialize_sends_only_the_id_words():
     # no counts: each stream is its ids as big-endian W-bit words
     coded, uncoded = serialize_frame(TransmissionFrame((5,), (1, 2, 3), 7))
     assert list(coded) == [0] * 4 + [1, 0, 1]
-    assert bits_to_ids(uncoded, 7) == [1, 2, 3]
+    assert parse_coded_stream(uncoded, 7) == (1, 2, 3)
 
 
 def test_frame_validation():
@@ -99,11 +100,12 @@ def test_bits_helpers_roundtrip():
     assert list(ids_to_bits([0xBEEF], 16)) == beef
     assert list(ids_to_bits([0xBEEF], 20)) == [0] * 4 + beef
     for width in (32, 33, 64):
-        ids = [0, 1, 2**32 - 1]
-        assert bits_to_ids(ids_to_bits(ids, width), width) == ids
-        assert bits_to_ids(ids_to_bits(ids, width)[:-1], width) == ids[:2]  # partial word dropped
-    assert bits_to_ids(ids_to_bits([0, 5, 127], 7), 7) == [0, 5, 127]
-    assert bits_to_ids(np.zeros(0, dtype=np.uint8), 7) == []
+        ids = (0, 1, 2**32 - 1)
+        assert parse_coded_stream(ids_to_bits(ids, width), width) == ids
+        # a trailing partial word is dropped
+        assert parse_coded_stream(ids_to_bits(ids, width)[:-1], width) == ids[:2]
+    assert parse_coded_stream(ids_to_bits([0, 5, 127], 7), 7) == (0, 5, 127)
+    assert parse_coded_stream(np.zeros(0, dtype=np.uint8), 7) == ()
     assert len(ids_to_bits([], 7)) == 0
     with pytest.raises(ValueError, match="fit in 7 bits"):
         ids_to_bits([128], 7)
@@ -116,7 +118,7 @@ def test_word_widths_outside_one_to_sixty_four_rejected(width):
     with pytest.raises(ValueError, match="1..64"):
         ids_to_bits([5], width)
     with pytest.raises(ValueError, match="1..64"):
-        bits_to_ids(np.zeros(140, dtype=np.uint8), width)
+        parse_streams(np.zeros((1, 140), dtype=np.uint8), width)
     with pytest.raises(ValueError, match="1..64"):
         TransmissionFrame((3,), (), width)
 

@@ -26,7 +26,6 @@ def _mcsg(kg, ids, keep_all=True):
 def test_prompt_single_triple_structure():
     kg = tiny_kg(triples=("A r B",))
     prompt = build_prompt(_mcsg(kg, [0, 1]), kg)
-    assert prompt.triples_section == ("A -r-> B",)
     assert prompt.descriptions_section == ("A: ", "B: ")
     assert prompt.triples == (("A", "r", "B"),)
     assert prompt.isolated_names == ()
@@ -57,7 +56,9 @@ def test_prompt_sections_cover_subgraph(sample_kg):
     mcsg = _mcsg(sample_kg, [2, 3, 5, 11, 12])
     prompt = build_prompt(mcsg, sample_kg)
     assert len(prompt.descriptions_section) == len(mcsg.nodes)
-    assert len(prompt.triples_section) == len(mcsg.edges)
+    facts = prompt.render().partition("\n\nFacts:\n")[2].partition("\n\nEntity")[0]
+    assert facts.splitlines() == [f"- {s} -{r}-> {o}" for s, r, o in prompt.triples]
+    assert len(prompt.triples) == len(mcsg.edges)
     assert list(prompt.triples) == sorted(prompt.triples)
     for nid in sorted(mcsg.nodes):
         name = sample_kg.entities[nid].name
@@ -90,7 +91,6 @@ def test_stub_verbalizes_single_triple():
     kg = tiny_kg(triples=("Alan_Bean birthPlace Wheeler",))
     result = StubGenerator().generate(build_prompt(_mcsg(kg, [0, 1]), kg))
     assert result.text == "Alan Bean birth place Wheeler."
-    assert result.backend_used == "stub"
     assert not result.degraded
 
 
@@ -139,7 +139,6 @@ def test_http_generator_returns_trimmed_reply(monkeypatch, sample_kg):
     prompt = build_prompt(_mcsg(sample_kg, [2, 3]), sample_kg)
     result = HttpGenerator(config=None).generate(prompt)
     assert result.text == "Alan Bean flew on the second lunar landing."
-    assert result.backend_used == "remote"
     assert not result.degraded
     assert calls == [prompt.render()]
 
@@ -148,7 +147,6 @@ def test_http_generator_empty_reply_falls_back(monkeypatch, sample_kg):
     monkeypatch.setattr(kgsemcom.remote, "chat_completion", lambda cfg, p: "   \n")
     prompt = build_prompt(_mcsg(sample_kg, [2, 3]), sample_kg)
     result = HttpGenerator(config=None).generate(prompt)
-    assert result.backend_used == "stub"
     assert result.degraded
     assert result.text == StubGenerator().generate(prompt).text
 

@@ -28,7 +28,6 @@ from kgsemcom.harness import (
     semantic_similarity,
     write_report,
 )
-from kgsemcom.extraction import SelectedEntities
 from kgsemcom.importance import importance_scores, partition_uep
 from kgsemcom.kg import ingest
 from kgsemcom.semgraph import build_mcsg
@@ -64,7 +63,7 @@ def test_count_bits_ascii(ctx, sample_corpus):
 def test_count_bits_kgrag(ctx, sample_corpus):
     sentence = sample_corpus[0]
     analysis = ctx.analyze(sentence)
-    assert len(analysis.selected.ids) < len(analysis.mcsg.nodes)
+    assert len(analysis.mcsg.seed_nodes) < len(analysis.mcsg.nodes)
     for snr_db in (0.0, 12.0):
         record = run_pipeline(ctx, sentence, 0, snr_db, seed=1)
         protected, unprotected = partition_uep(analysis.table, snr_db, ctx.importance_config)
@@ -192,9 +191,8 @@ def test_run_pipeline_no_noise_full_recovery(ctx, sample_corpus):
 
 def _analysis_of(ctx, seeds) -> harness.SentenceAnalysis:
     """What ``ctx.analyze`` gives a sentence that selects ``seeds``."""
-    selected = SelectedEntities(ids=tuple(seeds))
-    mcsg = build_mcsg(selected.ids, ctx.kg)
-    return harness.SentenceAnalysis(selected, mcsg, importance_scores(mcsg, ctx.importance_config))
+    mcsg = build_mcsg(seeds, ctx.kg)
+    return harness.SentenceAnalysis(mcsg, importance_scores(mcsg, ctx.importance_config))
 
 
 @pytest.mark.parametrize("n, width", [(127, 7), (128, 7), (129, 8), (1, 1)])
@@ -252,11 +250,11 @@ def _assert_noiseless_seeds_only(ctx) -> int:
     checked = 0
     for sentence in ctx.corpus:
         analysis = ctx.analyze(sentence)
-        if not analysis.selected.ids:
+        if not analysis.mcsg.seed_nodes:
             continue
         frame = ctx.send_frame(analysis, math.inf)
         assert (sorted(frame.protected_ids + frame.unprotected_ids)
-                == sorted(rank_of[n] for n in analysis.selected.ids))
+                == sorted(rank_of[n] for n in analysis.mcsg.seed_nodes))
         received = ctx.received_ids(transmit(frame, ChannelConfig(math.inf, 0)))
         recon, text, flags = ctx.receive(received)
         assert recon == analysis.mcsg
@@ -409,9 +407,31 @@ def test_sweep_config_validation(sample_kg_path, sample_corpus_path):
                       ("kg_path", 5), ("snr_grid", [math.nan]), ("schemes", ()),
                       ("keep_all_components", "no"), ("snr_grid", ["x"]),
                       ("snr_grid", 5), ("threshold_policy", [[1]]), ("schemes", "kgrag"),
-                      ("alpha", "x"), ("snr_grid", [4.0, 4.0]), ("snr_grid", [0.0, -0.0])):
+                      ("alpha", "x"), ("snr_grid", [4.0, 4.0]), ("snr_grid", [0.0, -0.0]),
+                      ("snr_grid", [0.0, 1e-7])):
         with pytest.raises(ValueError, match=name):
             SweepConfig(**{**paths, name: bad})
+
+
+def test_every_sweep_config_field_reaches_the_context(tmp_path):
+    # two disconnected pairs, A-B and C-D: a reception of A and C spans both
+    kg_path, corpus_path = tmp_path / "kg.tsv", tmp_path / "corpus.txt"
+    tiny_kg(triples=("A r B", "C s D")).dump(kg_path)
+    corpus_path.write_text("A met C.\n", encoding="utf-8")
+    paths = dict(kg_path=str(kg_path), corpus_path=str(corpus_path))
+    policy = ((0.0, 0.1), (6.0, 0.3), (20.0, 0.9))
+    ctx = PipelineContext.from_config(SweepConfig(
+        **paths, alpha=0.25, threshold_policy=policy, top_k=5, max_selected=2,
+        embedding_dim=64, keep_all_components=True))
+    assert ctx.importance_config.alpha == 0.25
+    assert ctx.importance_config.threshold_policy.points == policy
+    assert (ctx.extraction.top_k, ctx.extraction.max_selected) == (5, 2)
+    assert ctx.embedder.dim == ctx.index.dim == 64
+    assert ctx.keep_all_components
+    assert ctx.receive([0, 2])[0].nodes == {0, 1, 2, 3}
+    default = PipelineContext.from_config(SweepConfig(**paths))
+    assert not default.keep_all_components
+    assert default.receive([0, 2])[0].nodes == {0, 1}  # the tie goes to the smaller id
 
 
 def test_sweep_config_from_json(tmp_path, sample_kg_path, sample_corpus_path):
@@ -724,12 +744,22 @@ def test_baseline_records_flag_a_failing_stage_and_keep_going(sample_corpus, mon
             assert got == want
 
 
-@pytest.mark.parametrize("grid", [[4.0, 4.0], [0.0, -0.0], [math.inf, 2.0, math.inf]],
-                         ids=["4-4", "0-minus0", "inf-2-inf"])
+@pytest.mark.parametrize("grid", [[4.0, 4.0], [0.0, -0.0], [math.inf, 2.0, math.inf],
+                                  [0.0, 1e-7], [-1e-9, -2e-9], [2.0, 2.0000001]],
+                         ids=["4-4", "0-minus0", "inf-2-inf",
+                              "0-1e-7", "minus0-minus0", "2-2.0000001"])
 def test_baseline_records_reject_a_repeated_snr(sample_corpus, grid):
-    # a repeated point would write its summary rows and cumulative blocks twice
+    # a repeated point would write its summary rows and cumulative blocks twice,
+    # and so would unequal values the report labels alike ("0", "-0", "2")
     with pytest.raises(ValueError, match="repeats a value"):
         baseline_records(sample_corpus[:2], grid)
+
+
+def test_snrs_with_distinct_labels_keep_their_rows(sample_corpus):
+    grid = [0.0, 1e-6, -1e-9]  # "0", "0.000001" and "-0"
+    report = render_report(baseline_records(sample_corpus[:2], grid), grid)
+    summaries = [row for row in csv.reader(io.StringIO(report)) if row[0] == "summary"]
+    assert [row[2] for row in summaries] == ["0", "0", "0.000001", "0.000001", "-0", "-0"]
 
 
 # -- CSV reports -------------------------------------------------------------------
@@ -818,7 +848,7 @@ def test_each_communitys_entities_are_embedded_at_most_once(synth_config, monkey
     assert embedded and max(embedded.values()) == 1
     # whole communities only: every member of a community once some member is
     routed = {community_of[t] for t in embedded}
-    assert len(embedded) == sum(ctx.index.community_size(c) for c in routed)
+    assert len(embedded) == sum(len(ids) for ids, _ in ctx.index.entities(routed))
     assert len(routed) < len(ctx.kg.communities)
 
 

@@ -258,7 +258,7 @@ def test_record_path_never_scans_the_whole_graph(sample_kg_path, sample_corpus):
     record = run_pipeline(ctx, sample_corpus[0], 0, 6.0, seed=5)
     assert record.n_selected > 0
     assert "error" not in record.flags
-    mcsg = build_mcsg(ctx.analyze(sample_corpus[0]).selected.ids, kg)
+    mcsg = ctx.analyze(sample_corpus[0]).mcsg
     assert mcsg.edges
     for keep_all in (False, True):
         assert reconstruct(mcsg.nodes, kg, keep_all).nodes == mcsg.nodes
