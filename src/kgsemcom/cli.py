@@ -36,14 +36,21 @@ class CliError(Exception):
         self.kind = kind
 
 
+# a minus sign and then any literal float() reads: -3, -.5, -1e-3, -1_000, -inf, -nan
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"^-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:e[+-]?{_DIGITS})?"
+    r"|inf(?:inity)?|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems as the JSON error line, and reads
-    -inf like -3: as a value, not an option."""
+    every negative float literal (-1e-3, -inf) like -3: as a value, not an
+    option."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        number = self._negative_number_matcher.pattern
-        self._negative_number_matcher = re.compile(rf"{number}|^-inf(inity)?$", re.IGNORECASE)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise CliError("usage", message)

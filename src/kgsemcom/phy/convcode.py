@@ -1,14 +1,19 @@
-"""Terminated convolutional code, constraint length K = 7, with maximum-
-likelihood Viterbi decoding. ``GENERATORS`` is the code (rate 1/2 today): each
-trellis step emits one bit per generator, in tuple order, and a generator's
-top bit multiplies the newest input. The encoder appends TAIL zero bits, so L
-info bits make ``coded_length(L)`` coded bits, the one size formula.
+"""Terminated convolutional code, constraint length K = 7, punctured to rate
+2/3, with maximum-likelihood Viterbi decoding of soft bit metrics.
+``GENERATORS`` is the mother code (rate 1/2): each trellis step emits one bit
+per generator, in tuple order, and a generator's top bit multiplies the
+newest input. The encoder appends TAIL zero bits and then sends only the
+positions ``PUNCTURE`` keeps, the pattern repeated over the whole interleaved
+output, tail included. So L info bits make ``coded_length(L)`` coded bits,
+the one size formula, and an empty frame sends nothing.
 
-The decoder's core takes one int8 metric per coded bit, positive for a 0. A
-branch costs sum_g metric_g * sign_g, sign_g being +1 where the branch emits a
-1 on generator g and -1 where it emits a 0. Hard bits r enter as 1 - 2r, so a
-branch costs 2 * Hamming - len(GENERATORS): an affine map of the Hamming
-metric, exact ML for hard decisions.
+The decoder takes one int8 metric per sent bit, positive for a 0, at most
+``METRIC_MAX`` in size, and puts a zero metric (an erasure) back at each
+punctured position. A branch costs sum_g metric_g * sign_g, sign_g being +1
+where the branch emits a 1 on generator g and -1 where it emits a 0, so the
+least-cost path is the maximum-likelihood word for max-log bit metrics. Hard
+bits r enter as 1 - 2r; a branch then costs 2 * Hamming minus the step's kept
+bits, an affine map of the Hamming metric, exact ML for hard decisions.
 
 It is batched over frames and runs as a radix-2 butterfly. State ``b<<5 | m``
 (newest input in the MSB) has the predecessors ``m<<1 | j``, so the 64 path
@@ -25,10 +30,19 @@ import numpy as np
 from .bits import Bits, as_bits
 
 GENERATORS = (0o171, 0o133)
+# kept (1) and punctured (0) positions of the interleaved output, repeated:
+# the standard rate-2/3 matrix [[1, 1], [1, 0]] over two trellis steps
+PUNCTURE = (1, 1, 1, 0)
+METRIC_MAX = 120 // len(GENERATORS)  # so a branch's int8 sum cannot overflow
 K = 7
 NSTATES = 64
 TAIL = K - 1
 _BLOCK = 1024  # frames x trellis steps per block: 0.5 MB of int32 candidates
+
+_PERIOD_STEPS = len(PUNCTURE) // len(GENERATORS)
+# _KEPT[s]: bits kept by the first s steps of a puncturing period
+_KEPT = [sum(PUNCTURE[:len(GENERATORS) * s]) for s in range(_PERIOD_STEPS)]
+_PUNCTURE_MASK = np.array(PUNCTURE, dtype=bool)
 
 # _SIGNS[g, b, m, j]: +1 where generator g emits a 1 from register b<<6 | m<<1 | j, else -1
 _SIGNS = np.array([[(bin(reg & g).count("1") & 1) * 2 - 1 for reg in range(2 * NSTATES)]
@@ -36,8 +50,16 @@ _SIGNS = np.array([[(bin(reg & g).count("1") & 1) * 2 - 1 for reg in range(2 * N
 
 
 def coded_length(n_info: int) -> int:
-    """Coded bits of a terminated frame of ``n_info`` info bits."""
-    return len(GENERATORS) * (n_info + TAIL)
+    """Coded bits sent for a terminated frame of ``n_info`` info bits."""
+    if not n_info:
+        return 0
+    periods, steps = divmod(n_info + TAIL, _PERIOD_STEPS)
+    return periods * sum(PUNCTURE) + _KEPT[steps]
+
+
+def _kept(steps: int) -> np.ndarray:
+    """Which of ``steps`` trellis steps' interleaved output bits are sent."""
+    return _PUNCTURE_MASK[np.arange(len(GENERATORS) * steps) % len(PUNCTURE)]
 
 
 def conv_encode_frames(info: np.ndarray) -> np.ndarray:
@@ -45,11 +67,19 @@ def conv_encode_frames(info: np.ndarray) -> np.ndarray:
     if info.ndim != 2:
         raise ValueError("expected a (B, L) batch")
     B, L = info.shape
+    if not L:
+        return np.zeros((B, 0), dtype=np.uint8)
+    return _mother_encode(info)[:, _kept(L + TAIL)]
+
+
+def _mother_encode(info: np.ndarray) -> np.ndarray:
+    """The unpunctured (B, len(GENERATORS) * (L + TAIL)) output of a (B, L) batch."""
+    B, L = info.shape
     T = L + TAIL
     # K-1 leading zeros as the start state, the info bits, then the zero tail
     xp = np.zeros((B, K - 1 + T), dtype=np.uint8)
     xp[:, K - 1:K - 1 + L] = info
-    out = np.zeros((B, coded_length(L)), dtype=np.uint8)
+    out = np.zeros((B, len(GENERATORS) * T), dtype=np.uint8)
     for col, g in enumerate(GENERATORS):
         for s in range(K):  # bit s of g taps the input K-1-s steps back
             if g >> s & 1:
@@ -63,22 +93,33 @@ def conv_encode(info: Bits) -> Bits:
     return conv_encode_frames(info.reshape(1, -1))[0]
 
 
-def viterbi_decode_frames(coded: np.ndarray) -> np.ndarray:
-    """Decode a (B, coded_length(L)) batch of hard 0/1 bits to (B, L) info bits."""
-    if coded.ndim != 2 or coded.shape[1] % len(GENERATORS):
-        raise ValueError(f"expected a (B, {len(GENERATORS)}T) batch")
-    if not np.all((coded == 0) | (coded == 1)):
-        raise ValueError("coded frames must hold only 0/1 values")
-    return _viterbi(1 - 2 * coded.astype(np.int8))
+def viterbi_decode_frames(metrics: np.ndarray) -> np.ndarray:
+    """Decode a (B, coded_length(L)) batch of int8 bit metrics, positive
+    favouring a 0 and at most ``METRIC_MAX`` in size, to (B, L) info bits."""
+    if metrics.ndim != 2 or metrics.dtype != np.int8:
+        raise ValueError("expected a (B, n) batch of int8 metrics")
+    if metrics.size and max(-int(metrics.min()), int(metrics.max())) > METRIC_MAX:
+        raise ValueError(f"metrics must lie within +-{METRIC_MAX}")
+    B, n = metrics.shape
+    if not n:
+        return np.zeros((B, 0), dtype=np.uint8)
+    periods, rest = divmod(n, sum(PUNCTURE))
+    if rest not in _KEPT:
+        raise ValueError(f"no frame is coded to {n} bits")
+    T = periods * _PERIOD_STEPS + _KEPT.index(rest)
+    if T <= TAIL:
+        raise ValueError("frame no longer than the termination tail")
+    full = np.zeros((B, len(GENERATORS) * T), dtype=np.int8)
+    full[:, _kept(T)] = metrics
+    return _viterbi(full)
 
 
 def _viterbi(metrics: np.ndarray) -> np.ndarray:
-    """The least-cost info bits of a (B, coded_length(L)) int8 metric batch."""
+    """The least-cost info bits of a (B, len(GENERATORS) * T) int8 metric
+    batch, every position present."""
     N = len(GENERATORS)
     B, n = metrics.shape
     T = n // N
-    if T < TAIL:
-        raise ValueError("frame shorter than the termination tail")
     # mu[t, g]: step t's metrics on generator g, a (B, 1, 1, 1) column
     mu = metrics.reshape(B, T, N, 1, 1, 1).transpose(1, 2, 0, 3, 4, 5)
     pm = np.full((B, NSTATES), 1 << 30, dtype=np.int32)
@@ -114,4 +155,3 @@ def _traceback(choice: np.ndarray) -> np.ndarray:
             bits[i] = state >> 5
             state = (state & 31) << 1 | flat[i * NSTATES + state]
     return np.frombuffer(bits, dtype=np.uint8).reshape(B, T)
-

@@ -1,10 +1,11 @@
 """End-to-end transmission of id frames: UEP channel coding, 16QAM, AWGN.
 
-The protected stream is encoded with the code ``convcode.GENERATORS`` (a frame
-with no protected id still sends its tail); the unprotected stream enters the
-channel as-is. Each distinct frame's two streams cross ``qam.channel_groups``
-(16QAM, AWGN, hard slicing) as two groups, each with the frame's rows of plain
-SNR and noise-seed values, and come back as one 2-D array per group.
+The protected stream is encoded with the punctured rate-2/3 code of
+``convcode`` (a frame with no protected id sends no coded bits); the
+unprotected stream enters the channel as-is. Each distinct frame's two streams
+cross ``qam.channel_groups`` (16QAM, AWGN) as two groups, each with the
+frame's rows of plain SNR and noise-seed values: the coded group comes back as
+soft bit metrics for the Viterbi decoder, the uncoded one as hard-sliced bits.
 ``channel_bit_cost`` sizes both from ``frame.payload_bits`` and
 ``convcode.coded_length``; nothing else restates them. The two streams see
 independent noise derived from the same 64-bit seed. The rows that send one
@@ -77,7 +78,8 @@ def transmit_many(frames: Sequence[TransmissionFrame],
     snrs_db = [[cfgs[row].snr_db for row in rows] for rows in groups.values()]
     received = channel_groups(
         [coded for _, coded, _ in sent] + [uncoded for *_, uncoded in sent], snrs_db + snrs_db,
-        [[next(keys) for _ in rows] for _ in range(2) for rows in groups.values()])
+        [[next(keys) for _ in rows] for _ in range(2) for rows in groups.values()],
+        soft=[True] * len(sent) + [False] * len(sent))
     rx_coded, rx_uncoded = received[:len(sent)], received[len(sent):]
 
     decoded: list = [None] * len(sent)

@@ -4,27 +4,30 @@ Each 4-bit group b3 b2 b1 b0 maps to one symbol: (b3, b2) pick the I level and
 (b1, b0) the Q level, per-axis Gray mapping 00 -> -3, 01 -> -1, 11 -> +1,
 10 -> +3, scaled by 1/sqrt(10) for unit average symbol energy. Demodulation
 is per-axis minimum-distance slicing straight to bits; a sample landing
-exactly on a decision boundary goes to the smaller-amplitude level.
+exactly on a decision boundary goes to the smaller-amplitude level. A group
+that asks for soft decisions gets max-log bit metrics instead (see
+``_bit_metrics``), the input of ``convcode.viterbi_decode_frames``.
 
 ``channel_groups`` is the one channel core for every scheme: it takes
 distinct streams, each with its own rows of (SNR, seed), modulates all the
 streams in one call, tiles each stream's symbols over its rows, adds one
-noise pass and slices once. ``transmit_bits`` is its one-stream case and
-``awgn`` the one-stream noise primitive. ``noise_normals`` is the one place a
-seed becomes noise: per row it draws the real parts, then the imaginary
-parts, of its seed's stream straight into two buffers, and ``_add_noise``
-scales them and adds them to the symbols in place.
+noise pass and slices once per run of hard or soft groups. ``transmit_bits``
+is its one-stream case and ``awgn`` the one-stream noise primitive.
+``noise_normals`` is the one place a seed becomes noise: per row it draws the
+real parts, then the imaginary parts, of its seed's stream straight into two
+buffers, and ``_add_noise`` scales them and adds them to the symbols in place.
 """
 
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from operator import mul
 
 import numpy as np
 
 from .bits import Bits, as_bits
+from .convcode import METRIC_MAX
 from .seeding import seed_state
 
 _SCALE = 1.0 / math.sqrt(10.0)
@@ -33,6 +36,7 @@ _LEVEL_BY_PAIR = np.array([-3.0, -1.0, 3.0, 1.0])
 # symbol by 4-bit group value b3 b2 b1 b0
 _SYMBOL_BY_NIBBLE = (_LEVEL_BY_PAIR[np.arange(16) >> 2]
                      + 1j * _LEVEL_BY_PAIR[np.arange(16) & 3]) * _SCALE
+_METRIC_STEPS = 8  # int8 metric steps per unit of the unscaled axis
 
 
 @dataclass(frozen=True)
@@ -86,19 +90,47 @@ def awgn(stream: SymbolStream, cfg: ChannelConfig) -> SymbolStream:
     return SymbolStream(symbols=symbols, pad_bits=stream.pad_bits)
 
 
+def _bit_metrics(symbols: np.ndarray) -> np.ndarray:
+    """Max-log metrics of each symbol's bits b3 b2 b1 b0, positive favouring
+    a 0, as one flat int8 array. Per unscaled axis x the sign bit's metric is
+    -x and the magnitude bit's |x| - 2: the squared distance to the nearest
+    level whose bit is 1, minus that to the nearest whose bit is 0, over 4, in
+    its per-axis linear form (max-log bit metrics, as in BICM). They are
+    ``_METRIC_STEPS`` per unit, rounded and clipped to +-METRIC_MAX. An axis
+    that is not finite (every axis at SNR -inf) is an erasure: 0."""
+    axes = symbols.view(np.float64).reshape(-1, 2)  # (I, Q) per symbol
+    out = np.empty((len(axes), 2, 2))
+    sign, magnitude = out[:, :, 0], out[:, :, 1]
+    np.multiply(axes, -_METRIC_STEPS / _SCALE, out=sign)
+    np.abs(sign, out=magnitude)
+    magnitude -= 2 * _METRIC_STEPS
+    out[~np.isfinite(out)] = 0.0
+    np.minimum(out, METRIC_MAX, out=out)
+    np.maximum(out, -METRIC_MAX, out=out)
+    return np.rint(out, out=out).astype(np.int8).reshape(-1)
+
+
 def channel_groups(streams: Sequence[Bits], snrs_db: Sequence[Sequence[float]],
-                   seeds: Sequence[Sequence[int]]) -> list[np.ndarray]:
+                   seeds: Sequence[Sequence[int]],
+                   soft: Sequence[bool] | None = None) -> list[np.ndarray]:
     """The one channel core. Group g sends ``streams[g]`` over
     ``len(snrs_db[g])`` channels and comes back as a (rows, len(streams[g]))
     uint8 array whose row r is ``qam16_demodulate(awgn(qam16_modulate(
     streams[g]), ChannelConfig(snrs_db[g][r], seeds[g][r])))``; the caller has
-    validated the SNRs and seeds. Every stream is zero-padded to whole symbols
-    in its own dtype and all are modulated in one call, whose one ``as_bits``
-    check sees every value before the cast to uint8. Each stream's symbols
-    are tiled over its rows, and one noise pass and one slice serve them all."""
+    validated the SNRs and seeds. Where ``soft[g]`` is true the group comes
+    back instead as the int8 ``_bit_metrics`` of those same noisy symbols.
+    Every stream is zero-padded to whole symbols in its own dtype and all are
+    modulated in one call, whose one ``as_bits`` check sees every value before
+    the cast to uint8. Each stream's symbols are tiled over its rows, and one
+    noise pass serves them all; each run of neighbouring hard (or soft) groups
+    is sliced (or given metrics) in one call."""
     rows = [len(group) for group in snrs_db]
     if len(streams) != len(rows) or rows != [len(group) for group in seeds]:
         raise ValueError("one SNR list per stream and one seed per SNR")
+    if soft is None:
+        soft = [False] * len(streams)
+    elif len(soft) != len(streams):
+        raise ValueError("one soft flag per stream")
     if not streams:
         return []
     lengths = [len(stream) for stream in streams]
@@ -119,9 +151,15 @@ def channel_groups(streams: Sequence[Bits], snrs_db: Sequence[Sequence[float]],
     _add_noise(symbols, [m for m, k in zip(n_symbols, rows) for _ in range(k)],
                [snr for group in snrs_db for snr in group],
                [seed for group in seeds for seed in group])
-    bits = qam16_demodulate(SymbolStream(symbols=symbols, pad_bits=0))
-    return [bits[4 * span:4 * (span + m * k)].reshape(k, 4 * m)[:, :n]
-            for span, m, k, n in zip(spans, n_symbols, rows, lengths)]
+    received = []
+    for is_soft, run in groupby(range(len(streams)), key=lambda g: soft[g]):
+        run = list(run)
+        lo, hi = spans[run[0]], spans[run[-1] + 1]
+        values = (_bit_metrics(symbols[lo:hi]) if is_soft
+                  else qam16_demodulate(SymbolStream(symbols=symbols[lo:hi], pad_bits=0)))
+        received += [values[4 * (spans[g] - lo):4 * (spans[g + 1] - lo)]
+                     .reshape(rows[g], 4 * n_symbols[g])[:, :lengths[g]] for g in run]
+    return received
 
 
 def transmit_bits(bits: Bits, cfgs: Sequence[ChannelConfig]) -> np.ndarray:

@@ -237,9 +237,10 @@ def test_send_at_minus_inf_snr_warns_nothing(sample_kg_path, sample_corpus):
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "RuntimeWarning" not in proc.stderr
-    for line in ("[5 channel] decoded info-bit errors 4/14, uncoded bit errors 0/0",
-                 "[6 receive] ids: [509, 8]",
-                 "[9 similarity] 0.1575"):
+    # every coded metric is erased, so the decoder returns the all-zero word
+    for line in ("[5 channel] decoded info-bit errors 2/14, uncoded bit errors 0/0",
+                 "[6 receive] ids: [1, 1]",
+                 "[9 similarity] 0.1598"):
         assert line in proc.stdout.splitlines()
 
 
@@ -250,7 +251,17 @@ def test_send_reads_a_bare_minus_inf_snr_as_a_value(capsys, sample_kg_path, samp
     code, spaced, _ = _run(capsys, argv + ["--snr", value])
     assert code == 0
     assert _run(capsys, argv + ["--snr=-inf"]) == (0, spaced, "")
-    assert "[9 similarity] 0.1575" in spaced.splitlines()
+    assert "[9 similarity] 0.1598" in spaced.splitlines()
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E+2"])
+def test_send_reads_a_negative_snr_in_exponent_form_as_a_value(capsys, sample_kg_path,
+                                                               sample_corpus, value):
+    argv = ["send", "--kg", str(sample_kg_path), "--sentence", sample_corpus[0], "--seed", "0"]
+    code, spaced, _ = _run(capsys, argv + ["--snr", value])
+    assert code == 0
+    assert _run(capsys, argv + [f"--snr={value}"]) == (0, spaced, "")
+    assert f"at {float(value):g} dB" in spaced
 
 
 def test_send_rejects_bad_snr(capsys, sample_kg_path):
@@ -498,6 +509,21 @@ def test_baseline_reads_minus_inf_in_an_snr_list(capsys, tmp_path, sample_corpus
     assert code == 0
     assert "wrote 8 trial records" in stdout
     grid = [0.0, -math.inf]
+    assert (out.read_text(encoding="utf-8")
+            == render_report(baseline_records(sample_corpus[:2], grid, seed=0), grid))
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E+2"])
+def test_baseline_reads_a_negative_snr_in_exponent_form_as_a_value(capsys, tmp_path,
+                                                                   sample_corpus, value):
+    corpus = tmp_path / "two.txt"
+    corpus.write_text("\n".join(sample_corpus[:2]) + "\n", encoding="utf-8")
+    out = tmp_path / "base.csv"
+    code, stdout, _ = _run(capsys, ["baseline", "--corpus", str(corpus), "--out", str(out),
+                                    "--snr", "0", value])
+    assert code == 0
+    assert "wrote 8 trial records" in stdout
+    grid = [0.0, float(value)]
     assert (out.read_text(encoding="utf-8")
             == render_report(baseline_records(sample_corpus[:2], grid, seed=0), grid))
 

@@ -12,10 +12,13 @@ from kgsemcom.harness import SweepConfig, baseline_records, render_report, run_s
 
 from kgtools import load_synthkg
 
-FIXTURE_SWEEP_SHA256 = "3a1a94d32f772927ca84469e3ee3be1988d9070c35bcd0f85796e417474d9e18"
+FIXTURE_SWEEP_SHA256 = "e297d53791334b800064cf728ef74817575bbaa6aee32da525d3858fb78f9c49"
+# the same sweep's huffman_baseline and ascii trial rows alone: a change to the
+# coded id link (decoder, code rate) must leave the text schemes untouched
+FIXTURE_TEXT_ROWS_SHA256 = "e852ba66224825167876a7826c135a9010ab52bc5c7bdb1aab5a41b20831392b"
 # sweep seed 2**40 + 3 (two 32-bit words, so six-word seed entropy), both
 # infinite SNRs, every scheme; the -inf rows are labelled "-inf"
-WIDE_SEED_SWEEP_SHA256 = "0dfb9b616efb2f06b7ade60ba48f4d8f4c3a3c949e7b38944b4ee9b5be359919"
+WIDE_SEED_SWEEP_SHA256 = "5732586a50f0487fe23667335a67e55969448d0a3fc9b878cb1779f1864edddc"
 # `kgsemcom baseline` reports on the fixture corpus: (SNR grid, seed, sha256)
 BASELINE_SHA256 = [
     ([math.inf], 0, "b3f1adb8af841ed2657a8a5fbb22d71c3f81636f0d0718d078fb584ebae581c1"),
@@ -25,16 +28,27 @@ BASELINE_SHA256 = [
 ]
 # every scheme on the benchmark's synthetic graph generator at 8,000 entities
 # and 80 sentences (generator seed 3), so the KG path is pinned at scale
-SYNTHETIC_KG_SWEEP_SHA256 = "70c3886ecc2f1481005b5b97ce2b20114c0aac2f82745f8c691ea0d7fa0a7b84"
+SYNTHETIC_KG_SWEEP_SHA256 = "f5e4dc63632b01e3f5c2ac16ab38087d3e0d75c7c84e47585c0832fdf42d8b73"
 
 
-def test_fixture_sweep_matches_golden_sha256(sample_kg_path, sample_corpus_path):
+@pytest.fixture(scope="module")
+def fixture_report(sample_kg_path, sample_corpus_path) -> str:
     config = SweepConfig(kg_path=sample_kg_path, corpus_path=sample_corpus_path,
                          trials_per_point=5, seed=0)
     records = run_sweep(config)
     assert len(records) == 60 * 7 * 5 * 3
-    report = render_report(records, config.snr_grid)
-    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == FIXTURE_SWEEP_SHA256
+    return render_report(records, config.snr_grid)
+
+
+def test_fixture_sweep_matches_golden_sha256(fixture_report):
+    assert hashlib.sha256(fixture_report.encode("utf-8")).hexdigest() == FIXTURE_SWEEP_SHA256
+
+
+def test_fixture_sweep_text_rows_match_pinned_sha256(fixture_report):
+    rows = [line for line in fixture_report.splitlines(keepends=True)
+            if line.startswith("trial,") and line.split(",")[3] in ("huffman_baseline", "ascii")]
+    assert len(rows) == 60 * 7 * 5 * 2
+    assert hashlib.sha256("".join(rows).encode("utf-8")).hexdigest() == FIXTURE_TEXT_ROWS_SHA256
 
 
 def test_wide_seed_sweep_matches_pinned_sha256(sample_kg_path, sample_corpus_path):

@@ -1,5 +1,5 @@
-"""Gray-coded 16QAM mapping, hard-decision slicing, the seeded AWGN channel,
-and ``channel_groups``, the one path through all three."""
+"""Gray-coded 16QAM mapping, hard-decision slicing and soft bit metrics, the
+seeded AWGN channel, and ``channel_groups``, the one path through them all."""
 
 import hashlib
 import math
@@ -18,6 +18,7 @@ from kgsemcom.phy import (
     qam,
     transmit_bits,
 )
+from kgsemcom.phy.convcode import METRIC_MAX
 
 SCALE = 1.0 / math.sqrt(10.0)
 # per-axis Gray pair -> level
@@ -236,6 +237,50 @@ def test_channel_groups_reject_mismatched_list_lengths():
             ([bits, bits], [[0.0], []], [[1], [2]])):  # a seed too many in group 2
         with pytest.raises(ValueError, match="one SNR list per stream"):
             channel_groups(streams, snrs_db, seeds)
+    for soft in ([], [True, False, True]):
+        with pytest.raises(ValueError, match="one soft flag per stream"):
+            channel_groups([bits, bits], [[0.0], [1.0]], [[1], [2]], soft=soft)
+
+
+def _reference_metrics(bits, cfg: ChannelConfig) -> np.ndarray:
+    """Each bit's metric, one value at a time: per unscaled axis x, -x for
+    the sign bit and |x| - 2 for the magnitude bit, 8 steps a unit, rounded
+    half to even, clipped to +-METRIC_MAX; NaN (SNR -inf) is 0."""
+    with np.errstate(invalid="ignore"):
+        axes = _reference_awgn(qam16_modulate(bits), cfg).symbols / SCALE
+    out = []
+    for z in axes:
+        for x in (z.real, z.imag):
+            for value in (-x, abs(x) - 2.0):
+                out.append(0 if math.isnan(value)
+                           else round(min(max(8.0 * value, -METRIC_MAX), METRIC_MAX)))
+    return np.array(out[:len(bits)], dtype=np.int8)
+
+
+def test_soft_groups_carry_the_metrics_of_the_same_channel():
+    # soft and hard groups mixed: a hard row is the plain channel's, a soft
+    # row the metrics of that same row's noisy symbols
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(59)))
+    lengths = [0, 1, 5, 8, 37, 3, 400]
+    soft = [True, False, True, True, False, True, True]
+    streams = [rng.integers(0, 2, size=n, dtype=np.uint8) for n in lengths]
+    snrs_db = [list(SNRS) for _ in lengths]
+    groups = channel_groups(streams, snrs_db, [[seed] * len(SNRS) for seed in SEEDS], soft=soft)
+    for bits, seed, is_soft, group in zip(streams, SEEDS, soft, groups):
+        assert group.shape == (len(SNRS), len(bits))
+        assert group.dtype == (np.int8 if is_soft else np.uint8)
+        for row, snr_db in zip(group, SNRS):
+            cfg = ChannelConfig(snr_db, seed)
+            expected = _reference_metrics(bits, cfg) if is_soft else _reference_row(bits, cfg)
+            assert np.array_equal(row, expected)
+        if is_soft:
+            # without noise each metric's sign is the sent bit; at -inf all are erased
+            assert np.array_equal(group[SNRS.index(math.inf)] < 0, bits.astype(bool))
+            assert not group[SNRS.index(-math.inf)].any()
+    # a soft flag changes what a group returns, never another group's rows
+    assert all(np.array_equal(a, b) for a, b, is_soft in zip(
+        groups, channel_groups(streams, snrs_db, [[seed] * len(SNRS) for seed in SEEDS]),
+        soft) if not is_soft)
 
 
 def test_noise_normals_continue_one_stream_per_seed():
