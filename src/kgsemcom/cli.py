@@ -26,7 +26,7 @@ from .harness import (PipelineContext, SweepConfig, baseline_records, check_snr_
                       load_corpus, run_sweep, select_backends, semantic_similarity,
                       write_report)
 from .importance import ImportanceConfig, partition_uep
-from .phy import ChannelConfig, channel_bit_cost, payload_bits, transmit
+from .phy import ChannelConfig, channel_bit_cost, code_rate, payload_bits, puncture, transmit
 from .remote import MALFORMED_REPLY, RemoteConfig
 
 
@@ -163,7 +163,8 @@ def _cmd_send(args) -> int:
     frame = ctx.send_frame(analysis, snr_db)
     n_p, n_u, w = len(frame.protected_ids), len(frame.unprotected_ids), frame.width
     print(f"[4 frame] {n_p} protected / {n_u} unprotected seeds, {w}-bit ranks; payload "
-          f"{payload_bits(n_p + n_u, w)} bits, channel {channel_bit_cost(n_p, n_u, w)} bits")
+          f"{payload_bits(n_p + n_u, w)} bits, channel {channel_bit_cost(n_p, n_u, w, snr_db)} "
+          f"bits, protected ids at code rate {code_rate(puncture(snr_db))}")
     result = transmit(frame, ChannelConfig(snr_db, args.seed))
     print(f"[5 channel] decoded info-bit errors {result.coded_bit_errors}/{payload_bits(n_p, w)}, "
           f"uncoded bit errors {result.uncoded_bit_errors}/{result.uncoded_channel_bits}")

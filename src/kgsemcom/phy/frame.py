@@ -5,10 +5,11 @@ sorted entity ids, so W = max(1, (N - 1).bit_length()), 1 <= W <= 64. The
 payload is a sentence's seed ids only (``PipelineContext.send_frame``): the
 receiver re-derives their one-hop neighbours from its copy of the KG. The
 importance table holds exactly those seeds, and its UEP split gives the two
-classes. The protected ids form the coded stream, which the link encodes with the
-punctured code of ``convcode`` (its size is ``convcode.coded_length``); the
-unprotected ids travel as a second, uncoded stream. A stream is its W-bit words
-and nothing else: its length gives the id count, so no header is sent. This
+classes. The protected ids form the coded stream, which the link encodes with
+the punctured code of ``convcode`` at the pattern its SNR picks
+(``convcode.puncture``; its size is ``convcode.coded_length``); the
+unprotected ids travel as a second, uncoded stream. A stream is its W-bit
+words and nothing else: its length gives the id count, so no header is sent. This
 module is the one place the layout and its size (``payload_bits``) live.
 ``parse_streams`` is the one parser of W-bit words: it reads a (rows, bits)
 array of received streams at once, and ``parse_coded_stream`` is its one-row

@@ -1,15 +1,18 @@
 """End-to-end transmission of id frames: UEP channel coding, 16QAM, AWGN.
 
-The protected stream is encoded with the punctured rate-2/3 code of
-``convcode`` (a frame with no protected id sends no coded bits); the
-unprotected stream enters the channel as-is. Each distinct frame's two streams
-cross ``qam.channel_groups`` (16QAM, AWGN) as two groups, each with the
-frame's rows of plain SNR and noise-seed values: the coded group comes back as
-soft bit metrics for the Viterbi decoder, the uncoded one as hard-sliced bits.
+The protected stream is encoded with the punctured code of ``convcode``, its
+pattern picked from the row's SNR by ``convcode.puncture`` (rate 2/3 below
+10 dB, 5/6 from 10 dB, 7/8 from 12 dB; a frame with no protected id sends no
+coded bits); the unprotected stream enters the channel as-is. Rows are grouped
+by (frame, pattern), and each group's two streams cross
+``qam.channel_groups`` (16QAM, AWGN) as two groups, each with the group's rows
+of plain SNR and noise-seed values: the coded group comes back as soft bit
+metrics for the Viterbi decoder, the uncoded one as hard-sliced bits.
 ``channel_bit_cost`` sizes both from ``frame.payload_bits`` and
-``convcode.coded_length``; nothing else restates them. The two streams see
-independent noise derived from the same 64-bit seed. The rows that send one
-frame are decoded, parsed and checked for bit errors together.
+``convcode.coded_length`` at the SNR's pattern; nothing else restates them.
+The two streams see independent noise derived from the same 64-bit seed, and
+a row's noise depends on its seed alone, never on its group. The rows of one
+group are decoded, parsed and checked for bit errors together.
 """
 
 from collections.abc import Sequence
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convcode import coded_length, conv_encode, viterbi_decode_frames
+from .convcode import (UNPUNCTURED, coded_length, conv_encode, depuncture, puncture,
+                       viterbi_decode_frames)
 from .frame import TransmissionFrame, parse_streams, payload_bits, serialize_frame
 from .qam import ChannelConfig, channel_groups
 from .seeding import seed_state
@@ -42,9 +46,10 @@ class TransmitResult:
         return self.coded_channel_bits + self.uncoded_channel_bits
 
 
-def channel_bit_cost(n_protected: int, n_unprotected: int, width: int) -> int:
-    """The coded protected ids plus the raw unprotected ids."""
-    return coded_length(payload_bits(n_protected, width)) + payload_bits(n_unprotected, width)
+def channel_bit_cost(n_protected: int, n_unprotected: int, width: int, snr_db: float) -> int:
+    """The protected ids coded at ``snr_db``'s pattern plus the raw unprotected ids."""
+    return (coded_length(payload_bits(n_protected, width), puncture(snr_db))
+            + payload_bits(n_unprotected, width))
 
 
 def transmit(frame: TransmissionFrame, cfg: ChannelConfig) -> TransmitResult:
@@ -54,22 +59,22 @@ def transmit(frame: TransmissionFrame, cfg: ChannelConfig) -> TransmitResult:
 def transmit_many(frames: Sequence[TransmissionFrame],
                   cfgs: Sequence[ChannelConfig]) -> list[TransmitResult]:
     """Send ``frames[i]`` over the channel of ``cfgs[i]``; result i equals
-    ``transmit(frames[i], cfgs[i])``. The rows are grouped by distinct frame.
-    Each frame is serialized and encoded once, all coded and uncoded streams
-    cross the channel in one call, Viterbi runs once per distinct coded
-    length, and each group is parsed and its bit errors counted as one 2-D
-    array."""
+    ``transmit(frames[i], cfgs[i])``. The rows are grouped by (frame,
+    pattern). Each group is serialized and encoded once, all coded and
+    uncoded streams cross the channel in one call, each group's metrics are
+    depunctured, Viterbi runs once per distinct trellis length, and each
+    group is parsed and its bit errors counted as one 2-D array."""
     if len(frames) != len(cfgs):
         raise ValueError("one channel config per frame")
     if not frames:
         return []
-    groups: dict[TransmissionFrame, list[int]] = {}
-    for row, frame in enumerate(frames):
-        groups.setdefault(frame, []).append(row)
+    groups: dict[tuple[TransmissionFrame, tuple[int, ...]], list[int]] = {}
+    for row, (frame, cfg) in enumerate(zip(frames, cfgs)):
+        groups.setdefault((frame, puncture(cfg.snr_db)), []).append(row)
     sent = []
-    for frame in groups:
+    for frame, pattern in groups:
         coded_info, uncoded = serialize_frame(frame)
-        sent.append((coded_info, conv_encode(coded_info), uncoded))
+        sent.append((coded_info, conv_encode(coded_info, pattern), uncoded))
     # each group's coded rows, then each group's uncoded rows, every row with
     # its own substream per class, so class sizes never shift the noise
     seeds = [cfgs[row].seed for rows in groups.values() for row in rows]
@@ -82,18 +87,21 @@ def transmit_many(frames: Sequence[TransmissionFrame],
         soft=[True] * len(sent) + [False] * len(sent))
     rx_coded, rx_uncoded = received[:len(sent)], received[len(sent):]
 
+    # on the mother code's trellis, groups of one trellis length share a
+    # Viterbi call whatever their pattern
+    full = [depuncture(rx, pattern) for rx, (_, pattern) in zip(rx_coded, groups)]
     decoded: list = [None] * len(sent)
-    by_length: dict[int, list[int]] = {}
-    for group, (_, coded, _) in enumerate(sent):
-        by_length.setdefault(len(coded), []).append(group)
-    for batch in by_length.values():
-        bits = viterbi_decode_frames(np.concatenate([rx_coded[g] for g in batch]))
-        ends = np.cumsum([len(rx_coded[g]) for g in batch[:-1]])
+    by_steps: dict[int, list[int]] = {}
+    for group, metrics in enumerate(full):
+        by_steps.setdefault(metrics.shape[1], []).append(group)
+    for batch in by_steps.values():
+        bits = viterbi_decode_frames(np.concatenate([full[g] for g in batch]), UNPUNCTURED)
+        ends = np.cumsum([len(full[g]) for g in batch[:-1]])
         for group, part in zip(batch, np.split(bits, ends)):
             decoded[group] = part
 
     results: list = [None] * n
-    for frame, rows, (coded_info, coded, uncoded), rx_info, rx_plain in zip(
+    for (frame, _), rows, (coded_info, coded, uncoded), rx_info, rx_plain in zip(
             groups, groups.values(), sent, decoded, rx_uncoded):
         rx = np.concatenate([rx_info, rx_plain], axis=1)
         ids = parse_streams(rx, frame.width).tolist()

@@ -15,8 +15,8 @@ from kgsemcom.harness import (PipelineContext, SweepConfig, derive_seed,
                               semantic_similarity)
 from kgsemcom.importance import betweenness_centrality, degree_centrality
 from kgsemcom.kg import Triple, ingest
-from kgsemcom.phy import (ChannelConfig, awgn, channel_groups, conv_encode_frames,
-                          huffman_decode, huffman_encode, payload_bits,
+from kgsemcom.phy import (ChannelConfig, awgn, channel_groups, code_rate, conv_encode_frames,
+                          huffman_decode, huffman_encode, payload_bits, puncture,
                           qam16_demodulate, qam16_modulate, transmit, transmit_many,
                           viterbi_decode_frames)
 from kgsemcom.semgraph import Mcsg, build_mcsg, reconstruct, undirected_adjacency
@@ -62,23 +62,27 @@ def test_criterion_1_uncoded_qam_ber_matches_theory(capsys):
 
 # -- criterion 2: convolutional coding gain ------------------------------------------
 
-def _coded_link(coded: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
-    """The production coded path's channel: the frames' soft bit metrics."""
+def _coded_link(info: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
+    """The production coded path: the frames coded at ``snr_db``'s pattern,
+    and decoded from their soft bit metrics."""
+    pattern = puncture(snr_db)
+    coded = conv_encode_frames(info, pattern)
     metrics = channel_groups([coded.ravel()], [[snr_db]], [[seed]], soft=[True])[0]
-    return viterbi_decode_frames(metrics.reshape(coded.shape))
+    return viterbi_decode_frames(metrics.reshape(coded.shape), pattern)
 
 
 def test_criterion_2_convolutional_coding_gain(capsys):
+    # the schedule codes 2 to 8 dB at rate 2/3, its lowest rate; the noiseless
+    # round trip runs at +inf, its top row
     rng = _rng(1002)
     n_frames, frame_bits = 100, 1000  # 1e5 info bits per SNR point
     info = rng.integers(0, 2, size=(n_frames, frame_bits), dtype=np.uint8)
-    coded = conv_encode_frames(info)
 
-    roundtrip_exact = bool(np.array_equal(_coded_link(coded, math.inf, 0), info))
+    roundtrip_exact = bool(np.array_equal(_coded_link(info, math.inf, 0), info))
 
     parts, ok = [], roundtrip_exact
     for point, snr_db in enumerate((2.0, 4.0, 6.0, 8.0)):
-        decoded = _coded_link(coded, snr_db, 20_000 + point)
+        decoded = _coded_link(info, snr_db, 20_000 + point)
         coded_ber = float(np.mean(decoded != info))
 
         cfg_plain = ChannelConfig(snr_db, seed=30_000 + point)
@@ -87,7 +91,7 @@ def test_criterion_2_convolutional_coding_gain(capsys):
 
         gain = coded_ber < uncoded_ber
         ok &= gain
-        parts.append(f"{snr_db:g}dB coded {coded_ber:.4f} "
+        parts.append(f"{snr_db:g}dB rate {code_rate(puncture(snr_db))} coded {coded_ber:.4f} "
                      f"{'<' if gain else '>='} uncoded {uncoded_ber:.4f}")
     _verdict(capsys, 2, ok,
              "; ".join(parts) + f"; noiseless 1e5-bit roundtrip exact: {roundtrip_exact}")

@@ -209,7 +209,7 @@ def test_send_matches_sweep_record(capsys, sample_kg, sample_kg_path, sample_cor
     ctx = PipelineContext(sample_kg)
     for sentence_id in (0, 3, 7):
         sentence = sample_corpus[sentence_id]
-        for snr in (0, 6, 12):
+        for snr, rate in ((0, "2/3"), (6, "2/3"), (10, "5/6"), (12, "7/8")):
             code, stdout, _ = _run(capsys, ["send", "--kg", str(sample_kg_path),
                                             "--sentence", sentence,
                                             "--snr", str(snr), "--seed", "5"])
@@ -217,6 +217,7 @@ def test_send_matches_sweep_record(capsys, sample_kg, sample_kg_path, sample_cor
             record = run_pipeline(ctx, sentence, sentence_id, float(snr), seed=5)
             channel = int(stdout.split(" bits, channel ")[1].split(" bits")[0])
             assert channel == record.channel_bits
+            assert f" bits, protected ids at code rate {rate}\n" in stdout
             if "[9 similarity] " in stdout:
                 printed = stdout.split("[9 similarity] ")[1].splitlines()[0]
             else:

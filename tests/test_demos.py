@@ -18,6 +18,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     ("make_synthetic_corpus.py", ["--sentences", "5", "--out", "{tmp}/corpus.txt"]),
     ("run_single_transmission.py", ["--snr", "6"]),
     ("sweep_demo.py", ["--trials", "1", "--snr", "6", "--out", "{tmp}/sweep.csv"]),
+    ("rate_schedule.py", ["--seeds", "100", "--trials", "1", "--snr", "12"]),
 ])
 def test_demo_runs(tmp_path, script, args):
     stdout = _run_demo(tmp_path, script, args)
@@ -30,6 +31,13 @@ def test_single_transmission_shows_both_classes(tmp_path):
     frame = stdout.split("[4 frame] ")[1].split(" seeds")[0]
     n_p, n_u = (int(n) for n in frame.removesuffix(" unprotected").split(" protected / "))
     assert n_p >= 1 and n_u >= 1
+
+
+def test_rate_schedule_rule_picks_the_shipped_table(tmp_path):
+    # the rule, on the held-out graphs and seeds, gives convcode.PUNCTURES
+    stdout = _run_demo(tmp_path, "rate_schedule.py", [])
+    assert ("schedule: rate 2/3 from -inf dB, rate 5/6 from 10 dB, rate 7/8 from 12 dB\n"
+            "convcode.PUNCTURES is this schedule: True") in stdout
 
 
 def _run_demo(tmp_path, script, args) -> str:

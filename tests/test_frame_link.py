@@ -20,7 +20,7 @@ from kgsemcom.phy import (
 )
 from kgsemcom.phy import link
 from kgsemcom.phy.bits import as_bits, ids_to_bits
-from kgsemcom.phy.convcode import coded_length, conv_encode_frames
+from kgsemcom.phy.convcode import coded_length, conv_encode_frames, puncture
 from kgsemcom.phy.frame import parse_streams
 
 
@@ -128,18 +128,25 @@ def test_word_widths_outside_one_to_sixty_four_rejected(width):
 def test_channel_bit_cost_formula():
     for width in (7, 15):
         for n_p, n_u in ((0, 0), (1, 2), (5, 0), (0, 5), (3, 7)):
-            # rate 2/3 over the ids and the 6-bit tail; no protected id, no coded bits
-            coded = (3 * (width * n_p + 6) + 1) // 2 if n_p else 0
-            assert channel_bit_cost(n_p, n_u, width) == coded + width * n_u
+            for snr_db, (k, d) in ((-math.inf, (2, 3)), (8.0, (2, 3)), (10.0, (5, 6)),
+                                   (12.0, (7, 8)), (math.inf, (7, 8))):
+                # rate k/d over the ids and the 6-bit tail, rounded up; no
+                # protected id, no coded bits
+                coded = -(-(width * n_p + 6) * d // k) if n_p else 0
+                assert channel_bit_cost(n_p, n_u, width, snr_db) == coded + width * n_u
             assert payload_bits(n_p, width) == width * n_p
+
+
+# the noiseless channel takes the top row of the schedule, rate 7/8
+NOISELESS = math.inf
 
 
 def test_transmit_diagnostics_match_formula():
     frame = TransmissionFrame((1, 2), (3, 4, 5), 7)
-    result = transmit(frame, ChannelConfig(math.inf, 0))
-    assert result.coded_channel_bits == 3 * (14 + 6) // 2
+    result = transmit(frame, ChannelConfig(NOISELESS, 0))
+    assert result.coded_channel_bits == -(-8 * (14 + 6) // 7)
     assert result.uncoded_channel_bits == 21
-    assert result.channel_bits == channel_bit_cost(2, 3, 7)
+    assert result.channel_bits == channel_bit_cost(2, 3, 7, NOISELESS)
     # random frames, empty classes included: the sent sizes are the formulas'
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(64)))
     for _ in range(200):
@@ -149,11 +156,12 @@ def test_transmit_diagnostics_match_formula():
             continue
         ids = sorted(int(i) for i in rng.choice(2**width, size=n_p + n_u, replace=False))
         result = transmit(TransmissionFrame(tuple(ids[:n_p]), tuple(ids[n_p:]), width),
-                          ChannelConfig(math.inf, 0))
-        assert result.channel_bits == channel_bit_cost(n_p, n_u, width)
-        assert result.coded_channel_bits == coded_length(width * n_p)
+                          ChannelConfig(NOISELESS, 0))
+        assert result.channel_bits == channel_bit_cost(n_p, n_u, width, NOISELESS)
+        assert result.coded_channel_bits == coded_length(width * n_p, puncture(NOISELESS))
     for n in range(41):
-        assert coded_length(n) == conv_encode_frames(np.zeros((1, n), np.uint8)).shape[1]
+        assert (coded_length(n, puncture(NOISELESS))
+                == conv_encode_frames(np.zeros((1, n), np.uint8), puncture(NOISELESS)).shape[1])
 
 
 def test_transmit_no_noise_identity_thousand_random_frames():
@@ -184,6 +192,17 @@ def test_transmit_many_bit_identical_to_single_calls():
     assert transmit_many([], []) == []
     with pytest.raises(ValueError, match="one channel config per frame"):
         transmit_many(frames, cfgs[:2])
+
+
+def test_one_frame_at_two_rates_gives_two_coded_lengths():
+    # 8 dB takes rate 2/3 and 12 dB rate 7/8: the same frame becomes two
+    # groups, two coded lengths and two Viterbi batches
+    frame = TransmissionFrame((1, 5, 8), (9, 12), 7)
+    cfgs = [ChannelConfig(snr_db, seed)
+            for snr_db, seed in ((8.0, 1), (12.0, 2), (8.0, 3), (12.0, 4), (12.0, 1))]
+    batched = transmit_many([frame] * len(cfgs), cfgs)
+    assert [r.coded_channel_bits for r in batched] == [41, 31, 41, 31, 31]
+    assert batched == [transmit(frame, cfg) for cfg in cfgs]
 
 
 def _three_frames_ten_rows():
@@ -223,7 +242,7 @@ def test_transmit_many_parses_each_distinct_frame_once(monkeypatch):
 
 # sha256 over the repr of every TransmitResult field, for the frames below at
 # each SNR and seed
-TRANSMIT_MANY_SHA256 = "dff683fd51ba1ac5f010d086139f89c0d63d6338011b7219606aa41dcc9bbc89"
+TRANSMIT_MANY_SHA256 = "5858892fe287f6d5de2ff38aff9f57d2392018636fd44bcbc5dd5b3030cf8482"
 
 
 def test_transmit_many_matches_pinned_sha256():
@@ -291,4 +310,4 @@ def test_seven_bit_protected_id_recovered_more_often(snr_db):
 def test_empty_frame_transmits():
     result = transmit(TransmissionFrame((), (), 7), ChannelConfig(math.inf, 0))
     assert result.received_ids == ()
-    assert result.channel_bits == channel_bit_cost(0, 0, 7) == 0  # not even a tail
+    assert result.channel_bits == channel_bit_cost(0, 0, 7, math.inf) == 0  # not even a tail

@@ -64,14 +64,15 @@ def test_count_bits_kgrag(ctx, sample_corpus):
     sentence = sample_corpus[0]
     analysis = ctx.analyze(sentence)
     assert len(analysis.mcsg.seed_nodes) < len(analysis.mcsg.nodes)
-    for snr_db in (0.0, 12.0):
+    for snr_db in (0.0, 10.0, 12.0):
         record = run_pipeline(ctx, sentence, 0, snr_db, seed=1)
         protected, unprotected = partition_uep(analysis.table, snr_db, ctx.importance_config)
         # 104 entities: the seeds travel as 7-bit ranks, and nothing else is sent
         assert record.payload_bits == 7 * record.n_selected
         assert len(protected) + len(unprotected) == record.n_selected
         assert record.n_mcsg_nodes == len(analysis.mcsg.nodes)
-        assert record.channel_bits == channel_bit_cost(len(protected), len(unprotected), 7)
+        assert record.channel_bits == channel_bit_cost(len(protected), len(unprotected), 7,
+                                                       snr_db)
 
 
 def test_count_bits_huffman(ctx, sample_corpus):
@@ -495,7 +496,8 @@ def test_run_sweep_kgrag_invariants(small_config):
         assert r.payload_bits == 7 * r.n_selected
         analysis = ctx.analyze(ctx.corpus[r.sentence_id])
         protected, unprotected = partition_uep(analysis.table, r.snr_db, ctx.importance_config)
-        assert r.channel_bits == channel_bit_cost(len(protected), len(unprotected), 7)
+        assert r.channel_bits == channel_bit_cost(len(protected), len(unprotected), 7,
+                                                  r.snr_db)
         assert r.channel_bits >= r.payload_bits
 
 
