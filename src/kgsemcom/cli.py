@@ -165,7 +165,7 @@ def _cmd_send(args) -> int:
     print(f"[4 frame] {n_p} protected / {n_u} unprotected seeds, {w}-bit ranks; payload "
           f"{payload_bits(n_p + n_u, w)} bits, channel {channel_bit_cost(n_p, n_u, w, snr_db)} "
           f"bits, protected ids at code rate {code_rate(puncture(snr_db))}")
-    result = transmit(frame, ChannelConfig(snr_db, args.seed))
+    result = transmit(frame, ChannelConfig(snr_db, args.seed), ctx.seed_prior)
     print(f"[5 channel] decoded info-bit errors {result.coded_bit_errors}/{payload_bits(n_p, w)}, "
           f"uncoded bit errors {result.uncoded_bit_errors}/{result.uncoded_channel_bits}")
     received = ctx.received_ids(result)  # -1 where a rank names no entity

@@ -17,6 +17,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +27,9 @@ from .embedding import EmbeddingIndex, TrigramEmbedder
 from .extraction import ExtractionConfig, HttpSelector, StubSelector, extract_trace
 from .generation import HttpGenerator, StubGenerator, build_prompt
 from .importance import ImportanceConfig, ThresholdPolicy, importance_scores, partition_uep
-from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, HuffmanTable,
+from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, HuffmanTable, WordPrior,
                   huffman_build, huffman_decode, huffman_encode, payload_bits, seed_state,
-                  transmit_bits, transmit_many)
+                  transmit_bits, transmit_many, word_prior)
 from .remote import RemoteConfig
 from .semgraph import Mcsg, build_mcsg, one_hop, reconstruct
 
@@ -196,6 +197,19 @@ class PipelineContext:
     GENERATION_CACHE_SIZE entries and oldest out first, which changes nothing
     observable besides speed. The corpus only feeds the sweep's sentence list
     and the Huffman table, which is built on first use.
+
+    The receiver also decodes with the KG. ``seed_prior``, built on first
+    use in one pass over the triples, lists the words a protected stream
+    plausibly carries: any entity's rank for one seed, and the sorted ranks
+    of any two entities a triple joins for two. Every kgrag sender (the
+    sweep, ``run_pipeline`` and ``kgsemcom send``) passes it to the link,
+    whose decoder then trades a Viterbi word the list lacks for the most
+    likely listed word, if that word's log-likelihood is within
+    ``convcode.PRIOR_NATS`` of the Viterbi word's (a margin in metric steps
+    that shrinks as the SNR rises) and some received bit disagrees with the
+    Viterbi word. Frames of three or more protected seeds keep the Viterbi
+    word. ``convcode.decode_in_prior`` holds the exact search and its
+    shortcuts.
     """
 
     def __init__(self, kg: kgmod.KnowledgeGraph, corpus: Sequence[str] = (),
@@ -231,6 +245,18 @@ class PipelineContext:
                    max_selected=config.max_selected,
                    keep_all_components=config.keep_all_components,
                    embedding_dim=config.embedding_dim)
+
+    @cached_property
+    def seed_prior(self) -> WordPrior:
+        """The protected words the receiver deems plausible: any rank below
+        N, and the sorted rank pair of each triple's two ends."""
+        ids = self._id_of_rank[:len(self.kg.entities)]
+
+        def ranks(end: int) -> np.ndarray:
+            return np.searchsorted(ids, np.fromiter(map(itemgetter(end), self.kg.triples),
+                                                    dtype=np.int64, count=len(self.kg.triples)))
+
+        return word_prior(max(len(ids), 1), (ranks(0), ranks(2)))
 
     @cached_property
     def huffman_table(self) -> HuffmanTable:
@@ -356,7 +382,7 @@ def _send_kgrag(ctx: PipelineContext, sentence: str, points: list[Point]) -> lis
     sent = [(frame, ChannelConfig(snr_db, seed))
             for (snr_db, seeds), frame in zip(points, frames)
             if not isinstance(frame, Exception) for _, seed in seeds]
-    results = iter(transmit_many([f for f, _ in sent], [c for _, c in sent]))
+    results = iter(transmit_many([f for f, _ in sent], [c for _, c in sent], ctx.seed_prior))
     # the receiver's output depends only on the valid seeds, and this
     # sentence's receptions often repeat them: valid seeds -> reception
     receptions: dict[frozenset[int], Reception] = {}

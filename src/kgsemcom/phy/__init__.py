@@ -1,8 +1,8 @@
 """Physical layer: framing, channel coding, modulation, noise, seeding, baselines."""
 
 from .bits import Bits, as_bits, ids_to_bits
-from .convcode import (PUNCTURES, code_rate, conv_encode, conv_encode_frames, puncture,
-                       viterbi_decode_frames)
+from .convcode import (PUNCTURES, WordPrior, code_rate, conv_encode, conv_encode_frames,
+                       puncture, viterbi_decode_frames, word_prior)
 from .frame import TransmissionFrame, parse_coded_stream, payload_bits, serialize_frame
 from .huffman import HuffmanTable, huffman_build, huffman_decode, huffman_encode
 from .link import TransmitResult, channel_bit_cost, transmit, transmit_many
@@ -12,8 +12,8 @@ from .seeding import seed_state
 
 __all__ = [
     "Bits", "as_bits", "ids_to_bits",
-    "PUNCTURES", "code_rate", "conv_encode", "conv_encode_frames", "puncture",
-    "viterbi_decode_frames",
+    "PUNCTURES", "WordPrior", "code_rate", "conv_encode", "conv_encode_frames", "puncture",
+    "viterbi_decode_frames", "word_prior",
     "TransmissionFrame", "parse_coded_stream", "payload_bits", "serialize_frame",
     "HuffmanTable", "huffman_build", "huffman_decode", "huffman_encode",
     "TransmitResult", "channel_bit_cost", "transmit", "transmit_many",

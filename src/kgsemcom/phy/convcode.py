@@ -30,6 +30,34 @@ of ``b``. One trellis step is an add-compare-select of two ufunc calls:
 over ``j``. Branch costs are summed once per block of steps, and the block's
 decisions come from one comparison after it; a tie keeps predecessor bit 0.
 Each frame is traced back from state 0 to step 0 in a byte-wise loop.
+
+``decode_in_prior`` turns the Viterbi words of frames of one or two W-bit
+ranks into maximum-likelihood words within the receiver's candidate set, a
+``WordPrior``: every rank below N for one rank, every listed sorted rank pair
+for two (the harness lists the pairs a KG triple joins); frames of three or
+more ranks keep the Viterbi word. A candidate replaces the Viterbi word only
+if its log-likelihood falls short of the Viterbi word's by at most
+``PRIOR_NATS``, the log prior ratio of a listed word over an unlisted one
+(MAP with a two-level prior). The caller gives each row the nats one metric
+step is worth, which grows with the SNR, so the margin in metric steps,
+``PRIOR_NATS`` over that, shrinks as the SNR rises and is 0 on the
+noiseless channel. A Viterbi word that no received bit disagrees with
+stands, so an all-erased frame (SNR -inf) keeps the Viterbi word. It is
+exact, and it is cheap:
+- only a row whose Viterbi word lies outside the set is searched, since the
+  Viterbi word is ML over a superset;
+- a word's metric comes from prefix trees over the metrics, split at its
+  tenth input: a table of its first ten inputs plus a table of the rest by
+  the state those leave, 2^10 + 64 * 2^(W - 10) adds a row, not 2^W;
+- a pair's metric splits as S1(a) + P(a mod 64, the first six inputs of b) +
+  Q(b), because the register after word a holds a's last six bits, and
+  backward and forward Viterbi passes over the 64 states give the best
+  completion of each a and the best path into each b;
+- first ranks are searched best first, in bands of ``_BAND`` metric steps
+  above V* (the Viterbi word's metric): a first rank by S1(a) plus the best
+  completion from a's state, a pair by Q(b) plus the best path into b's
+  first six inputs, against the best pair so far or else the cut V* +
+  margin; a row stops once its best pair lies within the bands searched.
 """
 
 import math
@@ -59,6 +87,18 @@ K = 7
 NSTATES = 64
 TAIL = K - 1
 _BLOCK = 1024  # frames x trellis steps per block: 0.5 MB of int32 candidates
+# the log prior ratio, in nats, of a listed word over an unlisted one: a
+# candidate replaces the Viterbi word if its log-likelihood falls short of the
+# Viterbi word's by at most this (demos/seed_margin.py fits it on a held-out
+# graph)
+PRIOR_NATS = 6.0
+_BAND = 96  # metric steps of first-rank bounds a pair search takes at a time
+_KEY_BITS = 32  # a row's best pair so far is metric << _KEY_BITS | pair
+SEARCH_WIDTH_MAX = 20  # wider words keep the Viterbi word
+_SEARCH_CELLS = 1 << 17  # rows x table cells searched at once: 0.5 MB an int32 table
+# beyond any path metric of a searched frame, |metric| <= 120 * (2 * 20 + TAIL),
+# so sums of two metrics stay within int16
+_FAR = 1 << 13
 
 
 class _Puncturing(NamedTuple):
@@ -73,6 +113,11 @@ _LOWEST_SNRS = [snr_db for snr_db, _ in PUNCTURES]
 # _SIGNS[g, b, m, j]: +1 where generator g emits a 1 from register b<<6 | m<<1 | j, else -1
 _SIGNS = np.array([[(bin(reg & g).count("1") & 1) * 2 - 1 for reg in range(2 * NSTATES)]
                    for g in GENERATORS], dtype=np.int8).reshape(-1, 2, 32, 2)
+# _WINDOW_SIGNS[g, w]: the same signs by window w, whose bit i is the input i steps back
+_WINDOW_SIGNS = np.array([[(bin(w & int(f"{g:07b}"[::-1], 2)).count("1") & 1) * 2 - 1
+                           for w in range(2 * NSTATES)] for g in GENERATORS], dtype=np.int16)
+# _ZERO_WINDOWS[j, s]: the window j + 1 zero inputs after state s
+_ZERO_WINDOWS = np.arange(NSTATES) << np.arange(1, K)[:, None] & 2 * NSTATES - 1
 
 
 def puncture(snr_db: float) -> tuple[int, ...]:
@@ -228,3 +273,306 @@ def _traceback(choice: np.ndarray) -> np.ndarray:
             bits[i] = state >> 5
             state = (state & 31) << 1 | flat[i * NSTATES + state]
     return np.frombuffer(bits, dtype=np.uint8).reshape(B, T)
+
+
+class WordPrior(NamedTuple):
+    """The receiver's candidate words, as ranks: any one rank below
+    ``n_ranks``, or one of the sorted rank pairs a < b whose keys
+    a * n_ranks + b ``keys`` holds in order. ``word_prior`` builds it."""
+    n_ranks: int
+    keys: np.ndarray    # int64, sorted and distinct
+    second: np.ndarray  # b of each key
+    starts: np.ndarray  # the keys with first rank a are keys[starts[a]:starts[a + 1]]
+
+
+def word_prior(n_ranks: int, ends) -> WordPrior:
+    """The prior of ``n_ranks`` valid ranks and the rank pairs whose two ends
+    are ``ends[0][i]`` and ``ends[1][i]``, two integer arrays, in any order
+    and either way round; a pair of one rank twice is dropped, since a frame
+    never repeats an id."""
+    low, high = (np.asarray(e).ravel() for e in ends)
+    low, high = np.minimum(low, high), np.maximum(low, high)
+    if n_ranks < 1 or len(low) and not 0 <= low.min() <= high.max() < n_ranks:
+        raise ValueError(f"pairs must hold ranks below n_ranks = {n_ranks}")
+    keep = low != high
+    keys = low[keep].astype(np.int64)
+    keys *= n_ranks
+    keys += high[keep]
+    keys.sort()
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]] if len(keys) else keys
+    first = keys // n_ranks
+    second = keys - first * n_ranks
+    return WordPrior(n_ranks, keys, second, np.searchsorted(first, np.arange(n_ranks + 1)))
+
+
+def decode_in_prior(metrics: np.ndarray, bits: np.ndarray, width: int,
+                    prior: WordPrior | None, step_nats) -> np.ndarray:
+    """``bits``, the (B, L) Viterbi words of a (B, len(GENERATORS) * (L +
+    TAIL)) batch of depunctured metrics, each made of L / ``width`` ranks,
+    with each word of one or two ranks that ``prior`` does not hold replaced
+    by the maximum-likelihood word it holds, if that word's path metric is at
+    most the row's margin above the Viterbi word's and some received bit
+    disagrees with the Viterbi word. ``step_nats[i]`` is the
+    log-likelihood, in nats, of one metric step of row i, and the row's
+    margin is ``PRIOR_NATS / step_nats[i]`` steps (any, where it is 0).
+    Among equal metrics the lowest rank, or the first pair in key order,
+    wins. ``prior`` None, any other rank count, or words wider than
+    ``SEARCH_WIDTH_MAX`` return ``bits``."""
+    B, L = bits.shape
+    k = L // width if L % width == 0 else 0
+    if prior is None or k not in (1, 2) or width > SEARCH_WIDTH_MAX:
+        return bits
+    n, keys = prior.n_ranks, prior.keys
+    words = bits.reshape(B, k, width).astype(np.int64) @ (1 << np.arange(width - 1, -1, -1))
+    if k == 1:
+        outside = words[:, 0] >= n
+    else:
+        a, b = words.T
+        at = np.minimum(np.searchsorted(keys, a * n + b), len(keys) - 1)
+        outside = ~((a < b) & (b < n) & (keys[at] == a * n + b)) if len(keys) else a == a
+    rows = np.flatnonzero(outside)
+    if not rows.size:
+        return bits
+    # each such row's branch metric by step and window, and its Viterbi
+    # word's metric, read along the word's windows
+    by_generator = metrics[rows].astype(np.int16).reshape(len(rows), -1, len(GENERATORS), 1)
+    C = sum(by_generator[:, :, g] * _WINDOW_SIGNS[g] for g in range(len(GENERATORS)))
+    inputs = np.zeros((len(rows), L + 2 * TAIL), dtype=np.int64)
+    inputs[:, TAIL:TAIL + L] = bits[rows]
+    windows = np.lib.stride_tricks.sliding_window_view(inputs, K, axis=1) @ (
+        1 << np.arange(K - 1, -1, -1))
+    viterbi = C.reshape(-1, 2 * NSTATES)[np.arange(windows.size), windows.ravel()].reshape(
+        len(rows), -1).sum(axis=1, dtype=np.int64)
+    # a word no received bit disagrees with stands, listed or not (at finite
+    # SNR the margin alone keeps it; on an all-erased frame nothing else does)
+    dirty = viterbi > -np.abs(metrics[rows]).sum(axis=1, dtype=np.int64)
+    rows, C, viterbi = rows[dirty], C[dirty], viterbi[dirty]
+    # the margin in metric steps: PRIOR_NATS at the row's nats a step
+    nats = np.asarray(step_nats, dtype=np.float64)[rows]
+    margin = np.divide(PRIOR_NATS, nats, out=np.full(len(rows), float(_FAR)), where=nats > 0)
+    cut = viterbi + np.minimum(margin, _FAR).astype(np.int64)
+    low = _split(width)
+    step = max(1, _SEARCH_CELLS // ((1 << width - low) + (NSTATES << low)))
+    found = []
+    for lo in range(0, len(rows), step):
+        part = slice(lo, lo + step)
+        words = (_search_one(C[part], cut[part], width, prior) if k == 1 else
+                 _search_pair(C[part], viterbi[part], cut[part], width, prior))
+        found += [(row, word) for row, word in zip(rows[part].tolist(), words) if word is not None]
+    if not found:
+        return bits
+    out = bits.copy()
+    words = np.array([word for _, word in found], dtype=np.int64).reshape(len(found), k, 1)
+    out[[row for row, _ in found]] = (words >> np.arange(width - 1, -1, -1) & 1).reshape(
+        len(found), -1)
+    return out
+
+
+def _word_metrics(C: np.ndarray, start: int, width: int, skip: int = 0) -> np.ndarray:
+    """(R, 2^width) int16: each row's metric of every ``width``-bit word
+    entering at trellis step ``start`` after zero inputs, over its steps
+    from the ``skip``-th on, indexed by the word (its first input the top
+    bit). It is a prefix tree: level i turns each prefix p into 2p + x, whose
+    branch is the window of input x after p's last six inputs, p & 63 (zeros
+    before the word), so a level is one add over (prefix, state, input)."""
+    R = len(C)
+    s = np.zeros((R, 1 << skip), dtype=np.int16)
+    first = min(width, TAIL)
+    if skip < first:  # the first levels in one gather: input i of p ends window p >> first - 1 - i
+        i = np.arange(skip, first)[:, None]
+        s = C[:, start + i, np.arange(1 << first) >> first - 1 - i].sum(axis=1, dtype=np.int16)
+    for i in range(max(skip, first), width):
+        m = min(1 << i, NSTATES)
+        child = np.empty((R, 2 << i), dtype=np.int16).reshape(R, -1, m, 2)
+        branch = C[:, start + i].reshape(R, 1, NSTATES, 2)[:, :, :m]
+        for x in range(2):  # one add per input: a long inner loop, not one of two
+            np.add(s.reshape(R, -1, m), branch[..., x], out=child[..., x])
+        s = child.reshape(R, -1)
+    return s
+
+
+def _completions(C: np.ndarray, n_info: int, start: int, best: np.ndarray,
+                 stop: int) -> np.ndarray:
+    """(R, 64): each row's least metric from trellis step ``stop`` to step
+    ``start``, where ``best`` takes over, by state (the last six inputs,
+    newest in bit 0), over every input before step ``n_info`` and zeros from
+    it. It is a backward Viterbi pass of two ufunc calls a step: state s goes
+    to (2s + x) & 63, so the later metrics viewed as (32, 2) serve both
+    halves of the states."""
+    R = len(C)
+    best = best.copy()
+    cand = np.empty((R, 2, NSTATES // 2, 2), dtype=np.int16)
+    for t in range(start - 1, stop - 1, -1):
+        np.add(C[:, t].reshape(R, 2, NSTATES // 2, 2), best.reshape(R, 1, NSTATES // 2, 2),
+               out=cand)
+        if t >= n_info:
+            np.copyto(best.reshape(R, 2, NSTATES // 2), cand[..., 0])
+        else:
+            np.minimum(cand[..., 0], cand[..., 1], out=best.reshape(R, 2, NSTATES // 2))
+    return best
+
+
+def _zeros_metric(C: np.ndarray, start: int) -> np.ndarray:
+    """(R, 64): each row's metric of the zero inputs from trellis step
+    ``start`` to the end (at most TAIL of them), by the state they start from."""
+    steps = C.shape[1] - start
+    return C[:, start + np.arange(steps)[:, None], _ZERO_WINDOWS[:steps]].sum(
+        axis=1, dtype=np.int16)
+
+
+def _split(width: int) -> int:
+    """The low bits of a searched word: a word of more than 10 bits is
+    scored as a high part of 10 bits and a low part after it, so each row
+    holds 2^10 + 64 * 2^(W - 10) metrics a word, not 2^W."""
+    return max(0, width - 10)
+
+
+@lru_cache(maxsize=8)
+def _state_after(low: int) -> np.ndarray:
+    """(64, 2^low): the state after ``low`` inputs x from state s, (s <<
+    low | x) & 63."""
+    return (np.arange(NSTATES)[:, None] << low | np.arange(1 << low)) & NSTATES - 1
+
+
+def _word_tables(C: np.ndarray, starts: tuple[int, ...], width: int,
+                 skips: tuple[int, ...]):
+    """Each row's metric of every ``width``-bit word x entering at step
+    ``starts[k]`` after zero inputs, over its steps from the ``skips[k]``-th
+    on, as high[k][x >> low] + low_part[k][(x >> low) & 63, x & (2^low -
+    1)], low being ``_split(width)``: high[k] (R, 2^(W - low)) and
+    low_part[k] (R, 64, 2^low), int32. The words of all k share one tree per
+    part."""
+    R, low = len(C), _split(width)
+    h = width - low
+    words = np.concatenate([C[:, start:start + h] for start in starts])
+    for k, skip in enumerate(skips):  # a skipped step adds nothing
+        words[k * R:(k + 1) * R, :skip] = 0
+    high = _word_metrics(words, 0, h).astype(np.int32).reshape(len(starts), R, -1)
+    if not low:
+        return high, np.zeros((len(starts), R, NSTATES, 1), dtype=np.int32)
+    # the low part from each state: a tree over the state's six inputs,
+    # skipped, and then the low inputs
+    words = np.concatenate([C[:, start + h - TAIL:start + width] for start in starts])
+    part = _word_metrics(words, 0, TAIL + low, TAIL)
+    return high, part.astype(np.int32).reshape(len(starts), R, NSTATES, -1)
+
+
+def _by_state(part: np.ndarray, low: int) -> np.ndarray:
+    """(R, 64): the least of ``part``, (R, 64, 2^low) by (state, low
+    inputs), over each state the low inputs lead to."""
+    R = len(part)
+    if low >= TAIL:
+        return part.min(axis=1).reshape(R, -1, NSTATES).min(axis=1)
+    return part.reshape(R, 1 << low, -1, 1 << low).min(axis=1).reshape(R, NSTATES)
+
+
+def _search_one(C, cut, width, prior):
+    """The best rank below N of each row, or None if it misses the cut: the
+    least S(a) + Z(a), Z being the zeros after a from its last six inputs,
+    over the whole high parts below N by the least low part of each state,
+    and over the partial high part at N by its own low parts."""
+    R, low = len(C), _split(width)
+    n = min(prior.n_ranks, 1 << width)
+    (high,), (part,) = _word_tables(C, (0,), width, (0,))
+    part += _zeros_metric(C, width)[:, _state_after(low)]
+    whole, rest = n >> low, n & (1 << low) - 1
+    states = np.arange(whole + (rest > 0)) & NSTATES - 1
+    scores = high[:, :len(states)] + part.min(axis=2)[:, states]
+    lows = part.argmin(axis=2)[:, states]  # the first least, so the lowest rank
+    if rest:
+        edge = part[:, states[-1], :rest]
+        scores[:, -1] = high[:, whole] + edge.min(axis=1)
+        lows[:, -1] = edge.argmin(axis=1)
+    top = scores.argmin(axis=1)
+    rows = np.arange(R)
+    return [int(t) << low | int(x) if score <= c else None
+            for t, x, score, c in zip(top.tolist(), lows[rows, top].tolist(),
+                                      scores[rows, top].tolist(), cut.tolist())]
+
+
+def _search_pair(C, viterbi, cut, width, prior):
+    """The best listed pair (a, b) of each row, or None if none makes the cut.
+    A pair's metric is S1(a) + P(a & 63, u) + Q(b), u being b's first six
+    inputs, as the register after a holds a's last six: S1 and Q from
+    ``_word_tables``, P from the six steps between. A first rank is pruned
+    by S1(a) plus the best completion from its state over every b, and a
+    pair by Q(b) plus the best path into u over every a; both bounds range
+    over every word whose high part lies below N, listed or not."""
+    n, second, starts = min(prior.n_ranks, 1 << width), prior.second, prior.starts
+    R, W, low = len(C), width, _split(width)
+    h, mask = W - low, (1 << low) - 1
+    # b's metric counts from its seventh input on
+    (a_high, b_high), (a_low, b_low) = _word_tables(C, (0, W), W, (0, TAIL))
+    # the zeros after b, from its last six inputs (or from u and zeros, if W < 6)
+    b_low += _zeros_metric(C, W + max(W, TAIL))[:, _state_after(low) << max(0, TAIL - W)
+                                                & NSTATES - 1]
+    blocks = -(-n >> low)  # high parts with a rank below N
+    a_high[:, blocks:] = b_high[:, blocks:] = 1 << 20  # beyond any cut
+    # the least Q by u, back through u's six steps: the best completion by
+    # the state after a
+    b_best = b_high + b_low.min(axis=2)[:, np.arange(1 << h) & NSTATES - 1]
+    by_u = np.full((R, NSTATES), _FAR, dtype=np.int32)
+    if W >= TAIL:
+        by_u = np.minimum(by_u, b_best.reshape(R, NSTATES, -1).min(axis=2))
+    else:
+        by_u[:, np.arange(1 << W) << TAIL - W] = np.minimum(b_best, _FAR)
+    beyond = _completions(C, 2 * W, W + TAIL, by_u.astype(np.int16), W).astype(np.int32)
+    # the least S1 by the state after a, on through the six steps to u
+    a_best = a_high.reshape(R, -1, NSTATES).min(axis=1) if h >= TAIL else np.full(
+        (R, NSTATES), 1 << 20, dtype=np.int32)
+    if h < TAIL:
+        a_best[:, :1 << h] = a_high
+    into = np.minimum(_by_state(a_best[:, :, None] + a_low, low), _FAR).astype(np.int16)
+    step = np.empty((R, NSTATES, 2), dtype=np.int16)
+    for t in range(W, W + TAIL):  # state s and input x lead to (2s + x) & 63
+        np.add(into[:, :, None], C[:, t].reshape(R, NSTATES, 2), out=step)
+        np.minimum(step[:, :NSTATES // 2].reshape(R, -1), step[:, NSTATES // 2:].reshape(R, -1),
+                   out=into)
+
+    # a first rank's bound: S1(a) + beyond[a & 63], by high part and low
+    # part; a high part's bound is its least over the low parts
+    a_bound = a_low + beyond[:, _state_after(low)]
+    block_bound = a_high + a_bound.min(axis=2)[:, np.arange(1 << h) & NSTATES - 1]
+    # best first, a band of _BAND metric steps above the Viterbi word's at a
+    # time: a first rank is searched in the band of its bound, and a row is
+    # done once its best pair lies within the bands searched, as no first
+    # rank left can beat it. best[row] packs the least metric found (or the
+    # cut) over the first pair in key order to have it.
+    best = cut << _KEY_BITS | (1 << _KEY_BITS) - 1
+    floor, todo = viterbi - 1, np.arange(R)
+    while len(todo):
+        top = np.minimum(floor + _BAND, best >> _KEY_BITS)
+        i, t = np.divmod(np.flatnonzero(block_bound[todo] <= top[todo, None]), 1 << h)
+        r = todo[i]
+        bound = a_high[r, t][:, None] + a_bound[r, t & NSTATES - 1]
+        j, x = np.divmod(np.flatnonzero((bound > floor[r, None]) & (bound <= top[r, None])),
+                         1 << low)
+        r, t = r[j], t[j]
+        a = t << low | x
+        real = a < n
+        r, t, x, a = r[real], t[real], x[real], a[real]
+        head_a = a_high[r, t] + a_low[r, t & NSTATES - 1, x]
+        count = starts[a + 1] - starts[a]
+        pair = np.repeat(starts[a] - np.cumsum(count) + count, count) + np.arange(count.sum())
+        first = np.repeat(np.arange(len(a)), count)
+        rf, b = r[first], second[pair]
+        if prior.n_ranks > 1 << W:  # drop the second ranks no W-bit word names
+            fits = b >> W == 0
+            first, rf, b, pair = first[fits], rf[fits], b[fits], pair[fits]
+        u = (b << TAIL) >> W
+        q = b_high[rf, b >> low] + b_low[rf, (b >> low) & NSTATES - 1, b & mask]  # Q(b)
+        keep = np.flatnonzero(q + into[rf, u] <= best[rf] >> _KEY_BITS)
+        first, rf, pair = first[keep], rf[keep], pair[keep]
+        y = (a[first] & NSTATES - 1) << TAIL | u[keep]  # a's last six inputs, then u
+        metric = (C[rf[:, None], W + np.arange(TAIL), y[:, None] >> np.arange(TAIL - 1, -1, -1)
+                    & 2 * NSTATES - 1].sum(axis=1, dtype=np.int64)
+                  + head_a[first] + q[keep])
+        np.minimum.at(best, rf, metric << _KEY_BITS | pair)
+        floor[todo] += _BAND
+        todo = todo[floor[todo] < best[todo] >> _KEY_BITS]
+    best_pair = best & (1 << _KEY_BITS) - 1
+    found: list = [None] * R
+    for row in np.flatnonzero(best_pair < len(prior.keys)).tolist():
+        found[row] = (int(prior.keys[best_pair[row]] // prior.n_ranks),
+                      int(second[best_pair[row]]))
+    return found

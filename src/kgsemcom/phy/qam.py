@@ -110,6 +110,17 @@ def _bit_metrics(symbols: np.ndarray) -> np.ndarray:
     return np.rint(out, out=out).astype(np.int8).reshape(-1)
 
 
+def step_nats(snr_db: float) -> float:
+    """The log-likelihood, in nats, of one step of ``_bit_metrics`` at this
+    SNR. A bit's max-log LLR is (d1^2 - d0^2) / N0 in scaled distances,
+    which is 4 * _SCALE^2 / N0 per metric unit, and a code word's
+    log-likelihood is, up to a constant, minus half the sum of its bits'
+    signed LLRs; so a path metric, the sum of +-metric over the code bits,
+    is minus the log-likelihood in steps of 2 * _SCALE^2 / (_METRIC_STEPS *
+    N0) nats (Es = 1). 0 at SNR -inf, inf on the noiseless channel."""
+    return 2 * _SCALE ** 2 / _METRIC_STEPS * 10 ** (snr_db / 10)
+
+
 def channel_groups(streams: Sequence[Bits], snrs_db: Sequence[Sequence[float]],
                    seeds: Sequence[Sequence[int]],
                    soft: Sequence[bool] | None = None) -> list[np.ndarray]:

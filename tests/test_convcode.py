@@ -1,8 +1,9 @@
 """Constraint-length-7 convolutional codec punctured by each row of
 ``PUNCTURES``, checked against an independent scalar shift-register oracle,
 plus Viterbi decoding properties: hard bits against a Hamming-metric oracle,
-soft metrics against brute-force maximum likelihood; and the SNR schedule
-that picks the row."""
+soft metrics against brute-force maximum likelihood; the SNR schedule that
+picks the row; and the decoder within the receiver's candidate words against
+brute-force maximum likelihood over them."""
 
 import math
 import tracemalloc
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 from kgsemcom.phy import conv_encode
-from kgsemcom.phy.convcode import (METRIC_MAX, PUNCTURES, TAIL, _BLOCK, code_rate,
-                                   coded_length, conv_encode_frames, puncture,
-                                   viterbi_decode_frames)
+from kgsemcom.phy import convcode
+from kgsemcom.phy.convcode import (METRIC_MAX, PUNCTURES, TAIL, UNPUNCTURED, _BLOCK, code_rate,
+                                   coded_length, conv_encode_frames, decode_in_prior, depuncture,
+                                   puncture, viterbi_decode_frames, word_prior)
 from kgsemcom.phy.qam import channel_groups
 
 
@@ -354,6 +356,97 @@ def test_all_erasure_frame_decodes():
             metrics = np.zeros((3, _sent_length(L, pattern)), dtype=np.int8)
             assert np.array_equal(viterbi_decode_frames(metrics, pattern),
                                   np.zeros((3, L), dtype=np.uint8)), pattern
+
+
+# -- maximum likelihood within the receiver's candidate words --------------------------
+
+def _oracle_in_prior(metrics, viterbi, width, n, pairs, nats):
+    """The rule by brute force over the candidate words, each scored whole
+    through the encoder: a word of one or two ranks outside the candidates
+    (any rank below n; the listed sorted pairs) that some received bit
+    disagrees with gives way to the least-metric candidate, the lowest rank
+    or first pair on a tie, if that metric exceeds its own by at most
+    PRIOR_NATS, at ``nats`` a metric step."""
+    def metrics_of(words):
+        signs = 2 * conv_encode_frames(np.array(words, dtype=np.uint8).reshape(len(words), -1),
+                                       UNPUNCTURED).astype(np.int64) - 1
+        return signs @ metrics.astype(np.int64)
+
+    ranks = tuple(int("".join(map(str, viterbi[i:i + width])), 2)
+                  for i in range(0, len(viterbi), width))
+    candidates = [(a,) for a in range(n)] if len(ranks) == 1 else sorted(pairs)
+    own = int(metrics_of([viterbi])[0])
+    if ranks in candidates or own == -int(np.abs(metrics.astype(np.int64)).sum()) \
+            or not candidates:
+        return list(viterbi)
+    words = [[int(b) for rank in c for b in format(rank, f"0{width}b")] for c in candidates]
+    scores = metrics_of(words)
+    best = int(np.argmin(scores))  # the first least metric
+    return words[best] if scores[best] - own <= convcode.PRIOR_NATS / nats else list(viterbi)
+
+
+@pytest.mark.parametrize("pattern", [UNPUNCTURED] + PATTERNS,
+                         ids=lambda p: f"rate-{code_rate(p).numerator}-{code_rate(p).denominator}")
+def test_decode_in_prior_is_maximum_likelihood_over_the_candidates(pattern):
+    # words of 1 to 13 bits (so shorter than the register, and wide enough
+    # to be scored in a high and a low part), one or two to a frame, sent as
+    # candidates or not, under noise from clean to heavy
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(57)))
+    outcomes = {"kept": 0, "replaced": 0}
+    for _ in range(100):
+        width, k = int(rng.integers(1, 14)), int(rng.integers(1, 3))
+        n = int(rng.integers(2, min(1 << width, 40 if width < 10 else 3000) + 1))
+        lowest = 0
+        if width >= 10 and rng.random() < 0.4:  # N a little below 2^W: its high part is partial
+            n = (1 << width) - int(rng.integers(1, 6))
+            lowest = n - 40
+        if n - lowest <= 40:
+            pairs = {(a, b) for a in range(lowest, n) for b in range(a + 1, n)
+                     if rng.random() < 0.3}
+        else:
+            pairs = {tuple(sorted(int(i) for i in rng.choice(n, size=2, replace=False)))
+                     for _ in range(150)}
+        prior = word_prior(n, np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T)
+        ranks = rng.integers(lowest, 1 << width, size=(8, k, 1))
+        info = (ranks >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8).reshape(8, -1)
+        sent = conv_encode_frames(info, pattern).astype(np.int64)
+        noisy = (1 - 2 * sent) * 12 + rng.normal(0, float(rng.choice([1, 10, 25])), sent.shape)
+        metrics = depuncture(np.clip(np.rint(noisy), -METRIC_MAX, METRIC_MAX).astype(np.int8),
+                             pattern)
+        viterbi = viterbi_decode_frames(metrics, UNPUNCTURED)
+        # margins of 300, 120 and 30 metric steps, one drawn per row
+        nats = convcode.PRIOR_NATS / rng.choice([300, 120, 30], size=len(metrics))
+        decoded = decode_in_prior(metrics, viterbi, width, prior, nats)
+        for mu, vit, got, row_nats in zip(metrics, viterbi, decoded, nats):
+            assert got.tolist() == _oracle_in_prior(mu, vit, width, n, pairs, row_nats)
+            outcomes["replaced" if not np.array_equal(got, vit) else "kept"] += 1
+    assert min(outcomes.values()) > 20
+
+
+def test_decode_in_prior_keeps_frames_of_three_words_and_no_prior():
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(59)))
+    metrics = rng.integers(-METRIC_MAX, METRIC_MAX + 1, size=(5, 2 * (12 + TAIL)), dtype=np.int8)
+    viterbi = viterbi_decode_frames(metrics, UNPUNCTURED)
+    prior = word_prior(3, ([0], [1]))
+    nats = np.full(5, 0.1)
+    assert decode_in_prior(metrics, viterbi, 4, prior, nats) is viterbi  # three 4-bit words
+    assert decode_in_prior(metrics, viterbi, 12, None, nats) is viterbi
+    # a prior of more ranks than 2-bit words name: every one-rank word is
+    # valid, and pairs are still searched
+    short = rng.integers(-METRIC_MAX, METRIC_MAX + 1, size=(5, 2 * (4 + TAIL)), dtype=np.int8)
+    decoded = decode_in_prior(short, viterbi_decode_frames(short, UNPUNCTURED), 2,
+                              word_prior(10, ([0, 1], [1, 3])), nats)
+    assert {tuple(w) for w in decoded.tolist()} <= {(0, 0, 0, 1), (0, 1, 1, 1)} | {
+        tuple(w) for w in viterbi_decode_frames(short, UNPUNCTURED).tolist()}
+
+
+def test_word_prior_lists_each_sorted_pair_once():
+    prior = word_prior(5, ([3, 1, 2, 0], [1, 3, 2, 4]))
+    assert prior.keys.tolist() == [0 * 5 + 4, 1 * 5 + 3]
+    assert prior.second.tolist() == [4, 3]
+    assert prior.starts.tolist() == [0, 1, 2, 2, 2, 2]
+    with pytest.raises(ValueError, match="ranks below"):
+        word_prior(5, ([0], [5]))
 
 
 def test_decoding_a_hundred_thousand_bit_frame_stays_under_nine_mb():

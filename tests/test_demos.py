@@ -19,6 +19,7 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     ("run_single_transmission.py", ["--snr", "6"]),
     ("sweep_demo.py", ["--trials", "1", "--snr", "6", "--out", "{tmp}/sweep.csv"]),
     ("rate_schedule.py", ["--seeds", "100", "--trials", "1", "--snr", "12"]),
+    ("seed_margin.py", ["--seeds", "100", "--trials", "1", "--snr", "0", "--nats", "0", "3"]),
 ])
 def test_demo_runs(tmp_path, script, args):
     stdout = _run_demo(tmp_path, script, args)

@@ -17,6 +17,7 @@ from kgsemcom.phy import (
     serialize_frame,
     transmit,
     transmit_many,
+    word_prior,
 )
 from kgsemcom.phy import link
 from kgsemcom.phy.bits import as_bits, ids_to_bits
@@ -261,6 +262,56 @@ def test_transmit_many_matches_pinned_sha256():
     for result in transmit_many(frames, cfgs):
         digest.update(repr(dataclasses.astuple(result)).encode())
     assert digest.hexdigest() == TRANSMIT_MANY_SHA256
+
+
+def test_a_prior_naming_every_one_rank_word_changes_nothing():
+    # with N = 2^W every one-rank word names an entity, so none is searched
+    width = 4
+    prior = word_prior(1 << width, ([0], [1]))
+    frames = [TransmissionFrame((3,), (7,), width), TransmissionFrame((2,), (), width)] * 50
+    cfgs = [ChannelConfig(0.0, seed) for seed in range(len(frames))]
+    assert transmit_many(frames, cfgs, prior) == transmit_many(frames, cfgs)
+
+
+@pytest.mark.parametrize("n, width", [(5, 3), ((1 << 12) - 301, 12)])
+def test_a_one_seed_word_past_n_decodes_to_a_valid_rank(n, width):
+    # N - 1 sent at 0 dB: the Viterbi word is often N or above (12-bit words
+    # are scored in a high and a low part, and N's high part is partial)
+    frame = TransmissionFrame((n - 1,), (), width)
+    cfgs = [ChannelConfig(0.0, seed) for seed in range(300)]
+    plain = transmit_many([frame] * len(cfgs), cfgs)
+    no_pairs = word_prior(n, (np.zeros(0, int), np.zeros(0, int)))
+    decoded = transmit_many([frame] * len(cfgs), cfgs, no_pairs)
+    past = [i for i, r in enumerate(plain) if r.received_protected[0] >= n]
+    assert len(past) > 10
+    assert all(decoded[i].received_protected[0] < n for i in past)
+    assert sum(r.received_protected == (n - 1,) for r in decoded) > sum(
+        r.received_protected == (n - 1,) for r in plain)
+    # the rows the Viterbi word already names a rank in are left as they are
+    assert all(decoded[i] == plain[i] for i in range(len(cfgs)) if i not in past)
+
+
+def test_a_rank_at_n_sent_at_0_db_comes_back_below_n():
+    # N itself names no entity, and at 0 dB the margin always reaches a rank
+    # below N, here where N's high part holds ranks below N and words past it
+    n, width = (1 << 12) - 301, 12
+    frames = [TransmissionFrame((n,), (), width)] * 100
+    cfgs = [ChannelConfig(0.0, seed) for seed in range(len(frames))]
+    decoded = transmit_many(frames, cfgs, word_prior(n, (np.zeros(0, int), np.zeros(0, int))))
+    assert all(r.received_protected[0] < n for r in decoded)
+
+
+def test_a_pair_no_triple_joins_arrives_exactly_without_noise():
+    # the prior lists the chain (a, a + 1); every other pair is sent clean,
+    # and a word no received bit disagrees with stands
+    n, width = 100, 7
+    prior = word_prior(n, (np.arange(n - 1), np.arange(1, n)))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(65)))
+    pairs = {tuple(sorted(int(i) for i in rng.choice(n, size=2, replace=False)))
+             for _ in range(300)}
+    frames = [TransmissionFrame(pair, (), width) for pair in sorted(pairs) if pair[1] > pair[0] + 1]
+    results = transmit_many(frames, [ChannelConfig(NOISELESS, 0)] * len(frames), prior)
+    assert [r.received_protected for r in results] == [f.protected_ids for f in frames]
 
 
 def test_same_seed_reproducible_distinct_seeds_differ():

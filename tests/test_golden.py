@@ -12,13 +12,13 @@ from kgsemcom.harness import SweepConfig, baseline_records, render_report, run_s
 
 from kgtools import load_synthkg
 
-FIXTURE_SWEEP_SHA256 = "4e14904362624532cdacb2dc01dc61cffe7331dc7b10196b596fb0a6e0977e2e"
+FIXTURE_SWEEP_SHA256 = "572f9e0e08325ea87373b165936c5402a27eb69a987cabd3d33c71978938ac52"
 # the same sweep's huffman_baseline and ascii trial rows alone: a change to the
 # coded id link (decoder, code rate) must leave the text schemes untouched
 FIXTURE_TEXT_ROWS_SHA256 = "e852ba66224825167876a7826c135a9010ab52bc5c7bdb1aab5a41b20831392b"
 # sweep seed 2**40 + 3 (two 32-bit words, so six-word seed entropy), both
 # infinite SNRs, every scheme; the -inf rows are labelled "-inf"
-WIDE_SEED_SWEEP_SHA256 = "6baadf5b18b4bd32064f427701a05e8becbafc339bd92c086fdfb3c1cd98ec75"
+WIDE_SEED_SWEEP_SHA256 = "4a5342e66b70010fa6dfd9795826846af7451f2bb3526bbbb317bf4e37ba7928"
 # `kgsemcom baseline` reports on the fixture corpus: (SNR grid, seed, sha256)
 BASELINE_SHA256 = [
     ([math.inf], 0, "b3f1adb8af841ed2657a8a5fbb22d71c3f81636f0d0718d078fb584ebae581c1"),
@@ -28,7 +28,7 @@ BASELINE_SHA256 = [
 ]
 # every scheme on the benchmark's synthetic graph generator at 8,000 entities
 # and 80 sentences (generator seed 3), so the KG path is pinned at scale
-SYNTHETIC_KG_SWEEP_SHA256 = "6138682940e597189027c5f684eec446ddabbc2207e8940fa80d96eee10344c2"
+SYNTHETIC_KG_SWEEP_SHA256 = "b6976f186c1436222650f5d311bf05b3772a51dabe59cf5bdc5cd08b03e0b220"
 
 
 @pytest.fixture(scope="module")
