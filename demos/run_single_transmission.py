@@ -6,7 +6,7 @@ to its one-hop subgraph. Its seed ids are split into protected and
 unprotected by their importance in that subgraph and sent through the
 coded/uncoded 16QAM link at a chosen SNR. The receiver expands the seeds it
 gets by one hop in its copy of the graph, rebuilds the subgraph and
-re-verbalizes it.
+re-verbalizes the facts that touch a received seed.
 This is `kgsemcom send` on the bundled graph: every stage prints what it
 produced, so you can watch where noise starts to bite as you lower --snr.
 

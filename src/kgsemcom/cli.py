@@ -21,7 +21,7 @@ import sys
 
 from . import kg as kgmod
 from .extraction import extract_trace
-from .generation import enrich_kg
+from .generation import build_prompt, enrich_kg
 from .harness import (PipelineContext, SweepConfig, baseline_records, check_snr_grid,
                       load_corpus, run_sweep, select_backends, semantic_similarity,
                       write_report)
@@ -176,7 +176,8 @@ def _cmd_send(args) -> int:
     if not recon.nodes:
         print("empty reconstruction; similarity 0.0")
         return 0
-    print(f"[8 generate] {text}")
+    stated = len(build_prompt(recon, kg).triples)
+    print(f"[8 generate] {stated} of {len(recon.edges)} facts, those with a seed end: {text}")
     print(f"[9 similarity] {semantic_similarity(args.sentence, text, ctx.embedder):.4f}")
     return 0
 

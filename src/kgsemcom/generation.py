@@ -1,8 +1,11 @@
 """Text regeneration from a reconstructed subgraph.
 
-The prompt holds the subgraph deterministically: its triples as name tuples
-sorted by (subject, relation, object), then a description line per node in
-ascending id order, under a fixed versioned instruction. The offline backend
+The prompt states the subgraph's seed star deterministically: the triples
+with a seed at either end, as name tuples sorted by (subject, relation,
+object), then a description line per node in ascending id order, under a
+fixed versioned instruction. Edges between two hop nodes join entities the
+sentence never named, so they are left out; every node the receiver keeps
+neighbours a seed, so each one is still named. The offline backend
 verbalizes each triple as "subject relation-phrase object" and never renders
 the prompt; a remote backend sends ``Prompt.render()``'s text to a chat model
 and falls back to the offline template on an empty reply, which
@@ -25,7 +28,7 @@ class Prompt:
     instruction: str
     triples: tuple[tuple[str, str, str], ...]  # (subject, relation, object) names
     descriptions_section: tuple[str, ...]
-    isolated_names: tuple[str, ...]  # nodes no edge touches, ascending id
+    isolated_names: tuple[str, ...]  # nodes no stated triple touches, ascending id
 
     def render(self) -> str:
         parts = [self.instruction.rstrip(), "", "Facts:"]
@@ -54,11 +57,13 @@ def build_prompt(mcsg: Mcsg, kg: KnowledgeGraph) -> Prompt:
     if not mcsg.nodes:
         raise ValueError("cannot build a prompt from an empty subgraph")
     name = {nid: kg.entities[nid].name for nid in mcsg.nodes}
+    seeds = mcsg.seed_nodes
     # Mcsg keeps its edges sorted by (subject, relation, object)
-    triple_names = tuple((name[t.subject], t.relation, name[t.object]) for t in mcsg.edges)
+    star = [t for t in mcsg.edges if t.subject in seeds or t.object in seeds]
+    triple_names = tuple((name[t.subject], t.relation, name[t.object]) for t in star)
     ordered_nodes = sorted(mcsg.nodes)
     descriptions = tuple(f"{name[n]}: {kg.entities[n].description}" for n in ordered_nodes)
-    touched = {t.subject for t in mcsg.edges} | {t.object for t in mcsg.edges}
+    touched = {t.subject for t in star} | {t.object for t in star}
     isolated = tuple(name[n] for n in ordered_nodes if n not in touched)
     return Prompt(instruction=load_prompt(GENERATION_PROMPT_FILE),
                   triples=triple_names,

@@ -36,8 +36,8 @@ from .semgraph import Mcsg, build_mcsg, one_hop, reconstruct
 SCHEMES = ("kgrag", "huffman_baseline", "ascii")
 
 # most generated texts a context keeps; past it the oldest entry goes first.
-# A seed-0 benchmark sweep fills 167 (fixture_sweep) or 495 (large_kg), so
-# none of its hits is lost.
+# A seed-0 benchmark sweep fills 248 (fixture_sweep: 159 node sets, each with
+# one or more seed sets) or 445 (large_kg), so none of its hits is lost.
 GENERATION_CACHE_SIZE = 2048
 
 CSV_COLUMNS = ("record_type", "sentence_id", "snr_db", "scheme", "trial", "seed",
@@ -193,10 +193,12 @@ class PipelineContext:
     them, and each scores the text ``receive`` returns. Only a sentence's
     seeds cross the channel; both ends derive the rest of its subgraph from
     the seeds and the KG they share. Generation is a deterministic function
-    of the reconstructed node set, so texts are memoized by that set, up to
-    GENERATION_CACHE_SIZE entries and oldest out first, which changes nothing
-    observable besides speed. The corpus only feeds the sweep's sentence list
-    and the Huffman table, which is built on first use.
+    of the reconstructed node set and its seeds (the prompt states only the
+    triples with a seed end, and one node set can come from several seed
+    sets), so texts are memoized by the pair, up to GENERATION_CACHE_SIZE
+    entries and oldest out first, which changes nothing observable besides
+    speed. The corpus only feeds the sweep's sentence list and the Huffman
+    table, which is built on first use.
 
     The receiver also decodes with the KG. ``seed_prior``, built on first
     use in one pass over the triples, lists the words a protected stream
@@ -233,7 +235,8 @@ class PipelineContext:
         self.id_width = max(1, (len(kg.entities) - 1).bit_length())
         self._id_of_rank = np.full(1 << self.id_width, -1, dtype=np.int64)
         self._id_of_rank[:len(kg.entities)] = sorted(kg.entities)
-        self._generation_cache: dict[frozenset[int], tuple[str, bool]] = {}
+        self._generation_cache: dict[tuple[frozenset[int], frozenset[int]],
+                                     tuple[str, bool]] = {}
 
     @classmethod
     def from_config(cls, config: SweepConfig) -> "PipelineContext":
@@ -285,20 +288,22 @@ class PipelineContext:
 
     def generate_text(self, recon: Mcsg) -> tuple[str, bool]:
         cache = self._generation_cache
-        hit = cache.get(recon.nodes)
+        key = recon.nodes, recon.seed_nodes
+        hit = cache.get(key)
         if hit is None:
             result = self.generator.generate(build_prompt(recon, self.kg))
             if len(cache) >= GENERATION_CACHE_SIZE:
                 del cache[next(iter(cache))]  # dicts keep insertion order
-            hit = cache[recon.nodes] = (result.text, result.degraded)
+            hit = cache[key] = (result.text, result.degraded)
         return hit
 
     def receive(self, received_ids: Iterable[int]) -> tuple[Mcsg, str, str]:
         """The one receiver: drop the received ids no entity holds, expand the
         surviving seeds by one hop in the KG, ``reconstruct`` the subgraph of
-        that node set and generate text from it. -> (reconstruction, text,
-        flags); the reconstruction's seed nodes are the received seeds it
-        kept, and an empty reconstruction yields no text."""
+        that node set and generate text from its triples with a kept seed at
+        either end. -> (reconstruction, text, flags); the reconstruction's
+        seed nodes are the received seeds it kept, and an empty
+        reconstruction yields no text."""
         seeds = frozenset(i for i in received_ids if i in self.kg.entities)
         recon = reconstruct(one_hop(seeds, self.kg), self.kg,
                             keep_all_components=self.keep_all_components)

@@ -5,7 +5,7 @@ emits one bit per generator, in tuple order, and a generator's top bit
 multiplies the newest input. The encoder appends TAIL zero bits and then
 sends only the positions a puncturing pattern keeps, the pattern repeated
 over the whole interleaved output, tail included. ``PUNCTURES`` is the one
-table of patterns, rates 2/3, 5/6 and 7/8 of this one mother code (rate-
+table of patterns, rates 2/3, 3/4 and 7/8 of this one mother code (rate-
 compatible punctured codes), each with the lowest SNR it serves, and
 ``puncture`` the one place a frame's SNR picks its pattern. The encoder and
 the decoder take any pattern that covers whole trellis steps and keeps a bit
@@ -73,12 +73,12 @@ from .bits import Bits, as_bits
 GENERATORS = (0o171, 0o133)
 # (lowest SNR in dB, pattern), by rising SNR. A pattern marks the kept (1) and
 # punctured (0) positions of the interleaved output, repeated over it. The rows
-# are the standard rate-2/3, 5/6 and 7/8 matrices of this code (as in DVB-S and
+# are the standard rate-2/3, 3/4 and 7/8 matrices of this code (as in DVB-S and
 # IEEE 802.11a); the thresholds are demos/rate_schedule.py's rule on two
 # held-out graphs: the highest rate that costs no similarity at that SNR.
 PUNCTURES = (
     (-math.inf, (1, 1, 1, 0)),                                  # rate 2/3
-    (10.0, (1, 1, 0, 1, 1, 0, 0, 1, 1, 0)),                     # rate 5/6
+    (10.0, (1, 1, 0, 1, 1, 0)),                                 # rate 3/4
     (12.0, (1, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1, 1, 0)),         # rate 7/8
 )
 UNPUNCTURED = (1,) * len(GENERATORS)  # the mother code: every output bit sent

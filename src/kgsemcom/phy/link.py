@@ -2,7 +2,7 @@
 
 The protected stream is encoded with the punctured code of ``convcode``, its
 pattern picked from the row's SNR by ``convcode.puncture`` (rate 2/3 below
-10 dB, 5/6 from 10 dB, 7/8 from 12 dB; a frame with no protected id sends no
+10 dB, 3/4 from 10 dB, 7/8 from 12 dB; a frame with no protected id sends no
 coded bits); the unprotected stream enters the channel as-is. Each distinct
 frame's uncoded stream is one channel group over all its rows, and its coded
 stream one group per pattern its rows' SNRs pick; all cross

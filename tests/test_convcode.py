@@ -60,7 +60,7 @@ def _hard(bits: np.ndarray) -> np.ndarray:
 
 def test_schedule_picks_each_row_from_its_lowest_snr():
     assert [lowest for lowest, _ in PUNCTURES] == [-math.inf, 10.0, 12.0]
-    assert [code_rate(p) for p in PATTERNS] == [Fraction(2, 3), Fraction(5, 6), Fraction(7, 8)]
+    assert [code_rate(p) for p in PATTERNS] == [Fraction(2, 3), Fraction(3, 4), Fraction(7, 8)]
     for snr_db, row in ((-math.inf, 0), (0.0, 0), (8.0, 0), (9.99, 0), (10.0, 1),
                         (11.99, 1), (12.0, 2), (30.0, 2), (math.inf, 2)):
         assert puncture(snr_db) == PATTERNS[row]
@@ -79,9 +79,11 @@ def test_a_malformed_pattern_is_rejected(pattern):
             call()
 
 
-@pytest.mark.parametrize("pattern", [(1, 1), (1, 1, 0, 1, 1, 0)], ids=["rate-1-2", "rate-3-4"])
+@pytest.mark.parametrize("pattern", [(1, 1), (1, 1, 0, 1, 1, 0), (1, 1, 0, 1, 1, 0, 0, 1, 1, 0)],
+                         ids=["rate-1-2", "rate-3-4", "rate-5-6"])
 def test_a_pattern_outside_the_table_codes_too(pattern):
-    # the unpunctured mother code and the standard rate-3/4 matrix
+    # the unpunctured mother code and the standard rate-3/4 and 5/6 matrices,
+    # whichever of them the schedule lacks
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(54)))
     for _ in range(20):
         info = rng.integers(0, 2, size=int(rng.integers(1, 65)), dtype=np.uint8)

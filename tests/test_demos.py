@@ -37,8 +37,32 @@ def test_single_transmission_shows_both_classes(tmp_path):
 def test_rate_schedule_rule_picks_the_shipped_table(tmp_path):
     # the rule, on the held-out graphs and seeds, gives convcode.PUNCTURES
     stdout = _run_demo(tmp_path, "rate_schedule.py", [])
-    assert ("schedule: rate 2/3 from -inf dB, rate 5/6 from 10 dB, rate 7/8 from 12 dB\n"
+    assert ("schedule: rate 2/3 from -inf dB, rate 3/4 from 10 dB, rate 7/8 from 12 dB\n"
             "convcode.PUNCTURES is this schedule: True") in stdout
+
+
+def test_rate_schedule_prints_each_higher_rate_s_cost(tmp_path):
+    # one cost line per graph at the one SNR: rate 2/3's similarity in the
+    # table less each higher rate's, beside the tolerance
+    stdout = _run_demo(tmp_path, "rate_schedule.py", ["--seeds", "100", "--trials", "1",
+                                                      "--snr", "12"])
+    similarity = {}
+    for row in stdout.splitlines():
+        if row.startswith("| synthkg "):
+            graph, rate, cell = row.strip("| ").split(" | ")
+            similarity[graph, rate] = float(cell.split(" @ ")[0])
+    lines = [row for row in stdout.splitlines() if row.startswith("cost against rate 2/3")]
+    assert len(lines) == 2
+    for line in lines:
+        head, _, rest = line.partition(": ")
+        graph = head.removeprefix("cost against rate 2/3 at 12 dB on ")
+        costs, _, tolerance = rest.partition(" (tolerance ")
+        assert tolerance == "0.002)"
+        pairs = [cell.split(" ") for cell in costs.split(", ")]
+        assert [rate for rate, _ in pairs] == ["3/4", "5/6", "7/8"]
+        for rate, value in pairs:
+            want = similarity[graph, "2/3"] - similarity[graph, rate]
+            assert float(value) == pytest.approx(want, abs=1.5e-4)
 
 
 def _run_demo(tmp_path, script, args) -> str:

@@ -129,7 +129,7 @@ def test_word_widths_outside_one_to_sixty_four_rejected(width):
 def test_channel_bit_cost_formula():
     for width in (7, 15):
         for n_p, n_u in ((0, 0), (1, 2), (5, 0), (0, 5), (3, 7)):
-            for snr_db, (k, d) in ((-math.inf, (2, 3)), (8.0, (2, 3)), (10.0, (5, 6)),
+            for snr_db, (k, d) in ((-math.inf, (2, 3)), (8.0, (2, 3)), (10.0, (3, 4)),
                                    (12.0, (7, 8)), (math.inf, (7, 8))):
                 # rate k/d over the ids and the 6-bit tail, rounded up; no
                 # protected id, no coded bits

@@ -1,6 +1,8 @@
 """Prompt assembly and text regeneration from reconstructed subgraphs."""
 
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from kgsemcom.generation import (
     enrich_kg,
     verbalize_relation,
 )
+from kgsemcom.harness import PipelineContext
 from kgsemcom.kg import ingest
+from kgsemcom.phy import ChannelConfig, transmit
 from kgsemcom.semgraph import reconstruct
 
 from kgtools import tiny_kg
@@ -63,6 +67,42 @@ def test_prompt_sections_cover_subgraph(sample_kg):
     for nid in sorted(mcsg.nodes):
         name = sample_kg.entities[nid].name
         assert any(line.startswith(f"{name}: ") for line in prompt.descriptions_section)
+
+
+def test_prompt_states_the_edges_with_a_seed_end(sample_kg, sample_corpus):
+    # over the receiver's reconstructions of the fixture's frames: the facts
+    # are a plain filter of the edges, every node the edges touch is still
+    # named, and a subgraph whose every node is a seed states every edge
+    ctx = PipelineContext(sample_kg, sample_corpus)
+    cut = 0
+    for sentence in sample_corpus:
+        analysis = ctx.analyze(sentence)
+        if not analysis.mcsg.seed_nodes:
+            continue
+        for snr_db in (0.0, 4.0, 12.0, math.inf):
+            for seed in range(3):
+                frame = ctx.send_frame(analysis, snr_db)
+                result = transmit(frame, ChannelConfig(snr_db, seed), ctx.seed_prior)
+                recon, _, _ = ctx.receive(ctx.received_ids(result))
+                if not recon.nodes:
+                    continue
+                name = {n: sample_kg.entities[n].name for n in recon.nodes}
+                names = [(name[t.subject], t.relation, name[t.object]) for t in recon.edges]
+                seeds = recon.seed_nodes
+                star = [(name[t.subject], t.relation, name[t.object]) for t in recon.edges
+                        if t.subject in seeds or t.object in seeds]
+                touched = {n for t in recon.edges for n in (t.subject, t.object)}
+                prompt = build_prompt(recon, sample_kg)
+                assert list(prompt.triples) == star
+                assert prompt.isolated_names == tuple(name[n] for n in sorted(recon.nodes)
+                                                      if n not in touched)
+                assert prompt.descriptions_section == tuple(
+                    f"{name[n]}: {sample_kg.entities[n].description}" for n in sorted(recon.nodes))
+                everything = build_prompt(replace(recon, seed_nodes=recon.nodes), sample_kg)
+                assert list(everything.triples) == names
+                assert everything.isolated_names == prompt.isolated_names
+                cut += len(star) < len(names)
+    assert cut  # some reception drops a fact between two hop nodes
 
 
 def test_verbalize_relation():

@@ -14,6 +14,7 @@ import pytest
 
 import kgsemcom.harness as harness
 from kgsemcom.embedding import TrigramEmbedder
+from kgsemcom.generation import StubGenerator, build_prompt
 from kgsemcom.harness import (
     SCHEMES,
     ExperimentRecord,
@@ -737,6 +738,19 @@ def test_generation_memo_stays_within_its_cap(small_config, monkeypatch):
     assert run_sweep(config, ctx) == clean
     assert max(sizes) == 2
     assert len(generated) > 2  # so entries were evicted
+
+
+def test_one_node_set_from_two_seed_sets_gets_two_texts(sample_kg):
+    # seeds {2} and {2, 3} reconstruct the same nodes, but each text states
+    # its own seeds' facts, so the memo may not hand one the other's text
+    ctx = PipelineContext(sample_kg)
+    one, one_text, _ = ctx.receive([2])
+    two, two_text, _ = ctx.receive([2, 3])
+    assert one.nodes == two.nodes == {1, 2, 3, 10}
+    assert one_text != two_text
+    for recon, text in ((one, one_text), (two, two_text)):
+        assert text == StubGenerator().generate(build_prompt(recon, sample_kg)).text
+        assert ctx.receive(recon.seed_nodes)[1] == text
 
 
 def test_baseline_records_no_noise(sample_corpus):
