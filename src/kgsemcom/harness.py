@@ -5,20 +5,24 @@ neighbours from its copy of the KG), "huffman_baseline" (corpus-frequency
 Huffman, uncoded), and "ascii" (8 bits per character, uncoded).
 
 Determinism: every trial's channel seed derives from (sweep seed, sentence,
-SNR index, trial, scheme) as ``SeedSequence`` would derive it (one
-``phy.seed_state`` pass per sentence), so identical configs yield
-byte-identical reports and any single row can be replayed in isolation.
+SNR index, trial, scheme) as ``SeedSequence`` would derive it (a sentence's
+kgrag seeds in one ``phy.seed_state`` pass, its text schemes' in another),
+and a row's noise and decoding depend on its own frame, SNR and seed alone.
+So the sweep can send the kgrag rows of a group of sentences through one
+channel call, identical configs yield byte-identical reports whatever the
+group size, and any single row can be replayed in isolation.
 """
 
 import csv
 import io
 import json
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,6 +43,10 @@ SCHEMES = ("kgrag", "huffman_baseline", "ascii")
 # A seed-0 benchmark sweep fills 248 (fixture_sweep: 159 node sets, each with
 # one or more seed sets) or 445 (large_kg), so none of its hits is lost.
 GENERATION_CACHE_SIZE = 2048
+
+# most kgrag channel rows (trials) a sweep sends in one call: it groups
+# consecutive sentences up to this many rows, and at least one
+_GROUP_ROWS = 512
 
 CSV_COLUMNS = ("record_type", "sentence_id", "snr_db", "scheme", "trial", "seed",
                "payload_bits", "channel_bits", "similarity", "n_selected",
@@ -375,19 +383,49 @@ def _attempt(stage, *args):
         return exc
 
 
-def _send_kgrag(ctx: PipelineContext, sentence: str, points: list[Point]) -> list[SentPoint]:
-    """Analysis once, ``ctx.send_frame`` once per SNR, one channel call for
-    every point, and ``ctx.receive`` once per distinct set of valid seeds
-    the sentence's receptions hold."""
+class _Framed(NamedTuple):
+    """A kgrag point between its two halves: the frame its trials send, and
+    the sentence's selection and subgraph sizes."""
+    frame: TransmissionFrame
+    n_selected: int
+    n_mcsg: int
+
+
+def _kgrag_frames(ctx: PipelineContext, sentence: str,
+                  points: list[Point]) -> list[SentPoint | _Framed]:
+    """The frames half of kgrag: analysis once and ``ctx.send_frame`` once
+    per SNR. A point comes back framed, or already sent: with no bits and
+    every trial flagged if the sentence selects nothing, or as the
+    exception its frame raised."""
     analysis = ctx.analyze(sentence)
     if not analysis.mcsg.seed_nodes:
         return [((0, 0, 0, 0), [("", "empty_selection", 0)] * len(seeds)) for _, seeds in points]
-    n_selected, n_mcsg = len(analysis.mcsg.seed_nodes), len(analysis.mcsg.nodes)
+    sizes = len(analysis.mcsg.seed_nodes), len(analysis.mcsg.nodes)
     frames = [_attempt(ctx.send_frame, analysis, snr_db) for snr_db, _ in points]
-    sent = [(frame, ChannelConfig(snr_db, seed))
-            for (snr_db, seeds), frame in zip(points, frames)
-            if not isinstance(frame, Exception) for _, seed in seeds]
-    results = iter(transmit_many([f for f, _ in sent], [c for _, c in sent], ctx.seed_prior))
+    return [f if isinstance(f, Exception) else _Framed(f, *sizes) for f in frames]
+
+
+def _transmit_framed(ctx: PipelineContext,
+                     sentences: list[tuple[list[Point], list[SentPoint | _Framed]]]
+                     ) -> Iterator[TransmitResult]:
+    """One channel call for every trial of every framed point of
+    ``sentences``, each a sentence's points and frames half -> an iterator
+    of the results in that order, which each sentence's receptions half
+    takes its own from."""
+    rows = [(p.frame, ChannelConfig(snr_db, seed)) for points, framed in sentences
+            for (snr_db, seeds), p in zip(points, framed) if isinstance(p, _Framed)
+            for _, seed in seeds]
+    return iter(transmit_many([f for f, _ in rows], [c for _, c in rows], ctx.seed_prior))
+
+
+def _kgrag_receptions(ctx: PipelineContext, points: list[Point],
+                      framed: list[SentPoint | _Framed],
+                      results: Iterator[TransmitResult] | Exception) -> list[SentPoint]:
+    """The receptions half of kgrag: each framed point takes its trials'
+    results from ``results``, the channel call's iterator (or the exception
+    the call raised, which every framed point then holds), and
+    ``ctx.receive`` runs once per distinct set of valid seeds the sentence's
+    receptions hold."""
     # the receiver's output depends only on the valid seeds, and this
     # sentence's receptions often repeat them: valid seeds -> reception
     receptions: dict[frozenset[int], Reception] = {}
@@ -399,15 +437,16 @@ def _send_kgrag(ctx: PipelineContext, sentence: str, points: list[Point]) -> lis
             receptions[seeds] = text, flags, len(seeds)
         return receptions[seeds]
 
-    def point(frame: TransmissionFrame, point_results: list[TransmitResult]) -> SentPoint:
+    def point(p: _Framed, point_results: list[TransmitResult]) -> SentPoint:
         # every trial of a point sends the same frame, so the same channel bits
-        n_sent = len(frame.protected_ids) + len(frame.unprotected_ids)
-        return ((payload_bits(n_sent, frame.width), point_results[0].channel_bits, n_selected,
-                 n_mcsg), [receive(result) for result in point_results])
+        n_sent = len(p.frame.protected_ids) + len(p.frame.unprotected_ids)
+        return ((payload_bits(n_sent, p.frame.width), point_results[0].channel_bits,
+                 p.n_selected, p.n_mcsg), [receive(result) for result in point_results])
 
-    return [frame if isinstance(frame, Exception)
-            else _attempt(point, frame, [next(results) for _ in seeds])
-            for (_, seeds), frame in zip(points, frames)]
+    if isinstance(results, Exception):
+        return [results if isinstance(p, _Framed) else p for p in framed]
+    return [_attempt(point, p, [next(results) for _ in seeds]) if isinstance(p, _Framed) else p
+            for (_, seeds), p in zip(points, framed)]
 
 
 def _ascii_bits(text: str) -> np.ndarray:
@@ -437,14 +476,12 @@ def _send_text(ctx: PipelineContext, scheme: str, sentence: str,
     return [_attempt(decode, [next(received) for _ in seeds]) for _, seeds in points]
 
 
-def _points(ctx: PipelineContext, vectors: SentenceVectors, scheme: str, sentence: str,
-            sentence_id: int, points: list[Point]) -> list[list[ExperimentRecord] | Exception]:
-    """One (sentence, scheme) at every point: the scheme's sender, one
-    embedding batch for every text received, then each point's records, or
-    the exception that point raised. A text is scored iff it is non-empty;
-    an empty one scores 0.0."""
-    sent = (_send_kgrag(ctx, sentence, points) if scheme == "kgrag"
-            else _send_text(ctx, scheme, sentence, points))
+def _score(vectors: SentenceVectors, scheme: str, sentence: str, sentence_id: int,
+           points: list[Point], sent: list[SentPoint]) -> list[list[ExperimentRecord] | Exception]:
+    """One (sentence, scheme) at every point, from what its sender made of
+    them: one embedding batch for every text received, then each point's
+    records, or the exception that point raised. A text is scored iff it is
+    non-empty; an empty one scores 0.0."""
     texts = [text for s in sent if not isinstance(s, Exception) for text, _, _ in s[1] if text]
     if texts:
         vectors.add([sentence, *texts])
@@ -483,10 +520,15 @@ def baseline_records(corpus: list[str], snr_grid: list[float] | None = None,
 def run_pipeline(ctx: PipelineContext, sentence: str, sentence_id: int,
                  snr_db: float, seed: int, scheme: str = "kgrag",
                  trial: int = 0) -> ExperimentRecord:
-    """Single (sentence, SNR, seed, scheme) run -> one record; a stage
-    failure raises."""
-    (rows,) = _points(ctx, SentenceVectors(ctx.embedder), scheme, sentence, sentence_id,
-                      [(snr_db, [(trial, seed)])])
+    """Single (sentence, SNR, seed, scheme) run -> one record, through the
+    sweep's stages with a group of one sentence; a stage failure raises."""
+    points = [(snr_db, [(trial, seed)])]
+    if scheme == "kgrag":
+        framed = _kgrag_frames(ctx, sentence, points)
+        sent = _kgrag_receptions(ctx, points, framed, _transmit_framed(ctx, [(points, framed)]))
+    else:
+        sent = _send_text(ctx, scheme, sentence, points)
+    (rows,) = _score(SentenceVectors(ctx.embedder), scheme, sentence, sentence_id, points, sent)
     if isinstance(rows, Exception):
         raise rows
     return rows[0]
@@ -496,15 +538,23 @@ def run_sweep(config: SweepConfig, ctx: PipelineContext | None = None) -> list[E
     """All (sentence, snr, trial, scheme) records of ``config`` in
     deterministic order, on ``ctx`` (default: one built from ``config``).
 
-    The sweep works one sentence at a time: one ``derive_seed`` pass gives
-    every seed of the sentence, and each scheme sends all its SNR points and
-    trials through one channel call. ``ctx.receive`` runs once per distinct
-    set of valid seeds a sentence's kgrag receptions hold, and one embedding
-    batch serves each (sentence, scheme)'s scores. A failure is captured as
-    an ``error:<type>`` flag and the sweep keeps going. A per-point stage
-    (``send_frame``'s UEP split and frame, decode, reception, scoring) flags
-    only the records of its (sentence, SNR, scheme); a shared step (analysis,
-    encoding, the channel call) flags the records of every point it covered."""
+    The sweep works on groups of consecutive sentences, at most
+    ``_GROUP_ROWS`` kgrag channel rows a group. Each sentence of a group is
+    analyzed and framed, then every kgrag trial of the group crosses the
+    channel in one call; then, sentence by sentence, the kgrag receptions
+    are received, each text scheme sends all its SNR points and trials
+    through one channel call of its own, and every scheme's records are
+    scored. One ``derive_seed`` pass gives a sentence's kgrag seeds and one
+    its text schemes' seeds. ``ctx.receive`` runs once per distinct set of
+    valid seeds a sentence's kgrag receptions hold, and one embedding batch
+    serves each (sentence, scheme)'s scores. A failure is captured as an
+    ``error:<type>`` flag and the sweep keeps going. A per-point stage
+    (``send_frame``'s UEP split and frame, decode, reception, scoring)
+    flags only the records of its (sentence, SNR, scheme); a shared step
+    flags the records of every point it covered: a sentence's analysis or
+    encoding those of its (sentence, scheme), the kgrag channel call the
+    kgrag records its sentence group sent, and a text scheme's channel call
+    those of its (sentence, scheme)."""
     return _sweep(ctx or PipelineContext.from_config(config), config.snr_grid,
                   config.trials_per_point, config.seed, config.schemes)
 
@@ -515,28 +565,58 @@ def _sweep(ctx: PipelineContext, grid: list[float], trials: int, seed: int,
     repeated SNR label would merge report rows, so it raises ValueError."""
     check_snr_grid("snr grid", grid)
     schemes = [s for s in SCHEMES if s in schemes]
-    shape = (len(grid), trials, len(schemes))
-    snr_index, trial_index, scheme_index = np.indices(shape).reshape(3, -1)
-    scheme_names = [schemes[k] for k in scheme_index]
+    send_kgrag, texts = "kgrag" in schemes, [s for s in schemes if s != "kgrag"]
+    snr_index, trial_index = np.indices((len(grid), trials)).reshape(2, -1)
+
+    def points(sentence_id: int, names: list[str]) -> list[list[Point]]:
+        """Each of ``names``' points of a sentence, from one ``derive_seed`` pass."""
+        k = len(names)
+        seeds = derive_seed(seed, sentence_id, snr_index.repeat(k), trial_index.repeat(k),
+                            names * len(snr_index)).reshape(len(grid), trials, k).tolist()
+        return [[(snr_db, [(t, seeds[i][t][j]) for t in range(trials)])
+                 for i, snr_db in enumerate(grid)] for j in range(k)]
+
+    def rows(vectors: SentenceVectors, scheme: str, sentence_id: int, points: list[Point],
+             sent: list[SentPoint] | Exception) -> list[list[ExperimentRecord]]:
+        """Each point's records, scored from what the scheme's sender made of them."""
+        if not isinstance(sent, Exception):
+            sent = _attempt(_score, vectors, scheme, ctx.corpus[sentence_id], sentence_id,
+                            points, sent)
+        if isinstance(sent, Exception):  # a shared step: every point fails with it
+            sent = [sent] * len(points)
+        return [_error_records(sentence_id, snr_db, scheme, seeds, r)
+                if isinstance(r, Exception) else r for (snr_db, seeds), r in zip(points, sent)]
+
+    group = max(1, _GROUP_ROWS // (len(grid) * trials))
     records: list[ExperimentRecord] = []
-    for sentence_id, sentence in enumerate(ctx.corpus):
-        sentence_seeds = derive_seed(seed, sentence_id, snr_index, trial_index,
-                                     scheme_names).reshape(shape).tolist()
-        vectors = SentenceVectors(ctx.embedder)
-        per_scheme = []
-        for k, scheme in enumerate(schemes):
-            points = [(snr_db, [(t, sentence_seeds[i][t][k]) for t in range(trials)])
-                      for i, snr_db in enumerate(grid)]
-            try:
-                rows = _points(ctx, vectors, scheme, sentence, sentence_id, points)
-            except Exception as exc:  # a shared step: every point fails with it
-                rows = [exc] * len(points)
-            per_scheme.append([_error_records(sentence_id, snr_db, scheme, seeds, r)
-                               if isinstance(r, Exception) else r
-                               for (snr_db, seeds), r in zip(points, rows)])
-        for i in range(len(grid)):
-            for t in range(trials):
-                records += [rows[i][t] for rows in per_scheme]
+    for start in range(0, len(ctx.corpus), group):
+        sentence_ids = range(start, min(start + group, len(ctx.corpus)))
+        # sentence id -> its kgrag points and frames half, or what the half raised
+        kgrag: dict[int, tuple[list[Point], list[SentPoint | _Framed] | Exception]] = {}
+        if send_kgrag:
+            for sentence_id in sentence_ids:
+                (kgrag_points,) = points(sentence_id, ["kgrag"])
+                kgrag[sentence_id] = kgrag_points, _attempt(
+                    _kgrag_frames, ctx, ctx.corpus[sentence_id], kgrag_points)
+            results = _attempt(_transmit_framed, ctx, [
+                (kgrag_points, framed) for kgrag_points, framed in kgrag.values()
+                if not isinstance(framed, Exception)])
+        for sentence_id in sentence_ids:
+            sentence = ctx.corpus[sentence_id]
+            vectors = SentenceVectors(ctx.embedder)
+            per_scheme = []
+            text_points = points(sentence_id, texts) if texts else []
+            if send_kgrag:
+                kgrag_points, framed = kgrag[sentence_id]
+                sent = framed if isinstance(framed, Exception) else _attempt(
+                    _kgrag_receptions, ctx, kgrag_points, framed, results)
+                per_scheme.append(rows(vectors, "kgrag", sentence_id, kgrag_points, sent))
+            for scheme, scheme_points in zip(texts, text_points):
+                sent = _attempt(_send_text, ctx, scheme, sentence, scheme_points)
+                per_scheme.append(rows(vectors, scheme, sentence_id, scheme_points, sent))
+            for i in range(len(grid)):
+                for t in range(trials):
+                    records += [scheme_rows[i][t] for scheme_rows in per_scheme]
     return records
 
 

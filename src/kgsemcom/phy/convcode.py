@@ -29,7 +29,9 @@ of ``b``. One trellis step is an add-compare-select of two ufunc calls:
 ``np.add`` of those metrics and the step's branch costs, then ``np.minimum``
 over ``j``. Branch costs are summed once per block of steps, and the block's
 decisions come from one comparison after it; a tie keeps predecessor bit 0.
-Each frame is traced back from state 0 to step 0 in a byte-wise loop.
+Each frame is traced back from state 0 to step 0 in a byte-wise loop. A batch
+is decoded ``_FRAMES`` frames at a time, so its decisions take T * 64 bytes a
+frame for that many frames, however large the batch.
 
 ``decode_in_prior`` turns the Viterbi words of frames of one or two W-bit
 ranks into maximum-likelihood words within the receiver's candidate set, a
@@ -57,7 +59,10 @@ exact, and it is cheap:
   above V* (the Viterbi word's metric): a first rank by S1(a) plus the best
   completion from a's state, a pair by Q(b) plus the best path into b's
   first six inputs, against the best pair so far or else the cut V* +
-  margin; a row stops once its best pair lies within the bands searched.
+  margin; a row stops once its best pair lies within the bands searched;
+- rows are searched ``_SEARCH_ROWS`` at a time, each chunk's metric tables
+  built for it alone, so a large batch holds no more at once than a
+  sentence's frames do. No row's result depends on the rest of its batch.
 """
 
 import math
@@ -86,7 +91,8 @@ METRIC_MAX = 120 // len(GENERATORS)  # so a branch's int8 sum cannot overflow
 K = 7
 NSTATES = 64
 TAIL = K - 1
-_BLOCK = 1024  # frames x trellis steps per block: 0.5 MB of int32 candidates
+_BLOCK = 512  # frames x trellis steps per block: 0.25 MB of int32 candidates
+_FRAMES = 32  # frames a Viterbi pass decodes at once: T * 64 bytes of decisions each
 # the log prior ratio, in nats, of a listed word over an unlisted one: a
 # candidate replaces the Viterbi word if its log-likelihood falls short of the
 # Viterbi word's by at most this (demos/seed_margin.py fits it on a held-out
@@ -96,6 +102,7 @@ _BAND = 96  # metric steps of first-rank bounds a pair search takes at a time
 _KEY_BITS = 32  # a row's best pair so far is metric << _KEY_BITS | pair
 SEARCH_WIDTH_MAX = 20  # wider words keep the Viterbi word
 _SEARCH_CELLS = 1 << 17  # rows x table cells searched at once: 0.5 MB an int32 table
+_SEARCH_ROWS = 8  # and at most this many: about the searched rows of one sentence's frames
 # beyond any path metric of a searched frame, |metric| <= 120 * (2 * 20 + TAIL),
 # so sums of two metrics stay within int16
 _FAR = 1 << 13
@@ -234,7 +241,16 @@ def viterbi_decode_frames(metrics: np.ndarray, pattern: tuple[int, ...]) -> np.n
 
 def _viterbi(metrics: np.ndarray) -> np.ndarray:
     """The least-cost info bits of a (B, len(GENERATORS) * T) int8 metric
-    batch, every position present."""
+    batch, every position present, decoded ``_FRAMES`` frames at a time,
+    which bounds the decisions kept for the traceback."""
+    if len(metrics) <= _FRAMES:
+        return _viterbi_block(metrics)
+    return np.concatenate([_viterbi_block(metrics[lo:lo + _FRAMES])
+                           for lo in range(0, len(metrics), _FRAMES)])
+
+
+def _viterbi_block(metrics: np.ndarray) -> np.ndarray:
+    """``_viterbi`` of one block of frames."""
     N = len(GENERATORS)
     B, n = metrics.shape
     T = n // N
@@ -333,8 +349,28 @@ def decode_in_prior(metrics: np.ndarray, bits: np.ndarray, width: int,
     rows = np.flatnonzero(outside)
     if not rows.size:
         return bits
-    # each such row's branch metric by step and window, and its Viterbi
-    # word's metric, read along the word's windows
+    found = []
+    low = _split(width)
+    step = min(_SEARCH_ROWS, max(1, _SEARCH_CELLS // ((1 << width - low) + (NSTATES << low))))
+    for lo in range(0, len(rows), step):
+        found += _search_rows(metrics, bits, rows[lo:lo + step], k, width, prior, step_nats)
+    if not found:
+        return bits
+    out = bits.copy()
+    words = np.array([word for _, word in found], dtype=np.int64).reshape(len(found), k, 1)
+    out[[row for row, _ in found]] = (words >> np.arange(width - 1, -1, -1) & 1).reshape(
+        len(found), -1)
+    return out
+
+
+def _search_rows(metrics: np.ndarray, bits: np.ndarray, rows: np.ndarray, k: int, width: int,
+                 prior: WordPrior, step_nats) -> list:
+    """``decode_in_prior``'s search over ``rows``, Viterbi words of ``k``
+    ranks outside the prior -> (row, word) for each row whose best listed
+    word replaces its Viterbi word; a word is a rank, or a pair of them."""
+    L = bits.shape[1]
+    # each row's branch metric by step and window, and its Viterbi word's
+    # metric, read along the word's windows
     by_generator = metrics[rows].astype(np.int16).reshape(len(rows), -1, len(GENERATORS), 1)
     C = sum(by_generator[:, :, g] * _WINDOW_SIGNS[g] for g in range(len(GENERATORS)))
     inputs = np.zeros((len(rows), L + 2 * TAIL), dtype=np.int64)
@@ -347,25 +383,15 @@ def decode_in_prior(metrics: np.ndarray, bits: np.ndarray, width: int,
     # SNR the margin alone keeps it; on an all-erased frame nothing else does)
     dirty = viterbi > -np.abs(metrics[rows]).sum(axis=1, dtype=np.int64)
     rows, C, viterbi = rows[dirty], C[dirty], viterbi[dirty]
+    if not rows.size:
+        return []
     # the margin in metric steps: PRIOR_NATS at the row's nats a step
     nats = np.asarray(step_nats, dtype=np.float64)[rows]
     margin = np.divide(PRIOR_NATS, nats, out=np.full(len(rows), float(_FAR)), where=nats > 0)
     cut = viterbi + np.minimum(margin, _FAR).astype(np.int64)
-    low = _split(width)
-    step = max(1, _SEARCH_CELLS // ((1 << width - low) + (NSTATES << low)))
-    found = []
-    for lo in range(0, len(rows), step):
-        part = slice(lo, lo + step)
-        words = (_search_one(C[part], cut[part], width, prior) if k == 1 else
-                 _search_pair(C[part], viterbi[part], cut[part], width, prior))
-        found += [(row, word) for row, word in zip(rows[part].tolist(), words) if word is not None]
-    if not found:
-        return bits
-    out = bits.copy()
-    words = np.array([word for _, word in found], dtype=np.int64).reshape(len(found), k, 1)
-    out[[row for row, _ in found]] = (words >> np.arange(width - 1, -1, -1) & 1).reshape(
-        len(found), -1)
-    return out
+    words = (_search_one(C, cut, width, prior) if k == 1 else
+             _search_pair(C, viterbi, cut, width, prior))
+    return [(row, word) for row, word in zip(rows.tolist(), words) if word is not None]
 
 
 def _word_metrics(C: np.ndarray, start: int, width: int, skip: int = 0) -> np.ndarray:

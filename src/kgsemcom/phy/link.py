@@ -13,7 +13,11 @@ for the Viterbi decoder, an uncoded one as hard-sliced bits.
 ``convcode.coded_length`` at the SNR's pattern; nothing else restates them.
 The two streams see independent noise derived from the same 64-bit seed, and
 a row's noise depends on its seed alone, never on its group. The rows of one
-frame are parsed and checked for bit errors together.
+frame are parsed and checked for bit errors together. Decoding is row by row
+as well, so a row's result never depends on the other rows of the call: a
+caller may batch the rows of many sentences (the sweep sends the kgrag rows
+of a group of sentences in one call), and the decoder bounds its working set
+by decoding and searching a few rows at a time.
 
 The receiver may know which protected words are plausible: a
 ``convcode.WordPrior`` of N valid ranks and the rank pairs a KG triple joins,

@@ -412,8 +412,7 @@ def _low_snr_verdict(capsys, criterion: int | str, config: SweepConfig) -> None:
         leads = []
         for scheme in ("huffman_baseline", "ascii"):
             diffs = [k - mean(by_sentence[scheme, snr_db, s]) for k, s in zip(kgrag, sentences)]
-            lead = mean(diffs)
-            se = math.sqrt(sum((d - lead) ** 2 for d in diffs) / (len(diffs) - 1) / len(diffs))
+            lead, se = _paired(diffs)
             wins = lead - 1.96 * se > 0
             ok &= wins
             leads.append(f"{'huffman' if scheme == 'huffman_baseline' else scheme} "
@@ -428,6 +427,12 @@ def _low_snr_verdict(capsys, criterion: int | str, config: SweepConfig) -> None:
     _verdict(capsys, criterion, ok,
              "; ".join(parts) + f"; mean channel bits kgrag {bits['kgrag']:.1f} "
              f"{'<' if fewer_bits else '>='} huffman {bits['huffman_baseline']:.1f}")
+
+
+def _paired(diffs: list[float]) -> tuple[float, float]:
+    """The mean of per-sentence differences and its standard error."""
+    lead = sum(diffs) / len(diffs)
+    return lead, math.sqrt(sum((d - lead) ** 2 for d in diffs) / (len(diffs) - 1) / len(diffs))
 
 
 def _synthetic_paths(tmp_path, seed: int, n_entities: int, n_sentences: int) -> tuple[str, str]:
@@ -452,16 +457,17 @@ def test_criterion_9h_held_out_low_snr_fidelity_and_overhead(capsys, tmp_path):
 # -- criterion 11: the importance-aware split beats time-sharing of fixed splits --------
 
 def _best_time_sharing(a: tuple[float, float], b: tuple[float, float],
-                       bits_cap: float) -> tuple[float, float] | None:
-    """The highest-similarity (similarity, bits) of a time-sharing mix of two
-    policies' (mean similarity, mean bits) that uses at most ``bits_cap`` mean
-    bits; None if no mix does. Both means are linear in the mix, so the best
-    one is an endpoint or the mix that spends exactly ``bits_cap``."""
+                       bits_cap: float) -> tuple[float, float, float] | None:
+    """The highest-similarity (similarity, bits, share of a) of a
+    time-sharing mix of two policies' (mean similarity, mean bits) that uses
+    at most ``bits_cap`` mean bits; None if no mix does. Both means are
+    linear in the mix, so the best one is an endpoint or the mix that spends
+    exactly ``bits_cap``."""
     (sim_a, bits_a), (sim_b, bits_b) = a, b
-    mixes = [p for p in (a, b) if p[1] <= bits_cap]
+    mixes = [(*p, share) for p, share in ((a, 1.0), (b, 0.0)) if p[1] <= bits_cap]
     if min(bits_a, bits_b) < bits_cap < max(bits_a, bits_b):
         share = (bits_cap - bits_b) / (bits_a - bits_b)
-        mixes.append((share * sim_a + (1.0 - share) * sim_b, bits_cap))
+        mixes.append((share * sim_a + (1.0 - share) * sim_b, bits_cap, share))
     return max(mixes, default=None)
 
 
@@ -470,6 +476,8 @@ def test_criterion_11_importance_split_beats_time_sharing(capsys, sample_kg_path
     policies = {"default": SweepConfig.threshold_policy, "top": ((0.0, 1.0),),
                 "all": ((0.0, 0.0),)}
     means: dict[str, dict[float, tuple[float, float]]] = {}
+    # (policy, SNR) -> each sentence's mean similarity over its trials
+    by_sentence: dict[tuple[str, float], list[float]] = {}
     for name, policy in policies.items():
         config = SweepConfig(kg_path=str(sample_kg_path), corpus_path=str(sample_corpus_path),
                              trials_per_point=10, seed=9009, schemes=("kgrag",),
@@ -480,12 +488,22 @@ def test_criterion_11_importance_split_beats_time_sharing(capsys, sample_kg_path
             point = [r for r in records if r.snr_db == snr_db]
             means[name][snr_db] = (sum(r.similarity for r in point) / len(point),
                                    sum(r.channel_bits for r in point) / len(point))
+            trials: dict[int, list[float]] = {}
+            for r in point:
+                trials.setdefault(r.sentence_id, []).append(r.similarity)
+            by_sentence[name, snr_db] = [sum(t) / len(t) for _, t in sorted(trials.items())]
     parts, ok = [], True
     for snr_db, (sim, bits) in means["default"].items():
         best = _best_time_sharing(means["all"][snr_db], means["top"][snr_db], bits)
         red = best is not None and best[0] > sim
         ok &= not red
         mix = "none fits" if best is None else f"{best[0]:.4f} @ {best[1]:.1f}"
+        if best is not None:  # printed beside the gate, which stays on the means
+            share = best[2]
+            lead, se = _paired([d - (share * a + (1.0 - share) * t) for d, a, t in zip(
+                by_sentence["default", snr_db], by_sentence["all", snr_db],
+                by_sentence["top", snr_db])])
+            mix += f", paired bound {lead - 1.96 * se:+.4f} (lead {lead:+.4f} SE {se:.4f})"
         parts.append(f"{snr_db:g}dB default {sim:.4f} @ {bits:.1f} vs best mix {mix}"
                      f"{' (BEATEN)' if red else ''}")
     _verdict(capsys, 11, ok, "; ".join(parts))

@@ -297,9 +297,10 @@ def test_matches_reference_on_random_frames(B, L, flip_rate):
                               _reference_viterbi(coded, L, pattern)), pattern
 
 
-@pytest.mark.parametrize("B", [1, 5, 2 * _BLOCK])
+@pytest.mark.parametrize("B", [1, 5, convcode._FRAMES + 1, 4 * _BLOCK])
 def test_matches_reference_around_block_boundaries(B):
-    steps = max(1, _BLOCK // B)  # trellis steps per block at this batch size
+    # trellis steps per block in the first block of frames
+    steps = max(1, _BLOCK // min(B, convcode._FRAMES))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([50, B])))
     for T in sorted({max(t, TAIL + 3) for t in (steps - 1, steps, steps + 1, 2 * steps + 1)}):
         for pattern in PATTERNS:
@@ -440,6 +441,43 @@ def test_decode_in_prior_keeps_frames_of_three_words_and_no_prior():
                               word_prior(10, ([0, 1], [1, 3])), nats)
     assert {tuple(w) for w in decoded.tolist()} <= {(0, 0, 0, 1), (0, 1, 1, 1)} | {
         tuple(w) for w in viterbi_decode_frames(short, UNPUNCTURED).tolist()}
+
+
+@pytest.mark.parametrize("k", [1, 2], ids=["one-rank", "two-rank"])
+def test_batch_composition_changes_no_decoded_word(k):
+    # more frames than one Viterbi block and more searched rows than one
+    # search chunk, half of them sending a word the prior holds: each row
+    # decodes in the batch, and in the batch reversed, as it does alone
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([61, k])))
+    width, n = 12, 2000
+    pairs = sorted({tuple(sorted(int(i) for i in rng.choice(n, size=2, replace=False)))
+                    for _ in range(400)})
+    prior = word_prior(n, np.array(pairs, dtype=np.int64).T)
+    B = 3 * convcode._FRAMES + 5
+    listed = (np.array(pairs)[rng.integers(0, len(pairs), size=B)] if k == 2
+              else rng.integers(0, n, size=(B, 1)))
+    ranks = np.where(rng.random((B, 1)) < 0.5, listed, rng.integers(0, 1 << width, size=(B, k)))
+    info = (ranks[:, :, None] >> np.arange(width - 1, -1, -1) & 1).astype(np.uint8).reshape(B, -1)
+    sent = conv_encode_frames(info, UNPUNCTURED).astype(np.int64)
+    noisy = (1 - 2 * sent) * 12 + rng.normal(0, 1, sent.shape) * rng.choice([1, 10, 25], (B, 1))
+    metrics = np.clip(np.rint(noisy), -METRIC_MAX, METRIC_MAX).astype(np.int8)
+    nats = convcode.PRIOR_NATS / rng.choice([300, 120, 30], size=B)
+    viterbi = viterbi_decode_frames(metrics, UNPUNCTURED)
+    decoded = decode_in_prior(metrics, viterbi, width, prior, nats)
+    words = viterbi.reshape(B, k, width).astype(np.int64) @ (1 << np.arange(width - 1, -1, -1))
+    searched = (words[:, 0] >= n if k == 1 else
+                [tuple(w) not in set(pairs) for w in words.tolist()])
+    assert np.count_nonzero(searched) > 2 * convcode._SEARCH_ROWS
+    assert 0 < np.count_nonzero((decoded != viterbi).any(axis=1)) < np.count_nonzero(searched)
+    back = slice(None, None, -1)
+    assert np.array_equal(viterbi_decode_frames(metrics[back], UNPUNCTURED), viterbi[back])
+    assert np.array_equal(decode_in_prior(metrics[back], viterbi[back], width, prior, nats[back]),
+                          decoded[back])
+    for i in range(B):
+        alone = viterbi_decode_frames(metrics[i:i + 1], UNPUNCTURED)
+        assert np.array_equal(alone, viterbi[i:i + 1])
+        assert np.array_equal(decode_in_prior(metrics[i:i + 1], alone, width, prior, nats[i:i + 1]),
+                              decoded[i:i + 1])
 
 
 def test_word_prior_lists_each_sorted_pair_once():

@@ -587,6 +587,94 @@ def test_run_sweep_failure_at_one_snr_flags_only_that_point(tmp_path, sample_kg_
     assert any(r.flags == "error:KeyError" for r in records)
 
 
+def test_sentence_groups_change_no_byte(sample_kg_path, sample_corpus_path, monkeypatch):
+    # the whole fixture corpus at 12 kgrag rows a sentence fills two groups;
+    # groups of one sentence, or of the whole corpus, give the same report,
+    # and a row from the middle of a group replays alone
+    config = SweepConfig(kg_path=str(sample_kg_path), corpus_path=str(sample_corpus_path),
+                         snr_grid=[0.0, 6.0, 12.0], trials_per_point=4)
+    ctx = PipelineContext.from_config(config)
+    rows = len(config.snr_grid) * config.trials_per_point
+    per_group = harness._GROUP_ROWS // rows
+    assert per_group < len(ctx.corpus) <= 2 * per_group
+    real_transmit = harness.transmit_many
+    calls: list[int] = []
+    monkeypatch.setattr(harness, "transmit_many", lambda frames, cfgs, prior: calls.append(
+        len(cfgs)) or real_transmit(frames, cfgs, prior))
+    records = run_sweep(config, ctx)
+    assert len(calls) == 2  # one kgrag channel call a group
+    report = render_report(records, config.snr_grid)
+    for group_rows in (1, len(ctx.corpus) * rows + 1):
+        monkeypatch.setattr(harness, "_GROUP_ROWS", group_rows)
+        assert render_report(run_sweep(config, ctx), config.snr_grid) == report
+    mid = per_group // 2
+    replayed = [r for r in records if r.sentence_id == mid]
+    assert any(r.scheme == "kgrag" and r.n_received_valid for r in replayed)
+    for r in replayed:
+        assert run_pipeline(ctx, ctx.corpus[mid], mid, r.snr_db, r.seed, r.scheme, r.trial) == r
+
+
+@pytest.fixture()
+def grouped_config(tmp_path, sample_kg_path, sample_corpus, monkeypatch):
+    """Six sentences at 4 kgrag rows each, in groups of two sentences."""
+    corpus_path = tmp_path / "six.txt"
+    corpus_path.write_text("\n".join(sample_corpus[:6]) + "\n", encoding="utf-8")
+    monkeypatch.setattr(harness, "_GROUP_ROWS", 8)
+    return SweepConfig(kg_path=str(sample_kg_path), corpus_path=str(corpus_path),
+                       snr_grid=[0.0, 12.0], trials_per_point=2)
+
+
+def _flagged_only(records, clean, failing, flag: str) -> None:
+    """``records`` equal ``clean`` but for the records ``failing`` picks, which
+    carry ``flag`` and their own trial and seed."""
+    assert len(records) == len(clean)
+    for got, want in zip(records, clean):
+        if failing(want):
+            assert got.flags == flag
+            assert (got.sentence_id, got.snr_db, got.scheme, got.trial, got.seed) == (
+                want.sentence_id, want.snr_db, want.scheme, want.trial, want.seed)
+        else:
+            assert got == want
+    assert any(failing(want) for want in clean)
+
+
+def test_a_failing_analysis_flags_only_its_sentences_kgrag_records(grouped_config,
+                                                                   monkeypatch):
+    ctx = PipelineContext.from_config(grouped_config)
+    clean = run_sweep(grouped_config, ctx)
+    real_analyze = ctx.analyze
+
+    def analyze(sentence):
+        if sentence == ctx.corpus[2]:  # the first sentence of the second group
+            raise KeyError("boom")
+        return real_analyze(sentence)
+
+    monkeypatch.setattr(ctx, "analyze", analyze)
+    _flagged_only(run_sweep(grouped_config, ctx), clean,
+                  lambda r: r.scheme == "kgrag" and r.sentence_id == 2, "error:KeyError")
+
+
+def test_a_failing_channel_call_flags_only_its_groups_kgrag_records(grouped_config,
+                                                                    monkeypatch):
+    ctx = PipelineContext.from_config(grouped_config)
+    clean = run_sweep(grouped_config, ctx)
+    real_transmit = harness.transmit_many
+    calls: list[int] = []
+
+    def transmit_failing_for_the_second_group(frames, cfgs, prior):
+        calls.append(len(cfgs))
+        if len(calls) == 2:
+            raise OverflowError("boom")
+        return real_transmit(frames, cfgs, prior)
+
+    monkeypatch.setattr(harness, "transmit_many", transmit_failing_for_the_second_group)
+    records = run_sweep(grouped_config, ctx)
+    assert len(calls) == 3
+    # a sentence that selects nothing sends nothing, so keeps its records
+    _flagged_only(records, clean, lambda r: r.scheme == "kgrag" and r.sentence_id in (2, 3)
+                  and r.n_selected, "error:OverflowError")
+
+
 def test_run_sweep_scoring_failure_on_one_text_flags_only_its_point(small_config, monkeypatch):
     config = SweepConfig(kg_path=small_config.kg_path, corpus_path=small_config.corpus_path,
                          snr_grid=[math.inf, 0.0], trials_per_point=2, schemes=("ascii",))
