@@ -11,10 +11,9 @@ __version__ = "0.1.0"
 from .kg import (KnowledgeGraph, Entity, Community, Triple, NodeId,
                  KgFormatError, canonical_name, ingest, load)
 from .embedding import TrigramEmbedder, EmbeddingIndex
-from .extraction import (ExtractionConfig, ExtractionTrace, Mention,
-                         CandidateSet, SelectedEntities, StubSelector,
-                         HttpSelector, recognize, expand, select,
-                         extract_trace)
+from .extraction import (ExtractionTrace, Mention, CandidateSet,
+                         SelectedEntities, StubSelector, HttpSelector,
+                         recognize, expand, select, extract_trace)
 from .semgraph import Mcsg, build_mcsg, one_hop, reconstruct
 from .importance import (ImportanceConfig, ThresholdPolicy,
                          degree_centrality, betweenness_centrality,
@@ -42,9 +41,9 @@ __all__ = [
     # embeddings and retrieval
     "TrigramEmbedder", "EmbeddingIndex",
     # extraction
-    "ExtractionConfig", "ExtractionTrace", "Mention", "CandidateSet",
-    "SelectedEntities", "StubSelector", "HttpSelector", "recognize", "expand",
-    "select", "extract_trace",
+    "ExtractionTrace", "Mention", "CandidateSet", "SelectedEntities",
+    "StubSelector", "HttpSelector", "recognize", "expand", "select",
+    "extract_trace",
     # semantic subgraph
     "Mcsg", "build_mcsg", "one_hop", "reconstruct",
     # importance and UEP

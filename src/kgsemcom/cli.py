@@ -115,7 +115,7 @@ def _context(kg, extract_backend: str, generate_backend: str = "stub",
 def _cmd_extract(args) -> int:
     kg = _load_kg(args.kg)
     ctx = _context(kg, args.extract_backend)
-    trace = extract_trace(args.sentence, kg, ctx.index, ctx.extraction)
+    trace = extract_trace(args.sentence, kg, ctx.index, ctx.embedder, ctx.selector)
     print(f"sentence: {args.sentence}")
     # each routed mention's community and its ranked (id, similarity) candidates there
     routes = {m: f"  -> community {c}: [{', '.join(f'({n}, {sim:.4f})' for n, sim in ranked)}]"

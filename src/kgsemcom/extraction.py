@@ -2,9 +2,10 @@
 
 Stage 1 recognizes mention spans with a gazetteer over KG names and aliases
 (longest match, left to right, case-insensitive) plus a capitalized-span
-fallback for out-of-KG names. Stage 2 expands each mention to candidate
-entities via the hierarchical embedding index. Stage 3 selects the final ids,
-either with a deterministic offline rule or a remote chat model.
+fallback for out-of-KG names. Stage 2 expands each mention to its TOP_K
+candidate entities via the hierarchical embedding index. Stage 3 selects the
+final ids, either with a deterministic offline rule or a remote chat model,
+and keeps at most MAX_SELECTED of them.
 """
 
 import re
@@ -17,6 +18,9 @@ from .kg import KnowledgeGraph, NodeId, canonical_name
 _TOKEN_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9'\-]*")
 # StubSelector keeps a candidate whose provenance similarity reaches this
 SIMILARITY_THRESHOLD = 0.5
+# candidates expand takes per mention, and most ids a selector keeps
+TOP_K = 3
+MAX_SELECTED = 8
 
 
 @dataclass(frozen=True)
@@ -37,14 +41,6 @@ class CandidateSet:
 @dataclass(frozen=True)
 class SelectedEntities:
     ids: tuple[NodeId, ...]
-
-
-@dataclass
-class ExtractionConfig:
-    embedder: object
-    selector: object
-    top_k: int = 3
-    max_selected: int = 8
 
 
 @dataclass
@@ -97,7 +93,7 @@ def recognize(sentence: str, kg: KnowledgeGraph) -> list[Mention]:
 
 
 def expand(mentions: list[Mention], index: EmbeddingIndex, embedder,
-           k: int = 3) -> CandidateSet:
+           k: int = TOP_K) -> CandidateSet:
     """Route each mention to its best community, then take the top-k entities
     there. The mentions are embedded in one batch, and then, in one more, the
     entities of every routed community the index does not hold yet.
@@ -132,7 +128,7 @@ class StubSelector:
     SIMILARITY_THRESHOLD; cap the result by descending similarity."""
 
     def select(self, sentence: str, candidates: CandidateSet, kg: KnowledgeGraph,
-               max_selected: int = 8) -> SelectedEntities:
+               max_selected: int = MAX_SELECTED) -> SelectedEntities:
         canon_sentence = canonical_name(sentence)
         keep = [nid for nid, (_, sim) in candidates.provenance.items()
                 if canonical_name(kg.entities[nid].name) in canon_sentence
@@ -153,7 +149,7 @@ class HttpSelector:
         self.template = prompt_template or load_prompt("selector_v1.txt")
 
     def select(self, sentence: str, candidates: CandidateSet, kg: KnowledgeGraph,
-               max_selected: int = 8) -> SelectedEntities:
+               max_selected: int = MAX_SELECTED) -> SelectedEntities:
         from .remote import chat_completion
         listing = "\n".join(
             f"- {kg.entities[nid].name}: {kg.entities[nid].description}"
@@ -172,19 +168,18 @@ class HttpSelector:
 
 
 def select(sentence: str, candidates: CandidateSet, kg: KnowledgeGraph,
-           backend, max_selected: int = 8) -> SelectedEntities:
+           backend, max_selected: int = MAX_SELECTED) -> SelectedEntities:
     return backend.select(sentence, candidates, kg, max_selected=max_selected)
 
 
 def extract_trace(sentence: str, kg: KnowledgeGraph, index: EmbeddingIndex,
-                  config: ExtractionConfig) -> ExtractionTrace:
+                  embedder, selector) -> ExtractionTrace:
     t0 = time.perf_counter()
     mentions = recognize(sentence, kg)
     t1 = time.perf_counter()
-    candidates = expand(mentions, index, config.embedder, k=config.top_k)
+    candidates = expand(mentions, index, embedder)
     t2 = time.perf_counter()
-    selected = select(sentence, candidates, kg, config.selector,
-                      max_selected=config.max_selected)
+    selected = select(sentence, candidates, kg, selector)
     t3 = time.perf_counter()
     timings = {"recognize": t1 - t0, "expand": t2 - t1, "select": t3 - t2}
     return ExtractionTrace(mentions, candidates, selected, timings)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import kg as kgmod
 from .embedding import EmbeddingIndex, TrigramEmbedder
-from .extraction import ExtractionConfig, HttpSelector, StubSelector, extract_trace
+from .extraction import HttpSelector, StubSelector, extract_trace
 from .generation import HttpGenerator, StubGenerator, build_prompt
 from .importance import ImportanceConfig, ThresholdPolicy, importance_scores, partition_uep
 from .phy import (ChannelConfig, TransmissionFrame, TransmitResult, HuffmanTable, WordPrior,
@@ -87,10 +87,6 @@ class SweepConfig:
     schemes: tuple[str, ...] = SCHEMES
     alpha: float = 0.5
     threshold_policy: tuple[tuple[float, float], ...] = ((0.0, 0.0), (12.0, 0.8))
-    keep_all_components: bool = False
-    top_k: int = 3
-    max_selected: int = 8
-    embedding_dim: int = 384
     extract_backend: str = "stub"   # "stub" | "http"
     generate_backend: str = "stub"  # "stub" | "http"
 
@@ -100,8 +96,7 @@ class SweepConfig:
                 raise ValueError(f"{name} must be a string")
         self.snr_grid = [_number("snr_grid", v) for v in _list("snr_grid", self.snr_grid)]
         check_snr_grid("snr_grid", self.snr_grid)
-        for name, low in (("seed", 0), ("trials_per_point", 1), ("top_k", 1),
-                          ("max_selected", 1), ("embedding_dim", 1)):
+        for name, low in (("seed", 0), ("trials_per_point", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -109,8 +104,6 @@ class SweepConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ValueError(f"unknown scheme {s!r}")
-        if not isinstance(self.keep_all_components, bool):
-            raise ValueError("keep_all_components must be true or false")
         for name in ("extract_backend", "generate_backend"):
             if getattr(self, name) not in ("stub", "http"):
                 raise ValueError(f"{name} must be 'stub' or 'http', got {getattr(self, name)!r}")
@@ -224,19 +217,14 @@ class PipelineContext:
 
     def __init__(self, kg: kgmod.KnowledgeGraph, corpus: Sequence[str] = (),
                  selector=None, generator=None,
-                 importance_config: ImportanceConfig | None = None,
-                 top_k: int = 3, max_selected: int = 8,
-                 keep_all_components: bool = False, embedding_dim: int = 384):
+                 importance_config: ImportanceConfig | None = None):
         self.kg = kg
         self.corpus = corpus
-        self.embedder = TrigramEmbedder(dim=embedding_dim)
+        self.embedder = TrigramEmbedder()
         self.index = EmbeddingIndex.build(kg, self.embedder)
-        self.extraction = ExtractionConfig(embedder=self.embedder,
-                                           selector=selector or StubSelector(),
-                                           top_k=top_k, max_selected=max_selected)
+        self.selector = selector or StubSelector()
         self.generator = generator or StubGenerator()
         self.importance_config = importance_config or ImportanceConfig()
-        self.keep_all_components = keep_all_components
         # an id travels as its rank among the sorted entity ids, in the W bits
         # the largest rank N - 1 needs; ranks >= N name no entity and map to
         # -1, which reconstruction drops
@@ -252,10 +240,7 @@ class PipelineContext:
         corpus = load_corpus(config.corpus_path)
         selector, generator = select_backends(config.extract_backend, config.generate_backend)
         return cls(kg, corpus, selector=selector, generator=generator,
-                   importance_config=config._importance_config(), top_k=config.top_k,
-                   max_selected=config.max_selected,
-                   keep_all_components=config.keep_all_components,
-                   embedding_dim=config.embedding_dim)
+                   importance_config=config._importance_config())
 
     @cached_property
     def seed_prior(self) -> WordPrior:
@@ -274,7 +259,7 @@ class PipelineContext:
         return huffman_build("\n".join(self.corpus))
 
     def analyze(self, sentence: str) -> SentenceAnalysis:
-        trace = extract_trace(sentence, self.kg, self.index, self.extraction)
+        trace = extract_trace(sentence, self.kg, self.index, self.embedder, self.selector)
         mcsg = build_mcsg(trace.selected.ids, self.kg)
         return SentenceAnalysis(mcsg, importance_scores(mcsg, self.importance_config))
 
@@ -313,8 +298,7 @@ class PipelineContext:
         seed nodes are the received seeds it kept, and an empty
         reconstruction yields no text."""
         seeds = frozenset(i for i in received_ids if i in self.kg.entities)
-        recon = reconstruct(one_hop(seeds, self.kg), self.kg,
-                            keep_all_components=self.keep_all_components)
+        recon = reconstruct(one_hop(seeds, self.kg), self.kg)
         recon = replace(recon, seed_nodes=seeds & recon.nodes)
         if not recon.nodes:
             return recon, "", "empty_reconstruction"

@@ -6,7 +6,7 @@ it: the transmitter to build the subgraph in which it scores the seeds, the
 receiver to re-derive it from the seeds, which are all that crosses the
 channel. The receiver discards ids that do not exist in its KG copy before it
 expands them; then ``reconstruct`` re-induces the edges and keeps the largest
-connected component unless the ablation switch keeps all.
+connected component.
 """
 
 from collections.abc import Iterable
@@ -71,19 +71,17 @@ def _components(adj: dict[NodeId, set[NodeId]]) -> list[set[NodeId]]:
     return comps
 
 
-def reconstruct(received: Iterable[NodeId], kg: KnowledgeGraph,
-                keep_all_components: bool = False) -> Mcsg:
+def reconstruct(received: Iterable[NodeId], kg: KnowledgeGraph) -> Mcsg:
     """Receiver-side rebuild from (possibly corrupted) ids. Invalid ids are
-    dropped; surviving nodes are induced against the KG; ties between equal
-    largest components go to the one containing the smallest id."""
+    dropped; surviving nodes are induced against the KG, and the largest
+    connected component is kept, ties going to the one containing the
+    smallest id."""
     valid = frozenset(i for i in received if i in kg.entities)
+    if not valid:
+        return Mcsg(nodes=valid, seed_nodes=valid, edges=())
     edges = kg.induced_edges(valid)
-    if not keep_all_components and valid:
-        comps = _components(undirected_adjacency(valid, edges))
-        comps.sort(key=lambda c: (-len(c), min(c)))
-        chosen = frozenset(comps[0])
-        # a component is closed under its edges, so an edge is in it iff its subject is
-        edges = tuple(t for t in edges if t.subject in chosen)
-    else:
-        chosen = valid
+    comps = _components(undirected_adjacency(valid, edges))
+    chosen = frozenset(min(comps, key=lambda c: (-len(c), min(c))))
+    # a component is closed under its edges, so an edge is in it iff its subject is
+    edges = tuple(t for t in edges if t.subject in chosen)
     return Mcsg(nodes=chosen, seed_nodes=chosen, edges=edges)

@@ -376,15 +376,22 @@ def _sweep_error(capsys, tmp_path, sweep_config_path, **override):
     return _error(capsys, ["sweep", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
 
 
+# the last four are constants, not options: a config that sets one is refused
+# by name rather than silently ignored
 @pytest.mark.parametrize("override", [
     {"alpha": 2.0},
     {"threshold_policy": [[0.0, 0.8], [12.0, 0.2]]},
     {"top_k": 0},
     {"keep_all_components": "no"},
+    {"max_selected": 8},
+    {"embedding_dim": 384},
 ])
 def test_sweep_rejects_bad_importance_config(capsys, tmp_path, sweep_config_path, override):
     payload = _sweep_error(capsys, tmp_path, sweep_config_path, **override)
     assert payload["error"] == "config"
+    (key,) = override
+    if key not in ("alpha", "threshold_policy"):
+        assert payload["message"] == f"unknown config keys: [{key!r}]"
 
 
 @pytest.mark.parametrize("name, bad", [("snr_grid", ["x"]), ("snr_grid", 5),

@@ -505,7 +505,7 @@ def test_decoding_a_hundred_thousand_bit_frame_stays_under_nine_mb():
 
 
 @pytest.mark.xfail(
-    strict=True,
+    strict=True, raises=AssertionError,
     reason="long frames at Es/N0 = 4 dB sit above capacity for this code: 16QAM "
            "carries 8/3 info bits a symbol at rate 2/3, against a capacity of "
            "about 1.8, so even soft-decision decoding measures 0.479 against "

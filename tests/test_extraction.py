@@ -7,7 +7,6 @@ import pytest
 from kgsemcom import (
     CandidateSet,
     EmbeddingIndex,
-    ExtractionConfig,
     HttpSelector,
     Mention,
     StubSelector,
@@ -18,13 +17,9 @@ from kgsemcom import (
     recognize,
     select,
 )
+from kgsemcom.extraction import MAX_SELECTED, TOP_K
 
 from kgtools import cosine
-
-
-@pytest.fixture(scope="module")
-def stub_config(embedder):
-    return ExtractionConfig(embedder=embedder, selector=StubSelector())
 
 
 # -- stage 1: recognize --------------------------------------------------------
@@ -181,7 +176,7 @@ def test_expand_embeds_a_sentences_mentions_in_one_call(sample_kg, sample_corpus
         for mention, community, ranked in cset.per_mention:
             query = real_embed([mention.surface])[0]
             assert community == index.best_community(query)
-            assert ranked == index.top_k_in_community(community, query)
+            assert ranked == index.top_k_in_community(community, query, k=TOP_K)
 
 
 # -- stage 3: select -----------------------------------------------------------
@@ -300,46 +295,49 @@ def test_http_selector_prompt_contains_sentence_and_descriptions(sample_kg, monk
 
 # -- composition ---------------------------------------------------------------
 
-def test_sentence_equal_to_entity_name(sample_kg, sample_index, stub_config):
-    got = extract_trace("Alan Bean", sample_kg, sample_index, stub_config).selected
+def _trace(sentence, kg, index, embedder):
+    return extract_trace(sentence, kg, index, embedder, StubSelector())
+
+
+def test_sentence_equal_to_entity_name(sample_kg, sample_index, embedder):
+    got = _trace("Alan Bean", sample_kg, sample_index, embedder).selected
     assert got.ids == (sample_kg.id_of("Alan Bean"),)
 
 
-def test_empty_pipeline_reports_empty_selection(sample_kg, sample_index, stub_config):
-    trace = extract_trace("nothing relevant here at all", sample_kg,
-                          sample_index, stub_config)
+def test_empty_pipeline_reports_empty_selection(sample_kg, sample_index, embedder):
+    trace = _trace("nothing relevant here at all", sample_kg, sample_index, embedder)
     assert trace.mentions == []
     assert set(trace.candidates.provenance) == set()
     assert trace.selected.ids == ()
 
 
-def test_fixture_sentence_hand_trace(sample_kg, sample_index, sample_corpus, stub_config):
+def test_fixture_sentence_hand_trace(sample_kg, sample_index, sample_corpus, embedder):
     # three planted names -> exactly their ids, ascending
     sentence = sample_corpus[6]
     assert "Moonwalk Simulator" in sentence
     expected = tuple(sorted(sample_kg.id_of(n) for n in
                             ("Pete Conrad", "Surveyor Crater", "Moonwalk Simulator")))
-    got = extract_trace(sentence, sample_kg, sample_index, stub_config).selected
+    got = _trace(sentence, sample_kg, sample_index, embedder).selected
     assert got.ids == expected
 
 
 def test_selected_subset_of_candidates_subset_of_kg(sample_kg, sample_index,
-                                                    sample_corpus, stub_config):
+                                                    sample_corpus, embedder):
     for sentence in sample_corpus[:15]:
-        trace = extract_trace(sentence, sample_kg, sample_index, stub_config)
+        trace = _trace(sentence, sample_kg, sample_index, embedder)
         assert set(trace.selected.ids) <= set(trace.candidates.provenance)
         assert set(trace.candidates.provenance) <= set(sample_kg.entities)
 
 
-def test_extract_deterministic(sample_kg, sample_index, sample_corpus, stub_config):
+def test_extract_deterministic(sample_kg, sample_index, sample_corpus, embedder):
     for sentence in sample_corpus[:5]:
-        a = extract_trace(sentence, sample_kg, sample_index, stub_config).selected
-        b = extract_trace(sentence, sample_kg, sample_index, stub_config).selected
+        a = _trace(sentence, sample_kg, sample_index, embedder).selected
+        b = _trace(sentence, sample_kg, sample_index, embedder).selected
         assert a == b
 
 
-def test_stage_timings_recorded(sample_kg, sample_index, sample_corpus, stub_config):
-    trace = extract_trace(sample_corpus[0], sample_kg, sample_index, stub_config)
+def test_stage_timings_recorded(sample_kg, sample_index, sample_corpus, embedder):
+    trace = _trace(sample_corpus[0], sample_kg, sample_index, embedder)
     assert set(trace.stage_seconds) == {"recognize", "expand", "select"}
     assert all(v >= 0 for v in trace.stage_seconds.values())
 
@@ -354,3 +352,5 @@ def test_select_dispatches_to_backend(sample_kg):
     backend = Recorder()
     select("s", _cset([]), sample_kg, backend, max_selected=5)
     assert backend.seen == ("s", 5)
+    select("s", _cset([]), sample_kg, backend)
+    assert backend.seen == ("s", MAX_SELECTED)

@@ -18,13 +18,15 @@ from kgsemcom.generation import (
 from kgsemcom.harness import PipelineContext
 from kgsemcom.kg import ingest
 from kgsemcom.phy import ChannelConfig, transmit
-from kgsemcom.semgraph import reconstruct
+from kgsemcom.semgraph import Mcsg
 
 from kgtools import tiny_kg
 
 
-def _mcsg(kg, ids, keep_all=True):
-    return reconstruct(list(ids), kg, keep_all_components=keep_all)
+def _mcsg(kg, ids):
+    """The subgraph induced on ids, every component kept."""
+    nodes = frozenset(ids)
+    return Mcsg(nodes, nodes, kg.induced_edges(nodes))
 
 
 def test_prompt_single_triple_structure():

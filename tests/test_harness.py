@@ -8,13 +8,16 @@ import json
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kgsemcom.harness as harness
+import kgsemcom.remote
 from kgsemcom.embedding import TrigramEmbedder
-from kgsemcom.generation import StubGenerator, build_prompt
+from kgsemcom.extraction import HttpSelector
+from kgsemcom.generation import HttpGenerator, StubGenerator, build_prompt
 from kgsemcom.harness import (
     SCHEMES,
     ExperimentRecord,
@@ -434,16 +437,12 @@ def test_sweep_config_validation(sample_kg_path, sample_corpus_path):
         SweepConfig(alpha=2.0, **paths)
     with pytest.raises(ValueError, match="non-decreasing"):
         SweepConfig(threshold_policy=((0.0, 0.8), (12.0, 0.2)), **paths)
-    for name in ("top_k", "max_selected", "embedding_dim"):
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match=name):
-                SweepConfig(**{name: bad}, **paths)
     for name in ("extract_backend", "generate_backend"):
         with pytest.raises(ValueError, match=name):
             SweepConfig(**{name: "htttp"}, **paths)
     for name, bad in (("seed", -1), ("seed", "x"), ("trials_per_point", 1.5),
                       ("kg_path", 5), ("snr_grid", [math.nan]), ("schemes", ()),
-                      ("keep_all_components", "no"), ("snr_grid", ["x"]),
+                      ("snr_grid", ["x"]),
                       ("snr_grid", 5), ("threshold_policy", [[1]]), ("schemes", "kgrag"),
                       ("alpha", "x"), ("snr_grid", [4.0, 4.0]), ("snr_grid", [0.0, -0.0]),
                       ("snr_grid", [0.0, 1e-7])):
@@ -451,25 +450,55 @@ def test_sweep_config_validation(sample_kg_path, sample_corpus_path):
             SweepConfig(**{**paths, name: bad})
 
 
-def test_every_sweep_config_field_reaches_the_context(tmp_path):
-    # two disconnected pairs, A-B and C-D: a reception of A and C spans both
+def test_every_sweep_config_field_reaches_the_context(tmp_path, monkeypatch):
+    # each field gets a value other than its default and a check that the
+    # value reached the context or the sweep; a field without a check fails
     kg_path, corpus_path = tmp_path / "kg.tsv", tmp_path / "corpus.txt"
-    tiny_kg(triples=("A r B", "C s D")).dump(kg_path)
+    kg = tiny_kg(triples=("A r B", "C s D"))  # two disconnected pairs
+    kg.dump(kg_path)
     corpus_path.write_text("A met C.\n", encoding="utf-8")
-    paths = dict(kg_path=str(kg_path), corpus_path=str(corpus_path))
+    monkeypatch.setenv("KGSEMCOM_API_BASE", "http://endpoint.invalid/v1")
+    monkeypatch.setattr(kgsemcom.remote, "chat_completion", lambda config, prompt: "A\nC")
     policy = ((0.0, 0.1), (6.0, 0.3), (20.0, 0.9))
-    ctx = PipelineContext.from_config(SweepConfig(
-        **paths, alpha=0.25, threshold_policy=policy, top_k=5, max_selected=2,
-        embedding_dim=64, keep_all_components=True))
-    assert ctx.importance_config.alpha == 0.25
-    assert ctx.importance_config.threshold_policy.points == policy
-    assert (ctx.extraction.top_k, ctx.extraction.max_selected) == (5, 2)
-    assert ctx.embedder.dim == ctx.index.dim == 64
-    assert ctx.keep_all_components
-    assert ctx.receive([0, 2])[0].nodes == {0, 1, 2, 3}
-    default = PipelineContext.from_config(SweepConfig(**paths))
-    assert not default.keep_all_components
-    assert default.receive([0, 2])[0].nodes == {0, 1}  # the tie goes to the smaller id
+    values = dict(kg_path=str(kg_path), corpus_path=str(corpus_path), snr_grid=[3.0, math.inf],
+                  trials_per_point=2, seed=9, schemes=("ascii", "kgrag"), alpha=0.25,
+                  threshold_policy=policy, extract_backend="http", generate_backend="http")
+    names = [f.name for f in dataclasses.fields(SweepConfig)]
+    assert sorted(values) == sorted(names)
+    for f in dataclasses.fields(SweepConfig):
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        assert values[f.name] != default, f.name
+    config = SweepConfig(**values)
+    ctx = PipelineContext.from_config(config)
+    records = run_sweep(config, ctx)
+    snr_index = {snr: i for i, snr in enumerate(config.snr_grid)}
+    checks = {
+        "kg_path": ctx.kg == kg,
+        "corpus_path": ctx.corpus == ["A met C."],
+        "snr_grid": [r.snr_db for r in records[::4]] == [3.0, math.inf],
+        "trials_per_point": [r.trial for r in records[:4]] == [0, 0, 1, 1],
+        "seed": all(r.seed == derive_seed(9, r.sentence_id, snr_index[r.snr_db], r.trial,
+                                          r.scheme) for r in records),
+        "schemes": {r.scheme for r in records} == {"ascii", "kgrag"},
+        "alpha": ctx.importance_config.alpha == 0.25,
+        "threshold_policy": ctx.importance_config.threshold_policy.points == policy,
+        "extract_backend": isinstance(ctx.selector, HttpSelector),
+        "generate_backend": isinstance(ctx.generator, HttpGenerator),
+    }
+    assert len(records) == 8
+    assert [name for name in names if not checks.get(name)] == []
+    # the receiver keeps the largest component; the tie goes to the smaller id
+    assert ctx.receive([0, 2])[0].nodes == {0, 1}
+
+
+def test_readme_sweep_config_block_matches_the_fields(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Sweep config (JSON)", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    assert list(json.loads(block)) == [f.name for f in dataclasses.fields(SweepConfig)]
+    path = tmp_path / "readme.json"
+    path.write_text(block, encoding="utf-8")
+    assert SweepConfig.from_json(path).trials_per_point == json.loads(block)["trials_per_point"]
 
 
 def test_sweep_config_from_json(tmp_path, sample_kg_path, sample_corpus_path):
@@ -696,21 +725,20 @@ def test_run_sweep_embeds_each_distinct_text_once_per_sentence(small_config, mon
     config = SweepConfig(kg_path=small_config.kg_path, corpus_path=small_config.corpus_path,
                          snr_grid=[math.inf, 4.0, 12.0], trials_per_point=3)
     ctx = PipelineContext.from_config(config)
-    # extraction embeds mentions through its own embedder, and the first sweep
-    # leaves every routed community's entities in the index, so only scoring
-    # is counted
-    ctx.extraction = dataclasses.replace(ctx.extraction,
-                                         embedder=TrigramEmbedder(dim=ctx.embedder.dim))
     clean = run_sweep(config, ctx)
-    calls: list[str] = []  # every text embedded; embed_one is a one-text embed
-    real_embed = ctx.embedder.embed
+    calls: list[str] = []  # every text scoring embeds; embed_one is a one-text embed
     batches: list[int] = []
-    monkeypatch.setattr(ctx.embedder, "embed", lambda texts: batches.append(len(texts))
-                        or calls.extend(texts) or real_embed(texts))
+
+    class Counting(TrigramEmbedder):
+        def embed(self, texts):
+            batches.append(len(texts))
+            calls.extend(texts)
+            return super().embed(texts)
+
     memos: list[harness.SentenceVectors] = []
     real_memo = harness.SentenceVectors
-    monkeypatch.setattr(harness, "SentenceVectors",
-                        lambda embedder: memos.append(real_memo(embedder)) or memos[-1])
+    monkeypatch.setattr(harness, "SentenceVectors", lambda embedder: memos.append(
+        real_memo(Counting(embedder.dim))) or memos[-1])
     assert run_sweep(config, ctx) == clean
     assert len(memos) == len(ctx.corpus)  # one memo per sentence, none shared
     assert len(calls) == sum(len(m._vectors) for m in memos)

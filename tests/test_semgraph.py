@@ -167,13 +167,6 @@ def test_component_tie_goes_to_smallest_id():
     assert reconstruct([3, 2, 1, 0], kg).nodes == {0, 1}
 
 
-def test_keep_all_components_switch():
-    kg = tiny_kg(triples=("A r B",), extra_entities=("X",))
-    a, b, x = kg.id_of("A"), kg.id_of("B"), kg.id_of("X")
-    recon = reconstruct([a, b, x], kg, keep_all_components=True)
-    assert recon.nodes == {a, b, x}
-
-
 def test_empty_received_list_is_valid():
     recon = reconstruct([], tiny_kg())
     assert recon.nodes == frozenset()
@@ -229,8 +222,7 @@ def _oracle_largest_component(kg: KnowledgeGraph, nodes: set[int]) -> set[int]:
     return min(comps, key=lambda c: (-len(c), min(c)))
 
 
-@pytest.mark.parametrize("keep_all", [False, True])
-def test_reconstruct_matches_brute_force_oracle(keep_all):
+def test_reconstruct_matches_brute_force_oracle():
     # random graphs carry self-loops and parallel relations between one pair
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(24)))
     for _ in range(100):
@@ -238,9 +230,8 @@ def test_reconstruct_matches_brute_force_oracle(keep_all):
         pool = sorted(kg.entities)
         k = int(rng.integers(0, len(pool) + 1))
         received = [int(i) for i in rng.choice(pool, size=k, replace=False)]
-        recon = reconstruct(received + [2**32 - 1], kg, keep_all_components=keep_all)
-        valid = set(received)
-        nodes = valid if keep_all or not valid else _oracle_largest_component(kg, valid)
+        recon = reconstruct(received + [2**32 - 1], kg)
+        nodes = _oracle_largest_component(kg, set(received)) if received else set()
         assert recon.nodes == nodes
         assert recon.seed_nodes == nodes
         assert list(recon.edges) == _oracle_edges(kg, nodes)
@@ -264,5 +255,4 @@ def test_record_path_never_scans_the_whole_graph(sample_kg_path, sample_corpus):
     assert "error" not in record.flags
     mcsg = ctx.analyze(sample_corpus[0]).mcsg
     assert mcsg.edges
-    for keep_all in (False, True):
-        assert reconstruct(mcsg.nodes, kg, keep_all).nodes == mcsg.nodes
+    assert reconstruct(mcsg.nodes, kg).nodes == mcsg.nodes
