@@ -20,7 +20,6 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from functools import cached_property
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -202,7 +201,7 @@ class PipelineContext:
     table, which is built on first use.
 
     The receiver also decodes with the KG. ``seed_prior``, built on first
-    use in one pass over the triples, lists the words a protected stream
+    use from the KG's rank columns, lists the words a protected stream
     plausibly carries: any entity's rank for one seed, and the sorted ranks
     of any two entities a triple joins for two. Every kgrag sender (the
     sweep, ``run_pipeline`` and ``kgsemcom send``) passes it to the link,
@@ -230,7 +229,7 @@ class PipelineContext:
         # -1, which reconstruction drops
         self.id_width = max(1, (len(kg.entities) - 1).bit_length())
         self._id_of_rank = np.full(1 << self.id_width, -1, dtype=np.int64)
-        self._id_of_rank[:len(kg.entities)] = sorted(kg.entities)
+        self._id_of_rank[:len(kg.entities)] = kg.ids
         self._generation_cache: dict[tuple[frozenset[int], frozenset[int]],
                                      tuple[str, bool]] = {}
 
@@ -246,13 +245,8 @@ class PipelineContext:
     def seed_prior(self) -> WordPrior:
         """The protected words the receiver deems plausible: any rank below
         N, and the sorted rank pair of each triple's two ends."""
-        ids = self._id_of_rank[:len(self.kg.entities)]
-
-        def ranks(end: int) -> np.ndarray:
-            return np.searchsorted(ids, np.fromiter(map(itemgetter(end), self.kg.triples),
-                                                    dtype=np.int64, count=len(self.kg.triples)))
-
-        return word_prior(max(len(ids), 1), (ranks(0), ranks(2)))
+        return word_prior(max(len(self.kg.entities), 1),
+                          (self.kg.subject_ranks, self.kg.object_ranks))
 
     @cached_property
     def huffman_table(self) -> HuffmanTable:
@@ -269,9 +263,9 @@ class PipelineContext:
         the frame's classes; each seed travels as its rank among the sorted
         entity ids. The seeds' neighbours are not sent: the receiver
         re-derives them."""
-        ranks = self._id_of_rank[:len(self.kg.entities)]
         classes = partition_uep(analysis.table, snr_db, self.importance_config)
-        return TransmissionFrame(*(tuple(np.searchsorted(ranks, ids).tolist()) for ids in classes),
+        return TransmissionFrame(*(tuple(np.searchsorted(self.kg.ids, ids).tolist())
+                                   for ids in classes),
                                  self.id_width)
 
     def received_ids(self, result: TransmitResult) -> list[int]:

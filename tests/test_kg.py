@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -535,3 +536,137 @@ def test_load_memory_stays_bounded_and_labels_are_shared(tmp_path):
     assert len({id(t.relation) for t in kg.triples}) == len({t.relation for t in kg.triples})
     communities = [e.community for e in kg.entities.values()]
     assert len({id(c) for c in communities}) == len(set(communities))
+
+
+# -- the bulk T-record reader ---------------------------------------------------
+
+# texts that int() reads as the same id; E and T lines use them all
+ID_TEXTS = {7: ["7", "+7", " 7", "07"], 70: ["70", "7_0"], 300: ["300", "0300"]}
+
+
+def _id_text(rnd, nid: int) -> str:
+    return rnd.choice(ID_TEXTS.get(nid, [str(nid)]))
+
+
+def _bulk_records(rnd) -> list[str]:
+    """A stream of T runs between C and E lines: runs long enough to span
+    several bulk pieces, ids named by non-canonical texts, self-loops,
+    parallel relations, triples repeated across pieces, T lines before the
+    E lines they name, and \\r\\n endings."""
+    ids = [7, 70, 300] + rnd.sample(range(400, 500), rnd.randint(0, 6))
+    pool = [(rnd.choice(ids), rnd.choice(["r", "s"]), rnd.choice(ids))
+            for _ in range(rnd.randint(1, 10))]
+    pool += [(nid, "self", nid) for nid in rnd.sample(ids, 2)]
+    blocks = [[f"T\t{_id_text(rnd, s)}\t{r}\t{_id_text(rnd, o)}"
+               for s, r, o in rnd.choices(pool, k=rnd.randint(1, 40))]
+              for _ in range(rnd.randint(1, 4))]
+    blocks += [[f"E\t{_id_text(rnd, nid)}\tName {nid}\tc0\t\t"] for nid in ids]
+    blocks.append(["C\tc0\tL\tS"])
+    rnd.shuffle(blocks)
+    records = [r for block in blocks for r in block]
+    return [r + "\r\n" if rnd.random() < 0.1 else r for r in records]
+
+
+def _corrupt_run(rnd, records: list[str]) -> list[str]:
+    """records with a malformed T line put into or next to a T run."""
+    bad = rnd.choice(["T\tx\tr\t7", "T\t7\t\t70", "T\t7\tr\t999", "T\t999\tr\t7", "T\t7\tr",
+                      "T\t7\tr\t70\tx", "T\t-1\tr\t7", f"T\t7\tr\t{2**32}", "T\t7\tr\t",
+                      "T\t\tr\t7", "T", "Tx\t7\tr\t7"])
+    runs = [i for i, r in enumerate(records) if r.startswith("T\t")] or [0]
+    out = list(records)
+    out.insert(rnd.choice(runs) + rnd.randint(0, 1), bad)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [32, 96, 1 << 16])  # 1, 3 and 2048 T lines a piece
+def test_bulk_ingest_matches_reference(monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr(kgmod, "LINE_CHUNK", chunk)
+    rnd = random.Random(chunk)
+    path = tmp_path / "bulk.tsv"
+    graphs = errors = long_runs = 0
+    for _ in range(150):
+        records = _bulk_records(rnd)
+        for stream in (records, _corrupt_run(rnd, records),
+                       _corrupt_run(rnd, _corrupt_run(rnd, records))):
+            got, want = _outcome(ingest, stream), _outcome(_reference_ingest, stream)
+            assert got == want, stream
+            graphs += got[0] == "graph"
+            errors += got[0] == "error"
+            # through load: the pieces of a T run also end where load's chunks do
+            path.write_text("\n".join(stream), encoding="utf-8")
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert _outcome(kgmod.load, path) == _outcome(_reference_ingest, lines), stream
+        longest = max(len(list(g)) for k, g in groupby(records, lambda r: r.startswith("T\t")) if k)
+        long_runs += longest > chunk // 32
+    assert graphs > 100 and errors > 200
+    assert long_runs > 50 or chunk > 1000
+
+
+@pytest.mark.parametrize("chunk", [32, 64, 1 << 16])
+def test_the_first_of_a_bad_id_and_an_empty_relation_wins(monkeypatch, chunk):
+    # in one piece, in neighbouring pieces, and with valid lines between them
+    monkeypatch.setattr(kgmod, "LINE_CHUNK", chunk)
+    head = ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "E\t1\tB\tc0\t\t"]
+    for gap in (0, 1, 3):
+        between = ["T\t0\tr\t1"] * gap
+        for first, second, message in (
+                ("T\t0\tr\tx", "T\t0\t\t1", "node id 'x' is not an integer"),
+                ("T\t0\t\t1", "T\t0\tr\tx", "empty relation label")):
+            records = head + ["T\t1\tr\t0", first] + between + [second, "T\t1\tr\t1"]
+            with pytest.raises(KgFormatError, match=f"^line 5: {message}$"):
+                ingest(records)
+            assert _outcome(ingest, records) == _outcome(_reference_ingest, records)
+
+
+# -- queries against a scan of the T lines ---------------------------------------
+
+def test_queries_equal_a_scan_of_the_t_lines(tmp_path):
+    kg_text, _ = load_synthkg().generate(5, 2000, 100)
+    rnd = random.Random(11)
+    ids = list(range(1, 2001))
+    # parallel relations, self-loops and repeats on top of the generated edges
+    extra = [f"T\t{a}\t{r}\t{b}" for a, b in (rnd.sample(ids, 2) for _ in range(50))
+             for r in ("peerOf", "rivalOf")]
+    extra += [f"T\t{a}\tselfOf\t{a}" for a in rnd.sample(ids, 50)]
+    extra += rnd.sample(extra, 30)
+    text = kg_text + "\n".join(extra) + "\n"
+    path = tmp_path / "synthetic.tsv"
+    path.write_text(text, encoding="utf-8")
+    kg = kgmod.load(path)
+    scanned = list(dict.fromkeys(
+        (int(s), r, int(o)) for _, s, r, o in
+        (line.split("\t") for line in text.splitlines() if line.startswith("T\t"))))
+    keys = {nid: nid for nid in kg.entities}
+    labels = {}
+
+    def shared(edges):
+        for t in edges:
+            assert isinstance(t, kgmod.Triple)
+            assert t.subject is keys[t.subject] and t.object is keys[t.object]
+            assert t.relation is labels.setdefault(t.relation, t.relation)
+        return edges
+
+    # the queries come first, so they build their Triples before kg.triples does
+    for size in (1, 2, 3, 10, 40, 200):
+        for _ in range(15):
+            nodes = frozenset(rnd.sample(ids, size) + [0, 5000, 2**32 - 1])  # unknown ids
+            assert shared(kg.induced_edges(nodes)) == tuple(sorted(
+                t for t in scanned if t[0] in nodes and t[2] in nodes))
+    for nid in rnd.sample(ids, 100) + [a for a in ids if f"T\t{a}\tselfOf\t{a}" in extra][:10]:
+        pairs = kg.neighbors(nid)
+        assert pairs == {(r, o if s == nid else s) for s, r, o in scanned if nid in (s, o)}
+        shared([kgmod.Triple(keys[nid], r, other) for r, other in pairs])
+    with pytest.raises(KeyError):
+        kg.neighbors(5000)
+    assert shared(kg.triples) == scanned
+    assert kg.triples is kg.triples  # built once
+    assert len({id(label) for label in kg.relation_labels}) == len(set(kg.relation_labels))
+
+
+def test_a_piece_whose_field_counts_cancel_out_fails_at_its_line():
+    # six fields and then two: joined, they split into two rows of four that
+    # would parse, ids and relations alike
+    records = ["C\tc0\tL\tS", "E\t0\tA\tc0\t\t", "E\t1\tB\tc0\t\t",
+               "T\t0\tr\t1\tT\t0", "T\t1", "T\t1\tr\t0"]
+    with pytest.raises(KgFormatError, match=r"^line 4: T record needs 4 fields, got 6$"):
+        ingest(records)

@@ -246,10 +246,7 @@ def test_record_path_never_scans_the_whole_graph(sample_kg_path, sample_corpus):
     kg = kgmod.load(sample_kg_path)
     kg.triples = _NoScan(kg.triples)
     ctx = PipelineContext(kg, sample_corpus)
-    # the receiver's prior is one pass over the triples, once per context
-    guarded, kg.triples = kg.triples, kg.triples[:]  # a plain list
-    ctx.seed_prior
-    kg.triples = guarded
+    ctx.seed_prior  # the receiver's prior reads the KG's rank columns
     record = run_pipeline(ctx, sample_corpus[0], 0, 6.0, seed=5)
     assert record.n_selected > 0
     assert "error" not in record.flags
